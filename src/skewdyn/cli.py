@@ -1,13 +1,14 @@
 """Command-line front end: analyze / green / render / verify.
 
 Run configuration defaults come from RunConfig and may be overridden by
-environment variables SKEWDYN_N_MAX, SKEWDYN_TOL, SKEWDYN_ESCAPE_RADIUS,
-SKEWDYN_SEED, SKEWDYN_THREADS, then by flags.
+environment variables SKEWDYN_N_MAX, SKEWDYN_TOL and SKEWDYN_SEED, then
+by flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -26,20 +27,17 @@ from .weights import d_value, weight_interval
 
 
 def _env_config(args) -> RunConfig:
-    def pick(flag, env, cast, default):
+    """RunConfig field by field: flag, else SKEWDYN_<NAME>, else the default."""
+    values = {}
+    for field in dataclasses.fields(RunConfig):
+        cast = type(field.default)
+        flag = getattr(args, field.name, None)
+        raw = os.environ.get(f"SKEWDYN_{field.name.upper()}")
         if flag is not None:
-            return cast(flag)
-        raw = os.environ.get(env)
-        return cast(raw) if raw is not None else default
-
-    return RunConfig(
-        n_max=pick(getattr(args, "n_max", None), "SKEWDYN_N_MAX", int, 64),
-        tol=pick(getattr(args, "tol", None), "SKEWDYN_TOL", float, 1e-10),
-        escape_radius=pick(getattr(args, "escape_radius", None),
-                           "SKEWDYN_ESCAPE_RADIUS", float, 1e12),
-        seed=pick(getattr(args, "seed", None), "SKEWDYN_SEED", int, 0),
-        threads=pick(getattr(args, "threads", None), "SKEWDYN_THREADS", int, 1),
-    )
+            values[field.name] = cast(flag)
+        elif raw is not None:
+            values[field.name] = cast(raw)
+    return RunConfig(**values)
 
 
 def _load(path: str) -> SkewProduct:
@@ -195,10 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n-max", dest="n_max", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--escape-radius", dest="escape_radius", type=float,
-                       default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
 
     pa = sub.add_parser("analyze", help="classification and weight report")
     pa.add_argument("file")
@@ -240,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--weights", help="comma-separated rational weights")
     pv.add_argument("--radii", help="comma-separated radii")
     pv.add_argument("--samples", type=int, default=10_000)
+    pv.add_argument("--seed", type=int, default=None,
+                    help="sampling seed of the --wedge check")
     common(pv)
     pv.set_defaults(func=cmd_verify)
     return ap

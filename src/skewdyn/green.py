@@ -258,6 +258,23 @@ def ratio_transform_exponents(f: SkewProduct, alpha: Fraction
 _SOFT_TAIL_TOL = 1e-3   # dominance level accepted with the error folded in
 
 
+def _ratio_terms(f: SkewProduct, alpha: Fraction
+                 ) -> Optional[list[tuple[int, int, complex, float]]]:
+    """(i~, j, coeff, log|coeff|) of the ratio recursion c' = sum coeff z^i~ c^j."""
+    terms = ratio_transform_exponents(f, alpha)
+    if terms is None:
+        return None
+    a_pow = f.p.leading_at_zero() ** int(alpha)
+    return [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
+
+
+def _p_tail_log(f: SkewProduct, a: complex, lz: complex) -> complex:
+    """p-tail correction log(p(z)/(a z^delta)) at log z; exact 0 once z underflows."""
+    zv = cmath.exp(lz) if lz.real > -700.0 else 0j
+    return cmath.log(1 + sum((coeff / a) * zv ** (k - f.delta)
+                             for k, coeff in f.p.terms.items() if k != f.delta))
+
+
 @dataclass
 class _RatioOrbit:
     log_mags: list[float]      # log|c_n| (-inf for exact zero)
@@ -267,7 +284,13 @@ class _RatioOrbit:
 
     def fold_bound(self, d: int, upto: int) -> float:
         """Bound on the accumulated value error: sum 2 eta_k d^-k, k <= upto."""
-        return sum(2.0 * e / d**k for k, e in enumerate(self.etas[: upto + 1]) if e)
+        # a plain left-to-right sum, as the fiber kernel keeps it; sum() of
+        # floats is compensated from Python 3.12 on
+        total = 0.0
+        for k, e in enumerate(self.etas[: upto + 1]):
+            if e:
+                total += 2.0 * e / d**k
+        return total
 
 
 def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
@@ -280,15 +303,13 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     dominates, the magnitude continues by the exact dominant log
     recursion, re-validated at every step.
     """
-    terms = ratio_transform_exponents(f, alpha)
-    if terms is None or z == 0:
+    term_list = _ratio_terms(f, alpha)
+    if term_list is None or z == 0:
         return None
     al = int(alpha)
     a = f.p.leading_at_zero()
     log_a = cmath.log(a)
     delta = f.delta
-    a_pow = a**al
-    term_list = [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
     lz = cmath.log(complex(z))
     c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
     log_mags = [_lmag(c)]
@@ -306,11 +327,7 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
             reason = "zero"
             break
         lzr = lz.real
-        # p-tail correction log(p(z)/(a z^delta)); exact 0 once z underflows
-        zv = cmath.exp(lz) if lzr > -700.0 else 0j
-        ptail = sum((coeff / a) * zv ** (k - delta)
-                    for k, coeff in f.p.terms.items() if k != delta)
-        corr = cmath.log(1 + ptail)
+        corr = _p_tail_log(f, a, lz)
         tlogs = [
             (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
             for it, j, _, lb in term_list
@@ -318,11 +335,10 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
         if extended or not _terms_safe(tlogs):
             top_idx = max(range(len(tlogs)), key=tlogs.__getitem__)
             top = tlogs[top_idx]
-            eta = sum(
-                math.exp(t - top)
-                for k, t in enumerate(tlogs)
-                if k != top_idx and t - top > -80.0
-            )
+            eta = 0.0  # summed left to right, as in fold_bound
+            for k, t in enumerate(tlogs):
+                if k != top_idx and t - top > -80.0:
+                    eta += math.exp(t - top)
             if eta < _SOFT_TAIL_TOL and top > -math.inf:
                 it, j, _, lb = term_list[top_idx]
                 dom = (it, j, lb)
@@ -507,10 +523,13 @@ def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
     on_line = Fraction(g_dom) + alpha_frac * (d_dom - f.delta) == 0
     u_const = (_lmag(f.q.terms[logs.dominant])
                - alpha * _lmag(f.p.leading_at_zero()))
+    axis_inv = _w_axis_invariant(f)
     u_prev: Optional[float] = None
     est = None
     for st in logs.steps:
         if st.log_w == -math.inf:
+            if not axis_inv:
+                continue  # transient zero (j = 0 terms revive w); limit unaffected
             if plus:
                 return GreenEstimate(0.0, st.n, TERM_HIT_ZERO, 0.0)
             return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
@@ -551,9 +570,7 @@ def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
 
 
 def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
-    terms = ratio_transform_exponents(f, alpha)
-    a_pow = f.p.leading_at_zero() ** int(alpha)
-    return sum(abs(b / a_pow) for _, _, b in terms) + 1.0
+    return sum(abs(coeff) for _, _, coeff, _ in _ratio_terms(f, alpha)) + 1.0
 
 
 def g_z_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -597,12 +614,15 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
     primary_ext = logs.dominant == c.primary.vertex and c.delta == d
     log_a = _lmag(f.p.leading_at_zero())
     log_b = _lmag(f.q.terms[logs.dominant])
+    axis_inv = _w_axis_invariant(f)
     u_prev: Optional[float] = None
     est = None
     for st in logs.steps:
         if st.log_w == -math.inf and st.log_z == -math.inf:
             return GreenEstimate(math.nan, st.n, TERM_HIT_ZERO, math.inf)
         if st.log_w == -math.inf:
+            if not axis_inv:
+                continue  # transient zero, as in g_z
             return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
         if st.log_z == -math.inf:
             return GreenEstimate(math.inf, st.n, TERM_HIT_EZ, math.inf)
@@ -680,6 +700,14 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
             else:
                 est = _series_limit(vals, tol)
                 return _fold_residual(est, ro.fold_bound(lam, est.n_used))
+    return _gz_direct(f, c, z, w, n_max, tol)
+
+
+def _gz_direct(f: SkewProduct, c: Classification, z: complex, w: complex,
+               n_max: int, tol: float) -> GreenEstimate:
+    """G_z from the direct log orbit, where the weighted ratio cannot serve."""
+    lam = c.lam
+    axis_inv = _w_axis_invariant(f)
     logs = _best_orbit_logs(f, c, z, w, n_max)
     vals = []
     for st in logs.steps:
@@ -911,10 +939,310 @@ def fiber_zero_preimages(f: SkewProduct, z: complex, n: int,
 def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
                  ws: list[complex], n_max: int = DEFAULT_N_MAX,
                  tol: float = DEFAULT_TOL) -> FiberFunctionSample:
-    """Evaluate one estimator across a fiber; deterministic input order."""
+    """Evaluate one estimator across a fiber {z} x ws, in input order.
+
+    G_z^alpha, G_z^{alpha,+} and G_z with an integer weighted-ratio
+    recursion run all lanes at once (_fiber_ratio); every other case
+    calls the scalar estimator per point.  Both give identical results.
+    """
     fn = ESTIMATORS[which]
-    ests = tuple(fn(f, c, z, w, n_max, tol) for w in ws)
-    return FiberFunctionSample(z=z, ws=tuple(ws), estimates=ests)
+    ws = tuple(ws)
+    # c**j with j > 100 is CPython's polar power, which the kernel does not replay
+    if (which in ("Gza", "Gzap", "Gz") and ws and z != 0 and c.alpha is not None
+            and ratio_transform_exponents(f, c.alpha) is not None
+            and all(j <= 100 for _, j in f.q.terms)):
+        if which != "Gz":
+            _require_d(c)
+        ests = _fiber_ratio(f, c, which, complex(z), ws, n_max, tol)
+    else:
+        ests = [fn(f, c, z, w, n_max, tol) for w in ws]
+    return FiberFunctionSample(z=z, ws=ws, estimates=tuple(ests))
+
+
+# ---------------------------------------------------------------------------
+# fiber-batched weighted-ratio kernel
+# ---------------------------------------------------------------------------
+#
+# Every lane replays ratio_orbit's arithmetic bit for bit.  numpy's complex
+# multiply, abs, log and exp differ from CPython's in the last bit, so
+# complex products run on split real parts in CPython's operation order,
+# magnitudes use np.hypot, and logs and exps go through math per lane.
+
+_TAGS = (TERM_CONVERGED, TERM_ESCAPED, TERM_BUDGET, TERM_HIT_ZERO,
+         TERM_DIV_NEG, TERM_DIV_POS)
+_CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS = range(len(_TAGS))
+_DIRECT = len(_TAGS)   # G_z lane settled by the scalar direct orbit instead
+
+
+def _cmul(ar, ai, br, bi):
+    """(a * b) on split real and imaginary parts, as CPython multiplies."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cpow(squares: list, j: int):
+    """c**j as CPython's c_powu forms it; squares[k] holds c^(2^k)."""
+    rr, ri = 1.0, 0.0
+    k = 0
+    while j >> k:
+        if k == len(squares):
+            squares.append(_cmul(*squares[-1], *squares[-1]))
+        if (j >> k) & 1:
+            rr, ri = _cmul(rr, ri, *squares[k])
+        k += 1
+    return rr, ri
+
+
+def _log_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """_lmag per lane: math.log of the modulus, -inf at exact zero."""
+    mag = np.hypot(re, im)
+    out = np.full(mag.shape, -math.inf)
+    pos = mag > 0
+    out[pos] = np.fromiter(map(math.log, mag[pos].tolist()), float)
+    return out
+
+
+def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
+    """sum coeff c^j zfac over the recursion's terms, as ratio_orbit adds them."""
+    squares = [(cr, ci)]
+    nr, ni = np.zeros(cr.size), np.zeros(cr.size)
+    for (_, j, coeff, _), zf in zip(terms, zfacs):
+        tr, ti = _cmul(coeff.real, coeff.imag, *_cpow(squares, j))
+        tr, ti = _cmul(tr, ti, zf.real, zf.imag)
+        nr += tr
+        ni += ti
+    return nr, ni
+
+
+class _LaneSettler:
+    """_Settler over lanes that receive their partials in lockstep."""
+
+    def __init__(self, lanes: int, tol: float):
+        self.tol = tol
+        self.g = np.zeros(lanes)            # last partial
+        self.incs = np.zeros((5, lanes))    # increment k sits in row k % 5
+
+    def keep(self, mask: np.ndarray) -> None:
+        self.g = self.g[mask]
+        self.incs = self.incs[:, mask]
+
+    def last_inc(self, n: int) -> np.ndarray:
+        return self.incs[n % 5]
+
+    def push(self, g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(converged, divergent) lane masks after partial g_n."""
+        if n >= 1:
+            self.incs[n % 5] = g - self.g
+        self.g = g
+        conv = div = np.zeros(g.shape, bool)
+        if n >= 2:
+            conv = (np.abs(self.incs[[(n - 1) % 5, n % 5]]) < self.tol).all(axis=0)
+        if n >= 5:
+            window = self.incs[[(n - k) % 5 for k in range(4, -1, -1)]]
+            mag = np.abs(window)
+            div = ((mag > max(self.tol, 1e-14)).all(axis=0)
+                   & ((window > 0).all(axis=0) | (window < 0).all(axis=0))
+                   & ~(mag[1:] < 0.9 * mag[:-1]).any(axis=0) & ~conv)
+        return conv, div
+
+    def finish(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(value, residual, converged) of _Settler.finish after partial g_n."""
+        if n == 0:
+            return self.g, np.full(self.g.shape, math.inf), np.zeros(self.g.shape, bool)
+        residual = np.abs(self.last_inc(n))
+        return self.g, residual, residual < self.tol
+
+
+def _fold(residual, extra: np.ndarray) -> np.ndarray:
+    """_fold_residual per lane."""
+    return np.where(extra > 0, residual + extra, residual)
+
+
+def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
+                 ws: tuple, n_max: int, tol: float) -> list[GreenEstimate]:
+    """Gza, Gzap or Gz over a fiber from all weighted-ratio lanes at once.
+
+    The z side (log z_n, the p-tail correction, the z-factors of the
+    recursion) is computed once per step for the whole fiber.  Lanes are
+    settled online as _gza_from_ratio and g_z settle the scalar orbit and
+    retire once their estimate is final; a G_z lane runs until its orbit
+    ends, because the orbit's end decides between the ratio and the
+    direct branch.
+    """
+    plus, gz = which == "Gzap", which == "Gz"
+    base = c.lam if gz else c.d
+    alpha, al = float(c.alpha), int(c.alpha)
+    axis_inv = _w_axis_invariant(f)
+    tail_m = _plus_tail_constant(base, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
+    terms = _ratio_terms(f, c.alpha)
+    t_it = np.array([float(it) for it, _, _, _ in terms])
+    t_j = np.array([float(j) for _, j, _, _ in terms])
+    t_lb = np.array([lb for _, _, _, lb in terms])
+    a = f.p.leading_at_zero()
+    log_a = cmath.log(a)
+    lz = cmath.log(z)
+
+    lanes = len(ws)
+    wv = np.array(ws, dtype=complex)
+    cr, ci = wv.real.copy(), wv.imag.copy()
+    if al:
+        e = cmath.exp(-al * lz)
+        cr, ci = _cmul(cr, ci, e.real, e.imag)
+    lc = _log_abs(cr, ci)
+    live = np.arange(lanes)           # input index of each running lane
+    ext = np.zeros(lanes, bool)       # past the switch to the log recursion
+    fold = np.zeros(lanes)            # running fold_bound(base, n)
+    settler = _LaneSettler(lanes, tol)
+    # results by input index; rank 2 is final, rank 1 a G_z series limit
+    # that a later escape or zero of the same orbit still overrides
+    val, res, used = np.zeros(lanes), np.zeros(lanes), np.zeros(lanes, int)
+    tag, rank = np.zeros(lanes, np.int8), np.zeros(lanes, np.int8)
+
+    def put(mask, t, v, r, rk=2):
+        if not mask.any():
+            return
+        sel = live[mask]
+        for arr, x in ((tag, t), (val, v), (res, r)):
+            arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
+        used[sel] = n
+        rank[sel] = rk
+
+    def put_settled(mask, conv, div, g, rk):
+        inc = settler.last_inc(n)
+        r = _fold(np.abs(inc), fold)
+        put(mask & conv, _CONV, g, r, rk)
+        up = inc > 0
+        put(mask & div, np.where(up, _DIV_POS, _DIV_NEG),
+            np.where(up, math.inf, -math.inf), r, rk)
+
+    def end(mask, reason):
+        """The orbits of the masked lanes end after element n."""
+        if not mask.any():
+            return
+        if gz:
+            if reason == "ok":
+                finish(mask & (rank[live] == 0))
+            else:
+                put(mask, _DIRECT, 0.0, 0.0)
+        elif plus and reason == "range" and base >= 2:
+            put(mask, _CONV, 0.0, tail_m / dn + fold)
+        else:
+            finish(mask)
+
+    def finish(mask):
+        g, r, conv = settler.finish(n)
+        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
+
+    n = 0
+    with np.errstate(all="ignore"):
+        while True:
+            # -- settle element n of every running lane
+            dn = float(base**n)
+            zero = lc == -math.inf
+            if gz:
+                lw = alpha * lz.real + lc
+                open_ = rank[live] < 2
+                put(zero & open_, _ZERO if axis_inv else _DIRECT, -math.inf, 0.0)
+                esc = (lw > ESCAPE_LOG) & open_ & ~zero
+                put(esc, _ESC, lw / dn, 3e-12 / dn + fold)
+                g = lw / dn
+                conv, div = settler.push(g, n)
+                put_settled(rank[live] == 0, conv, div, g, 1)
+                done = np.zeros(live.size, bool)
+            else:
+                put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
+                esc = lc > ESCAPE_LOG
+                put(esc, _ESC, lc / dn, 3e-12 / dn + fold)
+                rest = ~zero & ~esc
+                if plus:
+                    g = np.where(0.0 > lc, 0.0, lc) / dn
+                    bound = tail_m / dn if base >= 2 else math.inf
+                    if bound < tol:
+                        put(rest, _CONV, g, bound + fold)
+                    else:
+                        settler.push(g, n)
+                else:
+                    g = lc / dn
+                    conv, div = settler.push(g, n)
+                    put_settled(rest, conv, div, g, 2)
+                done = rank[live] == 2
+
+            # -- orbits that end before step n + 1
+            if n == n_max:
+                end(~done, "ok")
+                break
+            ended = ~done & zero
+            end(ended, "ok")
+            escaping = ~done & ~zero & ((lc > ESCAPE_LOG) | (lz.real > ESCAPE_LOG))
+            end(escaping, "escaped")
+            keep = ~(done | ended | escaping)
+            if not keep.all():
+                live, cr, ci, lc, ext, fold = (
+                    x[keep] for x in (live, cr, ci, lc, ext, fold))
+                settler.keep(keep)
+            if not live.size:
+                break
+
+            # -- step n -> n + 1
+            lzr = lz.real
+            corr = _p_tail_log(f, a, lz)
+            tl = np.empty((len(terms), live.size))
+            for k, (it, j, _, lb) in enumerate(terms):
+                tl[k] = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
+            top = tl.max(axis=0)
+            safe = (top == -math.inf) | (
+                (top <= _WINDOW) & (top >= -_WINDOW)
+                & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0))
+            logm = ext | ~safe
+            new_lc = np.empty(live.size)
+            eta = np.zeros(live.size)
+            failed = np.zeros(live.size, bool)
+            if logm.any():
+                sub, sub_top = tl[:, logm], top[logm]
+                dom = sub.argmax(axis=0)
+                sub_eta = np.zeros(dom.size)
+                for k in range(len(terms)):
+                    gap = sub[k] - sub_top
+                    near = (dom != k) & (gap > -80.0)
+                    if near.any():
+                        term = np.zeros(dom.size)
+                        term[near] = np.fromiter(map(math.exp, gap[near].tolist()), float)
+                        sub_eta += term
+                eta[logm] = sub_eta
+                failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf))
+                new_lc[logm] = (t_lb[dom] + t_it[dom] * lzr + t_j[dom] * lc[logm]
+                                - al * corr.real)
+            exact = ~logm
+            if exact.any():
+                try:
+                    zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                             for it, _, _, _ in terms]
+                except OverflowError:  # a shared z-factor overflows: every exact lane escapes
+                    failed[exact] = True
+                else:
+                    nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
+                    failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
+                    cr[exact], ci[exact] = nr, ni
+                    new_lc[exact] = _log_abs(nr, ni)
+            # a refused extension ends as 'range', a non-finite exact step as 'escaped'
+            end(failed & logm, "range")
+            end(failed & exact, "escaped")
+            keep = ~failed
+            ext = ext | logm
+            lc = new_lc
+            if not keep.all():
+                live, cr, ci, lc, ext, fold, eta = (
+                    x[keep] for x in (live, cr, ci, lc, ext, fold, eta))
+                settler.keep(keep)
+            lz = log_a + f.delta * lz + corr
+            n += 1
+            fold = fold + 2.0 * eta / float(base**n)
+            if not live.size:
+                break
+
+    return [_gz_direct(f, c, z, w, n_max, tol) if t == _DIRECT
+            else GreenEstimate(v, k, _TAGS[t], r)
+            for w, v, k, t, r in zip(ws, val.tolist(), used.tolist(),
+                                     tag.tolist(), res.tolist())]
 
 
 def _gp_adapter(f: SkewProduct, c: Classification, z: complex, w: complex,

@@ -1,26 +1,24 @@
 """Deterministic raster output: binary PGM (P5) plus CSV and a sidecar meta.
 
-Pixel values map through an affine clamp of the function value onto
-0..255, with -inf -> 0, +inf -> 255 and undecided/NaN -> 128.  Reruns
-with the same job and config are byte-identical in single-thread mode;
-with a worker pool the rows are assembled by index, so the CSV contents
-are identical after the stable sort by pixel index that the writer
-already applies.
+The whole grid is one fiber {z} x window, evaluated by a single
+green.fiber_sample call in row-major pixel order.  Pixel values map
+through an affine clamp of the function value onto 0..255, with
+-inf -> 0, +inf -> 255 and undecided/NaN -> 128.  Reruns with the same
+job and config are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from .algebra import SkewProduct
 from .fileio import dump_skew_product
-from .green import DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS, GreenEstimate
-from .newton import Classification, classify
+from .green import DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS, GreenEstimate, fiber_sample
+from .newton import classify
 
 MAX_PIXELS = 8192
 
@@ -29,15 +27,11 @@ MAX_PIXELS = 8192
 class RunConfig:
     n_max: int = DEFAULT_N_MAX
     tol: float = DEFAULT_TOL
-    escape_radius: float = 1e12
-    seed: int = 0
-    threads: int = 1
+    seed: int = 0            # sampling seed of `verify --wedge`
 
     def __post_init__(self):
-        if self.n_max <= 0 or self.tol <= 0 or self.escape_radius <= 0:
+        if self.n_max <= 0 or self.tol <= 0:
             raise ValueError("config values must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,33 +60,14 @@ class RenderJob:
         return complex(re, im)
 
 
-def _render_row(f: SkewProduct, c: Classification, job: RenderJob,
-                cfg: RunConfig, iy: int) -> list[GreenEstimate]:
-    fn = ESTIMATORS[job.function]
-    return [
-        fn(f, c, job.fiber_z, job.w_at(ix, iy), cfg.n_max, cfg.tol)
-        for ix in range(job.pixels_x)
-    ]
-
-
 def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
            out_dir: str | Path = ".") -> dict[str, Path]:
     """Evaluate the grid and write <prefix>.pgm, <prefix>.csv, <prefix>.meta."""
     c = classify(f)
-    rows: list[list[GreenEstimate]] = [None] * job.pixels_y  # type: ignore
-    if cfg.threads == 1:
-        for iy in range(job.pixels_y):
-            rows[iy] = _render_row(f, c, job, cfg, iy)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = {
-                iy: pool.submit(_render_row, f, c, job, cfg, iy)
-                for iy in range(job.pixels_y)
-            }
-            for iy, fut in futures.items():
-                rows[iy] = fut.result()
+    ws = [job.w_at(ix, iy) for iy in range(job.pixels_y) for ix in range(job.pixels_x)]
+    ests = fiber_sample(f, c, job.function, job.fiber_z, ws, cfg.n_max, cfg.tol).estimates
 
-    finite = [e.value for row in rows for e in row if math.isfinite(e.value)]
+    finite = [e.value for e in ests if math.isfinite(e.value)]
     if job.clamp is not None:
         vmin, vmax = job.clamp
     elif finite:
@@ -120,18 +95,15 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
     meta_path = out_dir / f"{job.out_prefix}.meta"
 
     header = f"P5\n{job.pixels_x} {job.pixels_y}\n255\n".encode("ascii")
-    body = bytes(to_byte(e) for row in rows for e in row)
+    body = bytes(to_byte(e) for e in ests)
     pgm_path.write_bytes(header + body)
 
     lines = ["z_re,z_im,w_re,w_im,value,n_used,termination,residual"]
-    for iy in range(job.pixels_y):
-        for ix in range(job.pixels_x):
-            e = rows[iy][ix]
-            w = job.w_at(ix, iy)
-            lines.append(
-                f"{job.fiber_z.real!r},{job.fiber_z.imag!r},{w.real!r},{w.imag!r},"
-                f"{e.value!r},{e.n_used},{e.termination},{e.residual!r}"
-            )
+    for w, e in zip(ws, ests):
+        lines.append(
+            f"{job.fiber_z.real!r},{job.fiber_z.imag!r},{w.real!r},{w.imag!r},"
+            f"{e.value!r},{e.n_used},{e.termination},{e.residual!r}"
+        )
     csv_path.write_text("\n".join(lines) + "\n")
 
     map_hash = hashlib.sha256(dump_skew_product(f).encode()).hexdigest()
@@ -145,8 +117,6 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
         "palette: affine clamp to 0..255; -inf -> 0, +inf -> 255, nan -> 128",
         f"n_max: {cfg.n_max}",
         f"tol: {cfg.tol!r}",
-        f"escape_radius: {cfg.escape_radius!r}",
-        f"seed: {cfg.seed}",
         f"map_sha256: {map_hash}",
     ]
     meta_path.write_text("\n".join(meta) + "\n")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import SkewProduct, UniPoly, BiPoly, monomial_skew
 from .newton import classify, newton_polygon, newton_polygon_bruteforce
-from .green import g_z_alpha_plus
+from .green import fiber_sample
 from .oracles import (
     example_cubic_h,
     example_degenerate,
@@ -169,29 +169,29 @@ def suite_semiconjugate(grid: int = 64, tol: float = 1e-6,
     h = example_cubic_h()
     z0 = 0.5 + 0j
     scale = abs(z0)  # window is [-1, 1]^2 * |z0|^alpha
-    worst = 0.0
-    mismatches = 0
-    band_cells = 0
-    compared = 0
+    ws, sides = [], []   # cells outside the Julia boundary band
     for iy in range(grid):
         for ix in range(grid):
             w = complex(
                 scale * (2 * (ix + 0.5) / grid - 1),
                 scale * (2 * (iy + 0.5) / grid - 1),
             )
-            ch = w / z0
-            side = julia_membership(h, ch, budget)
-            if side == "boundary_band":
-                band_cells += 1
-                continue
-            compared += 1
-            gf = g_z_alpha_plus(f, c, z0, w, budget, 1e-12)
-            gh = g_h_infty_plus(h, ch, budget, 1e-12)
-            worst = max(worst, abs(gf.value - gh))
-            # the locus side of a cell: escape seen by the 2-D estimator
-            positive = gf.termination == "escaped_with_tail" or gf.value > 1e-9
-            if positive != (side == "escaping"):
-                mismatches += 1
+            side = julia_membership(h, w / z0, budget)
+            if side != "boundary_band":
+                ws.append(w)
+                sides.append(side)
+    band_cells = grid * grid - len(ws)
+    compared = len(ws)
+    sample = fiber_sample(f, c, "Gzap", z0, ws, budget, 1e-12)
+    worst = 0.0
+    mismatches = 0
+    for w, side, gf in zip(ws, sides, sample.estimates):
+        gh = g_h_infty_plus(h, w / z0, budget, 1e-12)
+        worst = max(worst, abs(gf.value - gh))
+        # the locus side of a cell: escape seen by the 2-D estimator
+        positive = gf.termination == "escaped_with_tail" or gf.value > 1e-9
+        if positive != (side == "escaping"):
+            mismatches += 1
     frac = mismatches / compared if compared else 0.0
     return [
         CheckResult(

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from skewdyn.cli import main
-from skewdyn.raster import RenderJob, RunConfig, render
+from skewdyn.raster import RenderJob
 from skewdyn.fileio import parse_skew_product
 
 MAP_TEXT = """\
@@ -81,16 +81,6 @@ def test_render_deterministic(semi_file, tmp_path):
     pgm = (tmp_path / "a" / "img.pgm").read_bytes()
     assert pgm.startswith(b"P5\n24 24\n255\n")
     assert len(pgm) == len(b"P5\n24 24\n255\n") + 24 * 24
-
-
-def test_render_threads_match_serial(semi_file, tmp_path):
-    f = parse_skew_product(SEMI_TEXT)
-    job = RenderJob(function="Gzap", fiber_z=0.5 + 0j, width=1.0, height=1.0,
-                    pixels_x=16, pixels_y=16, out_prefix="t")
-    p1 = render(f, job, RunConfig(threads=1), out_dir=tmp_path / "s")
-    p2 = render(f, job, RunConfig(threads=4), out_dir=tmp_path / "m")
-    assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
-    assert p1["pgm"].read_bytes() == p2["pgm"].read_bytes()
 
 
 def test_verify_wedge_flag(map_file, capsys):

@@ -313,16 +313,86 @@ def test_ratio_and_direct_modes_agree():
     assert worst < 1e-12
 
 
-def test_fiber_sample_traversal_order():
-    from skewdyn.green import fiber_sample
+def _estimate_key(est):
+    # repr keeps -0.0 and nan apart, so equal keys mean identical estimates
+    return (repr(est.value), est.n_used, est.termination, repr(est.residual))
 
-    f = monomial_skew(2, 1, 3)
+
+def _keys_or_refusal(evaluate):
+    try:
+        return [_estimate_key(e) for e in evaluate()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_fiber_sample_traversal_order():
+    # fiber_sample (batched ratio kernel or scalar loop) must reproduce the
+    # per-point estimators exactly, refusals included
+    from skewdyn.green import fiber_sample, ratio_orbit
+
+    maps = [
+        example_degenerate(1, 4),                               # c' = c^3 + c^2
+        monomial_skew(2, 1, 3),                                 # alpha -1
+        SkewProduct(UniPoly({2: 1.0, 3: 1.0}),                  # p tail: corr != 0,
+                    BiPoly({(0, 2): 1.0, (2, 0): -1.0})),       # w-axis not invariant
+        SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5})),  # alpha 0
+        SkewProduct(UniPoly({4: 1.0}),                          # i~ = 1 term
+                    BiPoly({(1, 3): 1.0, (2, 2): 1.0, (3, 2): 2e-4j})),
+        # d = 1 with complex coefficients: G_z^alpha diverges
+        SkewProduct(UniPoly({3: 0.7879175174070936 - 0.7699751993438908j}),
+                    BiPoly({(2, 1): 0.10326285516058764 + 1.0097536050355722j,
+                            (5, 0): -1.1932483280029809 - 0.011650103391599664j,
+                            (6, 4): 1.4114347607494637 - 1.8895241945084722j})),
+        SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0})),  # alpha 3/2
+        monomial_skew(2, 1, 2),                                 # alpha undefined
+    ]
+    ws = [0j, -0.5 + 0j, 0.01 + 0.02j, 0.1 - 0.05j, 0.3 + 0.2j, -0.4 + 0.1j,
+          0.45 + 0.45j, 1.5 - 0.5j, 4.0 + 3.0j]
+    # the first map at z = 0.5 covers w = 0, an exact zero c_1 = h(-1) = 0
+    # and an escaping lane; on |z| = 1 the i~ = 1 term stays within 80
+    # e-folds, so the log-space extension runs with eta > 0
+    f0, c0 = maps[0], classify(maps[0])
+    assert ratio_orbit(f0, c0.alpha, 0.5, ws[1], 64).log_mags[1] == -math.inf
+    assert ratio_orbit(f0, c0.alpha, 0.5, ws[8], 64).reason == "escaped"
+    assert any(ratio_orbit(maps[4], classify(maps[4]).alpha, -1.0, ws[2], 64).etas)
+    # the last fiber suits the d = 1 map; on its extra lane np.log and
+    # math.log differ in the last bit
+    fibers = ((0.5, ws), (0.3 - 0.4j, ws[2:]), (-1.0, ws[2:6]), (0.5, ws[4:5]),
+              (0.03764810541555223 + 0.10912968991605897j,
+               ws[1:] + [-0.05114840645440921 - 0.16137751025848493j]))
+    for f in maps:
+        c = classify(f)
+        for key, fn in ESTIMATORS.items():
+            for z, lanes in fibers:
+                for n_max, tol in ((64, 1e-10), (9, 1e-6)):
+                    got = _keys_or_refusal(
+                        lambda: fiber_sample(f, c, key, z, lanes, n_max, tol).estimates)
+                    want = _keys_or_refusal(
+                        lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
+                    assert got == want, (f.q.terms, key, z, n_max)
+    sample = fiber_sample(f0, c0, "Gza", 0.5, ws)
+    assert sample.ws == tuple(ws)
+
+
+def test_transient_zero_on_non_invariant_axis():
+    # w_8 = w_7^2 - z_7^3 cancels to an exact 0.0 at this pixel; the (3, 0)
+    # term revives w, so the limits are finite: c = w / z^(3/2) follows
+    # c' = c^2 - 1 into the basin of {0, -1}, where its escape rate is 0
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     c = classify(f)
-    ws = [0.1 + 0.05j, 0.2 - 0.1j, 0.3 + 0j]
-    s1 = fiber_sample(f, c, "Gza", 0.5, ws)
-    s2 = fiber_sample(f, c, "Gza", 0.5, ws)
-    assert s1.ws == tuple(ws)
-    assert [e.value for e in s1.estimates] == [e.value for e in s2.estimates]
+    z = 0.5042848627857037 + 0.002342753301247936j
+    w = 0.010872111935944177 - 0.002017993161311824j
+    from skewdyn.green import orbit_logs
+
+    steps = orbit_logs(f, c.primary.vertex, z, w, 64).steps
+    assert any(st.log_w == -math.inf for st in steps)
+    gza = g_z_alpha(f, c, z, w)
+    gzi = g_z_infty(f, c, z, w)
+    for est in (gza, gzi, g_z_alpha_plus(f, c, z, w), g_z(f, c, z, w)):
+        assert est.value != -math.inf
+        assert est.finite or est.termination == "budget"
+    assert abs(gza.value) < 1e-9
+    assert abs(gzi.value - 1.5 * math.log(abs(z))) < 1e-9
 
 
 def test_gz_alpha_gp_identity_on_trapped_side():
