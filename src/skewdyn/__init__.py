@@ -12,7 +12,6 @@ from .algebra import (
     Rational,
     SkewProduct,
     UniPoly,
-    as_rational_geometry,
     eval_skew,
     iterate,
     monomial_skew,

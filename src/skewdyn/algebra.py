@@ -20,18 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Mapping
 
 # Exact rational scalar used for weights, slopes and intercepts.
 Rational = Fraction
 
 DEFAULT_ESCAPE_RADIUS = 1e12
-
-
-def as_rational_geometry(exponents: tuple[int, int]) -> tuple[Rational, Rational]:
-    """Lift an integer exponent pair into exact rational coordinates."""
-    i, j = exponents
-    return (Fraction(i), Fraction(j))
 
 
 def _clean_terms(terms: Mapping, arity: int) -> dict:
@@ -196,9 +190,6 @@ class OrbitPoint:
     escaped: bool = False
     log_guard: float = -math.inf  # largest log-magnitude seen so far
 
-    def magnitude(self) -> float:
-        return max(abs(self.z), abs(self.w))
-
 
 def eval_skew(f: SkewProduct, z: complex, w: complex) -> tuple[complex, complex]:
     """Evaluate (p(z), q(z, w)) over the sparse support.
@@ -287,8 +278,3 @@ def monomial_orbit_closed_form(delta: int, gamma: int, d: int,
     t_n = sum(((delta**k - 1) // (delta - 1)) * d ** (n - 1 - k) for k in range(n)) * gamma
     wn = b**s_n * a**t_n * z**gamma_n * w ** (d**n)
     return zn, wn
-
-
-def iter_support(q: BiPoly) -> Iterator[tuple[tuple[int, int], complex]]:
-    """Deterministic traversal of q's support, (i, then j) ascending."""
-    return iter(q.terms.items())

@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import SkewProduct
 from .blowup import check_blowup_tables, blowup_pi1
 from .bottcher import bottcher
 from .fileio import load_skew_product
@@ -40,12 +39,8 @@ def _env_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _load(path: str) -> SkewProduct:
-    return load_skew_product(path)
-
-
 def cmd_analyze(args) -> int:
-    f = _load(args.file)
+    f = load_skew_product(args.file)
     c = classify(f)
     print(classification_report(f, c))
     for idx, term in enumerate(c.terms):
@@ -82,7 +77,7 @@ def _parse_point(raw: str) -> tuple[complex, complex]:
 
 
 def cmd_green(args) -> int:
-    f = _load(args.file)
+    f = load_skew_product(args.file)
     c = classify(f)
     cfg = _env_config(args)
     if args.function == "bottcher":
@@ -146,7 +141,7 @@ def _grid_job(args, for_csv: bool = False) -> RenderJob:
 
 
 def cmd_render(args) -> int:
-    f = _load(args.file)
+    f = load_skew_product(args.file)
     cfg = _env_config(args)
     job = _grid_job(args)
     paths = render(f, job, cfg, out_dir=args.out_dir)
@@ -158,7 +153,7 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _env_config(args)
     if args.wedge:
-        f = _load(args.file)
+        f = load_skew_product(args.file)
         weights = tuple(Fraction(x) for x in args.weights.split(","))
         radii = tuple(float(x) for x in args.radii.split(","))
         spec = WedgeSpec(args.wedge, weights, radii)
@@ -236,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--samples", type=int, default=10_000)
     pv.add_argument("--seed", type=int, default=None,
                     help="sampling seed of the --wedge check")
-    common(pv)
     pv.set_defaults(func=cmd_verify)
     return ap
 

@@ -11,15 +11,20 @@ Estimated limits, with (z_n, w_n) = f^n(z, w) and lambda = max{delta, d}:
     G_f^alpha  = lim lambda^-n log max(|z_n^alpha|, |w_n|)
 
 Only magnitudes enter any of these, so orbits are tracked as log
-magnitudes.  The complex orbit is iterated exactly while every
-non-negligible monomial stays inside the double-precision window; past
-that the driver switches to the exact dominant-monomial recursion in log
-space, but only after verifying that the dominant term actually dominates
-(the neglected correction is folded into the reported residual).  For
-integer weights alpha the weighted ratio c_n = w_n / z_n^alpha satisfies
-its own polynomial recursion with non-negative z-exponents, which reaches
-far deeper than the raw orbit; G_z^alpha and G_z^alpha+ use it when it
-applies.
+magnitudes by one driver, orbit_logs, over the components of the map: p
+alone for G_p, p and q for the others.  Each component is a term table
+with a dominant monomial.  The complex orbit is iterated exactly while
+every non-negligible monomial stays inside the double-precision window;
+past that the driver switches to the exact dominant-monomial recursion in
+log space, but only after verifying that the dominant terms actually
+dominate (the neglected level eta, folded as 4 eta / base^k for a switch
+at step k, is added to the reported residual).  For integer weights alpha
+the weighted ratio c_n = w_n / z_n^alpha satisfies its own polynomial
+recursion with non-negative z-exponents, which reaches far deeper than
+the raw orbit; G_z^alpha, G_z^alpha+ and G_z use it when it applies.  Its
+driver, ratio_orbit, re-validates dominance at every step.  G_z^alpha and
+G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
+_settle_gza, each with its own error fold.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -31,7 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -104,7 +109,7 @@ class _OrbitLogs:
     reason: str  # 'complete' | 'escaped' | 'range'
     switch_step: Optional[int]
     switch_eta: float
-    dominant: tuple[int, int] = (0, 0)  # vertex driving the extension
+    dominant: Optional[tuple[int, int]]  # q vertex driving the extension
 
 
 def _terms_safe(term_logs: list[float]) -> bool:
@@ -122,41 +127,45 @@ def _terms_safe(term_logs: list[float]) -> bool:
     return all(t >= -_WINDOW or t <= top - _NEGLIGIBLE_GAP for t in term_logs)
 
 
-def _safe_exact_step(f: SkewProduct, log_z: float, log_w: float) -> bool:
-    """True if evaluating p and q loses no non-negligible monomial."""
-    q_logs = [
-        (0.0 if i == 0 else i * log_z) + (0.0 if j == 0 else j * log_w)
-        for (i, j) in f.q.terms
-    ]
-    p_logs = [k * log_z for k in f.p.terms]
-    return _terms_safe(q_logs) and _terms_safe(p_logs)
+def _extension_eta(comps: list, lz: float, lw: float) -> Optional[float]:
+    """None while every component computes faithfully in doubles, else eta.
 
-
-def _dominance_eta(f: SkewProduct, gamma: int, d: int,
-                   log_z: float, log_w: float) -> float:
-    """Bound for |q/(b z^g w^d) - 1| + |p/(a z^delta) - 1| in log form."""
-    a = abs(f.p.leading_at_zero())
-    b = abs(f.q.terms[(gamma, d)])
+    A component is a term table over (z, w) with its dominant monomial.
+    eta bounds the sum over components of |component/dominant - 1| in log
+    form.
+    """
+    term_logs = [[(0.0 if i == 0 else i * lz) + (0.0 if j == 0 else j * lw)
+                  for i, j in terms] for terms, _ in comps]
+    if all(map(_terms_safe, term_logs)):
+        return None
     eta = 0.0
-    for k, coeff in f.p.terms.items():
-        if k != f.delta:
-            eta += abs(coeff) / a * math.exp(min((k - f.delta) * log_z, 700.0))
-    base = gamma * log_z + d * log_w
-    for (i, j), coeff in f.q.terms.items():
-        if (i, j) != (gamma, d):
-            t = (0.0 if i == 0 else i * log_z) + (0.0 if j == 0 else j * log_w)
-            eta += abs(coeff) / b * math.exp(min(t - base, 700.0))
+    for (terms, dom), tl in zip(comps, term_logs):
+        base = dom[0] * lz + dom[1] * lw
+        top = abs(terms[dom])
+        for (key, coeff), t in zip(terms.items(), tl):
+            if key != dom:
+                eta += abs(coeff) / top * math.exp(min(t - base, 700.0))
     return eta
 
 
-def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex,
-               n_max: int, escape_log: float = ESCAPE_LOG) -> _OrbitLogs:
-    """Log-magnitude orbit with validated extension past the float window."""
-    gamma, d = dominant
-    log_a = _lmag(f.p.leading_at_zero())
-    log_b = _lmag(f.q.terms[(gamma, d)])
-    delta = f.delta
-    z, w = complex(z), complex(w)
+def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
+               z: complex, w: Optional[complex], n_max: int) -> _OrbitLogs:
+    """Log-magnitude orbit with validated extension past the float window.
+
+    The components are p alone (f a UniPoly; w is ignored and log_w stays
+    0) or p and q (f a skew product).  Each is a term table with a
+    dominant monomial, (delta, 0) for p and `dominant` for q, whose exact
+    log recursion continues the orbit once it leaves the double range.
+    """
+    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
+    delta = p.order
+    comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
+    if q is not None:
+        comps.append((q.terms, dominant))
+        gamma, d = dominant
+        log_b = _lmag(q.terms[dominant])
+    log_a = _lmag(p.leading_at_zero())
+    z, w = complex(z), (1 + 0j if q is None else complex(w))
     lz, lw = _lmag(z), _lmag(w)
     steps = [_LogStep(0, lz, lw)]
     reason = "complete"
@@ -164,21 +173,20 @@ def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex
     switch_eta = 0.0
     extended = False
     for n in range(1, n_max + 1):
-        if max(lz, lw) > escape_log:
+        if lz > ESCAPE_LOG or lw > ESCAPE_LOG:
             reason = "escaped"
             break
-        if not extended and not _safe_exact_step(f, lz, lw):
-            eta = _dominance_eta(f, gamma, d, lz, lw)
+        if not extended and (eta := _extension_eta(comps, lz, lw)) is not None:
             if eta < _TAIL_TOL and lz > -math.inf and lw > -math.inf:
                 extended, switch_step, switch_eta = True, n, eta
             else:
                 reason = "range"
                 break
         if extended:
-            lz, lw = log_a + delta * lz, log_b + gamma * lz + d * lw
+            lz, lw = log_a + delta * lz, (lw if q is None else log_b + gamma * lz + d * lw)
         else:
             try:
-                z, w = f.p(z), f.q(z, w)
+                z, w = p(z), (w if q is None else q(z, w))
             except OverflowError:
                 reason = "escaped"
                 break
@@ -190,54 +198,45 @@ def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex
     return _OrbitLogs(steps, reason, switch_step, switch_eta, dominant)
 
 
-def _uni_orbit_logs(p: UniPoly, z: complex, n_max: int,
-                    escape_log: float = ESCAPE_LOG) -> _OrbitLogs:
-    """Log-magnitude orbit of the base polynomial p alone."""
-    log_a = _lmag(p.leading_at_zero())
-    order = p.order
-    z = complex(z)
-    lz = _lmag(z)
-    steps = [_LogStep(0, lz, 0.0)]
-    reason = "complete"
-    switch_step: Optional[int] = None
-    switch_eta = 0.0
-    extended = False
-    a = abs(p.leading_at_zero())
-    for n in range(1, n_max + 1):
-        if lz > escape_log:
-            reason = "escaped"
-            break
-        if not extended and lz > -math.inf and not _terms_safe([k * lz for k in p.terms]):
-            eta = sum(abs(c) / a * math.exp(min((k - order) * lz, 700.0))
-                      for k, c in p.terms.items() if k != order)
-            if eta < _TAIL_TOL:
-                extended, switch_step, switch_eta = True, n, eta
-            else:
-                reason = "range"
-                break
-        if extended:
-            lz = log_a + order * lz
-        else:
-            try:
-                z = p(z)
-            except OverflowError:
-                reason = "escaped"
-                break
-            if not math.isfinite(abs(z)):
-                reason = "escaped"
-                break
-            lz = _lmag(z)
-        steps.append(_LogStep(n, lz, 0.0))
-    return _OrbitLogs(steps, reason, switch_step, switch_eta)
+def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
+                    n_max: int) -> _OrbitLogs:
+    """Orbit logs extended with whichever dominant term carries furthest.
+
+    A two-dominant-term map has one dominant vertex per wedge; when the
+    primary term fails the dominance check, the alternate may still
+    extend the orbit past the float window.
+    """
+    best = orbit_logs(f, c.primary.vertex, z, w, n_max)
+    if best.reason != "range" or len(c.terms) == 1:
+        return best
+    for term in c.terms[1:]:
+        other = orbit_logs(f, term.vertex, z, w, n_max)
+        if len(other.steps) > len(best.steps):
+            best = other
+    return best
+
+
+def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
+    """Value error of the log-space extension in a partial read at step n_used.
+
+    A switch at step k with neglected-term level eta moves base^-n log|.|
+    by at most 4 eta base^-k.
+    """
+    if logs.switch_step is None or logs.switch_step > n_used:
+        return 0.0
+    return 4 * logs.switch_eta / base**logs.switch_step
 
 
 # ---------------------------------------------------------------------------
 # weighted-ratio orbit (integer alpha)
 # ---------------------------------------------------------------------------
 
-def ratio_transform_exponents(f: SkewProduct, alpha: Fraction
-                              ) -> Optional[list[tuple[int, int, complex]]]:
-    """Exponents (i~, j) of the weight-alpha ratio recursion, or None.
+_SOFT_TAIL_TOL = 1e-3   # dominance level accepted with the error folded in
+
+
+def _ratio_terms(f: SkewProduct, alpha: Fraction
+                 ) -> Optional[list[tuple[int, int, complex, float]]]:
+    """(i~, j, coeff, log|coeff|) of the weight-alpha ratio recursion, or None.
 
     The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials
     (b_ij / a^alpha) z^(i~) c^j with i~ = i + alpha (j - delta); it is
@@ -246,25 +245,10 @@ def ratio_transform_exponents(f: SkewProduct, alpha: Fraction
     if alpha.denominator != 1:
         return None
     al = int(alpha)
-    out = []
-    for (i, j), b in f.q.terms.items():
-        it = i + al * (j - f.delta)
-        if it < 0:
-            return None
-        out.append((it, j, b))
-    return out
-
-
-_SOFT_TAIL_TOL = 1e-3   # dominance level accepted with the error folded in
-
-
-def _ratio_terms(f: SkewProduct, alpha: Fraction
-                 ) -> Optional[list[tuple[int, int, complex, float]]]:
-    """(i~, j, coeff, log|coeff|) of the ratio recursion c' = sum coeff z^i~ c^j."""
-    terms = ratio_transform_exponents(f, alpha)
-    if terms is None:
+    terms = [(i + al * (j - f.delta), j, b) for (i, j), b in f.q.terms.items()]
+    if any(it < 0 for it, _, _ in terms):
         return None
-    a_pow = f.p.leading_at_zero() ** int(alpha)
+    a_pow = f.p.leading_at_zero() ** al
     return [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
 
 
@@ -294,7 +278,7 @@ class _RatioOrbit:
 
 
 def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
-                n_max: int, escape_log: float = ESCAPE_LOG) -> Optional[_RatioOrbit]:
+                n_max: int) -> Optional[_RatioOrbit]:
     """Orbit of c_n = w_n / z_n^alpha for integer alpha; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
@@ -320,7 +304,7 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     dom = None  # (it, j, log|coeff|) of the validated dominant monomial
     lc = log_mags[0]
     for _ in range(n_max):
-        if lc > escape_log or lz.real > escape_log:
+        if lc > ESCAPE_LOG or lz.real > ESCAPE_LOG:
             reason = "escaped"
             break
         if not extended and lc == -math.inf:
@@ -428,6 +412,61 @@ def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
     return GreenEstimate(est.value, est.n_used, est.termination, est.residual + extra)
 
 
+def _series_limit(values: Iterable[float], tol: float,
+                  stop: Optional[GreenEstimate] = None) -> GreenEstimate:
+    """The settler's first final estimate over values; else stop, else its finish."""
+    settler = _Settler(tol)
+    for g in values:
+        est = settler.push(g)
+        if est is not None:
+            return est
+    return settler.finish() if stop is None else stop
+
+
+def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol: float,
+                plus: bool, tail_m: float, fold: Callable[[int], float],
+                range_end: Optional[int]) -> GreenEstimate:
+    """G_z^alpha, or G_z^{alpha,+} when plus, from pairs (n, log|c_n|).
+
+    c_n is the weighted ratio w_n / z_n^alpha.  The pairs are read in
+    order up to the first final estimate: a sentinel estimate in place of
+    log|c_n| (the orbit hit E_z), an exact zero, an escape, the certified
+    tail bound (plus) or the settler.  Past the last pair come zero for
+    plus when the ratio dove below the double range at step range_end,
+    then the settler's finish.  fold(n) bounds the error the orbit itself
+    carries up to step n; it is added to every estimate but the sentinels.
+    """
+    settler = _Settler(tol)
+    for n, lr in pairs:
+        if isinstance(lr, GreenEstimate):
+            return lr
+        if lr == -math.inf:
+            return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
+        if lr > ESCAPE_LOG:
+            # tail past the escape radius is below 1e-12 of the last term
+            est = GreenEstimate(lr / d**n, n, TERM_ESCAPED, 3e-12 / d**n)
+        elif plus:
+            # converged only when the certified tail bound is below tol;
+            # increments alone can sit on the spurious log+ = 0 plateau
+            bound = tail_m / d**n if d >= 2 else math.inf
+            if bound >= tol:
+                settler.push(max(lr, 0.0) / d**n)
+                continue
+            est = GreenEstimate(max(lr, 0.0) / d**n, n, TERM_CONVERGED, bound)
+        else:
+            est = settler.push(lr / d**n)
+            if est is None:
+                continue
+        return _fold_residual(est, fold(est.n_used))
+    if plus and range_end is not None and d >= 2:
+        # the ratio dove below the double range: every later bounce is
+        # bounded by shrinking z-powers, so the escape rate is zero
+        est = GreenEstimate(0.0, range_end, TERM_CONVERGED, tail_m / d**range_end)
+    else:
+        est = settler.finish()
+    return _fold_residual(est, fold(est.n_used))
+
+
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
@@ -436,22 +475,15 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
         tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_p(z) = lim delta^-n log|p^n(z)| with delta the order of p at 0."""
     delta = p.order
-    logs = _uni_orbit_logs(p, z, n_max)
-    settler = _Settler(tol)
-    est = None
-    for st in logs.steps:
-        if st.log_z == -math.inf:
-            return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
-        est = settler.push(st.log_z / delta**st.n)
-        if est is not None:
-            break
-    if est is None:
-        est = settler.finish()
-        if logs.reason == "escaped" and est.termination == TERM_BUDGET:
-            est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
-    if logs.switch_step is not None and logs.switch_step <= est.n_used:
-        est = _fold_residual(est, 4 * logs.switch_eta / delta**logs.switch_step)
-    return est
+    logs = orbit_logs(p, None, z, None, n_max)
+    # an exact zero z_n = 0 ends the sequence unless it settled before
+    n_zero = next((st.n for st in logs.steps if st.log_z == -math.inf), None)
+    stop = None if n_zero is None else GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
+    vals = (st.log_z / delta**st.n for st in logs.steps[:n_zero])
+    est = _series_limit(vals, tol, stop)
+    if logs.reason == "escaped" and est.termination == TERM_BUDGET:
+        est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
+    return _fold_residual(est, _switch_fold(logs, delta, est.n_used))
 
 
 def _require_d(c: Classification, minimum: int = 1) -> int:
@@ -471,38 +503,16 @@ def _plus_tail_constant(d: int, coeff_sum: float) -> float:
     return m1 * d / (d - 1) if d >= 2 else m1
 
 
-def _gza_from_ratio(ro: _RatioOrbit, d: int, tol: float, n_max: int,
-                    plus: bool, coeff_sum: float = 4.0) -> GreenEstimate:
-    settler = _Settler(tol)
-    tail_m = _plus_tail_constant(d, coeff_sum) if plus else 0.0
-    n = 0
-    for n, lr in enumerate(ro.log_mags):
-        if lr == -math.inf:
-            if plus:
-                return GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0)
-            return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
-        if lr > ESCAPE_LOG:
-            # tail past the escape radius is below 1e-12 of the last term
-            return GreenEstimate(lr / d**n, n, TERM_ESCAPED,
-                                 3e-12 / d**n + ro.fold_bound(d, n))
-        if plus:
-            # converged only when the certified tail bound is below tol;
-            # increments alone can sit on the spurious log+ = 0 plateau
-            bound = tail_m / d**n if d >= 2 else math.inf
-            if bound < tol:
-                return GreenEstimate(max(lr, 0.0) / d**n, n, TERM_CONVERGED,
-                                     bound + ro.fold_bound(d, n))
-            settler.push(max(lr, 0.0) / d**n)
-        else:
-            est = settler.push(lr / d**n)
-            if est is not None:
-                return _fold_residual(est, ro.fold_bound(d, est.n_used))
-    if plus and ro.reason == "range" and d >= 2:
-        # the ratio dove below the double range: every later bounce is
-        # bounded by shrinking z-powers, so the escape rate is zero
-        return GreenEstimate(0.0, n, TERM_CONVERGED,
-                             tail_m / d**n + ro.fold_bound(d, n))
-    return _fold_residual(settler.finish(), ro.fold_bound(d, n))
+def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
+    return sum(abs(coeff) for _, _, coeff, _ in _ratio_terms(f, alpha)) + 1.0
+
+
+def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
+                    plus: bool) -> GreenEstimate:
+    tail_m = _plus_tail_constant(c.d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
+    range_end = len(ro.log_mags) - 1 if ro.reason == "range" else None
+    return _settle_gza(enumerate(ro.log_mags), c.d, tol, plus, tail_m,
+                       lambda n: ro.fold_bound(c.d, n), range_end)
 
 
 def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
@@ -510,8 +520,7 @@ def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
                 plus: bool) -> GreenEstimate:
     alpha = float(alpha_frac)
     d = c.d
-    logs = _best_orbit_logs(f, c, z, w, n_max)
-    settler = _Settler(tol)
+    logs = best_orbit_logs(f, c, z, w, n_max)
     b = abs(f.q.terms[c.primary.vertex])
     tail_m = _plus_tail_constant(d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
     # Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
@@ -524,79 +533,55 @@ def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
     u_const = (_lmag(f.q.terms[logs.dominant])
                - alpha * _lmag(f.p.leading_at_zero()))
     axis_inv = _w_axis_invariant(f)
-    u_prev: Optional[float] = None
-    est = None
-    for st in logs.steps:
-        if st.log_w == -math.inf:
-            if not axis_inv:
+
+    def ratio_logs():
+        u = None
+        for st in logs.steps:
+            if st.log_w == -math.inf:
+                if axis_inv:
+                    yield st.n, -math.inf
                 continue  # transient zero (j = 0 terms revive w); limit unaffected
-            if plus:
-                return GreenEstimate(0.0, st.n, TERM_HIT_ZERO, 0.0)
-            return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
-        if st.log_z == -math.inf and alpha != 0.0:
-            if alpha > 0:
-                # weighted ratio blows up along E_z
-                return GreenEstimate(math.inf, st.n, TERM_HIT_EZ, math.inf)
-            # alpha < 0 (delta < d): the ratio |w z^|alpha|| tends to 0
-            if plus:
-                return GreenEstimate(0.0, st.n, TERM_HIT_EZ, 0.0)
-            return GreenEstimate(-math.inf, st.n, TERM_HIT_EZ, 0.0)
-        if (logs.switch_step is not None and st.n >= logs.switch_step
-                and on_line and u_prev is not None):
-            lr = d_dom * u_prev + u_const
-        else:
-            lr = st.log_w - (alpha * st.log_z if alpha != 0.0 else 0.0)
-        u_prev = lr
-        if lr > ESCAPE_LOG:
-            return GreenEstimate(lr / d**st.n, st.n, TERM_ESCAPED, 3e-12 / d**st.n)
-        if plus:
-            bound = tail_m / d**st.n if d >= 2 else math.inf
-            if bound < tol:
-                return GreenEstimate(max(lr, 0.0) / d**st.n, st.n,
-                                     TERM_CONVERGED, bound)
-            settler.push(max(lr, 0.0) / d**st.n)
-        else:
-            est = settler.push(lr / d**st.n)
-            if est is not None:
-                break
-    if est is None:
-        if plus and logs.reason == "range" and d >= 2:
-            n_last = logs.steps[-1].n
-            return GreenEstimate(0.0, n_last, TERM_CONVERGED, tail_m / d**n_last)
-        est = settler.finish()
-    if logs.switch_step is not None and logs.switch_step <= est.n_used:
-        est = _fold_residual(est, 4 * logs.switch_eta / d**logs.switch_step)
-    return est
+            if st.log_z == -math.inf and alpha != 0.0:
+                # alpha > 0: the weighted ratio blows up along E_z; alpha < 0
+                # (delta < d): the ratio |w z^|alpha|| tends to 0
+                yield st.n, (GreenEstimate(math.inf, st.n, TERM_HIT_EZ, math.inf) if alpha > 0
+                             else GreenEstimate(0.0 if plus else -math.inf, st.n,
+                                                TERM_HIT_EZ, 0.0))
+                return
+            if (logs.switch_step is not None and st.n >= logs.switch_step
+                    and on_line and u is not None):
+                u = d_dom * u + u_const
+            else:
+                u = st.log_w - (alpha * st.log_z if alpha != 0.0 else 0.0)
+            yield st.n, u
+
+    range_end = logs.steps[-1].n if logs.reason == "range" else None
+    return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
+                       lambda n: _switch_fold(logs, d, n), range_end)
 
 
-def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
-    return sum(abs(coeff) for _, _, coeff, _ in _ratio_terms(f, alpha)) + 1.0
-
-
-def g_z_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
-              n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
-    """G_z^alpha with the classification's (possibly redefined) alpha."""
+def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
+         n_max: int, tol: float, plus: bool) -> GreenEstimate:
     _require_d(c)
     if c.alpha is None:
         raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
     ro = ratio_orbit(f, c.alpha, z, w, n_max)
     if ro is not None:
-        return _gza_from_ratio(ro, c.d, tol, n_max, plus=False)
-    return _gza_direct(f, c, c.alpha, z, w, n_max, tol, plus=False)
+        return _gza_from_ratio(f, c, ro, tol, plus)
+    return _gza_direct(f, c, c.alpha, z, w, n_max, tol, plus)
+
+
+def g_z_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
+              n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
+    """G_z^alpha with the classification's (possibly redefined) alpha."""
+    return _gza(f, c, z, w, n_max, tol, plus=False)
 
 
 def g_z_alpha_plus(f: SkewProduct, c: Classification, z: complex, w: complex,
                    n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL
                    ) -> GreenEstimate:
     """G_z^{alpha,+} >= 0; zero when the weighted ratio never escapes."""
-    _require_d(c)
-    if c.alpha is None:
-        raise ValueError("alpha undefined (gamma > 0, delta == d)")
-    ro = ratio_orbit(f, c.alpha, z, w, n_max)
-    if ro is not None:
-        return _gza_from_ratio(ro, c.d, tol, n_max, plus=True,
-                               coeff_sum=_ratio_coeff_sum(f, c.alpha))
-    return _gza_direct(f, c, c.alpha, z, w, n_max, tol, plus=True)
+    return _gza(f, c, z, w, n_max, tol, plus=True)
 
 
 def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -606,7 +591,7 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
     if c.delta != d:
         raise ValueError(f"G_z^infty requires delta == d, got {c.delta} != {d}")
     gamma = c.gamma
-    logs = _best_orbit_logs(f, c, z, w, n_max)
+    logs = best_orbit_logs(f, c, z, w, n_max)
     settler = _Settler(tol)
     # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
     # past the switch, valid when the extension uses the primary vertex:
@@ -637,36 +622,7 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
             break
     if est is None:
         est = settler.finish()
-    if logs.switch_step is not None and logs.switch_step <= est.n_used:
-        est = _fold_residual(est, 4 * logs.switch_eta / d**logs.switch_step)
-    return est
-
-
-def _series_limit(values: list[float], tol: float) -> GreenEstimate:
-    settler = _Settler(tol)
-    for g in values:
-        est = settler.push(g)
-        if est is not None:
-            return est
-    return settler.finish()
-
-
-def _best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
-                     n_max: int, escape_log: float = ESCAPE_LOG) -> _OrbitLogs:
-    """Orbit logs extended with whichever dominant term carries furthest.
-
-    A two-dominant-term map has one dominant vertex per wedge; when the
-    primary term fails the dominance check, the alternate may still
-    extend the orbit past the float window.
-    """
-    best = orbit_logs(f, c.primary.vertex, z, w, n_max, escape_log)
-    if best.reason != "range" or len(c.terms) == 1:
-        return best
-    for term in c.terms[1:]:
-        other = orbit_logs(f, term.vertex, z, w, n_max, escape_log)
-        if len(other.steps) > len(best.steps):
-            best = other
-    return best
+    return _fold_residual(est, _switch_fold(logs, d, est.n_used))
 
 
 def _w_axis_invariant(f: SkewProduct) -> bool:
@@ -708,7 +664,7 @@ def _gz_direct(f: SkewProduct, c: Classification, z: complex, w: complex,
     """G_z from the direct log orbit, where the weighted ratio cannot serve."""
     lam = c.lam
     axis_inv = _w_axis_invariant(f)
-    logs = _best_orbit_logs(f, c, z, w, n_max)
+    logs = best_orbit_logs(f, c, z, w, n_max)
     vals = []
     for st in logs.steps:
         if st.log_w == -math.inf:
@@ -717,9 +673,7 @@ def _gz_direct(f: SkewProduct, c: Classification, z: complex, w: complex,
             continue  # transient zero (j = 0 terms revive w); limit unaffected
         vals.append(st.log_w / lam**st.n)
     est = _series_limit(vals, tol)
-    if logs.switch_step is not None and logs.switch_step <= est.n_used:
-        est = _fold_residual(est, 4 * logs.switch_eta / lam**logs.switch_step)
-    return est
+    return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
 
 
 def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -731,7 +685,7 @@ def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
     are combined (valid whenever both limits exist in [-inf, inf)).
     """
     lam = c.lam
-    logs = _best_orbit_logs(f, c, z, w, n_max)
+    logs = best_orbit_logs(f, c, z, w, n_max)
     axis_inv = _w_axis_invariant(f)
     z_vals: list[float] = []
     w_vals: list[float] = []
@@ -781,10 +735,8 @@ def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
         termination = TERM_DIV_POS
     elif value == -math.inf:
         termination = TERM_HIT_ZERO
-    est = GreenEstimate(value, n_used, termination, residual)
-    if logs.switch_step is not None and logs.switch_step <= n_used:
-        est = _fold_residual(est, 4 * logs.switch_eta / lam**logs.switch_step)
-    return est
+    return _fold_residual(GreenEstimate(value, n_used, termination, residual),
+                          _switch_fold(logs, lam, n_used))
 
 
 def g_f(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -804,8 +756,7 @@ def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
         # so compose the two separately convergent parts.
         ro = ratio_orbit(f, c.alpha, z, w, n_max)
         if ro is not None:
-            plus = _gza_from_ratio(ro, c.d, tol, n_max, plus=True,
-                                   coeff_sum=_ratio_coeff_sum(f, c.alpha))
+            plus = _gza_from_ratio(f, c, ro, tol, plus=True)
             base = g_p(f.p, z, n_max, tol)
             if plus.finite and base.finite:
                 term = plus.termination
@@ -833,9 +784,9 @@ def functional_residual(f: SkewProduct, c: Classification, kind: str,
     """
     z1, w1 = f(z, w)
     d = c.d
-    if kind == "alpha":
-        here = g_z_alpha(f, c, z, w, n_max, tol)
-        there = g_z_alpha(f, c, z1, w1, n_max, tol)
+    if kind in ("alpha", "alpha_plus"):
+        here = _gza(f, c, z, w, n_max, tol, plus=kind == "alpha_plus")
+        there = _gza(f, c, z1, w1, n_max, tol, plus=kind == "alpha_plus")
         if not (here.finite and there.finite):
             return None
         return abs(there.value - d * here.value)
@@ -846,12 +797,6 @@ def functional_residual(f: SkewProduct, c: Classification, kind: str,
         if not (here.finite and there.finite and base.finite):
             return None
         return abs(there.value - (d * here.value + c.gamma * base.value))
-    if kind == "alpha_plus":
-        here = g_z_alpha_plus(f, c, z, w, n_max, tol)
-        there = g_z_alpha_plus(f, c, z1, w1, n_max, tol)
-        if not (here.finite and there.finite):
-            return None
-        return abs(there.value - d * here.value)
     raise ValueError(f"unknown functional-equation kind {kind!r}")
 
 
@@ -949,7 +894,7 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     ws = tuple(ws)
     # c**j with j > 100 is CPython's polar power, which the kernel does not replay
     if (which in ("Gza", "Gzap", "Gz") and ws and z != 0 and c.alpha is not None
-            and ratio_transform_exponents(f, c.alpha) is not None
+            and _ratio_terms(f, c.alpha) is not None
             and all(j <= 100 for _, j in f.q.terms)):
         if which != "Gz":
             _require_d(c)
@@ -1063,7 +1008,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
 
     The z side (log z_n, the p-tail correction, the z-factors of the
     recursion) is computed once per step for the whole fiber.  Lanes are
-    settled online as _gza_from_ratio and g_z settle the scalar orbit and
+    settled online as _settle_gza and g_z settle the scalar orbit and
     retire once their estimate is final; a G_z lane runs until its orbit
     ends, because the orbit's end decides between the ratio and the
     direct branch.

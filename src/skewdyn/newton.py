@@ -192,10 +192,6 @@ class DominantTerm:
     def d(self) -> int:
         return self.vertex[1]
 
-    @property
-    def l2_is_infinite(self) -> bool:
-        return self.l2 is None
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -239,11 +235,6 @@ class Classification:
     @property
     def two_dominant_terms(self) -> bool:
         return len(self.terms) == 2
-
-    def alpha_float(self) -> float:
-        if self.alpha is None:
-            raise ValueError("alpha undefined (gamma > 0 and delta == d); use G_z^infty")
-        return float(self.alpha)
 
 
 def _term_for_vertex(npoly: NewtonPolygon, delta: int, k: int, case: Case) -> DominantTerm:

@@ -96,19 +96,6 @@ def monomial_reference(delta: int, gamma: int, d: int, point: tuple[complex, com
     raise ValueError(f"unknown function {which!r}")
 
 
-def monomial_basin_contains(delta: int, gamma: int, d: int,
-                            point: tuple[complex, complex]) -> bool:
-    """Membership in the attracting basin A_0 of the monomial model."""
-    z, w = complex(point[0]), complex(point[1])
-    az, aw = abs(z), abs(w)
-    if gamma > 0:
-        if delta < d:
-            alpha = gamma / (delta - d)
-            return az < 1 and aw * az ** (-alpha) < 1
-        return az < 1
-    return az < 1 and aw < 1
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional polynomials h and their escape rates
 # ---------------------------------------------------------------------------

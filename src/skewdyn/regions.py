@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .algebra import SkewProduct, eval_skew
 from .newton import Classification
-from .green import _best_orbit_logs, g_p, g_z_alpha, _LogStep
+from .green import best_orbit_logs, g_p, g_z_alpha
 
 EPS_DEG = 1e-9          # near-degenerate fiber threshold on |c_j(z)|
 _BAND = 1e-6            # relative band for the measure-zero S families
@@ -62,9 +62,6 @@ class WedgeSpec:
         if any(w < 0 for w in ws):
             raise ValueError("weights must be non-negative")
         object.__setattr__(self, "weights", tuple(ws))
-
-    def scaled(self, factor: float) -> "WedgeSpec":
-        return replace(self, radii=tuple(r * factor for r in self.radii))
 
 
 def wedge_u_l(l, r: float) -> WedgeSpec:
@@ -238,8 +235,7 @@ def _fiber_degenerate(f: SkewProduct, z: complex) -> bool:
 
 
 def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,
-                   z: complex, w: complex, budget: int = 200,
-                   escape_radius: float = 1e12) -> BasinLabel:
+                   z: complex, w: complex, budget: int = 200) -> BasinLabel:
     """Budgeted orbit label: wedge entry, basin decay, escape, or special set.
 
     Labels only refine as the budget grows; a budget stop without decision
@@ -253,11 +249,10 @@ def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,
         return BasinLabel("near_Edeg")
     rho0 = min(min(spec.radii), _POLYDISK_CAP)
     log_rho0 = math.log(rho0)
-    logs = _best_orbit_logs(f, c, z, w, budget,
-                            escape_log=math.log(escape_radius))
+    logs = best_orbit_logs(f, c, z, w, budget)
     decay_run = 0
     in_basin = False
-    prev: Optional[_LogStep] = None
+    prev = None
     for st in logs.steps:
         if st.log_z == -math.inf:
             return BasinLabel("on_Ez", entry_step=st.n)

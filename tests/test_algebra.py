@@ -9,7 +9,6 @@ from skewdyn import (
     BiPoly,
     SkewProduct,
     UniPoly,
-    as_rational_geometry,
     eval_skew,
     iterate,
     monomial_skew,
@@ -74,12 +73,6 @@ def test_iterate_escape_example_w_squared_plus_two():
     # w_1 = 4 + 2 = 6, z_1 = 1; w_2 = 36 + 2 = 38 breaches
     assert [round(abs(p.w), 6) for p in orbit[:3]] == [2.0, 6.0, 38.0]
     assert orbit[2].escaped and orbit[2].n == 2
-
-
-def test_as_rational_geometry():
-    assert as_rational_geometry((1, 3)) == (Fraction(1), Fraction(3))
-    assert as_rational_geometry((0, 0)) == (Fraction(0), Fraction(0))
-    assert as_rational_geometry((7, 2)) == (Fraction(7), Fraction(2))
 
 
 def test_rational_arithmetic_exact():

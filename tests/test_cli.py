@@ -98,6 +98,14 @@ def test_verify_hull_suite(capsys):
     assert "PASS: hull oracle equivalence" in out
 
 
+def test_verify_rejects_budget_flags():
+    # the suites run on fixed budgets, so verify takes no --n-max or --tol
+    for flag in (["--n-max", "8"], ["--tol", "1e-6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "hull", *flag])
+        assert exc.value.code == 2
+
+
 def test_env_override(map_file, capsys, monkeypatch):
     monkeypatch.setenv("SKEWDYN_N_MAX", "8")
     rc = main(["green", str(map_file), "--function", "Gz",

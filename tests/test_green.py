@@ -395,6 +395,25 @@ def test_transient_zero_on_non_invariant_axis():
     assert abs(gzi.value - 1.5 * math.log(abs(z))) < 1e-9
 
 
+def test_switch_fold_on_direct_early_exits():
+    # alpha = 3/2 runs the direct orbit, which switches to the log-space
+    # extension at step 8; the escape exit at step 9 must carry the switch
+    # fold 4 eta / d^8 like every other exit
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    c = classify(f)
+    z = -0.09897173011784269 + 0.054432495748585684j
+    w = 0.008730071332046972 - 0.02482660783051319j
+    from skewdyn.green import best_orbit_logs
+
+    logs = best_orbit_logs(f, c, z, w, 64)
+    assert logs.switch_step == 8 and logs.switch_eta > 1e-10
+    fold = 4 * logs.switch_eta / 2**8
+    for fn in (g_z_alpha, g_z_alpha_plus):
+        est = fn(f, c, z, w, 64, 1e-10)
+        assert est.termination == "escaped_with_tail"
+        assert est.residual >= fold
+
+
 def test_gz_alpha_gp_identity_on_trapped_side():
     # on the bounded-ratio side of the degenerate example the identity
     # G_z = alpha G_p holds; reaching it needs the ratio orbit to continue
