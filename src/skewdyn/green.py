@@ -26,6 +26,15 @@ driver, ratio_orbit, re-validates dominance at every step.  G_z^alpha and
 G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
 _settle_gza, each with its own error fold.
 
+Every estimator that reads the direct orbit does so in two parts: an
+orbit producer and a settle routine that takes the finished _OrbitLogs.
+The per-point estimators produce the orbit with best_orbit_logs.
+fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
+scalar drivers bit for bit on all lanes at once, computing the z side
+once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
+the direct orbit, whose lanes then go one by one through the same
+settle routines.
+
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
 """
@@ -36,7 +45,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -96,16 +105,9 @@ def _lmag(x: complex) -> float:
 # orbit drivers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LogStep:
-    n: int
-    log_z: float
-    log_w: float
-
-
 @dataclass
 class _OrbitLogs:
-    steps: list[_LogStep]
+    steps: list[tuple[int, float, float]]  # (n, log|z_n|, log|w_n|)
     reason: str  # 'complete' | 'escaped' | 'range'
     switch_step: Optional[int]
     switch_eta: float
@@ -167,7 +169,7 @@ def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
     log_a = _lmag(p.leading_at_zero())
     z, w = complex(z), (1 + 0j if q is None else complex(w))
     lz, lw = _lmag(z), _lmag(w)
-    steps = [_LogStep(0, lz, lw)]
+    steps = [(0, lz, lw)]
     reason = "complete"
     switch_step: Optional[int] = None
     switch_eta = 0.0
@@ -194,7 +196,7 @@ def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
                 reason = "escaped"
                 break
             lz, lw = _lmag(z), _lmag(w)
-        steps.append(_LogStep(n, lz, lw))
+        steps.append((n, lz, lw))
     return _OrbitLogs(steps, reason, switch_step, switch_eta, dominant)
 
 
@@ -367,43 +369,48 @@ class _Settler:
 
     Converged: two consecutive increments below tol.  Divergent: five
     consecutive same-sign increments that do not decay.  Otherwise budget.
+    Each partial comes with the step n it was read at, which an estimate
+    reports as n_used; steps without a partial (a skipped transient zero)
+    do not count as increments.
     """
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.gs: list[float] = []
-        self.incs: list[float] = []
+        self.floor = max(tol, 1e-14)   # increments above it can signal divergence
+        self.g: Optional[float] = None
+        self.n = 0
+        self.inc: Optional[float] = None
+        self.run = 0   # trailing same-sign increments above floor, none decaying
 
-    def push(self, g: float) -> Optional[GreenEstimate]:
-        self.gs.append(g)
-        n = len(self.gs) - 1
-        if n >= 1:
-            self.incs.append(self.gs[-1] - self.gs[-2])
-        if (len(self.incs) >= 2 and abs(self.incs[-1]) < self.tol
-                and abs(self.incs[-2]) < self.tol):
-            return GreenEstimate(g, n, TERM_CONVERGED, abs(self.incs[-1]))
-        if len(self.incs) >= 5:
-            window = self.incs[-5:]
-            if all(abs(i) > max(self.tol, 1e-14) for i in window):
-                same_sign = len({math.copysign(1, i) for i in window}) == 1
-                decaying = any(
-                    abs(window[j + 1]) < 0.9 * abs(window[j]) for j in range(4)
-                )
-                if same_sign and not decaying:
-                    val = math.inf if window[-1] > 0 else -math.inf
-                    tag = TERM_DIV_POS if window[-1] > 0 else TERM_DIV_NEG
-                    return GreenEstimate(val, n, tag, abs(window[-1]))
+    def push(self, g: float, n: int) -> Optional[GreenEstimate]:
+        prev = self.inc
+        if self.g is not None:
+            self.inc = g - self.g
+        self.g, self.n = g, n
+        inc = self.inc
+        if inc is None:
+            return None
+        if prev is not None and abs(inc) < self.tol and abs(prev) < self.tol:
+            return GreenEstimate(g, n, TERM_CONVERGED, abs(inc))
+        if not abs(inc) > self.floor:   # nan included
+            self.run = 0
+        elif self.run and (inc > 0) == (prev > 0) and not abs(inc) < 0.9 * abs(prev):
+            self.run += 1
+        else:
+            self.run = 1
+        if self.run >= 5:
+            if inc > 0:
+                return GreenEstimate(math.inf, n, TERM_DIV_POS, abs(inc))
+            return GreenEstimate(-math.inf, n, TERM_DIV_NEG, abs(inc))
         return None
 
     def finish(self) -> GreenEstimate:
-        if not self.gs:
+        if self.g is None:
             return GreenEstimate(math.nan, 0, TERM_BUDGET, math.inf)
-        n = len(self.gs) - 1
-        residual = abs(self.incs[-1]) if self.incs else math.inf
-        if self.incs and abs(self.incs[-1]) < self.tol:
-            # truncated orbit whose last visible increment already settled
-            return GreenEstimate(self.gs[-1], n, TERM_CONVERGED, residual)
-        return GreenEstimate(self.gs[-1], n, TERM_BUDGET, residual)
+        residual = math.inf if self.inc is None else abs(self.inc)
+        # a truncated orbit whose last visible increment already settled converged
+        tag = TERM_CONVERGED if residual < self.tol else TERM_BUDGET
+        return GreenEstimate(self.g, self.n, tag, residual)
 
 
 def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
@@ -412,12 +419,12 @@ def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
     return GreenEstimate(est.value, est.n_used, est.termination, est.residual + extra)
 
 
-def _series_limit(values: Iterable[float], tol: float,
+def _series_limit(partials: Iterable[tuple[int, float]], tol: float,
                   stop: Optional[GreenEstimate] = None) -> GreenEstimate:
-    """The settler's first final estimate over values; else stop, else its finish."""
+    """The settler's first final estimate over pairs (n, g_n); else stop, else its finish."""
     settler = _Settler(tol)
-    for g in values:
-        est = settler.push(g)
+    for n, g in partials:
+        est = settler.push(g, n)
         if est is not None:
             return est
     return settler.finish() if stop is None else stop
@@ -450,11 +457,11 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             # increments alone can sit on the spurious log+ = 0 plateau
             bound = tail_m / d**n if d >= 2 else math.inf
             if bound >= tol:
-                settler.push(max(lr, 0.0) / d**n)
+                settler.push(max(lr, 0.0) / d**n, n)
                 continue
             est = GreenEstimate(max(lr, 0.0) / d**n, n, TERM_CONVERGED, bound)
         else:
-            est = settler.push(lr / d**n)
+            est = settler.push(lr / d**n, n)
             if est is None:
                 continue
         return _fold_residual(est, fold(est.n_used))
@@ -477,9 +484,9 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
     delta = p.order
     logs = orbit_logs(p, None, z, None, n_max)
     # an exact zero z_n = 0 ends the sequence unless it settled before
-    n_zero = next((st.n for st in logs.steps if st.log_z == -math.inf), None)
+    n_zero = next((n for n, lz, _ in logs.steps if lz == -math.inf), None)
     stop = None if n_zero is None else GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
-    vals = (st.log_z / delta**st.n for st in logs.steps[:n_zero])
+    vals = ((n, lz / delta**n) for n, lz, _ in logs.steps[:n_zero])
     est = _series_limit(vals, tol, stop)
     if logs.reason == "escaped" and est.termination == TERM_BUDGET:
         est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
@@ -515,12 +522,11 @@ def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: flo
                        lambda n: ro.fold_bound(c.d, n), range_end)
 
 
-def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
-                z: complex, w: complex, n_max: int, tol: float,
+def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                 plus: bool) -> GreenEstimate:
-    alpha = float(alpha_frac)
+    """G_z^alpha, or G_z^{alpha,+} when plus, settled on the direct orbit logs."""
+    alpha = float(c.alpha)
     d = c.d
-    logs = best_orbit_logs(f, c, z, w, n_max)
     b = abs(f.q.terms[c.primary.vertex])
     tail_m = _plus_tail_constant(d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
     # Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
@@ -529,33 +535,33 @@ def _gza_direct(f: SkewProduct, c: Classification, alpha_frac: Fraction,
     # exact in rationals), the weighted ratio obeys its own exact
     # recursion u' = d~ u + (log|b~| - alpha log|a|).
     g_dom, d_dom = logs.dominant
-    on_line = Fraction(g_dom) + alpha_frac * (d_dom - f.delta) == 0
+    on_line = Fraction(g_dom) + c.alpha * (d_dom - f.delta) == 0
     u_const = (_lmag(f.q.terms[logs.dominant])
                - alpha * _lmag(f.p.leading_at_zero()))
     axis_inv = _w_axis_invariant(f)
 
     def ratio_logs():
         u = None
-        for st in logs.steps:
-            if st.log_w == -math.inf:
+        for n, lz, lw in logs.steps:
+            if lw == -math.inf:
                 if axis_inv:
-                    yield st.n, -math.inf
+                    yield n, -math.inf
                 continue  # transient zero (j = 0 terms revive w); limit unaffected
-            if st.log_z == -math.inf and alpha != 0.0:
+            if lz == -math.inf and alpha != 0.0:
                 # alpha > 0: the weighted ratio blows up along E_z; alpha < 0
                 # (delta < d): the ratio |w z^|alpha|| tends to 0
-                yield st.n, (GreenEstimate(math.inf, st.n, TERM_HIT_EZ, math.inf) if alpha > 0
-                             else GreenEstimate(0.0 if plus else -math.inf, st.n,
-                                                TERM_HIT_EZ, 0.0))
+                yield n, (GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf) if alpha > 0
+                          else GreenEstimate(0.0 if plus else -math.inf, n,
+                                             TERM_HIT_EZ, 0.0))
                 return
-            if (logs.switch_step is not None and st.n >= logs.switch_step
+            if (logs.switch_step is not None and n >= logs.switch_step
                     and on_line and u is not None):
                 u = d_dom * u + u_const
             else:
-                u = st.log_w - (alpha * st.log_z if alpha != 0.0 else 0.0)
-            yield st.n, u
+                u = lw - (alpha * lz if alpha != 0.0 else 0.0)
+            yield n, u
 
-    range_end = logs.steps[-1].n if logs.reason == "range" else None
+    range_end = logs.steps[-1][0] if logs.reason == "range" else None
     return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
                        lambda n: _switch_fold(logs, d, n), range_end)
 
@@ -568,7 +574,7 @@ def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
     ro = ratio_orbit(f, c.alpha, z, w, n_max)
     if ro is not None:
         return _gza_from_ratio(f, c, ro, tol, plus)
-    return _gza_direct(f, c, c.alpha, z, w, n_max, tol, plus)
+    return _gza_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol, plus)
 
 
 def g_z_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -590,8 +596,13 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
     d = _require_d(c)
     if c.delta != d:
         raise ValueError(f"G_z^infty requires delta == d, got {c.delta} != {d}")
-    gamma = c.gamma
-    logs = best_orbit_logs(f, c, z, w, n_max)
+    return _gzi_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
+
+
+def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
+                tol: float) -> GreenEstimate:
+    """G_z^infty settled on the direct orbit logs."""
+    d, gamma = c.d, c.gamma
     settler = _Settler(tol)
     # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
     # past the switch, valid when the extension uses the primary vertex:
@@ -602,22 +613,22 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
     axis_inv = _w_axis_invariant(f)
     u_prev: Optional[float] = None
     est = None
-    for st in logs.steps:
-        if st.log_w == -math.inf and st.log_z == -math.inf:
-            return GreenEstimate(math.nan, st.n, TERM_HIT_ZERO, math.inf)
-        if st.log_w == -math.inf:
+    for n, lz, lw in logs.steps:
+        if lw == -math.inf and lz == -math.inf:
+            return GreenEstimate(math.nan, n, TERM_HIT_ZERO, math.inf)
+        if lw == -math.inf:
             if not axis_inv:
                 continue  # transient zero, as in g_z
-            return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
-        if st.log_z == -math.inf:
-            return GreenEstimate(math.inf, st.n, TERM_HIT_EZ, math.inf)
-        if (logs.switch_step is not None and st.n >= logs.switch_step
+            return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
+        if lz == -math.inf:
+            return GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
+        if (logs.switch_step is not None and n >= logs.switch_step
                 and primary_ext and u_prev is not None):
-            u = d * u_prev + log_b - (gamma / d) * st.n * log_a
+            u = d * u_prev + log_b - (gamma / d) * n * log_a
         else:
-            u = st.log_w - (gamma / d) * st.n * st.log_z
+            u = lw - (gamma / d) * n * lz
         u_prev = u
-        est = settler.push(u / d**st.n)
+        est = settler.push(u / d**n, n)
         if est is not None:
             break
     if est is None:
@@ -652,59 +663,46 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
                 if lw > ESCAPE_LOG:
                     return GreenEstimate(lw / lam**n, n, TERM_ESCAPED,
                                          3e-12 / lam**n + ro.fold_bound(lam, n))
-                vals.append(lw / lam**n)
+                vals.append((n, lw / lam**n))
             else:
                 est = _series_limit(vals, tol)
                 return _fold_residual(est, ro.fold_bound(lam, est.n_used))
-    return _gz_direct(f, c, z, w, n_max, tol)
+    return _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
 
 
-def _gz_direct(f: SkewProduct, c: Classification, z: complex, w: complex,
-               n_max: int, tol: float) -> GreenEstimate:
-    """G_z from the direct log orbit, where the weighted ratio cannot serve."""
+def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
+               tol: float) -> GreenEstimate:
+    """G_z settled on the direct orbit logs, where the weighted ratio cannot serve."""
     lam = c.lam
-    axis_inv = _w_axis_invariant(f)
-    logs = best_orbit_logs(f, c, z, w, n_max)
-    vals = []
-    for st in logs.steps:
-        if st.log_w == -math.inf:
-            if axis_inv:
-                return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
-            continue  # transient zero (j = 0 terms revive w); limit unaffected
-        vals.append(st.log_w / lam**st.n)
-    est = _series_limit(vals, tol)
+    if _w_axis_invariant(f):
+        n_zero = next((n for n, _, lw in logs.steps if lw == -math.inf), None)
+        if n_zero is not None:
+            return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
+    # a transient zero (j = 0 terms revive w) leaves the limit unaffected
+    est = _series_limit(((n, lw / lam**n) for n, _, lw in logs.steps if lw != -math.inf), tol)
     return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
 
 
-def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
-                   n_max: int, tol: float, z_scale: float) -> GreenEstimate:
-    """lim lambda^-n max(z_scale log|z_n|, log|w_n|) as max of the two limits.
+def _max_of_limits(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
+                   z_scale: float) -> GreenEstimate:
+    """lim lambda^-n max(z_scale log|z_n|, log|w_n|) settled on the direct orbit logs.
 
     The raw max sequence can sit on a transient plateau before the two
     branches cross, so each branch is settled on its own and the limits
     are combined (valid whenever both limits exist in [-inf, inf)).
     """
     lam = c.lam
-    logs = best_orbit_logs(f, c, z, w, n_max)
-    axis_inv = _w_axis_invariant(f)
-    z_vals: list[float] = []
-    w_vals: list[float] = []
-    z_zero = w_zero = False
-    for st in logs.steps:
-        if st.log_z == -math.inf and st.log_w == -math.inf:
-            return GreenEstimate(-math.inf, st.n, TERM_HIT_ZERO, 0.0)
-        if st.log_z == -math.inf:
-            z_zero = True  # z stays on the invariant fiber z = 0
-        else:
-            z_vals.append(st.log_z / lam**st.n)
-        if st.log_w == -math.inf:
-            if axis_inv:
-                w_zero = True
-        else:
-            w_vals.append(st.log_w / lam**st.n)
+    steps = logs.steps
+    n_zero = next((n for n, lz, lw in steps if lz == -math.inf and lw == -math.inf), None)
+    if n_zero is not None:
+        return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
+    z_zero = any(lz == -math.inf for _, lz, _ in steps)  # z stays on the invariant fiber z = 0
+    w_zero = _w_axis_invariant(f) and any(lw == -math.inf for _, _, lw in steps)
+    z_vals = ((n, lz / lam**n) for n, lz, _ in steps if lz != -math.inf)
+    w_vals = ((n, lw / lam**n) for n, _, lw in steps if lw != -math.inf)
 
     if z_zero and z_scale < 0:
-        return GreenEstimate(math.inf, len(logs.steps) - 1, TERM_HIT_EZ, math.inf)
+        return GreenEstimate(math.inf, len(steps) - 1, TERM_HIT_EZ, math.inf)
     parts: list[tuple[float, GreenEstimate | None]] = []
     if z_scale == 0.0:
         parts.append((0.0, None))
@@ -725,7 +723,7 @@ def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
 
     value = max(p[0] for p in parts)
     ests = [p[1] for p in parts if p[1] is not None]
-    n_used = max((e.n_used for e in ests), default=len(logs.steps) - 1)
+    n_used = max((e.n_used for e in ests), default=len(steps) - 1)
     residual = sum(e.residual for e in ests if math.isfinite(e.residual))
     termination = TERM_CONVERGED
     for e in ests:
@@ -742,7 +740,7 @@ def _max_of_limits(f: SkewProduct, c: Classification, z: complex, w: complex,
 def g_f(f: SkewProduct, c: Classification, z: complex, w: complex,
         n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_f = lim lambda^-n log max(|z_n|, |w_n|) (max norm)."""
-    return _max_of_limits(f, c, z, w, n_max, tol, z_scale=1.0)
+    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol, z_scale=1.0)
 
 
 def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -765,7 +763,7 @@ def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
                 return GreenEstimate(alpha * base.value + plus.value,
                                      max(plus.n_used, base.n_used), term,
                                      plus.residual + abs(alpha) * base.residual)
-    return _max_of_limits(f, c, z, w, n_max, tol, z_scale=alpha)
+    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol, z_scale=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -886,37 +884,61 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
                  tol: float = DEFAULT_TOL) -> FiberFunctionSample:
     """Evaluate one estimator across a fiber {z} x ws, in input order.
 
-    G_z^alpha, G_z^{alpha,+} and G_z with an integer weighted-ratio
-    recursion run all lanes at once (_fiber_ratio); every other case
-    calls the scalar estimator per point.  Both give identical results.
+    G_p depends on z alone and is estimated once.  G_z^alpha, G_z^{alpha,+}
+    and G_z with an integer weighted-ratio recursion run all lanes at once
+    (_fiber_ratio).  Where an estimator reads the direct orbit alone
+    (_direct_settle), the orbits of all lanes run at once (_fiber_logs)
+    and each lane is settled as the estimator settles it.  Every other
+    case calls the scalar estimator per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
-    # c**j with j > 100 is CPython's polar power, which the kernel does not replay
-    if (which in ("Gza", "Gzap", "Gz") and ws and z != 0 and c.alpha is not None
-            and _ratio_terms(f, c.alpha) is not None
-            and all(j <= 100 for _, j in f.q.terms)):
+    # w**j and c**j with j > 100 are CPython's polar power, which the kernels do not replay
+    batch = bool(ws) and all(j <= 100 for _, j in f.q.terms)
+    if which == "Gp":
+        ests = [g_p(f.p, z, n_max, tol)] * len(ws) if ws else []
+    elif (batch and which in ("Gza", "Gzap", "Gz") and z != 0 and c.alpha is not None
+            and _ratio_terms(f, c.alpha) is not None):
         if which != "Gz":
             _require_d(c)
         ests = _fiber_ratio(f, c, which, complex(z), ws, n_max, tol)
+    elif batch and (settle := _direct_settle(f, c, which, z, tol)) is not None:
+        ests = [settle(logs) for logs in _fiber_logs(f, c, complex(z), ws, n_max)]
     else:
         ests = [fn(f, c, z, w, n_max, tol) for w in ws]
     return FiberFunctionSample(z=z, ws=ws, estimates=tuple(ests))
 
 
+def _direct_settle(f: SkewProduct, c: Classification, which: str, z: complex,
+                   tol: float) -> Optional[Callable[[_OrbitLogs], GreenEstimate]]:
+    """How estimator `which` settles best_orbit_logs on the fiber z, or None.
+
+    None unless the per-point estimator goes straight to the direct orbit
+    there without refusing the map; the conditions mirror its branches.
+    """
+    no_ratio = z == 0 or c.alpha is None or _ratio_terms(f, c.alpha) is None
+    if which in ("Gza", "Gzap") and c.d >= 1 and c.alpha is not None and no_ratio:
+        return lambda logs: _gza_direct(f, c, logs, tol, which == "Gzap")
+    if which == "Gzi" and c.d >= 1 and c.delta == c.d:
+        return lambda logs: _gzi_direct(f, c, logs, tol)
+    if which == "Gz" and no_ratio:
+        return lambda logs: _gz_direct(f, c, logs, tol)
+    if which == "Gf":
+        return lambda logs: _max_of_limits(f, c, logs, tol, 1.0)
+    if which == "Gfa" and c.alpha is not None and (no_ratio or c.delta != c.d):
+        return lambda logs: _max_of_limits(f, c, logs, tol, float(c.alpha))
+    return None
+
+
 # ---------------------------------------------------------------------------
-# fiber-batched weighted-ratio kernel
+# fiber-batched kernels
 # ---------------------------------------------------------------------------
 #
-# Every lane replays ratio_orbit's arithmetic bit for bit.  numpy's complex
-# multiply, abs, log and exp differ from CPython's in the last bit, so
-# complex products run on split real parts in CPython's operation order,
-# magnitudes use np.hypot, and logs and exps go through math per lane.
-
-_TAGS = (TERM_CONVERGED, TERM_ESCAPED, TERM_BUDGET, TERM_HIT_ZERO,
-         TERM_DIV_NEG, TERM_DIV_POS)
-_CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS = range(len(_TAGS))
-_DIRECT = len(_TAGS)   # G_z lane settled by the scalar direct orbit instead
+# Every lane replays the arithmetic of its scalar driver (ratio_orbit or
+# orbit_logs) bit for bit.  numpy's complex multiply, abs, log and exp
+# differ from CPython's in the last bit, so complex products run on split
+# real parts in CPython's operation order, magnitudes use np.hypot, and
+# logs and exps go through math per lane.
 
 
 def _cmul(ar, ai, br, bi):
@@ -940,10 +962,25 @@ def _cpow(squares: list, j: int):
 def _log_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """_lmag per lane: math.log of the modulus, -inf at exact zero."""
     mag = np.hypot(re, im)
+    if (np.isinf(mag) & np.isfinite(re) & np.isfinite(im)).any():
+        raise OverflowError("absolute value too large")  # as abs() of such a complex
     out = np.full(mag.shape, -math.inf)
     pos = mag > 0
-    out[pos] = np.fromiter(map(math.log, mag[pos].tolist()), float)
+    out[pos] = _math_map(math.log, mag[pos])
     return out
+
+
+def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn of the math module per lane, where numpy's own may differ in the last bit."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+# -- weighted-ratio kernel
+
+_TAGS = (TERM_CONVERGED, TERM_ESCAPED, TERM_BUDGET, TERM_HIT_ZERO,
+         TERM_DIV_NEG, TERM_DIV_POS)
+_CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS = range(len(_TAGS))
+_DIRECT = len(_TAGS)   # G_z lane settled on the direct orbit instead
 
 
 def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
@@ -1150,7 +1187,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
                     near = (dom != k) & (gap > -80.0)
                     if near.any():
                         term = np.zeros(dom.size)
-                        term[near] = np.fromiter(map(math.exp, gap[near].tolist()), float)
+                        term[near] = _math_map(math.exp, gap[near])
                         sub_eta += term
                 eta[logm] = sub_eta
                 failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf))
@@ -1184,10 +1221,191 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
             if not live.size:
                 break
 
-    return [_gz_direct(f, c, z, w, n_max, tol) if t == _DIRECT
-            else GreenEstimate(v, k, _TAGS[t], r)
-            for w, v, k, t, r in zip(ws, val.tolist(), used.tolist(),
-                                     tag.tolist(), res.tolist())]
+    tags = tag.tolist()
+    direct = (_gz_direct(f, c, logs, tol) for logs in
+              _fiber_logs(f, c, z, [w for w, t in zip(ws, tags) if t == _DIRECT], n_max))
+    return [next(direct) if t == _DIRECT else GreenEstimate(v, k, _TAGS[t], r)
+            for v, k, t, r in zip(val.tolist(), used.tolist(), tags, res.tolist())]
+
+
+# -- direct log-orbit kernel
+
+_CHUNK = 1024   # lanes per batch: their step history is ~1 MB at n_max 64
+_COMPLETE, _ESCAPED, _RANGE = range(3)
+_REASONS = ("complete", "escaped", "range")
+
+
+@dataclass
+class _LaneLogs:
+    """orbit_logs of a batch of lanes; row k holds lane k's steps 0..length[k]-1."""
+
+    log_z: np.ndarray          # (lanes, n_max + 1)
+    log_w: np.ndarray
+    length: np.ndarray         # steps per lane
+    reason: np.ndarray         # index into _REASONS
+    switch_step: np.ndarray    # -1 where the lane never switched
+    switch_eta: np.ndarray
+    dominant: tuple[int, int]
+
+    def lane(self, k: int) -> _OrbitLogs:
+        m = int(self.length[k])
+        steps = list(zip(range(m), self.log_z[k, :m].tolist(), self.log_w[k, :m].tolist()))
+        step = int(self.switch_step[k])
+        return _OrbitLogs(steps, _REASONS[self.reason[k]], None if step < 0 else step,
+                          float(self.switch_eta[k]), self.dominant)
+
+
+def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
+                      ws: np.ndarray, n_max: int) -> _LaneLogs:
+    """orbit_logs(f, dominant, z, w, n_max) for every lane w of ws at once.
+
+    The exact z_n, its log and the p part of the dominance test are shared
+    by every lane still on the exact orbit and computed once per step.  A
+    lane that passes the test continues on its own log recursion; lanes
+    end as the scalar driver ends them.
+    """
+    p_terms, q_terms = f.p.terms, f.q.terms
+    delta = f.delta
+    gamma, d = dominant
+    log_a = _lmag(f.p.leading_at_zero())
+    log_b = _lmag(q_terms[dominant])
+    q_keys = list(q_terms)
+    # neglected terms with their weight |coeff / dominant coeff| in eta
+    p_rest = [(k, abs(coeff) / abs(p_terms[delta])) for k, coeff in p_terms.items()
+              if k != delta]
+    q_rest = [(t, abs(coeff) / abs(q_terms[dominant]))
+              for t, (key, coeff) in enumerate(q_terms.items()) if key != dominant]
+
+    lanes = ws.size
+    zc = complex(z)
+    lzc = _lmag(zc)
+    wr, wi = ws.real.copy(), ws.imag.copy()
+    lw = _log_abs(wr, wi)
+    lz = np.full(lanes, lzc)
+    out = _LaneLogs(np.empty((lanes, n_max + 1)), np.empty((lanes, n_max + 1)),
+                    np.ones(lanes, int), np.zeros(lanes, np.int8), np.full(lanes, -1),
+                    np.zeros(lanes), dominant)
+    out.log_z[:, 0], out.log_w[:, 0] = lz, lw
+    live = np.arange(lanes)          # row of each running lane
+    ext = np.zeros(lanes, bool)      # past the switch to the log recursion
+
+    with np.errstate(all="ignore"):
+        for n in range(1, n_max + 1):
+            stop = (lz > ESCAPE_LOG) | (lw > ESCAPE_LOG)
+            out.reason[live[stop]] = _ESCAPED
+            test = ~ext & ~stop
+            if test.any():
+                # _extension_eta on the exact lanes, whose log|z_n| is lzc
+                lwt = lw[test]
+                tl = np.empty((len(q_keys), lwt.size))
+                for t, (i, j) in enumerate(q_keys):
+                    tl[t] = (0.0 if i == 0 else i * lzc) + (0.0 if j == 0 else j * lwt)
+                top = tl.max(axis=0)
+                q_safe = (top == -math.inf) | (
+                    (top <= _WINDOW) & (top >= -_WINDOW)
+                    & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0))
+                # p's terms sit at (k, 0) with k >= 2: their logs are k lz + 0.0
+                p_safe = _terms_safe([k * lzc + 0.0 for k in p_terms])
+                unsafe = ~q_safe if p_safe else np.ones(lwt.size, bool)
+                # an unsafe lane with a zero coordinate cannot switch
+                cand = unsafe & (lwt > -math.inf) & (lzc > -math.inf)
+                eta = np.zeros(lwt.size)
+                if cand.any():
+                    lwc, tlc = lwt[cand], tl[:, cand]
+                    sub = np.zeros(lwc.size)
+                    base = delta * lzc + 0 * lwc
+                    for k, weight in p_rest:
+                        sub += weight * _math_map(math.exp,
+                                                  np.minimum(k * lzc + 0.0 - base, 700.0))
+                    base = gamma * lzc + d * lwc
+                    for t, weight in q_rest:
+                        sub += weight * _math_map(math.exp, np.minimum(tlc[t] - base, 700.0))
+                    eta[cand] = sub
+                switch = cand & (eta < _TAIL_TOL)
+                refused = unsafe & ~switch
+                rows = np.flatnonzero(test)
+                out.reason[live[rows[refused]]] = _RANGE
+                stop[rows[refused]] = True
+                ext[rows[switch]] = True
+                out.switch_step[live[rows[switch]]] = n
+                out.switch_eta[live[rows[switch]]] = eta[switch]
+            if stop.any():
+                keep = ~stop
+                live, wr, wi, lz, lw, ext = (x[keep] for x in (live, wr, wi, lz, lw, ext))
+            if not live.size:
+                break
+
+            if ext.any():
+                lz_e = lz[ext]
+                lz[ext], lw[ext] = log_a + delta * lz_e, log_b + gamma * lz_e + d * lw[ext]
+            exact = ~ext
+            if exact.any():
+                failed = np.zeros(int(exact.sum()), bool)
+                try:
+                    zn = f.p(zc)
+                    czs = [coeff * zc**i for (i, _), coeff in q_terms.items()]
+                except OverflowError:
+                    failed[:] = True
+                else:
+                    # q(z, w) adds (coeff z^i) w^j in term order; w**j raises
+                    # OverflowError, which ends the lane, where a part of it is infinite
+                    squares = [(wr[exact], wi[exact])]
+                    nr, ni = np.zeros(failed.size), np.zeros(failed.size)
+                    for (_, j), cz in zip(q_keys, czs):
+                        pr, pi = _cpow(squares, j)
+                        failed |= np.isinf(pr) | np.isinf(pi)
+                        tr, ti = _cmul(cz.real, cz.imag, pr, pi)
+                        nr += tr
+                        ni += ti
+                    if not failed.all():
+                        az = abs(zn)
+                        if not math.isfinite(az):
+                            failed[:] = True
+                        else:
+                            ok = ~failed
+                            new_lw = _log_abs(nr[ok], ni[ok])
+                            failed[ok] = ~(np.isfinite(nr[ok]) & np.isfinite(ni[ok]))
+                            zc, lzc = zn, (math.log(az) if az > 0 else -math.inf)
+                            rows = np.flatnonzero(exact)
+                            wr[rows], wi[rows] = nr, ni
+                            lz[rows] = lzc
+                            lw[rows[ok]] = new_lw
+                if failed.any():
+                    gone = np.flatnonzero(exact)[failed]
+                    out.reason[live[gone]] = _ESCAPED
+                    keep = np.ones(live.size, bool)
+                    keep[gone] = False
+                    live, wr, wi, lz, lw, ext = (x[keep] for x in (live, wr, wi, lz, lw, ext))
+            out.log_z[live, n], out.log_w[live, n] = lz, lw
+            out.length[live] = n + 1
+            if not live.size:
+                break
+    return out
+
+
+def _fiber_logs(f: SkewProduct, c: Classification, z: complex, ws: Iterable[complex],
+                n_max: int) -> Iterator[_OrbitLogs]:
+    """best_orbit_logs(f, c, z, w, n_max) for each lane w of ws, in order.
+
+    The orbits run in batches of _CHUNK lanes; lanes whose primary orbit
+    ends as 'range' retry every alternate vertex together, and each lane
+    becomes an _OrbitLogs only when it is consumed.
+    """
+    ws = list(ws)
+    for start in range(0, len(ws), _CHUNK):
+        lanes = np.array(ws[start:start + _CHUNK], dtype=complex)
+        best = _lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max)
+        pick = [(best, k) for k in range(lanes.size)]
+        retry = np.flatnonzero(best.reason == _RANGE)
+        if retry.size:
+            for term in c.terms[1:]:
+                other = _lanes_orbit_logs(f, term.vertex, z, lanes[retry], n_max)
+                for r, k in enumerate(retry.tolist()):
+                    res, row = pick[k]
+                    if other.length[r] > res.length[row]:
+                        pick[k] = (other, r)
+        for res, row in pick:
+            yield res.lane(row)
 
 
 def _gp_adapter(f: SkewProduct, c: Classification, z: complex, w: complex,

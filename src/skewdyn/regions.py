@@ -253,19 +253,20 @@ def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,
     decay_run = 0
     in_basin = False
     prev = None
-    for st in logs.steps:
-        if st.log_z == -math.inf:
-            return BasinLabel("on_Ez", entry_step=st.n)
-        if _contains_logs(spec, st.log_z, st.log_w):
-            return BasinLabel("in_A0_and_Afl", entry_step=st.n)
+    for n, log_z, log_w in logs.steps:
+        if log_z == -math.inf:
+            return BasinLabel("on_Ez", entry_step=n)
+        if _contains_logs(spec, log_z, log_w):
+            return BasinLabel("in_A0_and_Afl", entry_step=n)
         if prev is not None:
-            inside = st.log_z < log_rho0 and st.log_w < log_rho0
-            decaying = (st.log_z <= prev.log_z and st.log_w <= prev.log_w
-                        and max(st.log_z, st.log_w) < max(prev.log_z, prev.log_w))
+            prev_z, prev_w = prev
+            inside = log_z < log_rho0 and log_w < log_rho0
+            decaying = (log_z <= prev_z and log_w <= prev_w
+                        and max(log_z, log_w) < max(prev_z, prev_w))
             decay_run = decay_run + 1 if (inside and decaying) else 0
             if decay_run >= _DECAY_STEPS:
                 in_basin = True
-        prev = st
+        prev = (log_z, log_w)
     if logs.reason == "escaped":
         return BasinLabel("escapes_or_outside")
     # 'range' means the orbit fell below the float window: decaying but the

@@ -298,7 +298,7 @@ def test_ratio_and_direct_modes_agree():
     # the weighted-ratio recursion and the raw orbit compute the same limit
     f = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 4): 1.0, (1, 2): 1.0}))
     c = classify(f)
-    from skewdyn.green import _gza_direct, ratio_orbit
+    from skewdyn.green import _gza_direct, best_orbit_logs, ratio_orbit
 
     assert ratio_orbit(f, c.alpha, 0.1, 0.01, 4) is not None
     rng = random.Random(2)
@@ -307,7 +307,7 @@ def test_ratio_and_direct_modes_agree():
         z = cmath.rect(rng.uniform(0.05, 0.4), rng.uniform(0, 2 * math.pi))
         w = cmath.rect(rng.uniform(0.01, 0.2), rng.uniform(0, 2 * math.pi))
         a = g_z_alpha(f, c, z, w, 48, 1e-12)
-        b = _gza_direct(f, c, c.alpha, z, w, 48, 1e-12, plus=False)
+        b = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 48), 1e-12, plus=False)
         if a.finite and b.finite:
             worst = max(worst, abs(a.value - b.value))
     assert worst < 1e-12
@@ -325,10 +325,11 @@ def _keys_or_refusal(evaluate):
         return f"ValueError: {exc}"
 
 
-def test_fiber_sample_traversal_order():
-    # fiber_sample (batched ratio kernel or scalar loop) must reproduce the
+def test_fiber_sample_traversal_order(monkeypatch):
+    # fiber_sample (batched kernels or scalar loop) must reproduce the
     # per-point estimators exactly, refusals included
-    from skewdyn.green import fiber_sample, ratio_orbit
+    from skewdyn import green
+    from skewdyn.green import best_orbit_logs, fiber_sample, ratio_orbit
 
     maps = [
         example_degenerate(1, 4),                               # c' = c^3 + c^2
@@ -370,6 +371,44 @@ def test_fiber_sample_traversal_order():
                     want = _keys_or_refusal(
                         lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
                     assert got == want, (f.q.terms, key, z, n_max)
+
+    # the batched direct orbit: on the first fiber the alternate vertex
+    # (3, 0) wins the retry; the second holds the transient zero w_8 = 0;
+    # on the third half the lanes switch to the log recursion with eta > 0,
+    # where np.exp and math.exp differ in the last bit; on the p-tail map
+    # the orbit ends as 'range' at step 4; then z = 0, an escaping p(z),
+    # budgets 0 and 1, and batches of 3 lanes
+    alpha32 = maps[6]
+    ptail = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
+    w_fold = 0.008730071332046972 - 0.02482660783051319j
+    cases = [
+        (alpha32, 0.5, [-0.3125 - 0.020833333333333315j, 0.3125 + 0.02083333333333337j]
+         + ws[2:7]),
+        (alpha32, 0.5042848627857037 + 0.002342753301247936j,
+         [0.010872111935944177 - 0.002017993161311824j] + ws[:5]),
+        (alpha32, -0.09897173011784269 + 0.054432495748585684j,
+         [w_fold + complex(0.004 * a, 0.004 * b) for a in range(-2, 3) for b in range(-2, 3)]),
+        (ptail, 0.3 + 0.2j, [0.1 - 0.05j] + ws[:6]),
+        (alpha32, 0j, ws),
+        (ptail, 0j, ws),
+        (alpha32, 1.5 + 0.5j, ws),
+    ]
+    c32 = classify(alpha32)
+    assert best_orbit_logs(alpha32, c32, cases[0][1], cases[0][2][0], 64).dominant == (3, 0)
+    assert best_orbit_logs(alpha32, c32, cases[1][1], cases[1][2][0], 64).steps[8][2] == -math.inf
+    tail_logs = best_orbit_logs(ptail, classify(ptail), 0.3 + 0.2j, 0.1 - 0.05j, 64)
+    assert (tail_logs.reason, tail_logs.steps[-1][0]) == ("range", 4)
+    for chunk in (green._CHUNK, 3):
+        monkeypatch.setattr(green, "_CHUNK", chunk)
+        for f, z, lanes in cases:
+            c = classify(f)
+            for key, fn in ESTIMATORS.items():
+                for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
+                    got = _keys_or_refusal(
+                        lambda: fiber_sample(f, c, key, z, lanes, n_max, tol).estimates)
+                    want = _keys_or_refusal(
+                        lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
+                    assert got == want, (f.q.terms, key, z, n_max, chunk)
     sample = fiber_sample(f0, c0, "Gza", 0.5, ws)
     assert sample.ws == tuple(ws)
 
@@ -385,7 +424,7 @@ def test_transient_zero_on_non_invariant_axis():
     from skewdyn.green import orbit_logs
 
     steps = orbit_logs(f, c.primary.vertex, z, w, 64).steps
-    assert any(st.log_w == -math.inf for st in steps)
+    assert any(log_w == -math.inf for _, _, log_w in steps)
     gza = g_z_alpha(f, c, z, w)
     gzi = g_z_infty(f, c, z, w)
     for est in (gza, gzi, g_z_alpha_plus(f, c, z, w), g_z(f, c, z, w)):
@@ -393,6 +432,24 @@ def test_transient_zero_on_non_invariant_axis():
         assert est.finite or est.termination == "budget"
     assert abs(gza.value) < 1e-9
     assert abs(gzi.value - 1.5 * math.log(abs(z))) < 1e-9
+
+
+def test_n_used_is_the_step_index_past_a_transient_zero():
+    # the pixel of test_transient_zero_on_non_invariant_axis: w_8 = 0 has no
+    # partial, and the orbit ends as 'range' after step 9; the estimators
+    # settle on step 9, so n_used is 9, not the 9 partials' last index 8
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    c = classify(f)
+    z = 0.5042848627857037 + 0.002342753301247936j
+    w = 0.010872111935944177 - 0.002017993161311824j
+    from skewdyn.green import best_orbit_logs
+
+    logs = best_orbit_logs(f, c, z, w, 64)
+    assert [n for n, _, log_w in logs.steps if log_w == -math.inf] == [8]
+    assert (logs.reason, logs.steps[-1][0]) == ("range", 9)
+    for fn in (g_z_alpha, g_z_infty, g_z, g_f, g_f_alpha):
+        est = fn(f, c, z, w)
+        assert (est.n_used, est.termination) == (9, "converged"), fn.__name__
 
 
 def test_switch_fold_on_direct_early_exits():
@@ -449,10 +506,10 @@ def test_no_cancellation_in_extended_weighted_ratio():
     c = classify(f)
     z = 0.3708528453780349 - 0.2443675240623793j
     w = 0.12887679402368873 - 0.26749442862304296j
-    from skewdyn.green import _gza_direct
+    from skewdyn.green import _gza_direct, best_orbit_logs
 
     a = g_z_alpha(f, c, z, w, 40, 1e-11)
-    b = _gza_direct(f, c, c.alpha, z, w, 40, 1e-11, plus=False)
+    b = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 40), 1e-11, plus=False)
     assert a.termination == b.termination == "converged"
     assert abs(a.value - b.value) < 1e-12
 
