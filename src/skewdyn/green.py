@@ -748,22 +748,32 @@ def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
     """G_f^alpha = lim lambda^-n log max(|z_n^alpha|, |w_n|), with z^0 = 1."""
     if c.alpha is None:
         raise ValueError("alpha undefined (gamma > 0, delta == d)")
-    alpha = float(c.alpha)
     if c.delta == c.d and z != 0:
-        # lambda = d: max(a L_z, L_w) = a L_z + log+ of the weighted ratio,
-        # so compose the two separately convergent parts.
         ro = ratio_orbit(f, c.alpha, z, w, n_max)
         if ro is not None:
-            plus = _gza_from_ratio(f, c, ro, tol, plus=True)
-            base = g_p(f.p, z, n_max, tol)
-            if plus.finite and base.finite:
-                term = plus.termination
-                if term == TERM_CONVERGED:
-                    term = base.termination
-                return GreenEstimate(alpha * base.value + plus.value,
-                                     max(plus.n_used, base.n_used), term,
-                                     plus.residual + abs(alpha) * base.residual)
-    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol, z_scale=alpha)
+            est = _gfa_composed(c, _gza_from_ratio(f, c, ro, tol, plus=True),
+                                g_p(f.p, z, n_max, tol))
+            if est is not None:
+                return est
+    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol,
+                          z_scale=float(c.alpha))
+
+
+def _gfa_composed(c: Classification, plus: GreenEstimate, base: GreenEstimate
+                  ) -> Optional[GreenEstimate]:
+    """G_f^alpha = alpha G_p + G_z^{alpha,+} at lambda = d, or None if a part is infinite.
+
+    At lambda = d, max(a L_z, L_w) = a L_z + log+ of the weighted ratio,
+    so the two separately convergent parts compose.
+    """
+    if not (plus.finite and base.finite):
+        return None
+    alpha = float(c.alpha)
+    term = plus.termination
+    if term == TERM_CONVERGED:
+        term = base.termination
+    return GreenEstimate(alpha * base.value + plus.value, max(plus.n_used, base.n_used),
+                         term, plus.residual + abs(alpha) * base.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -886,22 +896,33 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
 
     G_p depends on z alone and is estimated once.  G_z^alpha, G_z^{alpha,+}
     and G_z with an integer weighted-ratio recursion run all lanes at once
-    (_fiber_ratio).  Where an estimator reads the direct orbit alone
-    (_direct_settle), the orbits of all lanes run at once (_fiber_logs)
-    and each lane is settled as the estimator settles it.  Every other
-    case calls the scalar estimator per point.  All give identical results.
+    (_fiber_ratio); so does G_f^alpha at delta = d, which composes that
+    G_z^{alpha,+} with the fiber's one G_p (_gfa_composed).  Where an
+    estimator reads the direct orbit alone (_direct_settle), the orbits of
+    all lanes run at once (_fiber_logs) and each lane is settled as the
+    estimator settles it.  Every other case calls the scalar estimator per
+    point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
     # w**j and c**j with j > 100 are CPython's polar power, which the kernels do not replay
     batch = bool(ws) and all(j <= 100 for _, j in f.q.terms)
+    ratio = (batch and which in ("Gza", "Gzap", "Gz", "Gfa") and z != 0
+             and c.alpha is not None and _ratio_terms(f, c.alpha) is not None)
     if which == "Gp":
         ests = [g_p(f.p, z, n_max, tol)] * len(ws) if ws else []
-    elif (batch and which in ("Gza", "Gzap", "Gz") and z != 0 and c.alpha is not None
-            and _ratio_terms(f, c.alpha) is not None):
+    elif ratio and which in ("Gza", "Gzap", "Gz"):
         if which != "Gz":
             _require_d(c)
         ests = _fiber_ratio(f, c, which, complex(z), ws, n_max, tol)
+    elif ratio and which == "Gfa" and c.delta == c.d:
+        # g_f_alpha's composed path; lanes it refuses take the direct orbit
+        base = g_p(f.p, z, n_max, tol)
+        plus = _fiber_ratio(f, c, "Gzap", complex(z), ws, n_max, tol)
+        ests = [_gfa_composed(c, est, base) for est in plus]
+        rest = [k for k, est in enumerate(ests) if est is None]
+        for k, logs in zip(rest, _fiber_logs(f, c, complex(z), [ws[k] for k in rest], n_max)):
+            ests[k] = _max_of_limits(f, c, logs, tol, float(c.alpha))
     elif batch and (settle := _direct_settle(f, c, which, z, tol)) is not None:
         ests = [settle(logs) for logs in _fiber_logs(f, c, complex(z), ws, n_max)]
     else:

@@ -346,6 +346,8 @@ def test_fiber_sample_traversal_order(monkeypatch):
                             (6, 4): 1.4114347607494637 - 1.8895241945084722j})),
         SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0})),  # alpha 3/2
         monomial_skew(2, 1, 2),                                 # alpha undefined
+        # delta = d, alpha 2: G_f^alpha composes G_p with G_z^{alpha,+}
+        SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (2, 1): 0.3, (4, 0): 0.2})),
     ]
     ws = [0j, -0.5 + 0j, 0.01 + 0.02j, 0.1 - 0.05j, 0.3 + 0.2j, -0.4 + 0.1j,
           0.45 + 0.45j, 1.5 - 0.5j, 4.0 + 3.0j]

@@ -24,8 +24,10 @@ from skewdyn import (
     wedge_u_l1l2,
     wedge_u_r1r2,
 )
+from skewdyn.algebra import eval_skew
 from skewdyn.oracles import example_cubic_h, example_degenerate, julia_membership
-from skewdyn.regions import _sample_in_wedge
+from skewdyn.regions import InvarianceReport, Violation, _sample_in_wedge
+from skewdyn.suites import invariance_example_case2, invariance_example_case4
 
 
 def test_contains_u_l_examples():
@@ -271,3 +273,85 @@ def test_invariance_witnesses_random_maps():
         assert rep.ok, (support, delta, l, r1, rep.violations[:1])
         tested += 1
     assert tested > 60
+
+
+def _per_index_reference(f, spec, samples, seed, max_violations):
+    """verify_invariance as a loop over the samples, one generator each."""
+    violations = []
+    for idx in range(samples):
+        rng = random.Random((seed << 20) ^ idx)
+        z, w = _sample_in_wedge(spec, rng)
+        if not contains(spec, z, w):
+            continue
+        z1, w1 = eval_skew(f, z, w)
+        if not contains(spec, z1, w1):
+            violations.append(Violation((z, w), (z1, w1)))
+            if len(violations) >= max_violations:
+                break
+    return InvarianceReport(spec=spec, samples=samples, violations=tuple(violations))
+
+
+def _report_or_error(run):
+    try:
+        return repr(run())
+    except (ValueError, OverflowError) as exc:
+        return repr(exc)
+
+
+def test_verify_invariance_matches_per_index_reference(monkeypatch):
+    # verify_invariance tests and maps its samples a block at a time; its
+    # reports, witnesses included, and its errors must be the loop's
+    from skewdyn import regions
+
+    case2, case4 = invariance_example_case2(), invariance_example_case4()
+    r1 = invariance_radii(case2, classify(case2), Fraction(1), 0.05)
+    r1b = invariance_radii(case4, classify(case4), Fraction(1, 2), 0.2)
+    # sample 0 of seed 1 maps onto |w| = r exactly, so it exits; at this r
+    # np.log (numpy 2.4, x86-64) is one ulp below math.log and would keep it
+    r_edge = 0.2917460554893024
+    edge = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 5.488706228112352}))
+    z0, w0 = _sample_in_wedge(wedge_u_l(0, r_edge), random.Random(1 << 20))
+    assert abs(eval_skew(edge, z0, w0)[1]) == r_edge
+    # powers that overflow (eval_skew gives inf) and products that
+    # overflow (non-finite, no OverflowError); for the square map, seed 1
+    # meets an image whose abs() raises after five exits, and on the huge
+    # U_l1l2 wedge a draw whose math.exp raises after two
+    huge = SkewProduct(UniPoly({2: 1.0, 90: 1.0}), BiPoly({(0, 80): 1.0, (1, 2): 1e300}))
+    square = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0}))
+    raising = (wedge_u_l(0, 1.6e154), wedge_u_l1l2(Fraction(3, 5), 1, 1e141))
+    polar = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (1, 101): 1.0}))  # w**101
+    flat = SkewProduct(UniPoly({90: 1.0}), BiPoly({(0, 2): 1.0}))   # z**90 underflows to 0
+    s_out = WedgeSpec("S_out", (Fraction(1),), (0.1,))
+    runs = [
+        (case2, wedge_u_r1r2(1, r1, 0.05), 2000, 5),
+        (case2, wedge_u_r1r2(1, 10 * r1, 0.05), 2000, 6),
+        (case4, wedge_u_r1r2(Fraction(1, 2), r1b, 0.2), 2000, 105),
+        (case4, wedge_u_r1r2(Fraction(1, 2), 10 * r1b, 0.2), 2000, 106),
+        (monomial_skew(2, 1, 3), wedge_u_l(1, 3.0), 600, 3),
+        (D0_MAP, WedgeSpec("U_l_plus", (Fraction(1),), (0.6,)), 600, 4),
+        (case4, wedge_u_l1l2(Fraction(1, 3), Fraction(5, 3), 1.0), 600, 7),
+        (case2, WedgeSpec("V_l", (Fraction(1),), (0.3, 0.5)), 600, 8),
+        (edge, wedge_u_l(0, r_edge), 1, 1),
+        (huge, wedge_u_l(0, 1e5), 600, 9),
+        (square, raising[0], 50, 1),
+        (square, raising[1], 50, 1),
+        (polar, wedge_u_l(0, 3.0), 300, 10),
+        (flat, wedge_u_l(0, 0.5), 200, 2),
+        (case2, wedge_u_l(1, 0.1), 0, 1),
+        (case2, s_out, 0, 1),
+        (case2, s_out, 5, 1),
+        (case2, WedgeSpec("S_in", (Fraction(1),), (0.1,)), 5, 1),
+    ]
+    # a block of 10 puts the stops at 1 and 16 exits inside a block
+    for block in (regions._BLOCK, 10):
+        monkeypatch.setattr(regions, "_BLOCK", block)
+        for f, spec, samples, seed in runs:
+            for most in (1, 16):
+                want = _report_or_error(
+                    lambda: _per_index_reference(f, spec, samples, seed, most))
+                got = _report_or_error(lambda: verify_invariance(f, spec, samples, seed, most))
+                assert got == want, (spec, samples, seed, most, block)
+    for spec in raising:
+        first, sixteen = (_report_or_error(lambda: verify_invariance(square, spec, 50, 1, most))
+                          for most in (1, 16))
+        assert first.startswith("InvarianceReport") and sixteen.startswith("OverflowError")
