@@ -26,14 +26,20 @@ driver, ratio_orbit, re-validates dominance at every step.  G_z^alpha and
 G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
 _settle_gza, each with its own error fold.
 
-Every estimator that reads the direct orbit does so in two parts: an
-orbit producer and a settle routine that takes the finished _OrbitLogs.
-The per-point estimators produce the orbit with best_orbit_logs.
+Every estimator reads an orbit in two parts: an orbit producer and a
+settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
+ratio_orbit) are pulled: each returns an orbit whose steps are computed
+only as the settle routine reads them, and cached.  A settle routine
+that reads in order and stops at its exit computes no step past it:
+g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_f^alpha),
+_gzi_direct and regions.classify_point.  g_z's ratio branch, _gz_direct
+and _max_of_limits drain the orbit before they settle, because how the
+orbit ends, or a zero anywhere on it, decides how they settle.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
-the direct orbit, whose lanes then go one by one through the same
-settle routines.
+the direct orbit, whose lanes come out finished and go one by one
+through the same settle routines.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -105,13 +111,92 @@ def _lmag(x: complex) -> float:
 # orbit drivers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _OrbitLogs:
-    steps: list[tuple[int, float, float]]  # (n, log|z_n|, log|w_n|)
-    reason: str  # 'complete' | 'escaped' | 'range'
-    switch_step: Optional[int]
-    switch_eta: float
-    dominant: Optional[tuple[int, int]]  # q vertex driving the extension
+class _PulledSteps:
+    """Steps of a per-point orbit driver, computed only as consumers pull them.
+
+    The driver is a generator (source) that yields one step at a time and
+    keeps its running diagnostics on this object.  Every step it yields is
+    cached before the source resumes, so several readers see the same
+    orbit, none computes a step twice, and the source may read its own
+    steps so far.  A finished orbit (source None) iterates as its plain
+    list.
+    """
+
+    __slots__ = ("_steps", "_source")
+
+    def __init__(self, steps: list):
+        self._steps = steps
+        self._source: Optional[Iterator] = None
+
+    def __iter__(self) -> Iterator:
+        return iter(self._steps) if self._source is None else self._pull()
+
+    def _pull(self) -> Iterator:
+        steps, k = self._steps, 0
+        while True:
+            while k < len(steps):
+                yield steps[k]
+                k += 1
+            source = self._source
+            if source is None:
+                return
+            for step in source:
+                steps.append(step)
+                yield step
+                k += 1
+                if k < len(steps):   # another reader pulled further meanwhile
+                    break
+            else:
+                self._source = None
+                return
+
+    def _drain(self) -> list:
+        """Every step, the source run to its end first."""
+        if self._source is not None:
+            append = self._steps.append
+            for step in self._source:
+                append(step)
+            self._source = None
+        return self._steps
+
+
+def _final(attr: str) -> property:
+    """A public field: read on an orbit still running, it computes the rest first."""
+    def get(self):
+        self._drain()
+        return getattr(self, attr)
+    return property(get)
+
+
+class _OrbitLogs(_PulledSteps):
+    """Log-magnitude orbit steps (n, log|z_n|, log|w_n|), pulled from orbit_logs.
+
+    Lazy consumers iterate the orbit and stop at their exit, so no step
+    past it is computed: g_p, _gza_direct, _gzi_direct and
+    regions.classify_point.  While the orbit runs, _switch_step,
+    _switch_eta and _dominant hold the values of the steps computed so
+    far; the switch and the vertex that drives it are set before the
+    switch step is yielded, so a consumer reads them at or after that
+    step.  Draining consumers read the public fields, which compute the
+    whole orbit first: _gz_direct and _max_of_limits scan the whole orbit
+    for zeros before they settle.
+    """
+
+    __slots__ = ("_reason", "_switch_step", "_switch_eta", "_dominant")
+
+    def __init__(self, steps: list, reason: str, switch_step: Optional[int],
+                 switch_eta: float, dominant: Optional[tuple[int, int]]):
+        super().__init__(steps)
+        self._reason = reason              # 'complete' | 'escaped' | 'range'
+        self._switch_step = switch_step
+        self._switch_eta = switch_eta
+        self._dominant = dominant          # q vertex driving the extension
+
+    steps = _final("_steps")
+    reason = _final("_reason")
+    switch_step = _final("_switch_step")
+    switch_eta = _final("_switch_eta")
+    dominant = _final("_dominant")
 
 
 def _terms_safe(term_logs: list[float]) -> bool:
@@ -158,7 +243,17 @@ def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
     0) or p and q (f a skew product).  Each is a term table with a
     dominant monomial, (delta, 0) for p and `dominant` for q, whose exact
     log recursion continues the orbit once it leaves the double range.
+    The steps are computed as they are read (_OrbitLogs).
     """
+    logs = _OrbitLogs([], "complete", None, 0.0, dominant)
+    logs._source = _log_steps(logs, f, dominant, z, w, n_max)
+    return logs
+
+
+def _log_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
+               dominant: Optional[tuple[int, int]], z: complex, w: Optional[complex],
+               n_max: int) -> Iterator[tuple[int, float, float]]:
+    """orbit_logs' steps one by one; the switch and the end go on logs."""
     p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
     delta = p.order
     comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
@@ -169,35 +264,32 @@ def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
     log_a = _lmag(p.leading_at_zero())
     z, w = complex(z), (1 + 0j if q is None else complex(w))
     lz, lw = _lmag(z), _lmag(w)
-    steps = [(0, lz, lw)]
-    reason = "complete"
-    switch_step: Optional[int] = None
-    switch_eta = 0.0
+    yield 0, lz, lw
     extended = False
     for n in range(1, n_max + 1):
         if lz > ESCAPE_LOG or lw > ESCAPE_LOG:
-            reason = "escaped"
-            break
+            logs._reason = "escaped"
+            return
         if not extended and (eta := _extension_eta(comps, lz, lw)) is not None:
             if eta < _TAIL_TOL and lz > -math.inf and lw > -math.inf:
-                extended, switch_step, switch_eta = True, n, eta
+                extended = True
+                logs._switch_step, logs._switch_eta = n, eta
             else:
-                reason = "range"
-                break
+                logs._reason = "range"
+                return
         if extended:
             lz, lw = log_a + delta * lz, (lw if q is None else log_b + gamma * lz + d * lw)
         else:
             try:
                 z, w = p(z), (w if q is None else q(z, w))
             except OverflowError:
-                reason = "escaped"
-                break
+                logs._reason = "escaped"
+                return
             if not (math.isfinite(abs(z)) and math.isfinite(abs(w))):
-                reason = "escaped"
-                break
+                logs._reason = "escaped"
+                return
             lz, lw = _lmag(z), _lmag(w)
-        steps.append((n, lz, lw))
-    return _OrbitLogs(steps, reason, switch_step, switch_eta, dominant)
+        yield n, lz, lw
 
 
 def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -208,25 +300,49 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
     primary term fails the dominance check, the alternate may still
     extend the orbit past the float window.
     """
-    best = orbit_logs(f, c.primary.vertex, z, w, n_max)
-    if best.reason != "range" or len(c.terms) == 1:
-        return best
+    logs = orbit_logs(f, c.primary.vertex, z, w, n_max)
+    if len(c.terms) > 1:
+        logs._source = _alternate_steps(logs, logs._source, f, c, z, w, n_max)
+    return logs
+
+
+def _alternate_steps(logs: _OrbitLogs, primary: Optional[Iterator], f: SkewProduct,
+                     c: Classification, z: complex, w: complex, n_max: int
+                     ) -> Iterator[tuple[int, float, float]]:
+    """The primary orbit's steps, then the rest of the alternate that carries furthest.
+
+    primary is the primary orbit's source, None if it is already complete.
+    The alternates are tried only once the primary has ended as 'range'.
+    That end comes at the first step that fails the dominance check, which
+    precedes any switch, and up to it every vertex computes the same exact
+    steps.  An alternate carries further only by switching at that very
+    step, so its steps from its switch on continue the primary's.
+    """
+    if primary is not None:
+        yield from primary
+    if logs._reason != "range":
+        return
+    best, length = None, len(logs._steps)
     for term in c.terms[1:]:
         other = orbit_logs(f, term.vertex, z, w, n_max)
-        if len(other.steps) > len(best.steps):
-            best = other
-    return best
+        if len(other.steps) > length:
+            best, length = other, len(other.steps)
+    if best is not None:
+        logs._reason, logs._dominant = best._reason, best._dominant
+        logs._switch_step, logs._switch_eta = best._switch_step, best._switch_eta
+        yield from best._steps[best._switch_step:]
 
 
 def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
     """Value error of the log-space extension in a partial read at step n_used.
 
     A switch at step k with neglected-term level eta moves base^-n log|.|
-    by at most 4 eta base^-k.
+    by at most 4 eta base^-k.  Reads the running switch, so the orbit
+    must have been read up to step n_used.
     """
-    if logs.switch_step is None or logs.switch_step > n_used:
+    if logs._switch_step is None or logs._switch_step > n_used:
         return 0.0
-    return 4 * logs.switch_eta / base**logs.switch_step
+    return 4 * logs._switch_eta / base**logs._switch_step
 
 
 # ---------------------------------------------------------------------------
@@ -254,26 +370,60 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
     return [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
 
 
-def _p_tail_log(f: SkewProduct, a: complex, lz: complex) -> complex:
+def _p_tail(f: SkewProduct) -> list[tuple[complex, int]]:
+    """(coeff / a, k - delta) for each term of p past its leading a z^delta."""
+    a = f.p.leading_at_zero()
+    return [(coeff / a, k - f.delta) for k, coeff in f.p.terms.items() if k != f.delta]
+
+
+def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
     """p-tail correction log(p(z)/(a z^delta)) at log z; exact 0 once z underflows."""
+    if not tail:
+        return 0j   # cmath.log(1 + 0)
     zv = cmath.exp(lz) if lz.real > -700.0 else 0j
-    return cmath.log(1 + sum((coeff / a) * zv ** (k - f.delta)
-                             for k, coeff in f.p.terms.items() if k != f.delta))
+    return cmath.log(1 + sum(ca * zv ** e for ca, e in tail))
 
 
-@dataclass
-class _RatioOrbit:
-    log_mags: list[float]      # log|c_n| (-inf for exact zero)
-    log_z: list[float]         # log|z_n| alongside
-    etas: list[float]          # per-step neglected-term bound (0 exact steps)
-    reason: str                # 'complete' | 'escaped' | 'zero' | 'range'
+class _RatioOrbit(_PulledSteps):
+    """Weighted-ratio orbit steps (log|c_n|, log|z_n|, eta_n), pulled from ratio_orbit.
+
+    log|c_n| is -inf for an exact zero; eta_n is the step's neglected-term
+    bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
+    G_z^{alpha,+} and the G_z^{alpha,+} part of G_f^alpha, reads the steps
+    in order and stops at its exit.  g_z drains the orbit: how the orbit
+    ends decides between its ratio and its direct branch.  The public
+    fields compute the whole orbit first.
+    """
+
+    __slots__ = ("_reason",)
+
+    def __init__(self):
+        super().__init__([])
+        self._reason = "complete"   # 'complete' | 'escaped' | 'zero' | 'range'
+
+    reason = _final("_reason")
+
+    @property
+    def log_mags(self) -> list[float]:
+        return [lc for lc, _, _ in self._drain()]
+
+    @property
+    def log_z(self) -> list[float]:
+        return [lz for _, lz, _ in self._drain()]
+
+    @property
+    def etas(self) -> list[float]:
+        return [eta for _, _, eta in self._drain()]
 
     def fold_bound(self, d: int, upto: int) -> float:
-        """Bound on the accumulated value error: sum 2 eta_k d^-k, k <= upto."""
+        """Bound on the accumulated value error: sum 2 eta_k d^-k, k <= upto.
+
+        Reads the steps computed so far, which must reach step upto.
+        """
         # a plain left-to-right sum, as the fiber kernel keeps it; sum() of
         # floats is compensated from Python 3.12 on
         total = 0.0
-        for k, e in enumerate(self.etas[: upto + 1]):
+        for k, (_, _, e) in enumerate(self._steps[: upto + 1]):
             if e:
                 total += 2.0 * e / d**k
         return total
@@ -287,33 +437,39 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     after z_n itself leaves the double range.  Once the ratio dives
     toward zero and a single monomial of the recursion provably
     dominates, the magnitude continues by the exact dominant log
-    recursion, re-validated at every step.
+    recursion, re-validated at every step.  The steps are computed as
+    they are read (_RatioOrbit).
     """
     term_list = _ratio_terms(f, alpha)
     if term_list is None or z == 0:
         return None
-    al = int(alpha)
-    a = f.p.leading_at_zero()
-    log_a = cmath.log(a)
+    ro = _RatioOrbit()
+    ro._source = _ratio_steps(ro, f, int(alpha), term_list, z, w, n_max)
+    return ro
+
+
+def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
+                 term_list: list[tuple[int, int, complex, float]], z: complex,
+                 w: complex, n_max: int) -> Iterator[tuple[float, float, float]]:
+    """ratio_orbit's steps one by one; the end goes on ro."""
+    log_a = cmath.log(f.p.leading_at_zero())
+    tail = _p_tail(f)
     delta = f.delta
     lz = cmath.log(complex(z))
     c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
-    log_mags = [_lmag(c)]
-    zlogs = [lz.real]
-    etas = [0.0]
-    reason = "complete"
+    lc = _lmag(c)
+    yield lc, lz.real, 0.0
     extended = False
     dom = None  # (it, j, log|coeff|) of the validated dominant monomial
-    lc = log_mags[0]
     for _ in range(n_max):
         if lc > ESCAPE_LOG or lz.real > ESCAPE_LOG:
-            reason = "escaped"
-            break
+            ro._reason = "escaped"
+            return
         if not extended and lc == -math.inf:
-            reason = "zero"
-            break
+            ro._reason = "zero"
+            return
         lzr = lz.real
-        corr = _p_tail_log(f, a, lz)
+        corr = _p_tail_log(tail, lz)
         tlogs = [
             (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
             for it, j, _, lb in term_list
@@ -330,8 +486,8 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
                 dom = (it, j, lb)
                 extended = True
             else:
-                reason = "range"
-                break
+                ro._reason = "range"
+                return
             lc = dom[2] + dom[0] * lzr + dom[1] * lc - al * corr.real
             lz = log_a + delta * lz + corr
             step_eta = eta
@@ -343,21 +499,18 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
                     zfac = cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
                     nxt += coeff * (c**j) * zfac
             except OverflowError:
-                reason = "escaped"
-                break
+                ro._reason = "escaped"
+                return
             if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
-                reason = "escaped"
-                break
+                ro._reason = "escaped"
+                return
             lz = log_a + delta * lz + corr
             c = nxt
             lc = _lmag(c)
-        log_mags.append(lc)
-        zlogs.append(lz.real)
-        etas.append(step_eta)
+        yield lc, lz.real, step_eta
         if lc == -math.inf:
-            reason = "zero"
-            break
-    return _RatioOrbit(log_mags, zlogs, etas, reason)
+            ro._reason = "zero"
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -419,29 +572,29 @@ def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
     return GreenEstimate(est.value, est.n_used, est.termination, est.residual + extra)
 
 
-def _series_limit(partials: Iterable[tuple[int, float]], tol: float,
-                  stop: Optional[GreenEstimate] = None) -> GreenEstimate:
-    """The settler's first final estimate over pairs (n, g_n); else stop, else its finish."""
+def _series_limit(partials: Iterable[tuple[int, float]], tol: float) -> GreenEstimate:
+    """The settler's first final estimate over pairs (n, g_n), else its finish."""
     settler = _Settler(tol)
     for n, g in partials:
         est = settler.push(g, n)
         if est is not None:
             return est
-    return settler.finish() if stop is None else stop
+    return settler.finish()
 
 
 def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol: float,
                 plus: bool, tail_m: float, fold: Callable[[int], float],
-                range_end: Optional[int]) -> GreenEstimate:
+                range_end: Callable[[], Optional[int]]) -> GreenEstimate:
     """G_z^alpha, or G_z^{alpha,+} when plus, from pairs (n, log|c_n|).
 
     c_n is the weighted ratio w_n / z_n^alpha.  The pairs are read in
     order up to the first final estimate: a sentinel estimate in place of
     log|c_n| (the orbit hit E_z), an exact zero, an escape, the certified
     tail bound (plus) or the settler.  Past the last pair come zero for
-    plus when the ratio dove below the double range at step range_end,
-    then the settler's finish.  fold(n) bounds the error the orbit itself
-    carries up to step n; it is added to every estimate but the sentinels.
+    plus when the ratio dove below the double range at step range_end()
+    (None otherwise; called only once the pairs have run out), then the
+    settler's finish.  fold(n) bounds the error the orbit itself carries
+    up to step n; it is added to every estimate but the sentinels.
     """
     settler = _Settler(tol)
     for n, lr in pairs:
@@ -465,10 +618,12 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             if est is None:
                 continue
         return _fold_residual(est, fold(est.n_used))
-    if plus and range_end is not None and d >= 2:
+    if plus and d >= 2 and (end := range_end()) is not None:
         # the ratio dove below the double range: every later bounce is
-        # bounded by shrinking z-powers, so the escape rate is zero
-        est = GreenEstimate(0.0, range_end, TERM_CONVERGED, tail_m / d**range_end)
+        # bounded by shrinking z-powers, so the escape rate is zero; it is
+        # converged only when the certified tail bound is below tol
+        bound = tail_m / d**end
+        est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
     else:
         est = settler.finish()
     return _fold_residual(est, fold(est.n_used))
@@ -483,13 +638,19 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
     """G_p(z) = lim delta^-n log|p^n(z)| with delta the order of p at 0."""
     delta = p.order
     logs = orbit_logs(p, None, z, None, n_max)
-    # an exact zero z_n = 0 ends the sequence unless it settled before
-    n_zero = next((n for n, lz, _ in logs.steps if lz == -math.inf), None)
-    stop = None if n_zero is None else GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
-    vals = ((n, lz / delta**n) for n, lz, _ in logs.steps[:n_zero])
-    est = _series_limit(vals, tol, stop)
-    if logs.reason == "escaped" and est.termination == TERM_BUDGET:
-        est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
+    settler = _Settler(tol)
+    for n, lz, _ in logs:
+        if lz == -math.inf:
+            # an exact zero z_n = 0 ends the sequence; it did not settle before
+            est = GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
+            break
+        est = settler.push(lz / delta**n, n)
+        if est is not None:
+            break
+    else:
+        est = settler.finish()
+        if est.termination == TERM_BUDGET and logs.reason == "escaped":
+            est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
     return _fold_residual(est, _switch_fold(logs, delta, est.n_used))
 
 
@@ -517,9 +678,9 @@ def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
 def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
                     plus: bool) -> GreenEstimate:
     tail_m = _plus_tail_constant(c.d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
-    range_end = len(ro.log_mags) - 1 if ro.reason == "range" else None
-    return _settle_gza(enumerate(ro.log_mags), c.d, tol, plus, tail_m,
-                       lambda n: ro.fold_bound(c.d, n), range_end)
+    return _settle_gza(enumerate(lc for lc, _, _ in ro), c.d, tol, plus, tail_m,
+                       lambda n: ro.fold_bound(c.d, n),
+                       lambda: len(ro.log_mags) - 1 if ro.reason == "range" else None)
 
 
 def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
@@ -529,20 +690,23 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
     d = c.d
     b = abs(f.q.terms[c.primary.vertex])
     tail_m = _plus_tail_constant(d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
-    # Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
-    # and their difference cancels catastrophically; when the extension
-    # vertex (g~, d~) sits on the sweep line (g~ = alpha (delta - d~),
-    # exact in rationals), the weighted ratio obeys its own exact
-    # recursion u' = d~ u + (log|b~| - alpha log|a|).
-    g_dom, d_dom = logs.dominant
-    on_line = Fraction(g_dom) + c.alpha * (d_dom - f.delta) == 0
-    u_const = (_lmag(f.q.terms[logs.dominant])
-               - alpha * _lmag(f.p.leading_at_zero()))
     axis_inv = _w_axis_invariant(f)
+
+    def line_recursion() -> Optional[tuple[int, float]]:
+        # Past the switch, log|w_n| and alpha log|z_n| both grow like
+        # delta^n and their difference cancels catastrophically; when the
+        # extension vertex (g~, d~) sits on the sweep line (g~ = alpha
+        # (delta - d~), exact in rationals), the weighted ratio obeys its
+        # own exact recursion u' = d~ u + (log|b~| - alpha log|a|).
+        g_dom, d_dom = logs._dominant
+        if Fraction(g_dom) + c.alpha * (d_dom - f.delta) != 0:
+            return None
+        return d_dom, _lmag(f.q.terms[logs._dominant]) - alpha * _lmag(f.p.leading_at_zero())
 
     def ratio_logs():
         u = None
-        for n, lz, lw in logs.steps:
+        switched, line = False, None   # line_recursion(), read at the switch
+        for n, lz, lw in logs:
             if lw == -math.inf:
                 if axis_inv:
                     yield n, -math.inf
@@ -554,16 +718,17 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                           else GreenEstimate(0.0 if plus else -math.inf, n,
                                              TERM_HIT_EZ, 0.0))
                 return
-            if (logs.switch_step is not None and n >= logs.switch_step
-                    and on_line and u is not None):
-                u = d_dom * u + u_const
+            if not switched and logs._switch_step is not None and n >= logs._switch_step:
+                switched, line = True, line_recursion()
+            if line and u is not None:
+                u = line[0] * u + line[1]
             else:
                 u = lw - (alpha * lz if alpha != 0.0 else 0.0)
             yield n, u
 
-    range_end = logs.steps[-1][0] if logs.reason == "range" else None
     return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
-                       lambda n: _switch_fold(logs, d, n), range_end)
+                       lambda n: _switch_fold(logs, d, n),
+                       lambda: logs.steps[-1][0] if logs.reason == "range" else None)
 
 
 def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -607,13 +772,12 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
     # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
     # past the switch, valid when the extension uses the primary vertex:
     # u' = d u + log|b| - (gamma/d)(n+1) log|a|
-    primary_ext = logs.dominant == c.primary.vertex and c.delta == d
     log_a = _lmag(f.p.leading_at_zero())
-    log_b = _lmag(f.q.terms[logs.dominant])
+    log_b = _lmag(f.q.terms[c.primary.vertex])
     axis_inv = _w_axis_invariant(f)
     u_prev: Optional[float] = None
     est = None
-    for n, lz, lw in logs.steps:
+    for n, lz, lw in logs:
         if lw == -math.inf and lz == -math.inf:
             return GreenEstimate(math.nan, n, TERM_HIT_ZERO, math.inf)
         if lw == -math.inf:
@@ -622,8 +786,8 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
             return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
         if lz == -math.inf:
             return GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
-        if (logs.switch_step is not None and n >= logs.switch_step
-                and primary_ext and u_prev is not None):
+        if (logs._switch_step is not None and n >= logs._switch_step and u_prev is not None
+                and logs._dominant == c.primary.vertex and c.delta == d):
             u = d * u_prev + log_b - (gamma / d) * n * log_a
         else:
             u = lw - (gamma / d) * n * lz
@@ -654,7 +818,7 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
         if ro is not None and ro.reason in ("complete", "zero"):
             alpha = float(c.alpha)
             vals = []
-            for n, (lcn, lzn) in enumerate(zip(ro.log_mags, ro.log_z)):
+            for n, (lcn, lzn, _) in enumerate(ro):
                 if lcn == -math.inf:
                     if axis_inv:
                         return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
@@ -1080,8 +1244,8 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
-    a = f.p.leading_at_zero()
-    log_a = cmath.log(a)
+    log_a = cmath.log(f.p.leading_at_zero())
+    tail = _p_tail(f)
     lz = cmath.log(z)
 
     lanes = len(ws)
@@ -1127,7 +1291,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
             else:
                 put(mask, _DIRECT, 0.0, 0.0)
         elif plus and reason == "range" and base >= 2:
-            put(mask, _CONV, 0.0, tail_m / dn + fold)
+            put(mask, _CONV if tail_m / dn < tol else _BUDGET, 0.0, tail_m / dn + fold)
         else:
             finish(mask)
 
@@ -1187,7 +1351,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
 
             # -- step n -> n + 1
             lzr = lz.real
-            corr = _p_tail_log(f, a, lz)
+            corr = _p_tail_log(tail, lz)
             tl = np.empty((len(terms), live.size))
             for k, (it, j, _, lb) in enumerate(terms):
                 tl[k] = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb

@@ -158,41 +158,49 @@ class InvarianceReport:
 
 def _sample_in_wedge(spec: WedgeSpec, rng: random.Random,
                      z_decades: float = 8.0) -> tuple[complex, complex]:
-    """One quasi-random point: log-uniform |z|, uniform args and |w|."""
+    """One quasi-random point: log-uniform |z|, uniform args and |w|.
+
+    Radii so large that a draw leaves the double range raise ValueError.
+    """
     # rng.uniform(0, b) is 0 + (b - 0) * rng.random(), the same bits as
     # b * rng.random() for b >= 0; the direct form saves a call per draw
     rand = rng.random
     span = z_decades * _LOG10
     lw, lr = spec.float_weights, spec.log_radii
-    if spec.family in ("U_l", "U_l_plus", "U_r1r2_l"):
-        l = lw[0]
-        r2 = spec.radii[-1]
-        lz = lr[0] - span * rand()
-        wa = rand() * r2 * math.exp(l * lz)
-    elif spec.family == "U_l1l2":
-        l1, l2 = lw
-        (r,), (log_r,) = spec.radii, lr
-        # nonempty fibers need |z| < r^(1 + 1/l2) when l2 > 0
-        top = log_r * (1.0 + 1.0 / l2) if l2 > 0 else log_r
-        lz = top - span * rand()
-        hi = r * math.exp(l1 * lz)
-        lo = math.exp((l1 + l2) * lz - l2 * log_r)
-        wa = lo + rand() * (hi - lo)
-    elif spec.family == "V_l":
-        l = lw[0]
-        r, r3 = spec.radii
-        while True:
+    try:
+        if spec.family in ("U_l", "U_l_plus", "U_r1r2_l"):
+            l = lw[0]
+            r2 = spec.radii[-1]
             lz = lr[0] - span * rand()
-            lo = r * math.exp(l * lz)
-            if lo < r3:
-                break
-        wa = lo + rand() * (r3 - lo)
-    else:
-        raise ValueError(f"sampling not supported for family {spec.family}")
-    za = math.exp(lz)
-    z = za * complex(math.cos(t := 2 * math.pi * rand()), math.sin(t))
-    w = wa * complex(math.cos(t2 := 2 * math.pi * rand()), math.sin(t2))
-    return z, w
+            wa = rand() * r2 * math.exp(l * lz)
+        elif spec.family == "U_l1l2":
+            l1, l2 = lw
+            (r,), (log_r,) = spec.radii, lr
+            # nonempty fibers need |z| < r^(1 + 1/l2) when l2 > 0
+            top = log_r * (1.0 + 1.0 / l2) if l2 > 0 else log_r
+            lz = top - span * rand()
+            hi = r * math.exp(l1 * lz)
+            lo = math.exp((l1 + l2) * lz - l2 * log_r)
+            wa = lo + rand() * (hi - lo)
+        elif spec.family == "V_l":
+            l = lw[0]
+            r, r3 = spec.radii
+            while True:
+                lz = lr[0] - span * rand()
+                lo = r * math.exp(l * lz)
+                if lo < r3:
+                    break
+            wa = lo + rand() * (r3 - lo)
+        else:
+            raise ValueError(f"sampling not supported for family {spec.family}")
+        za = math.exp(lz)
+        z = za * complex(math.cos(t := 2 * math.pi * rand()), math.sin(t))
+        w = wa * complex(math.cos(t2 := 2 * math.pi * rand()), math.sin(t2))
+        return z, w
+    except OverflowError:
+        weights = ",".join(map(str, spec.weights))
+        raise ValueError(f"cannot sample {spec.family} with weights {weights} and radii "
+                         f"{spec.radii}: a draw overflows the double range") from None
 
 
 # samples drawn and mapped together; the falsifiability runs of `verify`
@@ -354,7 +362,7 @@ def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,
     decay_run = 0
     in_basin = False
     prev = None
-    for n, log_z, log_w in logs.steps:
+    for n, log_z, log_w in logs:   # steps past the label's decision are never computed
         if log_z == -math.inf:
             return BasinLabel("on_Ez", entry_step=n)
         if _contains_logs(spec, log_z, log_w):

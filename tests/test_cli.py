@@ -91,6 +91,18 @@ def test_verify_wedge_flag(map_file, capsys):
     assert out.startswith("PASS")
 
 
+def test_verify_wedge_overflow_is_reported(map_file, capsys):
+    # at radius 1e141 a draw's lower |w| bound exp((l1 + l2) log|z| - l2 log r)
+    # leaves the double range: an error line and a nonzero exit, no traceback
+    rc = main(["verify", str(map_file), "--wedge", "U_l1l2", "--weights", "3/5,1",
+               "--radii", "1e141"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot sample U_l1l2 with weights 3/5,1")
+    assert "1e+141" in captured.err
+
+
 def test_verify_hull_suite(capsys):
     rc = main(["verify", "--suite", "hull"])
     out = capsys.readouterr().out

@@ -436,6 +436,36 @@ def test_transient_zero_on_non_invariant_axis():
     assert abs(gzi.value - 1.5 * math.log(abs(z))) < 1e-9
 
 
+def test_gzap_range_exit_is_converged_only_below_tol():
+    # when the ratio dives below the double range, G_z^{alpha,+} is 0 with
+    # the certified bound tail_m / d^n; that bound decides the tag
+    from skewdyn.green import fiber_sample, ratio_orbit
+
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    c = classify(f)
+    z = 0.5042848627857037 + 0.002342753301247936j   # direct orbit, alpha = 3/2
+    w = 0.010872111935944177 - 0.002017993161311824j
+    est = g_z_alpha_plus(f, c, z, w, 64, 1e-10)
+    assert (est.value, est.n_used, est.termination) == (0.0, 9, "budget")
+    assert abs(est.residual - 0.21586735246819178) < 1e-15
+    # tol between the bounds at steps 8 and 9 (d = 2): the same exit, converged
+    loose = g_z_alpha_plus(f, c, z, w, 64, 0.3)
+    assert loose == type(est)(0.0, 9, "converged", est.residual)
+    # the weighted-ratio path (alpha = -1), per point and fiber-batched
+    f1 = SkewProduct(UniPoly({2: 0.7491190564317117 + 1.173874525948638j,
+                              3: -0.03676929784416657 - 0.4012973584090531j}),
+                     BiPoly({(1, 3): -0.7746637104387614 - 0.08701674509972251j,
+                             (2, 3): 0.7034450814548691 + 0.4416829017505462j}))
+    c1 = classify(f1)
+    z1 = -0.43861651604717106 - 0.5276023814832417j
+    w1 = 0.3905196576352037 - 0.4691779220356712j
+    assert ratio_orbit(f1, c1.alpha, z1, w1, 64).reason == "range"
+    for tol, tag in ((1e-10, "budget"), (0.3, "converged")):   # bound 0.17 at step 6
+        est = g_z_alpha_plus(f1, c1, z1, w1, 64, tol)
+        assert (est.value, est.n_used, est.termination) == (0.0, 6, tag)
+        assert fiber_sample(f1, c1, "Gzap", z1, [w1], 64, tol).estimates == (est,)
+
+
 def test_n_used_is_the_step_index_past_a_transient_zero():
     # the pixel of test_transient_zero_on_non_invariant_axis: w_8 = 0 has no
     # partial, and the orbit ends as 'range' after step 9; the estimators

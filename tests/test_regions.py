@@ -315,7 +315,7 @@ def test_verify_invariance_matches_per_index_reference(monkeypatch):
     # powers that overflow (eval_skew gives inf) and products that
     # overflow (non-finite, no OverflowError); for the square map, seed 1
     # meets an image whose abs() raises after five exits, and on the huge
-    # U_l1l2 wedge a draw whose math.exp raises after two
+    # U_l1l2 wedge a draw whose math.exp overflows after two
     huge = SkewProduct(UniPoly({2: 1.0, 90: 1.0}), BiPoly({(0, 80): 1.0, (1, 2): 1e300}))
     square = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0}))
     raising = (wedge_u_l(0, 1.6e154), wedge_u_l1l2(Fraction(3, 5), 1, 1e141))
@@ -351,7 +351,8 @@ def test_verify_invariance_matches_per_index_reference(monkeypatch):
                     lambda: _per_index_reference(f, spec, samples, seed, most))
                 got = _report_or_error(lambda: verify_invariance(f, spec, samples, seed, most))
                 assert got == want, (spec, samples, seed, most, block)
-    for spec in raising:
+    # the image's abs() raises OverflowError; the sampler reports its overflow as ValueError
+    for spec, error in zip(raising, ("OverflowError", "ValueError")):
         first, sixteen = (_report_or_error(lambda: verify_invariance(square, spec, 50, 1, most))
                           for most in (1, 16))
-        assert first.startswith("InvarianceReport") and sixteen.startswith("OverflowError")
+        assert first.startswith("InvarianceReport") and sixteen.startswith(error)
