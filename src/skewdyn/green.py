@@ -38,8 +38,9 @@ orbit ends, or a zero anywhere on it, decides how they settle.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
-the direct orbit, whose lanes come out finished and go one by one
-through the same settle routines.
+the direct orbit.  The direct lanes come out finished as arrays, and
+_fiber_direct settles them together, a column of steps at a time, as
+the scalar settle routines settle one orbit.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -583,7 +584,7 @@ def _series_limit(partials: Iterable[tuple[int, float]], tol: float) -> GreenEst
 
 
 def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol: float,
-                plus: bool, tail_m: float, fold: Callable[[int], float],
+                plus: bool, tail_m: float, shift: float, fold: Callable[[int], float],
                 range_end: Callable[[], Optional[int]]) -> GreenEstimate:
     """G_z^alpha, or G_z^{alpha,+} when plus, from pairs (n, log|c_n|).
 
@@ -594,7 +595,8 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
     plus when the ratio dove below the double range at step range_end()
     (None otherwise; called only once the pairs have run out), then the
     settler's finish.  fold(n) bounds the error the orbit itself carries
-    up to step n; it is added to every estimate but the sentinels.
+    up to step n; it is added to every estimate but the sentinels.  shift
+    is added to log|c_n| at the escape exit (_escape_shift).
     """
     settler = _Settler(tol)
     for n, lr in pairs:
@@ -604,7 +606,7 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
         if lr > ESCAPE_LOG:
             # tail past the escape radius is below 1e-12 of the last term
-            est = GreenEstimate(lr / d**n, n, TERM_ESCAPED, 3e-12 / d**n)
+            est = GreenEstimate((lr + shift) / d**n, n, TERM_ESCAPED, 3e-12 / d**n)
         elif plus:
             # converged only when the certified tail bound is below tol;
             # increments alone can sit on the spurious log+ = 0 plateau
@@ -675,12 +677,47 @@ def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
     return sum(abs(coeff) for _, _, coeff, _ in _ratio_terms(f, alpha)) + 1.0
 
 
+def _escape_shift(terms: list[tuple[int, int, complex, float]], d: int) -> float:
+    """log|b|/(d-1), b the (0, d) coefficient of the ratio recursion, when it leads at escape.
+
+    Past the escape radius c' = b c^d (1 + o(1)) when no term has a higher
+    j, so log|c_n| + log|b|/(d-1) grows like d^n exactly and its d^-n
+    multiple is the escape rate; 0.0 where there is no such b or d < 2.
+    """
+    if d < 2 or any(j > d for _, j, _, _ in terms):
+        return 0.0
+    return next((lb / (d - 1) for it, j, _, lb in terms if it == 0 and j == d), 0.0)
+
+
 def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
                     plus: bool) -> GreenEstimate:
     tail_m = _plus_tail_constant(c.d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
-    return _settle_gza(enumerate(lc for lc, _, _ in ro), c.d, tol, plus, tail_m,
+    shift = _escape_shift(_ratio_terms(f, c.alpha), c.d)
+    return _settle_gza(enumerate(lc for lc, _, _ in ro), c.d, tol, plus, tail_m, shift,
                        lambda n: ro.fold_bound(c.d, n),
                        lambda: len(ro.log_mags) - 1 if ro.reason == "range" else None)
+
+
+def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
+    """_plus_tail_constant of G_z^{alpha,+} on the direct orbit."""
+    b = abs(f.q.terms[c.primary.vertex])
+    return _plus_tail_constant(c.d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
+
+
+def _line_recursion(f: SkewProduct, c: Classification, dominant: tuple[int, int]
+                    ) -> Optional[tuple[int, float]]:
+    """(d~, log|b~| - alpha log|a|) when the extension vertex lies on the sweep line, else None.
+
+    Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
+    and their difference cancels catastrophically; when the extension
+    vertex (g~, d~) sits on the sweep line (g~ = alpha (delta - d~), exact
+    in rationals), the weighted ratio obeys its own exact recursion
+    u' = d~ u + (log|b~| - alpha log|a|).
+    """
+    g_dom, d_dom = dominant
+    if Fraction(g_dom) + c.alpha * (d_dom - f.delta) != 0:
+        return None
+    return d_dom, _lmag(f.q.terms[dominant]) - float(c.alpha) * _lmag(f.p.leading_at_zero())
 
 
 def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
@@ -688,24 +725,12 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
     """G_z^alpha, or G_z^{alpha,+} when plus, settled on the direct orbit logs."""
     alpha = float(c.alpha)
     d = c.d
-    b = abs(f.q.terms[c.primary.vertex])
-    tail_m = _plus_tail_constant(d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
+    tail_m = _direct_tail_m(f, c)
     axis_inv = _w_axis_invariant(f)
-
-    def line_recursion() -> Optional[tuple[int, float]]:
-        # Past the switch, log|w_n| and alpha log|z_n| both grow like
-        # delta^n and their difference cancels catastrophically; when the
-        # extension vertex (g~, d~) sits on the sweep line (g~ = alpha
-        # (delta - d~), exact in rationals), the weighted ratio obeys its
-        # own exact recursion u' = d~ u + (log|b~| - alpha log|a|).
-        g_dom, d_dom = logs._dominant
-        if Fraction(g_dom) + c.alpha * (d_dom - f.delta) != 0:
-            return None
-        return d_dom, _lmag(f.q.terms[logs._dominant]) - alpha * _lmag(f.p.leading_at_zero())
 
     def ratio_logs():
         u = None
-        switched, line = False, None   # line_recursion(), read at the switch
+        switched, line = False, None   # _line_recursion(), read at the switch
         for n, lz, lw in logs:
             if lw == -math.inf:
                 if axis_inv:
@@ -719,14 +744,14 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                                              TERM_HIT_EZ, 0.0))
                 return
             if not switched and logs._switch_step is not None and n >= logs._switch_step:
-                switched, line = True, line_recursion()
+                switched, line = True, _line_recursion(f, c, logs._dominant)
             if line and u is not None:
                 u = line[0] * u + line[1]
             else:
                 u = lw - (alpha * lz if alpha != 0.0 else 0.0)
             yield n, u
 
-    return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
+    return _settle_gza(ratio_logs(), d, tol, plus, tail_m, 0.0,
                        lambda n: _switch_fold(logs, d, n),
                        lambda: logs.steps[-1][0] if logs.reason == "range" else None)
 
@@ -888,7 +913,7 @@ def _max_of_limits(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: flo
     value = max(p[0] for p in parts)
     ests = [p[1] for p in parts if p[1] is not None]
     n_used = max((e.n_used for e in ests), default=len(steps) - 1)
-    residual = sum(e.residual for e in ests if math.isfinite(e.residual))
+    residual = sum((e.residual for e in ests), 0.0)   # inf where a part did not settle
     termination = TERM_CONVERGED
     for e in ests:
         if e.termination == TERM_BUDGET:
@@ -980,21 +1005,25 @@ class SubmeanResult:
     conclusive: bool
 
 
-def submean_check(sampler: Callable[[complex], Optional[float]], center: complex,
-                  radius: float, m_points: int = 64) -> SubmeanResult:
+def submean_check(sampler: Callable[[list[complex]], Iterable[Optional[float]]],
+                  center: complex, radius: float, m_points: int = 64) -> SubmeanResult:
     """Sub-mean-value spot check of a function on one complex circle.
 
-    sampler returns the function value at a point of the w-line, or
-    None/non-finite for a sentinel; any sentinel makes the check
-    inconclusive.
+    sampler maps the m_points + 1 points of the w-line, the center first,
+    to the function's values there, in one call (for instance one
+    fiber_sample); None or a non-finite value is a sentinel, and any
+    sentinel makes the check inconclusive.  The values are read in order
+    up to the first sentinel, so a lazy sampler such as map(fn, points)
+    evaluates no point past it.
     """
-    cv = sampler(center)
+    points = [center] + [center + radius * cmath.exp(2j * math.pi * k / m_points)
+                         for k in range(m_points)]
+    values = iter(sampler(points))
+    cv = next(values)
     if cv is None or not math.isfinite(cv):
         return SubmeanResult(math.nan, math.nan, math.nan, False)
     total = 0.0
-    for k in range(m_points):
-        wk = center + radius * cmath.exp(2j * math.pi * k / m_points)
-        val = sampler(wk)
+    for val in values:
         if val is None or not math.isfinite(val):
             return SubmeanResult(cv, math.nan, math.nan, False)
         total += val
@@ -1062,9 +1091,9 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     and G_z with an integer weighted-ratio recursion run all lanes at once
     (_fiber_ratio); so does G_f^alpha at delta = d, which composes that
     G_z^{alpha,+} with the fiber's one G_p (_gfa_composed).  Where an
-    estimator reads the direct orbit alone (_direct_settle), the orbits of
-    all lanes run at once (_fiber_logs) and each lane is settled as the
-    estimator settles it.  Every other case calls the scalar estimator per
+    estimator reads the direct orbit alone (_direct_only), the orbits of
+    all lanes run at once (_fiber_logs) and are settled as arrays
+    (_fiber_direct).  Every other case calls the scalar estimator per
     point.  All give identical results.
     """
     fn = ESTIMATORS[which]
@@ -1085,34 +1114,32 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
         plus = _fiber_ratio(f, c, "Gzap", complex(z), ws, n_max, tol)
         ests = [_gfa_composed(c, est, base) for est in plus]
         rest = [k for k, est in enumerate(ests) if est is None]
-        for k, logs in zip(rest, _fiber_logs(f, c, complex(z), [ws[k] for k in rest], n_max)):
-            ests[k] = _max_of_limits(f, c, logs, tol, float(c.alpha))
-    elif batch and (settle := _direct_settle(f, c, which, z, tol)) is not None:
-        ests = [settle(logs) for logs in _fiber_logs(f, c, complex(z), ws, n_max)]
+        for k, est in zip(rest, _fiber_direct(f, c, which, complex(z),
+                                              [ws[k] for k in rest], n_max, tol)):
+            ests[k] = est
+    elif batch and _direct_only(f, c, which, z):
+        ests = _fiber_direct(f, c, which, complex(z), ws, n_max, tol)
     else:
         ests = [fn(f, c, z, w, n_max, tol) for w in ws]
     return FiberFunctionSample(z=z, ws=ws, estimates=tuple(ests))
 
 
-def _direct_settle(f: SkewProduct, c: Classification, which: str, z: complex,
-                   tol: float) -> Optional[Callable[[_OrbitLogs], GreenEstimate]]:
-    """How estimator `which` settles best_orbit_logs on the fiber z, or None.
+def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> bool:
+    """True where estimator `which` goes straight to best_orbit_logs on the fiber z.
 
-    None unless the per-point estimator goes straight to the direct orbit
-    there without refusing the map; the conditions mirror its branches.
+    False also where the per-point estimator refuses the map; the
+    conditions mirror its branches.
     """
     no_ratio = z == 0 or c.alpha is None or _ratio_terms(f, c.alpha) is None
-    if which in ("Gza", "Gzap") and c.d >= 1 and c.alpha is not None and no_ratio:
-        return lambda logs: _gza_direct(f, c, logs, tol, which == "Gzap")
-    if which == "Gzi" and c.d >= 1 and c.delta == c.d:
-        return lambda logs: _gzi_direct(f, c, logs, tol)
-    if which == "Gz" and no_ratio:
-        return lambda logs: _gz_direct(f, c, logs, tol)
-    if which == "Gf":
-        return lambda logs: _max_of_limits(f, c, logs, tol, 1.0)
-    if which == "Gfa" and c.alpha is not None and (no_ratio or c.delta != c.d):
-        return lambda logs: _max_of_limits(f, c, logs, tol, float(c.alpha))
-    return None
+    if which in ("Gza", "Gzap"):
+        return c.d >= 1 and c.alpha is not None and no_ratio
+    if which == "Gzi":
+        return c.d >= 1 and c.delta == c.d
+    if which == "Gz":
+        return no_ratio
+    if which == "Gfa":
+        return c.alpha is not None and (no_ratio or c.delta != c.d)
+    return which == "Gf"
 
 
 # ---------------------------------------------------------------------------
@@ -1163,8 +1190,8 @@ def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 # -- weighted-ratio kernel
 
 _TAGS = (TERM_CONVERGED, TERM_ESCAPED, TERM_BUDGET, TERM_HIT_ZERO,
-         TERM_DIV_NEG, TERM_DIV_POS)
-_CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS = range(len(_TAGS))
+         TERM_DIV_NEG, TERM_DIV_POS, TERM_HIT_EZ)
+_CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS, _EZ = range(len(_TAGS))
 _DIRECT = len(_TAGS)   # G_z lane settled on the direct orbit instead
 
 
@@ -1241,6 +1268,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
     axis_inv = _w_axis_invariant(f)
     tail_m = _plus_tail_constant(base, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
     terms = _ratio_terms(f, c.alpha)
+    shift = _escape_shift(terms, base)
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
@@ -1318,7 +1346,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
             else:
                 put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
                 esc = lc > ESCAPE_LOG
-                put(esc, _ESC, lc / dn, 3e-12 / dn + fold)
+                put(esc, _ESC, (lc + shift) / dn, 3e-12 / dn + fold)
                 rest = ~zero & ~esc
                 if plus:
                     g = np.where(0.0 > lc, 0.0, lc) / dn
@@ -1406,38 +1434,38 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
             if not live.size:
                 break
 
-    tags = tag.tolist()
-    direct = (_gz_direct(f, c, logs, tol) for logs in
-              _fiber_logs(f, c, z, [w for w, t in zip(ws, tags) if t == _DIRECT], n_max))
-    return [next(direct) if t == _DIRECT else GreenEstimate(v, k, _TAGS[t], r)
-            for v, k, t, r in zip(val.tolist(), used.tolist(), tags, res.tolist())]
+    redo = np.flatnonzero(tag == _DIRECT).tolist()
+    tag[redo] = _BUDGET   # placeholder: these lanes are settled on the direct orbit below
+    ests = _estimates(val, used, tag, res)
+    for k, est in zip(redo, _fiber_direct(f, c, "Gz", z, [ws[k] for k in redo], n_max, tol)):
+        ests[k] = est
+    return ests
+
+
+def _estimates(val: np.ndarray, used: np.ndarray, tag: np.ndarray, res: np.ndarray
+               ) -> list[GreenEstimate]:
+    """One GreenEstimate per lane from its columns; tag indexes _TAGS."""
+    return [GreenEstimate(v, k, _TAGS[t], r)
+            for v, k, t, r in zip(val.tolist(), used.tolist(), tag.tolist(), res.tolist())]
 
 
 # -- direct log-orbit kernel
 
 _CHUNK = 1024   # lanes per batch: their step history is ~1 MB at n_max 64
-_COMPLETE, _ESCAPED, _RANGE = range(3)
-_REASONS = ("complete", "escaped", "range")
+_COMPLETE, _ESCAPED, _RANGE = range(3)   # how an orbit ends, as _OrbitLogs.reason
 
 
 @dataclass
 class _LaneLogs:
-    """orbit_logs of a batch of lanes; row k holds lane k's steps 0..length[k]-1."""
+    """orbit_logs of a batch of lanes; row k holds lane k's steps 0..length[k]-1, then NaN."""
 
     log_z: np.ndarray          # (lanes, n_max + 1)
     log_w: np.ndarray
     length: np.ndarray         # steps per lane
-    reason: np.ndarray         # index into _REASONS
+    reason: np.ndarray         # _COMPLETE, _ESCAPED or _RANGE
     switch_step: np.ndarray    # -1 where the lane never switched
     switch_eta: np.ndarray
-    dominant: tuple[int, int]
-
-    def lane(self, k: int) -> _OrbitLogs:
-        m = int(self.length[k])
-        steps = list(zip(range(m), self.log_z[k, :m].tolist(), self.log_w[k, :m].tolist()))
-        step = int(self.switch_step[k])
-        return _OrbitLogs(steps, _REASONS[self.reason[k]], None if step < 0 else step,
-                          float(self.switch_eta[k]), self.dominant)
+    vertex: np.ndarray         # dominant vertex, as an index into Classification.terms
 
 
 def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
@@ -1467,9 +1495,10 @@ def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
     wr, wi = ws.real.copy(), ws.imag.copy()
     lw = _log_abs(wr, wi)
     lz = np.full(lanes, lzc)
-    out = _LaneLogs(np.empty((lanes, n_max + 1)), np.empty((lanes, n_max + 1)),
+    shape = (lanes, n_max + 1)
+    out = _LaneLogs(np.full(shape, math.nan), np.full(shape, math.nan),
                     np.ones(lanes, int), np.zeros(lanes, np.int8), np.full(lanes, -1),
-                    np.zeros(lanes), dominant)
+                    np.zeros(lanes), np.zeros(lanes, int))
     out.log_z[:, 0], out.log_w[:, 0] = lz, lw
     live = np.arange(lanes)          # row of each running lane
     ext = np.zeros(lanes, bool)      # past the switch to the log recursion
@@ -1569,28 +1598,273 @@ def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
 
 
 def _fiber_logs(f: SkewProduct, c: Classification, z: complex, ws: Iterable[complex],
-                n_max: int) -> Iterator[_OrbitLogs]:
-    """best_orbit_logs(f, c, z, w, n_max) for each lane w of ws, in order.
+                n_max: int) -> Iterator[_LaneLogs]:
+    """best_orbit_logs(f, c, z, w, n_max) for the lanes w of ws, in order.
 
-    The orbits run in batches of _CHUNK lanes; lanes whose primary orbit
-    ends as 'range' retry every alternate vertex together, and each lane
-    becomes an _OrbitLogs only when it is consumed.
+    The orbits run in batches of _CHUNK lanes, one _LaneLogs each.  Lanes
+    whose primary orbit ends as 'range' retry every alternate vertex
+    together; a lane takes an alternate's orbit, and its vertex, where it
+    carries further than the best so far.
     """
     ws = list(ws)
     for start in range(0, len(ws), _CHUNK):
         lanes = np.array(ws[start:start + _CHUNK], dtype=complex)
         best = _lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max)
-        pick = [(best, k) for k in range(lanes.size)]
         retry = np.flatnonzero(best.reason == _RANGE)
-        if retry.size:
-            for term in c.terms[1:]:
-                other = _lanes_orbit_logs(f, term.vertex, z, lanes[retry], n_max)
-                for r, k in enumerate(retry.tolist()):
-                    res, row = pick[k]
-                    if other.length[r] > res.length[row]:
-                        pick[k] = (other, r)
-        for res, row in pick:
-            yield res.lane(row)
+        for t in range(1, len(c.terms) if retry.size else 1):
+            other = _lanes_orbit_logs(f, c.terms[t].vertex, z, lanes[retry], n_max)
+            longer = other.length > best.length[retry]
+            rows = retry[longer]
+            for name in ("log_z", "log_w", "length", "reason", "switch_step", "switch_eta"):
+                getattr(best, name)[rows] = getattr(other, name)[longer]
+            best.vertex[rows] = t
+        yield best
+
+
+# -- direct settles: the scalar settle routines of the direct orbit, per lane
+#
+# A settle reads each lane's steps in order, except the ones it skips (a
+# transient zero w_n = 0 has no partial).  _read compacts the steps it
+# reads to the left of each row, so that column i is the lane's i-th read
+# and step[k, i] the step index an estimate reports as n_used.  A lane's
+# first exit (an exact zero, E_z, an escape, a certified bound) is found
+# by a scan over its columns; the settler runs in lockstep over the
+# columns before it (_lane_limits).
+
+def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
+                  ws: list[complex], n_max: int, tol: float) -> list[GreenEstimate]:
+    """Estimator `which` from best_orbit_logs of every lane w of ws, in order.
+
+    Gza/Gzap, Gzi, Gz, Gf and Gfa settle the batched orbits of _fiber_logs
+    as arrays, as _gza_direct, _gzi_direct, _gz_direct and _max_of_limits
+    settle one orbit.
+    """
+    ests: list[GreenEstimate] = []
+    with np.errstate(all="ignore"):
+        for logs in _fiber_logs(f, c, z, ws, n_max):
+            if which in ("Gza", "Gzap"):
+                cols = _lanes_gza(f, c, logs, tol, which == "Gzap")
+            elif which == "Gzi":
+                cols = _lanes_gzi(f, c, logs, tol)
+            elif which == "Gz":
+                cols = _lanes_gz(f, c, logs, tol)
+            else:
+                cols = _lanes_max(f, c, logs, tol, 1.0 if which == "Gf" else float(c.alpha))
+            ests += _estimates(*cols)
+    return ests
+
+
+def _powers(base: int, count: int) -> np.ndarray:
+    """float(base**k) for k < count, as a float divided by base**k reads it; inf past range."""
+    out = np.full(count, math.inf)
+    for k in range(count):
+        try:
+            out[k] = float(base**k)
+        except OverflowError:
+            break
+    return out
+
+
+def _read(logs: _LaneLogs, skip: np.ndarray, *arrays: np.ndarray) -> tuple:
+    """(step, m, *arrays) with the steps skip marks left out of each row.
+
+    The kept steps of lane k are compacted to its columns 0..m[k]-1, and
+    step[k, i] is the step index of column i; where no step is skipped,
+    step is the one row of column indices, which broadcasts over the
+    lanes.  skip must be False past each lane's end.
+    """
+    if not skip.any():
+        return (np.arange(logs.log_z.shape[1])[None], logs.length, *arrays)
+    keep = (np.arange(logs.log_z.shape[1]) < logs.length[:, None]) & ~skip
+    step = np.argsort(~keep, axis=1, kind="stable")
+    return (step, keep.sum(axis=1), *(np.take_along_axis(a, step, 1) for a in arrays))
+
+
+def _lane_limits(g: np.ndarray, step: np.ndarray, m: np.ndarray, tol: float,
+                 finals: bool = True) -> tuple:
+    """_series_limit per lane over the partials g[k, :m[k]] read at step[k].
+
+    Returns (value, n_used, tag, residual, final); final marks the lanes
+    whose settler gave a final estimate, the others carry its finish.
+    The lanes push their partials in lockstep, a column at a time.
+    Without finals no push is read, as _settle_gza's plus settler does.
+    """
+    rows = np.arange(g.shape[0])
+    last = np.maximum(m - 1, 0)
+    val = g[rows, last]
+    res = np.where(m >= 2, np.abs(val - g[rows, np.maximum(m - 2, 0)]), math.inf)
+    tag = np.where(res < tol, _CONV, _BUDGET).astype(np.int8)
+    val = np.where(m > 0, val, math.nan)
+    col = last
+    final = np.zeros(rows.size, bool)
+    live = np.flatnonzero(m > 2) if finals else rows[:0]   # a final needs two increments
+    settler = _LaneSettler(live.size, tol)
+    k = 0
+    while live.size:
+        conv, div = settler.push(g[live, k], k)
+        stop = conv | div
+        if stop.any():
+            sel, conv = live[stop], conv[stop]
+            inc = settler.last_inc(k)[stop]
+            val[sel] = np.where(conv, g[sel, k], np.where(inc > 0, math.inf, -math.inf))
+            res[sel] = np.abs(inc)
+            tag[sel] = np.where(conv, _CONV, np.where(inc > 0, _DIV_POS, _DIV_NEG))
+            col[sel] = k
+            final[sel] = True
+        k += 1
+        keep = ~stop & (m[live] > k)
+        if not keep.all():
+            live = live[keep]
+            settler.keep(keep)
+    return val, np.where(m > 0, np.broadcast_to(step, g.shape)[rows, col], 0), tag, res, final
+
+
+def _lane_switch_fold(logs: _LaneLogs, powers: np.ndarray, n_used: np.ndarray) -> np.ndarray:
+    """_switch_fold per lane, read at step n_used; powers from _powers(base, ...)."""
+    ss = logs.switch_step
+    return np.where((ss >= 0) & (ss <= n_used),
+                    4 * logs.switch_eta / powers[np.maximum(ss, 0)], 0.0)
+
+
+def _first_exit(exits: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Per lane, the first of its m columns that exits, else m."""
+    exits &= np.arange(exits.shape[1]) < m[:, None]
+    return np.where(exits.any(axis=1), exits.argmax(axis=1), m)
+
+
+def _lanes_gz(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -> tuple:
+    """_gz_direct per lane: (value, n_used, tag, residual)."""
+    powers = _powers(c.lam, logs.log_w.shape[1])
+    zero = logs.log_w == -math.inf   # the NaN past each lane's end compares False
+    step, m, lw = _read(logs, zero, logs.log_w)
+    val, used, tag, res, _ = _lane_limits(lw / powers[step], step, m, tol)
+    res = _fold(res, _lane_switch_fold(logs, powers, used))
+    if _w_axis_invariant(f):
+        hit = zero.any(axis=1)
+        val[hit], used[hit], tag[hit], res[hit] = -math.inf, zero.argmax(axis=1)[hit], _ZERO, 0.0
+    return val, used, tag, res
+
+
+def _lanes_max(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float,
+               z_scale: float) -> tuple:
+    """_max_of_limits per lane: (value, n_used, tag, residual)."""
+    lanes, width = logs.log_z.shape
+    powers = _powers(c.lam, width)
+    z_zeros, w_zeros = logs.log_z == -math.inf, logs.log_w == -math.inf
+    z_zero = z_zeros.any(axis=1)
+    w_zero = w_zeros.any(axis=1) & _w_axis_invariant(f)
+    has_z = ~z_zero & (z_scale != 0.0)
+    z_val = np.full(lanes, 0.0 if z_scale == 0.0 else -math.inf)   # where no z series runs
+    zn = zt = zr = 0
+    if has_z.any():
+        zv, zn, zt, zr, _ = _lane_limits(logs.log_z / powers, np.arange(width)[None],
+                                         logs.length, tol)
+        div = (zt == _DIV_NEG) | (zt == _DIV_POS)
+        z_val = np.where(has_z, np.where(div, np.where((zv < 0) == (z_scale > 0), -math.inf,
+                                                       math.inf), z_scale * zv), z_val)
+    step, m, lw = _read(logs, w_zeros, logs.log_w)
+    wv, wn, wt, wr, _ = _lane_limits(lw / powers[step], step, m, tol)
+    has_w = ~w_zero
+    w_val = np.where(w_zero | (wt == _DIV_NEG), -math.inf, wv)
+    val = np.where(w_val > z_val, w_val, z_val)   # max(z part, w part), as Python's max
+    used = np.where(has_z & has_w, np.maximum(zn, wn),
+                    np.where(has_z, zn, np.where(has_w, wn, logs.length - 1)))
+    res = np.where(has_z, zr, 0.0) + np.where(has_w, wr, 0.0)
+    tag = np.where((has_z & (zt == _BUDGET)) | (has_w & (wt == _BUDGET)), _BUDGET, _CONV)
+    tag = np.where(val == math.inf, _DIV_POS, np.where(val == -math.inf, _ZERO, tag))
+    res = _fold(res, _lane_switch_fold(logs, powers, used))
+    if z_scale < 0:
+        ez = z_zero
+        val[ez], used[ez], tag[ez], res[ez] = math.inf, logs.length[ez] - 1, _EZ, math.inf
+    both = z_zeros & w_zeros
+    hit = both.any(axis=1)
+    val[hit], used[hit], tag[hit], res[hit] = -math.inf, both.argmax(axis=1)[hit], _ZERO, 0.0
+    return val, used, tag, res
+
+
+def _lanes_gza(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float,
+               plus: bool) -> tuple:
+    """_gza_direct per lane: (value, n_used, tag, residual)."""
+    alpha, d = float(c.alpha), c.d
+    powers = _powers(d, logs.log_w.shape[1])
+    bounds = _direct_tail_m(f, c) / powers if d >= 2 else np.full(powers.size, math.inf)
+    # a transient zero (j = 0 terms revive w) has no pair; an invariant axis keeps w = 0
+    skip = (logs.log_w == -math.inf) & (not _w_axis_invariant(f))
+    step, m, lz, lw = _read(logs, skip, logs.log_z, logs.log_w)
+    u = lw - (alpha * lz if alpha != 0.0 else 0.0)
+    lines = [_line_recursion(f, c, term.vertex) for term in c.terms]
+    on_line = np.array([line is not None for line in lines])[logs.vertex]
+    use = on_line[:, None] & (logs.switch_step[:, None] >= 0) & (step >= logs.switch_step[:, None])
+    use[:, 0] = False   # the first pair is read directly
+    if use.any():
+        mult = np.array([float(line[0]) if line else 0.0 for line in lines])[logs.vertex]
+        const = np.array([line[1] if line else 0.0 for line in lines])[logs.vertex]
+        for k in np.flatnonzero(use.any(axis=0)).tolist():
+            u[:, k] = np.where(use[:, k], mult * u[:, k - 1] + const, u[:, k])
+    w_zero = lw == -math.inf
+    ez = (lz == -math.inf) & (alpha != 0.0) & ~w_zero
+    zero = w_zero | (~ez & (u == -math.inf))
+    esc = ~zero & ~ez & (u > ESCAPE_LOG)
+    certified = plus & ~zero & ~ez & ~esc & (bounds[step] < tol)
+    e = _first_exit(zero | ez | esc | certified, m)
+    g = u   # the partials, in place: max(u, 0.0) for plus, over d^n
+    if plus:
+        g[0.0 > g] = 0.0
+    g /= powers[step]
+    val, used, tag, res, final = _lane_limits(g, step, np.minimum(m, e), tol, finals=not plus)
+    rows = np.flatnonzero(~final & (e < m))
+    if rows.size:
+        k = e[rows]
+        n = np.broadcast_to(step, u.shape)[rows, k]
+        kz, ke, kx = zero[rows, k], ez[rows, k], esc[rows, k]
+        low = 0.0 if plus else -math.inf
+        val[rows] = np.where(kz, low, np.where(ke, math.inf if alpha > 0 else low, g[rows, k]))
+        used[rows] = n
+        tag[rows] = np.where(kz, _ZERO, np.where(ke, _EZ, np.where(kx, _ESC, _CONV)))
+        res[rows] = np.where(kz, 0.0, np.where(ke, math.inf if alpha > 0 else 0.0,
+                                               np.where(kx, 3e-12 / powers[n], bounds[n])))
+    if plus and d >= 2:
+        # the ratio dove below the double range at the orbit's last step
+        end = logs.length - 1
+        dove = (e >= m) & (logs.reason == _RANGE)
+        val[dove], used[dove], res[dove] = 0.0, end[dove], bounds[end[dove]]
+        tag[dove] = np.where(bounds[end[dove]] < tol, _CONV, _BUDGET)
+    folded = ~((tag == _ZERO) | (tag == _EZ))
+    res = np.where(folded, _fold(res, _lane_switch_fold(logs, powers, used)), res)
+    return val, used, tag, res
+
+
+def _lanes_gzi(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -> tuple:
+    """_gzi_direct per lane: (value, n_used, tag, residual)."""
+    d, slope = c.d, c.gamma / c.d
+    powers = _powers(d, logs.log_w.shape[1])
+    log_a = _lmag(f.p.leading_at_zero())
+    log_b = _lmag(f.q.terms[c.primary.vertex])
+    w_zeros = logs.log_w == -math.inf
+    skip = w_zeros & (logs.log_z != -math.inf) & (not _w_axis_invariant(f))
+    step, m, lz, lw = _read(logs, skip, logs.log_z, logs.log_w)
+    u = lw - slope * step * lz
+    # the cancellation-free extension, where the primary vertex drives it
+    use = ((logs.vertex == 0) & (logs.switch_step >= 0) & (c.delta == d))[:, None] \
+        & (step >= logs.switch_step[:, None])
+    use[:, 0] = False
+    for k in np.flatnonzero(use.any(axis=0)).tolist():
+        u[:, k] = np.where(use[:, k], d * u[:, k - 1] + log_b - slope * step[:, k] * log_a,
+                           u[:, k])
+    w_zero, z_zero = lw == -math.inf, lz == -math.inf
+    e = _first_exit(w_zero | z_zero, m)
+    u /= powers[step]
+    val, used, tag, res, final = _lane_limits(u, step, np.minimum(m, e), tol)
+    res = _fold(res, _lane_switch_fold(logs, powers, used))
+    rows = np.flatnonzero(~final & (e < m))
+    if rows.size:
+        k = e[rows]
+        kw, kz = w_zero[rows, k], z_zero[rows, k]
+        val[rows] = np.where(kw & kz, math.nan, np.where(kw, -math.inf, math.inf))
+        used[rows] = np.broadcast_to(step, u.shape)[rows, k]
+        tag[rows] = np.where(kw, _ZERO, _EZ)
+        res[rows] = np.where(kw & ~kz, 0.0, math.inf)
+    return val, used, tag, res
 
 
 def _gp_adapter(f: SkewProduct, c: Classification, z: complex, w: complex,

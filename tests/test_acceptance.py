@@ -22,13 +22,12 @@ from skewdyn import (
     functional_residual,
     g_p,
     g_z,
-    g_z_alpha_plus,
     invariance_radii,
     monomial_skew,
     submean_check,
     verify_invariance,
 )
-from skewdyn.green import ESTIMATORS
+from skewdyn.green import ESTIMATORS, fiber_sample
 from skewdyn.newton import Case, newton_polygon, newton_polygon_bruteforce
 from skewdyn.oracles import (
     example_cubic_h,
@@ -313,9 +312,10 @@ def test_criterion_10_plurisubharmonicity_surrogate():
     h = example_cubic_h()
     z0 = 0.5 + 0j
 
-    def sampler(w: complex):
-        est = g_z_alpha_plus(f, c, z0, w, 220, 1e-13)
-        return est.value if est.finite else None
+    def sampler(ws: list[complex]):
+        # one fiber_sample per circle: equal by repr to g_z_alpha_plus per point
+        sample = fiber_sample(f, c, "Gzap", z0, ws, 220, 1e-13)
+        return [est.value if est.finite else None for est in sample.estimates]
 
     def one_sided(center: complex, radius: float):
         # certified side: every dense probe node decided on one side, with a

@@ -244,7 +244,7 @@ def test_submean_harmonic_oracle():
     def sampler(w: complex):
         return math.log(abs(w)) if w != 0 else None
 
-    res = submean_check(sampler, 1.0 + 0.5j, 0.25, 64)
+    res = submean_check(lambda ws: map(sampler, ws), 1.0 + 0.5j, 0.25, 64)
     assert res.conclusive
     assert abs(res.deficit) < 1e-9
 
@@ -259,11 +259,11 @@ def test_submean_subharmonic_side_and_falsifiability():
         return est.value if est.finite else None
 
     # circle crossing the weighted Julia locus (radius reaches past 0.5 J_h)
-    res = submean_check(sampler, 0.30 + 0.30j, 0.35, 128)
+    res = submean_check(lambda ws: map(sampler, ws), 0.30 + 0.30j, 0.35, 128)
     assert res.conclusive
     assert res.deficit <= 1e-9
     # the negated function violates the sub-mean inequality on that circle
-    neg = submean_check(lambda w: -sampler(w), 0.30 + 0.30j, 0.35, 128)
+    neg = submean_check(lambda ws: (-sampler(w) for w in ws), 0.30 + 0.30j, 0.35, 128)
     assert neg.conclusive and neg.deficit > 1e-6
 
 
@@ -394,12 +394,17 @@ def test_fiber_sample_traversal_order(monkeypatch):
         (alpha32, 0j, ws),
         (ptail, 0j, ws),
         (alpha32, 1.5 + 0.5j, ws),
+        # the first lane's weighted ratio escapes with |b| != 1
+        (ESCAPE_MAP, 0.134 - 0.221j, [0.165 + 0.395j]),
     ]
     c32 = classify(alpha32)
     assert best_orbit_logs(alpha32, c32, cases[0][1], cases[0][2][0], 64).dominant == (3, 0)
     assert best_orbit_logs(alpha32, c32, cases[1][1], cases[1][2][0], 64).steps[8][2] == -math.inf
     tail_logs = best_orbit_logs(ptail, classify(ptail), 0.3 + 0.2j, 0.1 - 0.05j, 64)
     assert (tail_logs.reason, tail_logs.steps[-1][0]) == ("range", 4)
+    _, z_esc, (w_esc, *_) = cases[-1]
+    c_esc = classify(ESCAPE_MAP)
+    assert ratio_orbit(ESCAPE_MAP, c_esc.alpha, z_esc, w_esc, 64).reason == "escaped"
     for chunk in (green._CHUNK, 3):
         monkeypatch.setattr(green, "_CHUNK", chunk)
         for f, z, lanes in cases:
@@ -413,6 +418,131 @@ def test_fiber_sample_traversal_order(monkeypatch):
                     assert got == want, (f.q.terms, key, z, n_max, chunk)
     sample = fiber_sample(f0, c0, "Gza", 0.5, ws)
     assert sample.ws == tuple(ws)
+
+
+def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
+    # the direct path settles every lane of a batch as arrays; it must
+    # reproduce the per-point estimators exactly, and settle no lane
+    # through the scalar routines
+    from skewdyn import green
+    from skewdyn.green import _direct_only, best_orbit_logs, fiber_sample
+
+    alpha32 = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    ptail = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
+    w_alt = -0.3125 - 0.020833333333333315j
+    z_zero = 0.5042848627857037 + 0.002342753301247936j
+    w_zero = 0.010872111935944177 - 0.002017993161311824j
+    fibers = [
+        (alpha32, 0.5, [w_alt, 0.1 - 0.05j]),   # the alternate vertex (3, 0) wins the retry
+        (alpha32, z_zero, [w_zero, 0.3 + 0.2j]),   # w_8 = 0: a transient zero, skipped
+        (alpha32, 0j, [0j, 0.2 - 0.1j]),
+        (ptail, 0.3 + 0.2j, [0.1 - 0.05j, 0.01 + 0.02j]),   # ends as 'range' at step 4
+    ]
+    c32 = classify(alpha32)
+    logs = best_orbit_logs(alpha32, c32, 0.5, w_alt, 64)
+    assert logs.dominant == (3, 0) and logs.switch_step is not None
+    assert best_orbit_logs(alpha32, c32, z_zero, w_zero, 64).steps[8][2] == -math.inf
+    assert best_orbit_logs(ptail, classify(ptail), 0.3 + 0.2j, 0.1 - 0.05j, 64).reason == "range"
+    # seeded random maps, one of each Case
+    rng = random.Random(7)
+    grid = [(i, j) for i in range(6) for j in range(5) if i + j >= 2]
+    seen = set()
+    while len(seen) < 4:
+        try:
+            f = SkewProduct(UniPoly({rng.randint(2, 4): cmath.rect(1, rng.uniform(0, 6.3))}),
+                            BiPoly({pt: complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                                    for pt in rng.sample(grid, rng.randint(2, 4))}))
+        except ValueError:
+            continue
+        if classify(f).case not in seen:
+            seen.add(classify(f).case)
+            z = cmath.rect(rng.uniform(0.1, 0.8), rng.uniform(0, 6.3))
+            fibers.append((f, z, [cmath.rect(rng.uniform(0.0, 1.0) ** 2, rng.uniform(0, 6.3))
+                                  for _ in range(4)] + [0j]))
+    runs = []
+    for f, z, lanes in fibers:
+        c = classify(f)
+        for key in ("Gza", "Gzap", "Gzi", "Gz", "Gf", "Gfa"):
+            if _direct_only(f, c, key, z):
+                for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
+                    want = [_estimate_key(ESTIMATORS[key](f, c, z, w, n_max, tol)) for w in lanes]
+                    runs.append((f, c, key, z, lanes, n_max, tol, want))
+    assert len(runs) > 60
+    calls = []
+    for name in ("_gza_direct", "_gzi_direct", "_gz_direct", "_max_of_limits", "orbit_logs"):
+        monkeypatch.setattr(green, name, lambda *a, _name=name: calls.append(_name))
+    for chunk in (green._CHUNK, 3):
+        monkeypatch.setattr(green, "_CHUNK", chunk)
+        for f, c, key, z, lanes, n_max, tol, want in runs:
+            got = fiber_sample(f, c, key, z, lanes, n_max, tol).estimates
+            got = [_estimate_key(e) for e in got]
+            assert got == want, (f.q.terms, key, z, n_max, chunk)
+    assert calls == []   # no lane falls back to the scalar settle
+
+
+# Case 3 with delta = d = 3 and alpha = 1; its ratio recursion
+# c' = (b c^3 + b' c) (1 + p tail) has |b| != 1
+ESCAPE_MAP = SkewProduct(UniPoly({3: 1.28 + 0.40j, 4: 0.22 + 0.16j}),
+                         BiPoly({(0, 3): 0.77 - 0.67j, (2, 1): 0.94 - 0.56j}))
+
+
+def test_ratio_escape_exit_carries_log_b():
+    # past the escape radius c' = b c^3 (1 + o(1)), so the exit reads
+    # (log|c_n| + log|b|/(d - 1)) / d^n; the reference iterates the ratio
+    # recursion c' = q(z, z c) / p(z) itself in mpmath, 45 steps deep
+    import mpmath as mp
+
+    from skewdyn.green import fiber_sample
+
+    f, z, w = ESCAPE_MAP, 0.134 - 0.221j, 0.165 + 0.395j
+    c = classify(f)
+    assert (c.delta, c.d, c.alpha) == (3, 3, 1)
+    with mp.workdps(40):
+        zn, cn = mp.mpc(z), mp.mpc(w) / mp.mpc(z)
+        for _ in range(45):
+            pz = sum(mp.mpc(a) * zn**k for k, a in f.p.terms.items())
+            cn = sum(mp.mpc(b) * zn**i * (zn * cn)**j for (i, j), b in f.q.terms.items()) / pz
+            zn = pz
+        limit = float(mp.log(abs(cn)) / mp.mpf(3) ** 45)
+    for fn, key in ((g_z_alpha, "Gza"), (g_z_alpha_plus, "Gzap")):
+        est = fn(f, c, z, w)
+        assert (est.n_used, est.termination) == (5, "escaped_with_tail")
+        assert abs(est.value - limit) < 1e-12
+        assert fiber_sample(f, c, key, z, [w]).estimates == (est,)
+
+
+def test_max_of_limits_residual_sums_every_part():
+    # G_f and G_f^alpha settle the z and w series apart; the residual is
+    # the float sum of both parts' residuals, inf where a part has a single
+    # partial (n_max 0), and 0.0 where no part runs a series
+    from skewdyn.green import fiber_sample
+
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    c = classify(f)
+    for fn, key in ((g_f, "Gf"), (g_f_alpha, "Gfa")):
+        est = fn(f, c, 0.5, 0.1 - 0.05j, 0)
+        assert (est.n_used, est.termination, est.residual) == (0, "budget", math.inf)
+        assert repr(fiber_sample(f, c, key, 0.5, [0.1 - 0.05j], 0).estimates) == repr((est,))
+    # alpha = 0: the z part is the constant 0, and w = 0 stays on the invariant axis
+    f0 = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5}))
+    c0 = classify(f0)
+    assert c0.alpha == 0
+    est = g_f_alpha(f0, c0, 0.5, 0j)
+    assert (est.value, est.termination) == (0.0, "converged")
+    assert type(est.residual) is float and est.residual == 0.0
+    assert repr(fiber_sample(f0, c0, "Gfa", 0.5, [0j]).estimates) == repr((est,))
+
+
+@pytest.mark.xfail(strict=True, reason="g_z drops its settled ratio estimate when the "
+                   "ratio orbit ends as 'range'; ROADMAP item 2 composes G_z instead")
+def test_gz_converges_at_large_budgets():
+    # G_z = G_p = log 0.5 on this fiber; n_max 64 converges at step 35
+    f = example_degenerate(1, 4)
+    c = classify(f)
+    for n_max in (600, 10_000):
+        est = g_z(f, c, 0.5, 0.1 + 0.1j, n_max)
+        assert est.termination == "converged"
+        assert abs(est.value - math.log(0.5)) < 1e-9
 
 
 def test_transient_zero_on_non_invariant_axis():
