@@ -42,6 +42,16 @@ the direct orbit.  The direct lanes come out finished as arrays, and
 _fiber_direct settles them together, a column of steps at a time, as
 the scalar settle routines settle one orbit.
 
+Both direct drivers keep one rule for the alternate vertex of a
+two-dominant-term map: only an orbit that ended 'range' at a refused
+switch tries it, and it resumes from that orbit's last step, switching
+at the very next step or not at all (_alternate_steps).  Past the switch
+an orbit follows the exact log recursion alone (_extension_steps); the
+lane kernel runs that recursion for every switched lane of a batch as
+one column loop (_lanes_tail) and cuts each lane at its exit afterwards.
+A step the recursion overflows ends the orbit as 'range' before it, so
+-inf in an orbit always means an exact zero.
+
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
 """
@@ -52,7 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -119,8 +129,9 @@ class _PulledSteps:
     keeps its running diagnostics on this object.  Every step it yields is
     cached before the source resumes, so several readers see the same
     orbit, none computes a step twice, and the source may read its own
-    steps so far.  A finished orbit (source None) iterates as its plain
-    list.
+    steps so far.  A source may hand the rest of the orbit to a successor
+    source by setting _source to it before it returns.  A finished orbit
+    (source None) iterates as its plain list.
     """
 
     __slots__ = ("_steps", "_source")
@@ -148,16 +159,17 @@ class _PulledSteps:
                 if k < len(steps):   # another reader pulled further meanwhile
                     break
             else:
-                self._source = None
-                return
+                if self._source is source:   # no successor
+                    self._source = None
 
     def _drain(self) -> list:
-        """Every step, the source run to its end first."""
-        if self._source is not None:
-            append = self._steps.append
-            for step in self._source:
+        """Every step, the source (and its successors) run to its end first."""
+        append = self._steps.append
+        while (source := self._source) is not None:
+            for step in source:
                 append(step)
-            self._source = None
+            if self._source is source:
+                self._source = None
         return self._steps
 
 
@@ -237,60 +249,95 @@ def _extension_eta(comps: list, lz: float, lw: float) -> Optional[float]:
 
 
 def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
-               z: complex, w: Optional[complex], n_max: int) -> _OrbitLogs:
+               z: complex, w: Optional[complex], n_max: int,
+               alternates: Iterable[tuple[int, int]] = ()) -> _OrbitLogs:
     """Log-magnitude orbit with validated extension past the float window.
 
     The components are p alone (f a UniPoly; w is ignored and log_w stays
     0) or p and q (f a skew product).  Each is a term table with a
     dominant monomial, (delta, 0) for p and `dominant` for q, whose exact
     log recursion continues the orbit once it leaves the double range.
-    The steps are computed as they are read (_OrbitLogs).
+    Where `dominant` refuses the switch, the alternates of q are tried in
+    order (_alternate_steps).  The steps are computed as they are read
+    (_OrbitLogs).
     """
     logs = _OrbitLogs([], "complete", None, 0.0, dominant)
-    logs._source = _log_steps(logs, f, dominant, z, w, n_max)
+    logs._source = _log_steps(logs, f, dominant, z, w, n_max, alternates)
     return logs
 
 
 def _log_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
                dominant: Optional[tuple[int, int]], z: complex, w: Optional[complex],
-               n_max: int) -> Iterator[tuple[int, float, float]]:
-    """orbit_logs' steps one by one; the switch and the end go on logs."""
+               n_max: int, alternates: Iterable[tuple[int, int]]
+               ) -> Iterator[tuple[int, float, float]]:
+    """orbit_logs' exact steps one by one; the switch and the end go on logs.
+
+    At the switch the log recursion takes over as the successor source.
+    """
     p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
-    delta = p.order
-    comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
-    if q is not None:
-        comps.append((q.terms, dominant))
-        gamma, d = dominant
-        log_b = _lmag(q.terms[dominant])
-    log_a = _lmag(p.leading_at_zero())
+    comps = _components(f, dominant)
     z, w = complex(z), (1 + 0j if q is None else complex(w))
     lz, lw = _lmag(z), _lmag(w)
     yield 0, lz, lw
-    extended = False
     for n in range(1, n_max + 1):
         if lz > ESCAPE_LOG or lw > ESCAPE_LOG:
             logs._reason = "escaped"
             return
-        if not extended and (eta := _extension_eta(comps, lz, lw)) is not None:
+        if (eta := _extension_eta(comps, lz, lw)) is not None:
             if eta < _TAIL_TOL and lz > -math.inf and lw > -math.inf:
-                extended = True
                 logs._switch_step, logs._switch_eta = n, eta
+                logs._source = _extension_steps(logs, f, dominant, n, lz, lw, n_max)
             else:
                 logs._reason = "range"
-                return
-        if extended:
-            lz, lw = log_a + delta * lz, (lw if q is None else log_b + gamma * lz + d * lw)
-        else:
-            try:
-                z, w = p(z), (w if q is None else q(z, w))
-            except OverflowError:
-                logs._reason = "escaped"
-                return
-            if not (math.isfinite(abs(z)) and math.isfinite(abs(w))):
-                logs._reason = "escaped"
-                return
-            lz, lw = _lmag(z), _lmag(w)
+                logs._source = _alternate_steps(logs, f, alternates, n, lz, lw, n_max)
+            return
+        try:
+            z, w = p(z), (w if q is None else q(z, w))
+        except OverflowError:
+            logs._reason = "escaped"
+            return
+        if not (math.isfinite(abs(z)) and math.isfinite(abs(w))):
+            logs._reason = "escaped"
+            return
+        lz, lw = _lmag(z), _lmag(w)
         yield n, lz, lw
+
+
+def _components(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]]) -> list:
+    """The term tables of orbit_logs' components, each with its dominant monomial."""
+    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
+    comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (p.order, 0))]
+    if q is not None:
+        comps.append((q.terms, dominant))
+    return comps
+
+
+def _extension_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
+                     dominant: Optional[tuple[int, int]], n: int, lz: float, lw: float,
+                     n_max: int) -> Iterator[tuple[int, float, float]]:
+    """Steps n..n_max by the dominant-monomial log recursion from step n - 1's logs.
+
+    A step past ESCAPE_LOG ends the orbit as 'escaped' after it, as in
+    _log_steps; a non-finite step (the recursion overflowed the double
+    range) ends it as 'range' before it, so -inf on an orbit is always an
+    exact zero.
+    """
+    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
+    delta, log_a = p.order, _lmag(p.leading_at_zero())
+    if q is not None:
+        (gamma, d), log_b = dominant, _lmag(q.terms[dominant])
+    while True:
+        lz, lw = log_a + delta * lz, (lw if q is None else log_b + gamma * lz + d * lw)
+        if not (math.isfinite(lz) and math.isfinite(lw)):
+            logs._reason = "range"
+            return
+        yield n, lz, lw
+        if n == n_max:
+            return
+        n += 1
+        if lz > ESCAPE_LOG or lw > ESCAPE_LOG:
+            logs._reason = "escaped"
+            return
 
 
 def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -301,37 +348,32 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
     primary term fails the dominance check, the alternate may still
     extend the orbit past the float window.
     """
-    logs = orbit_logs(f, c.primary.vertex, z, w, n_max)
-    if len(c.terms) > 1:
-        logs._source = _alternate_steps(logs, logs._source, f, c, z, w, n_max)
-    return logs
+    return orbit_logs(f, c.primary.vertex, z, w, n_max, [term.vertex for term in c.terms[1:]])
 
 
-def _alternate_steps(logs: _OrbitLogs, primary: Optional[Iterator], f: SkewProduct,
-                     c: Classification, z: complex, w: complex, n_max: int
-                     ) -> Iterator[tuple[int, float, float]]:
-    """The primary orbit's steps, then the rest of the alternate that carries furthest.
+def _alternate_steps(logs: _OrbitLogs, f: SkewProduct, alternates: Iterable[tuple[int, int]],
+                     n: int, lz: float, lw: float, n_max: int) -> Optional[Iterator]:
+    """The steps from n on of the alternate that carries on past a refused switch, or None.
 
-    primary is the primary orbit's source, None if it is already complete.
-    The alternates are tried only once the primary has ended as 'range'.
-    That end comes at the first step that fails the dominance check, which
-    precedes any switch, and up to it every vertex computes the same exact
-    steps.  An alternate carries further only by switching at that very
-    step, so its steps from its switch on continue the primary's.
+    The primary vertex refused to switch at step n, the first step that
+    fails the dominance check, so its orbit ends as 'range' with step
+    L = n - 1, whose logs are (lz, lw); up to step L every vertex computes
+    the same exact steps.  An alternate carries further only by switching
+    at that very step, so it resumes from step L: it switches where its
+    eta there passes the test, and its log recursion continues the orbit
+    from step n.  At most one vertex passes the test at a point (each
+    bounds the others' terms against its own), so the first that passes
+    is the one that carries furthest.
     """
-    if primary is not None:
-        yield from primary
-    if logs._reason != "range":
-        return
-    best, length = None, len(logs._steps)
-    for term in c.terms[1:]:
-        other = orbit_logs(f, term.vertex, z, w, n_max)
-        if len(other.steps) > length:
-            best, length = other, len(other.steps)
-    if best is not None:
-        logs._reason, logs._dominant = best._reason, best._dominant
-        logs._switch_step, logs._switch_eta = best._switch_step, best._switch_eta
-        yield from best._steps[best._switch_step:]
+    if lz == -math.inf or lw == -math.inf:
+        return None   # an exact zero coordinate cannot switch
+    for vertex in alternates:
+        eta = _extension_eta(_components(f, vertex), lz, lw)
+        if eta < _TAIL_TOL:
+            logs._reason, logs._dominant = "complete", vertex
+            logs._switch_step, logs._switch_eta = n, eta
+            return _extension_steps(logs, f, vertex, n, lz, lw, n_max)
+    return None
 
 
 def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
@@ -1465,135 +1507,220 @@ class _LaneLogs:
     reason: np.ndarray         # _COMPLETE, _ESCAPED or _RANGE
     switch_step: np.ndarray    # -1 where the lane never switched
     switch_eta: np.ndarray
-    vertex: np.ndarray         # dominant vertex, as an index into Classification.terms
+    vertex: np.ndarray         # 0 for the primary vertex, k for the k-th alternate
 
 
-def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
-                      ws: np.ndarray, n_max: int) -> _LaneLogs:
-    """orbit_logs(f, dominant, z, w, n_max) for every lane w of ws at once.
+def _lane_term_logs(keys: list[tuple[int, int]], lz, lw: np.ndarray) -> np.ndarray:
+    """The term logs of _extension_eta per lane at (lz, lw), one row per term key (i, j)."""
+    tl = np.empty((len(keys), lw.size))
+    for t, (i, j) in enumerate(keys):
+        tl[t] = (0.0 if i == 0 else i * lz) + (0.0 if j == 0 else j * lw)
+    return tl
 
-    The exact z_n, its log and the p part of the dominance test are shared
-    by every lane still on the exact orbit and computed once per step.  A
-    lane that passes the test continues on its own log recursion; lanes
-    end as the scalar driver ends them.
+
+def _lane_eta(f: SkewProduct, vertex: tuple[int, int], lz, lw: np.ndarray,
+              tl: np.ndarray) -> np.ndarray:
+    """_extension_eta per lane at (lz, lw) with q's dominant monomial at vertex.
+
+    tl holds q's term logs there (_lane_term_logs).  The terms add up in
+    _extension_eta's order, p's first.
     """
     p_terms, q_terms = f.p.terms, f.q.terms
-    delta = f.delta
-    gamma, d = dominant
-    log_a = _lmag(f.p.leading_at_zero())
-    log_b = _lmag(q_terms[dominant])
-    q_keys = list(q_terms)
-    # neglected terms with their weight |coeff / dominant coeff| in eta
-    p_rest = [(k, abs(coeff) / abs(p_terms[delta])) for k, coeff in p_terms.items()
-              if k != delta]
-    q_rest = [(t, abs(coeff) / abs(q_terms[dominant]))
-              for t, (key, coeff) in enumerate(q_terms.items()) if key != dominant]
+    delta, (gamma, d) = f.delta, vertex
+    eta = np.zeros(lw.size)
+    base, top = delta * lz + 0 * lw, abs(p_terms[delta])
+    for k, coeff in p_terms.items():
+        if k != delta:
+            eta += abs(coeff) / top * _math_map(math.exp, np.minimum(k * lz + 0.0 - base, 700.0))
+    base, top = gamma * lz + d * lw, abs(q_terms[vertex])
+    for (key, coeff), t in zip(q_terms.items(), tl):
+        if key != vertex:
+            eta += abs(coeff) / top * _math_map(math.exp, np.minimum(t - base, 700.0))
+    return eta
 
+
+def _lanes_exact(f: SkewProduct, dominant: tuple[int, int], z: complex, ws: np.ndarray,
+                 n_max: int) -> _LaneLogs:
+    """orbit_logs(f, dominant, z, w, n_max) for every lane w of ws, up to each lane's switch.
+
+    The exact z_n, its log and the p part of the dominance test are shared
+    by every lane and computed once per step; lanes end as the scalar
+    driver ends them.  A lane that passes the dominance test at step n
+    leaves the exact orbit there, with its switch_step n: _lanes_tail
+    computes its steps from n on.
+    """
+    p_terms, q_terms = f.p.terms, f.q.terms
+    q_keys = list(q_terms)
     lanes = ws.size
     zc = complex(z)
     lzc = _lmag(zc)
     wr, wi = ws.real.copy(), ws.imag.copy()
     lw = _log_abs(wr, wi)
-    lz = np.full(lanes, lzc)
     shape = (lanes, n_max + 1)
     out = _LaneLogs(np.full(shape, math.nan), np.full(shape, math.nan),
                     np.ones(lanes, int), np.zeros(lanes, np.int8), np.full(lanes, -1),
                     np.zeros(lanes), np.zeros(lanes, int))
-    out.log_z[:, 0], out.log_w[:, 0] = lz, lw
-    live = np.arange(lanes)          # row of each running lane
-    ext = np.zeros(lanes, bool)      # past the switch to the log recursion
+    out.log_z[:, 0], out.log_w[:, 0] = lzc, lw
+    live = np.arange(lanes)          # row of each lane still on the exact orbit
 
     with np.errstate(all="ignore"):
         for n in range(1, n_max + 1):
-            stop = (lz > ESCAPE_LOG) | (lw > ESCAPE_LOG)
+            stop = (lw > ESCAPE_LOG) | (lzc > ESCAPE_LOG)
             out.reason[live[stop]] = _ESCAPED
-            test = ~ext & ~stop
-            if test.any():
-                # _extension_eta on the exact lanes, whose log|z_n| is lzc
-                lwt = lw[test]
-                tl = np.empty((len(q_keys), lwt.size))
-                for t, (i, j) in enumerate(q_keys):
-                    tl[t] = (0.0 if i == 0 else i * lzc) + (0.0 if j == 0 else j * lwt)
-                top = tl.max(axis=0)
-                q_safe = (top == -math.inf) | (
-                    (top <= _WINDOW) & (top >= -_WINDOW)
-                    & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0))
-                # p's terms sit at (k, 0) with k >= 2: their logs are k lz + 0.0
-                p_safe = _terms_safe([k * lzc + 0.0 for k in p_terms])
-                unsafe = ~q_safe if p_safe else np.ones(lwt.size, bool)
+            # _extension_eta's safety test; p's terms sit at (k, 0) with k >= 2,
+            # so their logs are k lz + 0.0
+            tl = _lane_term_logs(q_keys, lzc, lw)
+            top = tl.max(axis=0)
+            unsafe = ~((top == -math.inf) | (
+                (top <= _WINDOW) & (top >= -_WINDOW)
+                & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0)))
+            if not _terms_safe([k * lzc + 0.0 for k in p_terms]):
+                unsafe[:] = True
+            unsafe &= ~stop
+            if unsafe.any():
                 # an unsafe lane with a zero coordinate cannot switch
-                cand = unsafe & (lwt > -math.inf) & (lzc > -math.inf)
-                eta = np.zeros(lwt.size)
+                cand = unsafe & (lw > -math.inf) & (lzc > -math.inf)
+                eta = np.full(lw.size, math.inf)
                 if cand.any():
-                    lwc, tlc = lwt[cand], tl[:, cand]
-                    sub = np.zeros(lwc.size)
-                    base = delta * lzc + 0 * lwc
-                    for k, weight in p_rest:
-                        sub += weight * _math_map(math.exp,
-                                                  np.minimum(k * lzc + 0.0 - base, 700.0))
-                    base = gamma * lzc + d * lwc
-                    for t, weight in q_rest:
-                        sub += weight * _math_map(math.exp, np.minimum(tlc[t] - base, 700.0))
-                    eta[cand] = sub
-                switch = cand & (eta < _TAIL_TOL)
-                refused = unsafe & ~switch
-                rows = np.flatnonzero(test)
-                out.reason[live[rows[refused]]] = _RANGE
-                stop[rows[refused]] = True
-                ext[rows[switch]] = True
-                out.switch_step[live[rows[switch]]] = n
-                out.switch_eta[live[rows[switch]]] = eta[switch]
+                    eta[cand] = _lane_eta(f, dominant, lzc, lw[cand], tl[:, cand])
+                switch = eta < _TAIL_TOL
+                out.reason[live[unsafe & ~switch]] = _RANGE
+                out.switch_step[live[switch]], out.switch_eta[live[switch]] = n, eta[switch]
+                stop |= unsafe
             if stop.any():
                 keep = ~stop
-                live, wr, wi, lz, lw, ext = (x[keep] for x in (live, wr, wi, lz, lw, ext))
+                live, wr, wi, lw = (x[keep] for x in (live, wr, wi, lw))
             if not live.size:
                 break
 
-            if ext.any():
-                lz_e = lz[ext]
-                lz[ext], lw[ext] = log_a + delta * lz_e, log_b + gamma * lz_e + d * lw[ext]
-            exact = ~ext
-            if exact.any():
-                failed = np.zeros(int(exact.sum()), bool)
-                try:
-                    zn = f.p(zc)
-                    czs = [coeff * zc**i for (i, _), coeff in q_terms.items()]
-                except OverflowError:
-                    failed[:] = True
-                else:
-                    # q(z, w) adds (coeff z^i) w^j in term order; w**j raises
-                    # OverflowError, which ends the lane, where a part of it is infinite
-                    squares = [(wr[exact], wi[exact])]
-                    nr, ni = np.zeros(failed.size), np.zeros(failed.size)
-                    for (_, j), cz in zip(q_keys, czs):
-                        pr, pi = _cpow(squares, j)
-                        failed |= np.isinf(pr) | np.isinf(pi)
-                        tr, ti = _cmul(cz.real, cz.imag, pr, pi)
-                        nr += tr
-                        ni += ti
-                    if not failed.all():
-                        az = abs(zn)
-                        if not math.isfinite(az):
-                            failed[:] = True
-                        else:
-                            ok = ~failed
-                            new_lw = _log_abs(nr[ok], ni[ok])
-                            failed[ok] = ~(np.isfinite(nr[ok]) & np.isfinite(ni[ok]))
-                            zc, lzc = zn, (math.log(az) if az > 0 else -math.inf)
-                            rows = np.flatnonzero(exact)
-                            wr[rows], wi[rows] = nr, ni
-                            lz[rows] = lzc
-                            lw[rows[ok]] = new_lw
-                if failed.any():
-                    gone = np.flatnonzero(exact)[failed]
-                    out.reason[live[gone]] = _ESCAPED
-                    keep = np.ones(live.size, bool)
-                    keep[gone] = False
-                    live, wr, wi, lz, lw, ext = (x[keep] for x in (live, wr, wi, lz, lw, ext))
-            out.log_z[live, n], out.log_w[live, n] = lz, lw
+            failed = np.zeros(live.size, bool)
+            try:
+                zn = f.p(zc)
+                czs = [coeff * zc**i for (i, _), coeff in q_terms.items()]
+            except OverflowError:
+                failed[:] = True
+            else:
+                # q(z, w) adds (coeff z^i) w^j in term order; w**j raises
+                # OverflowError, which ends the lane, where a part of it is infinite
+                squares = [(wr, wi)]
+                nr, ni = np.zeros(live.size), np.zeros(live.size)
+                for (_, j), cz in zip(q_keys, czs):
+                    pr, pi = _cpow(squares, j)
+                    failed |= np.isinf(pr) | np.isinf(pi)
+                    tr, ti = _cmul(cz.real, cz.imag, pr, pi)
+                    nr += tr
+                    ni += ti
+                if not failed.all():
+                    az = abs(zn)
+                    if not math.isfinite(az):
+                        failed[:] = True
+                    else:
+                        ok = ~failed
+                        new_lw = _log_abs(nr[ok], ni[ok])
+                        failed[ok] = ~(np.isfinite(nr[ok]) & np.isfinite(ni[ok]))
+                        zc, lzc = zn, (math.log(az) if az > 0 else -math.inf)
+                        wr, wi = nr, ni
+                        lw[ok] = new_lw
+            if failed.any():
+                out.reason[live[failed]] = _ESCAPED
+                keep = ~failed
+                live, wr, wi, lw = (x[keep] for x in (live, wr, wi, lw))
+            out.log_z[live, n], out.log_w[live, n] = lzc, lw
             out.length[live] = n + 1
             if not live.size:
                 break
+    return out
+
+
+def _lanes_tail(f: SkewProduct, vertices: list[tuple[int, int]], out: _LaneLogs,
+                n_max: int) -> None:
+    """The steps of every switched lane from its switch on, written into out in place.
+
+    A lane that switched at step s continues from its step s - 1 by the
+    log recursion of its vertex, vertices[vertex]:
+    log|z'| = log|a| + delta log|z|, log|w'| = log|b| + gamma log|z| + d log|w|.
+    The lanes run as one column loop, each lane's j-th step landing in its
+    column s + j, with the arithmetic of _extension_steps.  Each lane is
+    then cut at its first exit, as _extension_steps ends an orbit: a
+    non-finite step ends it as 'range' before that step, a step past
+    ESCAPE_LOG before n_max as 'escaped' after it.
+    """
+    rows = np.flatnonzero(out.switch_step >= 0)
+    if not rows.size:
+        return
+    width = n_max + 1
+    start = out.switch_step[rows]
+    lz, lw = out.log_z[rows, start - 1], out.log_w[rows, start - 1]
+    log_a, delta = _lmag(f.p.leading_at_zero()), f.delta
+    v = out.vertex[rows]
+    gamma = np.array([g for g, _ in vertices])[v]
+    d = np.array([dd for _, dd in vertices])[v]
+    log_b = np.array([_lmag(f.q.terms[vx]) for vx in vertices])[v]
+    order = np.argsort(start, kind="stable")   # the lanes with the most steps first
+    rows, start, lz, lw, gamma, d, log_b = (
+        x[order] for x in (rows, start, lz, lw, gamma, d, log_b))
+    flat = rows * width + start                # flat index of each lane's first step
+    zf, wf = out.log_z.reshape(-1), out.log_w.reshape(-1)
+    count = np.searchsorted(start, n_max - np.arange(width - start[0]), side="right")
+    with np.errstate(all="ignore"):   # an overflow to +-inf is cut below
+        for j, k in enumerate(count.tolist()):
+            if k < lz.size:
+                lz, lw, gamma, d, log_b = lz[:k], lw[:k], gamma[:k], d[:k], log_b[:k]
+            lz, lw = log_a + delta * lz, log_b + gamma * lz + d * lw
+            at = flat[:k] + j
+            zf[at], wf[at] = lz, lw
+
+    # cut each lane at its first exit
+    first = start[0]
+    tz, tw = out.log_z[:, first:], out.log_w[:, first:]
+    bad = ~(np.isfinite(tz) & np.isfinite(tw))
+    exits = bad.copy()
+    exits[:, :-1] |= (tz[:, :-1] > ESCAPE_LOG) | (tw[:, :-1] > ESCAPE_LOG)
+    exits = exits[rows] & (np.arange(first, width) >= start[:, None])
+    hit = exits.any(axis=1)
+    out.length[rows] = width
+    if hit.any():
+        rows, col = rows[hit], exits[hit].argmax(axis=1)
+        ranged = bad[rows, col]
+        ends = first + col + ~ranged
+        out.reason[rows] = np.where(ranged, _RANGE, _ESCAPED)
+        out.length[rows] = ends
+        for row, end in zip(rows.tolist(), ends.tolist()):
+            out.log_z[row, end:] = out.log_w[row, end:] = math.nan
+
+
+def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
+                      ws: np.ndarray, n_max: int,
+                      alternates: Sequence[tuple[int, int]] = ()) -> _LaneLogs:
+    """orbit_logs(f, dominant, z, w, n_max, alternates) for every lane w of ws at once.
+
+    _lanes_exact runs the exact orbits.  A lane that refused to switch (a
+    'range' end at step L + 1, L its last step) resumes from step L by the
+    rule of _alternate_steps: the first alternate whose eta there passes
+    the test takes the lane from step L + 1, and its vertex, numbered as
+    [dominant, *alternates].  Then _lanes_tail runs the log recursion of
+    every switched lane, primary and alternate, as one column loop.
+    """
+    vertices = [dominant, *alternates]
+    out = _lanes_exact(f, dominant, z, ws, n_max)
+    # before the tail runs, every 'range' end is a refused switch
+    retry = np.flatnonzero(out.reason == _RANGE)
+    if retry.size and alternates:
+        last = out.length[retry] - 1
+        lz, lw = out.log_z[retry, last], out.log_w[retry, last]
+        cand = (lz > -math.inf) & (lw > -math.inf)   # a zero coordinate cannot switch
+        retry, last, lz, lw = (x[cand] for x in (retry, last, lz, lw))
+        tl = _lane_term_logs(list(f.q.terms), lz, lw)
+        for t in range(1, len(vertices)):
+            eta = _lane_eta(f, vertices[t], lz, lw, tl)
+            win = eta < _TAIL_TOL
+            rows = retry[win]
+            out.reason[rows], out.vertex[rows] = _COMPLETE, t
+            out.switch_step[rows], out.switch_eta[rows] = last[win] + 1, eta[win]
+            # at most one vertex passes the test at a point
+            retry, last, lz, lw, tl = (retry[~win], last[~win], lz[~win], lw[~win],
+                                       tl[:, ~win])
+    _lanes_tail(f, vertices, out, n_max)
     return out
 
 
@@ -1601,24 +1728,17 @@ def _fiber_logs(f: SkewProduct, c: Classification, z: complex, ws: Iterable[comp
                 n_max: int) -> Iterator[_LaneLogs]:
     """best_orbit_logs(f, c, z, w, n_max) for the lanes w of ws, in order.
 
-    The orbits run in batches of _CHUNK lanes, one _LaneLogs each.  Lanes
-    whose primary orbit ends as 'range' retry every alternate vertex
-    together; a lane takes an alternate's orbit, and its vertex, where it
-    carries further than the best so far.
+    The orbits run in batches of _CHUNK lanes, one _LaneLogs each, by
+    _lanes_orbit_logs with the classification's alternate vertices: no
+    alternate runs from step 0, a lane resumes one at the step where its
+    primary orbit ended 'range', and every switched lane of the batch
+    runs its log recursion in one column loop.
     """
     ws = list(ws)
-    for start in range(0, len(ws), _CHUNK):
-        lanes = np.array(ws[start:start + _CHUNK], dtype=complex)
-        best = _lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max)
-        retry = np.flatnonzero(best.reason == _RANGE)
-        for t in range(1, len(c.terms) if retry.size else 1):
-            other = _lanes_orbit_logs(f, c.terms[t].vertex, z, lanes[retry], n_max)
-            longer = other.length > best.length[retry]
-            rows = retry[longer]
-            for name in ("log_z", "log_w", "length", "reason", "switch_step", "switch_eta"):
-                getattr(best, name)[rows] = getattr(other, name)[longer]
-            best.vertex[rows] = t
-        yield best
+    alternates = [term.vertex for term in c.terms[1:]]
+    for begin in range(0, len(ws), _CHUNK):
+        lanes = np.array(ws[begin:begin + _CHUNK], dtype=complex)
+        yield _lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max, alternates)
 
 
 # -- direct settles: the scalar settle routines of the direct orbit, per lane

@@ -98,12 +98,14 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
     body = bytes(to_byte(e) for e in ests)
     pgm_path.write_bytes(header + body)
 
+    # w.real depends on ix alone and w.imag on iy alone: each is formatted once
+    head = f"{job.fiber_z.real!r},{job.fiber_z.imag!r},"
+    re_cols = [f"{head}{w.real!r}," for w in ws[:job.pixels_x]]
+    im_cols = [f"{ws[iy * job.pixels_x].imag!r}," for iy in range(job.pixels_y)]
+    prefixes = (re + im for im in im_cols for re in re_cols)
     lines = ["z_re,z_im,w_re,w_im,value,n_used,termination,residual"]
-    for w, e in zip(ws, ests):
-        lines.append(
-            f"{job.fiber_z.real!r},{job.fiber_z.imag!r},{w.real!r},{w.imag!r},"
-            f"{e.value!r},{e.n_used},{e.termination},{e.residual!r}"
-        )
+    lines += [f"{pre}{e.value!r},{e.n_used},{e.termination},{e.residual!r}"
+              for pre, e in zip(prefixes, ests)]
     csv_path.write_text("\n".join(lines) + "\n")
 
     map_hash = hashlib.sha256(dump_skew_product(f).encode()).hexdigest()

@@ -704,3 +704,21 @@ def test_gzi_functional_identity_random_maps():
             if r is not None:
                 worst = max(worst, r)
     assert worst < 1e-9
+
+
+def test_log_extension_overflow_is_not_an_exact_zero():
+    # log|z_n| = 2^n log 0.5 overflows to -inf near step 1025; the orbit ends
+    # as 'range' before that step, which must not read as z_n = w_n = 0
+    from skewdyn.green import fiber_sample
+
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+    c = classify(f)
+    z, w = 0.5, -0.375 - 0.375j
+    for key, fn in (("Gf", g_f), ("Gfa", g_f_alpha)):
+        want = fn(f, c, z, w, 64)
+        assert (want.value, want.n_used, want.termination) == (-0.561731229503312, 7,
+                                                               "converged")
+        for n_max in (1030, 5000):
+            assert repr(fn(f, c, z, w, n_max)) == repr(want), (key, n_max)
+            got = fiber_sample(f, c, key, z, [w], n_max).estimates[0]
+            assert repr(got) == repr(want), (key, n_max)

@@ -15,11 +15,11 @@ from skewdyn import (
     g_h_infty_plus,
     g_h_zero,
     g_z_alpha,
-    g_z_alpha_plus,
     iterate,
     julia_membership,
     monomial_reference,
 )
+from skewdyn.green import fiber_sample
 from skewdyn.oracles import example_cubic_h, example_degenerate, example_nondegenerate
 
 
@@ -162,18 +162,17 @@ def test_transport_plus_function_grid():
     c = classify(f)
     h = example_cubic_h()
     z0 = 0.5 + 0j
+    ws = [complex(0.5 * (2 * (ix + 0.5) / 64 - 1), 0.5 * (2 * (iy + 0.5) / 64 - 1))
+          for iy in range(64) for ix in range(64)]
+    lhs = fiber_sample(f, c, "Gzap", z0, ws, 200, 1e-12).estimates
     worst = 0.0
     n = 0
-    for iy in range(64):
-        for ix in range(64):
-            w = complex(0.5 * (2 * (ix + 0.5) / 64 - 1),
-                        0.5 * (2 * (iy + 0.5) / 64 - 1))
-            ratio = w / z0
-            if julia_membership(h, ratio, 200) == "boundary_band":
-                continue
-            lhs = g_z_alpha_plus(f, c, z0, w, 200, 1e-12)
-            rhs = g_h_infty_plus(h, ratio, 200, 1e-12)
-            worst = max(worst, abs(lhs.value - rhs))
-            n += 1
+    for w, est in zip(ws, lhs):
+        ratio = w / z0
+        if julia_membership(h, ratio, 200) == "boundary_band":
+            continue
+        rhs = g_h_infty_plus(h, ratio, 200, 1e-12)
+        worst = max(worst, abs(est.value - rhs))
+        n += 1
     assert n > 3000
     assert worst < 1e-6
