@@ -388,6 +388,29 @@ def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
     return 4 * logs._switch_eta / base**logs._switch_step
 
 
+def _over(x, den: int):
+    """x / den for a float x or an array of lanes, as x / float(den) reads it.
+
+    Past the double range, where float(den) raises OverflowError, each
+    finite x is divided exactly as its integer ratio and rounded once, so
+    that base^-n partials stay defined at every step n of a ratio orbit.
+    """
+    try:
+        return x / float(den)
+    except OverflowError:
+        pass
+    if isinstance(x, np.ndarray):
+        return np.array([_over_exact(v, den) for v in x.tolist()], float)
+    return _over_exact(x, den)
+
+
+def _over_exact(x: float, den: int) -> float:
+    if not math.isfinite(x):
+        return x   # inf and nan over a positive den
+    top, bottom = x.as_integer_ratio()
+    return top / (bottom * den)   # int / int rounds the exact quotient once
+
+
 # ---------------------------------------------------------------------------
 # weighted-ratio orbit (integer alpha)
 # ---------------------------------------------------------------------------
@@ -468,7 +491,7 @@ class _RatioOrbit(_PulledSteps):
         total = 0.0
         for k, (_, _, e) in enumerate(self._steps[: upto + 1]):
             if e:
-                total += 2.0 * e / d**k
+                total += _over(2.0 * e, d**k)
         return total
 
 
@@ -648,17 +671,17 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
         if lr > ESCAPE_LOG:
             # tail past the escape radius is below 1e-12 of the last term
-            est = GreenEstimate((lr + shift) / d**n, n, TERM_ESCAPED, 3e-12 / d**n)
+            est = GreenEstimate(_over(lr + shift, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
         elif plus:
             # converged only when the certified tail bound is below tol;
             # increments alone can sit on the spurious log+ = 0 plateau
-            bound = tail_m / d**n if d >= 2 else math.inf
+            bound = _over(tail_m, d**n) if d >= 2 else math.inf
             if bound >= tol:
-                settler.push(max(lr, 0.0) / d**n, n)
+                settler.push(_over(max(lr, 0.0), d**n), n)
                 continue
-            est = GreenEstimate(max(lr, 0.0) / d**n, n, TERM_CONVERGED, bound)
+            est = GreenEstimate(_over(max(lr, 0.0), d**n), n, TERM_CONVERGED, bound)
         else:
-            est = settler.push(lr / d**n, n)
+            est = settler.push(_over(lr, d**n), n)
             if est is None:
                 continue
         return _fold_residual(est, fold(est.n_used))
@@ -666,7 +689,7 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
         # the ratio dove below the double range: every later bounce is
         # bounded by shrinking z-powers, so the escape rate is zero; it is
         # converged only when the certified tail bound is below tol
-        bound = tail_m / d**end
+        bound = _over(tail_m, d**end)
         est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
     else:
         est = settler.finish()
@@ -892,9 +915,9 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
                     break
                 lw = alpha * lzn + lcn
                 if lw > ESCAPE_LOG:
-                    return GreenEstimate(lw / lam**n, n, TERM_ESCAPED,
-                                         3e-12 / lam**n + ro.fold_bound(lam, n))
-                vals.append((n, lw / lam**n))
+                    return GreenEstimate(_over(lw, lam**n), n, TERM_ESCAPED,
+                                         _over(3e-12, lam**n) + ro.fold_bound(lam, n))
+                vals.append((n, _over(lw, lam**n)))
             else:
                 est = _series_limit(vals, tol)
                 return _fold_residual(est, ro.fold_bound(lam, est.n_used))
@@ -1361,7 +1384,8 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
             else:
                 put(mask, _DIRECT, 0.0, 0.0)
         elif plus and reason == "range" and base >= 2:
-            put(mask, _CONV if tail_m / dn < tol else _BUDGET, 0.0, tail_m / dn + fold)
+            bound = _over(tail_m, dn)
+            put(mask, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
         else:
             finish(mask)
 
@@ -1373,32 +1397,32 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
     with np.errstate(all="ignore"):
         while True:
             # -- settle element n of every running lane
-            dn = float(base**n)
+            dn = base**n
             zero = lc == -math.inf
             if gz:
                 lw = alpha * lz.real + lc
                 open_ = rank[live] < 2
                 put(zero & open_, _ZERO if axis_inv else _DIRECT, -math.inf, 0.0)
                 esc = (lw > ESCAPE_LOG) & open_ & ~zero
-                put(esc, _ESC, lw / dn, 3e-12 / dn + fold)
-                g = lw / dn
+                g = _over(lw, dn)
+                put(esc, _ESC, g, _over(3e-12, dn) + fold)
                 conv, div = settler.push(g, n)
                 put_settled(rank[live] == 0, conv, div, g, 1)
                 done = np.zeros(live.size, bool)
             else:
                 put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
                 esc = lc > ESCAPE_LOG
-                put(esc, _ESC, (lc + shift) / dn, 3e-12 / dn + fold)
+                put(esc, _ESC, _over(lc + shift, dn), _over(3e-12, dn) + fold)
                 rest = ~zero & ~esc
                 if plus:
-                    g = np.where(0.0 > lc, 0.0, lc) / dn
-                    bound = tail_m / dn if base >= 2 else math.inf
+                    g = _over(np.where(0.0 > lc, 0.0, lc), dn)
+                    bound = _over(tail_m, dn) if base >= 2 else math.inf
                     if bound < tol:
                         put(rest, _CONV, g, bound + fold)
                     else:
                         settler.push(g, n)
                 else:
-                    g = lc / dn
+                    g = _over(lc, dn)
                     conv, div = settler.push(g, n)
                     put_settled(rest, conv, div, g, 2)
                 done = rank[live] == 2
@@ -1472,7 +1496,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
                 settler.keep(keep)
             lz = log_a + f.delta * lz + corr
             n += 1
-            fold = fold + 2.0 * eta / float(base**n)
+            fold = fold + _over(2.0 * eta, base**n)
             if not live.size:
                 break
 

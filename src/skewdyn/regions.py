@@ -18,6 +18,7 @@ steps, and "in A_f^l" once the orbit enters the target wedge.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -27,7 +28,7 @@ from typing import Iterator, Optional
 
 from .algebra import SkewProduct, eval_skew
 from .newton import Classification
-from .green import _cmul, _cpow, _log_abs, best_orbit_logs, g_p, g_z_alpha
+from .green import _cmul, _cpow, _log_abs, _math_map, best_orbit_logs, g_p, g_z_alpha
 
 # numpy after .green: where no bytecode is cached, compiling green.py with
 # numpy already loaded raises the peak memory of `import skewdyn` by 3 MB
@@ -42,6 +43,8 @@ FAMILIES = ("U_l", "U_r1r2_l", "U_l_plus", "U_l1l2", "V_l", "S_out", "S_in")
 # families whose membership at z = 0 is _axis_member's
 _AXIS_FAMILIES = ("U_l", "U_l_plus", "U_r1r2_l", "U_l1l2", "V_l")
 _LOG10 = math.log(10)
+_TAU = 2 * math.pi
+_Z_DECADES = 8.0        # the sampler draws |z| log-uniformly over this many decades
 
 
 @dataclass(frozen=True)
@@ -156,51 +159,78 @@ class InvarianceReport:
         return not self.violations
 
 
-def _sample_in_wedge(spec: WedgeSpec, rng: random.Random,
-                     z_decades: float = 8.0) -> tuple[complex, complex]:
-    """One quasi-random point: log-uniform |z|, uniform args and |w|.
+def _sample_lanes(spec: WedgeSpec, u: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, Optional[ValueError]]:
+    """Sample lanes from an (n, 4) block of uniforms: log-uniform |z|, uniform args and |w|.
 
-    Radii so large that a draw leaves the double range raise ValueError.
+    Row k gives lane k: u[k, 0] places log|z| in its interval, u[k, 1]
+    places |w| between its bounds over that |z|, and u[k, 2], u[k, 3] give
+    the arguments of z and w.  V_l draws log|z| uniformly from the part of
+    its interval where r |z|^l < r3.  Returns the z and w lanes, cut before the first draw
+    that leaves the double range, and the ValueError that draw raises
+    (None if every draw is finite).  A wedge with no admissible |z|
+    raises ValueError at once.
     """
-    # rng.uniform(0, b) is 0 + (b - 0) * rng.random(), the same bits as
-    # b * rng.random() for b >= 0; the direct form saves a call per draw
-    rand = rng.random
-    span = z_decades * _LOG10
-    lw, lr = spec.float_weights, spec.log_radii
-    try:
-        if spec.family in ("U_l", "U_l_plus", "U_r1r2_l"):
-            l = lw[0]
-            r2 = spec.radii[-1]
-            lz = lr[0] - span * rand()
-            wa = rand() * r2 * math.exp(l * lz)
-        elif spec.family == "U_l1l2":
-            l1, l2 = lw
-            (r,), (log_r,) = spec.radii, lr
-            # nonempty fibers need |z| < r^(1 + 1/l2) when l2 > 0
-            top = log_r * (1.0 + 1.0 / l2) if l2 > 0 else log_r
-            lz = top - span * rand()
-            hi = r * math.exp(l1 * lz)
-            lo = math.exp((l1 + l2) * lz - l2 * log_r)
-            wa = lo + rand() * (hi - lo)
-        elif spec.family == "V_l":
-            l = lw[0]
-            r, r3 = spec.radii
-            while True:
-                lz = lr[0] - span * rand()
-                lo = r * math.exp(l * lz)
-                if lo < r3:
-                    break
-            wa = lo + rand() * (r3 - lo)
+    fam, lw, lr = spec.family, spec.float_weights, spec.log_radii
+    span = _Z_DECADES * _LOG10
+    # log|z| = top - width * u: the interval (top - width, top]
+    if fam in ("U_l", "U_l_plus", "U_r1r2_l"):
+        top, width = lr[0], span
+    elif fam == "U_l1l2":
+        l1, l2 = lw
+        # nonempty fibers need |z| < r^(1 + 1/l2) when l2 > 0
+        top, width = (lr[0] * (1.0 + 1.0 / l2) if l2 > 0 else lr[0]), span
+    elif fam == "V_l":
+        l, (log_r, log_r3) = lw[0], lr
+        # r |z|^l < r3 is l log|z| < log r3 - log r
+        cap = (log_r3 - log_r) / l if l > 0 else (math.inf if log_r < log_r3 else -math.inf)
+        top = min(log_r, cap)
+        width = top - (log_r - span)
+        if not width > 0:
+            raise _sampling_error(spec, f"no |z| in (1e-{_Z_DECADES:g} r, r) has r |z|^l < r3")
+    else:
+        raise ValueError(f"sampling not supported for family {fam}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        lz = top - width * u[:, 0]
+        if fam == "U_l1l2":
+            hi = spec.radii[0] * _exp(l1 * lz)
+            lo = _exp((l1 + l2) * lz - l2 * lr[0])
+            wa = lo + u[:, 1] * (hi - lo)
+        elif fam == "V_l":
+            lo = spec.radii[0] * _exp(l * lz)
+            wa = lo + u[:, 1] * (spec.radii[1] - lo)
         else:
-            raise ValueError(f"sampling not supported for family {spec.family}")
-        za = math.exp(lz)
-        z = za * complex(math.cos(t := 2 * math.pi * rand()), math.sin(t))
-        w = wa * complex(math.cos(t2 := 2 * math.pi * rand()), math.sin(t2))
-        return z, w
+            wa = u[:, 1] * spec.radii[-1] * _exp(lw[0] * lz)
+        # moduli and arguments to points through cmath per lane
+        zs = np.fromiter(map(cmath.rect, _exp(lz).tolist(), (_TAU * u[:, 2]).tolist()),
+                         complex, lz.size)
+        ws = np.fromiter(map(cmath.rect, wa.tolist(), (_TAU * u[:, 3]).tolist()), complex, lz.size)
+    finite = np.isfinite(zs) & np.isfinite(ws)
+    if finite.all():
+        return zs, ws, None
+    cut = int(np.argmin(finite))
+    return zs[:cut], ws[:cut], _sampling_error(spec, "a draw overflows the double range")
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp per lane; inf at the first lane where it overflows and at every later one."""
+    try:
+        return _math_map(math.exp, x)
     except OverflowError:
-        weights = ",".join(map(str, spec.weights))
-        raise ValueError(f"cannot sample {spec.family} with weights {weights} and radii "
-                         f"{spec.radii}: a draw overflows the double range") from None
+        pass
+    out = np.full(x.size, math.inf)
+    for k, v in enumerate(x.tolist()):
+        try:
+            out[k] = math.exp(v)
+        except OverflowError:
+            break
+    return out
+
+
+def _sampling_error(spec: WedgeSpec, why: str) -> ValueError:
+    weights = ",".join(map(str, spec.weights))
+    return ValueError(f"cannot sample {spec.family} with weights {weights} and radii "
+                      f"{spec.radii}: {why}")
 
 
 # samples drawn and mapped together; the falsifiability runs of `verify`
@@ -212,14 +242,23 @@ def verify_invariance(f: SkewProduct, spec: WedgeSpec, samples: int,
                       seed: int, max_violations: int = 16) -> InvarianceReport:
     """Sample the wedge, map once, and report any exits with witnesses.
 
-    Sample idx is drawn from its own generator, seeded (seed << 20) ^ idx,
-    so a report, and the witnesses `verify --wedge` prints, are
-    reproducible, and the samples of a run of N are the first N of a run
-    of M > N.  Exits are reported in index order, up to max_violations.
+    Every sample of a call comes from one random.Random stream, seeded
+    once from seed: sample idx takes uniforms 4 idx ... 4 idx + 3 in
+    index order (_sample_lanes).  So a report, and the witnesses
+    `verify --wedge` prints, are reproducible, distinct seeds (negative
+    ones included) give distinct streams, and the samples of a run of N
+    are the first N of a run of M > N.  Exits are reported in index
+    order, up to max_violations; a draw that overflows raises ValueError
+    after the exits of the samples before it.
     """
     exits = itertools.islice(_exits(f, spec, samples, seed), max(max_violations, 1))
     return InvarianceReport(spec=spec, samples=samples,
                             violations=tuple(Violation(*e) for e in exits))
+
+
+def _stream(seed: int) -> random.Random:
+    """The sampling stream of seed; random.Random seeds from |seed|, so the sign is folded in."""
+    return random.Random(2 * seed if seed >= 0 else -2 * seed - 1)
 
 
 def _exits(f: SkewProduct, spec: WedgeSpec, samples: int, seed: int
@@ -227,52 +266,47 @@ def _exits(f: SkewProduct, spec: WedgeSpec, samples: int, seed: int
     """(point, image) of every sample that leaves the wedge, in index order.
 
     Samples are drawn in blocks of _BLOCK; each block is tested and mapped
-    at once (_block_exits).  A draw that raises is re-raised after the
-    exits of the samples before it, where the per-sample loop would raise.
+    at once (_block_exits).  A draw that overflows is raised after the
+    exits of the samples before it.
     """
-    rng = random.Random()
+    rng = _stream(seed)
     for start in range(0, samples, _BLOCK):
-        points, failure = [], None
-        try:
-            for idx in range(start, min(start + _BLOCK, samples)):
-                rng.seed((seed << 20) ^ idx)   # the stream of random.Random((seed << 20) ^ idx)
-                points.append(_sample_in_wedge(spec, rng))
-        except (ArithmeticError, ValueError) as exc:
-            failure = exc
-        yield from _block_exits(f, spec, points)
+        n = min(_BLOCK, samples - start)
+        u = np.fromiter(iter(rng.random, None), float, 4 * n)   # the stream's next 4 n uniforms
+        zs, ws, failure = _sample_lanes(spec, u.reshape(n, 4))
+        yield from _block_exits(f, spec, zs, ws)
         if failure is not None:
             raise failure
 
 
-def _block_exits(f: SkewProduct, spec: WedgeSpec, points: list
+def _block_exits(f: SkewProduct, spec: WedgeSpec, zs: np.ndarray, ws: np.ndarray
                  ) -> Iterator[tuple[tuple[complex, complex], tuple[complex, complex]]]:
-    """The exits among points, as contains() and eval_skew find them one by one.
+    """The exits among the lanes, as contains() and eval_skew find them one by one.
 
     Moduli come from np.hypot and their logs from math per lane, as abs()
     and contains() take them.  A lane whose batched image is not finite is
     mapped again by eval_skew, which owns the overflow rule, and so is
     every lane of a map with a power CPython forms in polar form.
     """
-    if not points:
+    if not zs.size:
         return
-    lanes = np.fromiter(itertools.chain.from_iterable(points), complex, 2 * len(points))
-    zs, ws = lanes[0::2], lanes[1::2]
+    zr, zi, wr, wi = zs.real, zs.imag, ws.real, ws.imag
     with np.errstate(all="ignore"):
         # a sample outside its wedge (the numerical edge of the closure) is skipped
-        inside, raises = _lanes_contain(spec, zs.real, zs.imag, ws.real, ws.imag)
-        image = _lane_images(f, zs.real, zs.imag, ws.real, ws.imag)
+        inside, raises = _lanes_contain(spec, zr, zi, wr, wi)
+        image = _lane_images(f, zr, zi, wr, wi)
         if image is None:
-            image = np.full((4, zs.size), math.nan)
+            image = np.full((4, zr.size), math.nan)
         for k in np.flatnonzero(inside & ~np.isfinite(image).all(axis=0)).tolist():
-            z1, w1 = eval_skew(f, *points[k])
+            z1, w1 = eval_skew(f, complex(zs[k]), complex(ws[k]))
             image[:, k] = z1.real, z1.imag, w1.real, w1.imag
         kept, raises_image = _lanes_contain(spec, *image)
     hits = raises | (inside & (raises_image | ~kept))
     for k in np.flatnonzero(hits).tolist():
         if raises[k] or raises_image[k]:
             raise OverflowError("absolute value too large")   # as abs() raises it
-        zr, zi, wr, wi = image[:, k].tolist()
-        yield points[k], (complex(zr, zi), complex(wr, wi))
+        zr1, zi1, wr1, wi1 = image[:, k].tolist()
+        yield (complex(zs[k]), complex(ws[k])), (complex(zr1, zi1), complex(wr1, wi1))
 
 
 def _lanes_contain(spec: WedgeSpec, zr, zi, wr, wi) -> tuple[np.ndarray, np.ndarray]:

@@ -103,6 +103,32 @@ def test_verify_wedge_overflow_is_reported(map_file, capsys):
     assert "1e+141" in captured.err
 
 
+@pytest.mark.parametrize("weights, radii", [("1", "0.5,1e-30"), ("0", "0.5,0.4")])
+def test_verify_v_l_without_admissible_z_is_reported(tmp_path, capsys, weights, radii):
+    # r |z|^l >= r3 for every sampled |z|: an error naming the wedge, no endless draw
+    path = tmp_path / "square.skew"
+    path.write_text("p 2 1.0 0.0\nq 0 2 1.0 0.0\n")
+    rc = main(["verify", str(path), "--wedge", "V_l", "--weights", weights,
+               "--radii", radii])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot sample V_l with weights {weights} and radii")
+    assert str(tuple(float(x) for x in radii.split(","))) in captured.err
+
+
+def test_green_gz_past_the_float_range_of_lambda_powers(tmp_path, capsys):
+    # (z^2, z^2): 2**1030 leaves the double range, the estimate does not
+    path = tmp_path / "zz.skew"
+    path.write_text("p 2 1.0 0.0\nq 2 0 1.0 0.0\n")
+    rc = main(["green", str(path), "--function", "Gz", "--point", "0.5,0,0.3,0",
+               "--n-max", "1030"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[:3] == ["value: -0.6931471805599453", "n_used: 3",
+                                    "termination: converged"]
+
+
 def test_verify_hull_suite(capsys):
     rc = main(["verify", "--suite", "hull"])
     out = capsys.readouterr().out

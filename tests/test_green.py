@@ -23,7 +23,7 @@ from skewdyn import (
     monomial_skew,
     submean_check,
 )
-from skewdyn.green import ESTIMATORS
+from skewdyn.green import DEFAULT_TOL, ESTIMATORS, fiber_sample
 from skewdyn.oracles import (
     example_degenerate,
     julia_membership,
@@ -543,6 +543,18 @@ def test_gz_converges_at_large_budgets():
         est = g_z(f, c, 0.5, 0.1 + 0.1j, n_max)
         assert est.termination == "converged"
         assert abs(est.value - math.log(0.5)) < 1e-9
+
+
+def test_gz_past_the_float_range_of_lambda_powers():
+    # on (z^2, z^2), lambda = 2 and 2**n leaves the double range at n = 1024;
+    # the ratio orbit runs on to n_max, so its partials still divide by 2**n
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(2, 0): 1.0}))
+    c = classify(f)
+    for n_max in (1000, 1030, 3000):
+        for est in (g_z(f, c, 0.5, 0.3, n_max),
+                    fiber_sample(f, c, "Gz", 0.5, [0.3], n_max, DEFAULT_TOL).estimates[0]):
+            assert (est.value, est.termination, est.n_used) == (
+                -0.6931471805599453, "converged", 3), n_max
 
 
 def test_transient_zero_on_non_invariant_axis():

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from skewdyn import (
@@ -26,7 +27,7 @@ from skewdyn import (
 )
 from skewdyn.algebra import eval_skew
 from skewdyn.oracles import example_cubic_h, example_degenerate, julia_membership
-from skewdyn.regions import InvarianceReport, Violation, _sample_in_wedge
+from skewdyn.regions import InvarianceReport, Violation, _sample_lanes, _stream
 from skewdyn.suites import invariance_example_case2, invariance_example_case4
 
 
@@ -61,6 +62,14 @@ def test_contains_v_and_s_families():
     assert not contains(s_in, 0.005, 0.02)
 
 
+def _lane_points(spec, rng, count):
+    """count points of the lane sampler, from the next 4 count uniforms of rng."""
+    u = np.array([rng.random() for _ in range(4 * count)]).reshape(count, 4)
+    zs, ws, failure = _sample_lanes(spec, u)
+    assert failure is None
+    return list(zip(zs.tolist(), ws.tolist()))
+
+
 def test_sampler_stays_inside():
     rng = random.Random(1)
     for spec in (
@@ -70,9 +79,33 @@ def test_sampler_stays_inside():
         wedge_case3(2, 0.05),
         WedgeSpec("V_l", (Fraction(1),), (0.1, 0.05)),
     ):
-        for _ in range(200):
-            z, w = _sample_in_wedge(spec, rng)
+        for z, w in _lane_points(spec, rng, 200):
             assert contains(spec, z, w), (spec.family, z, w)
+
+
+def test_v_l_draws_cover_the_admissible_interval():
+    # r |z|^l < r3 cuts log|z| to (log r - 8 log 10, (log r3 - log r) / l]:
+    # the draws fill that interval evenly and all lie in the wedge
+    r, r3 = 0.5, 1e-3
+    spec = WedgeSpec("V_l", (Fraction(1),), (r, r3))
+    lo, hi = math.log(r) - 8 * math.log(10), math.log(r3) - math.log(r)
+    points = _lane_points(spec, random.Random(3), 2000)
+    logs = [math.log(abs(z)) for z, _ in points]
+    assert all(contains(spec, z, w) for z, w in points)
+    assert all(lo < lz <= hi for lz in logs)
+    counts = [0] * 10
+    for lz in logs:
+        counts[min(int((lz - lo) / (hi - lo) * 10), 9)] += 1
+    assert min(counts) > 150 and max(counts) < 250, counts
+
+
+@pytest.mark.parametrize("weights, radii", [((1,), (0.5, 1e-30)), ((0,), (0.5, 0.4))])
+def test_v_l_without_admissible_z_raises(weights, radii):
+    # r |z|^l >= r3 on the whole |z| interval: no sample exists, and no draw may loop
+    spec = WedgeSpec("V_l", tuple(Fraction(x) for x in weights), radii)
+    square = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0}))
+    with pytest.raises(ValueError, match=r"cannot sample V_l with weights \d and radii"):
+        verify_invariance(square, spec, 10, seed=1)
 
 
 def test_monomial_invariance_clean():
@@ -100,14 +133,12 @@ def test_nesting_of_wedges():
     # U^{l'} subset U^l for l' > l (same r); Case 4 wedges nest in U^{l1,l2}
     rng = random.Random(6)
     big, small = wedge_u_l(1, 0.05), wedge_u_l(2, 0.05)
-    for _ in range(300):
-        z, w = _sample_in_wedge(small, rng)
+    for z, w in _lane_points(small, rng, 300):
         assert contains(big, z, w)
     outer = wedge_u_l1l2(Fraction(1, 3), Fraction(5, 3), 0.05)
     inner = wedge_u_l1l2(Fraction(1, 2), Fraction(1), 0.05)
     inside_count = 0
-    for _ in range(300):
-        z, w = _sample_in_wedge(inner, rng)
+    for z, w in _lane_points(inner, rng, 300):
         if contains(outer, z, w):
             inside_count += 1
     assert inside_count == 300
@@ -122,10 +153,9 @@ def test_case4_disjoint_wedges():
     a_spec = wedge_u_l1l2(l1, alpha - l1, 0.05)
     b_spec = wedge_u_l1l2(alpha, l1 + l2 - alpha, 0.05)
     rng = random.Random(7)
-    for _ in range(500):
-        z, w = _sample_in_wedge(a_spec, rng)
+    for z, w in _lane_points(a_spec, rng, 500):
         assert not contains(b_spec, z, w)
-        z, w = _sample_in_wedge(b_spec, rng)
+    for z, w in _lane_points(b_spec, rng, 500):
         assert not contains(a_spec, z, w)
 
 
@@ -275,12 +305,17 @@ def test_invariance_witnesses_random_maps():
     assert tested > 60
 
 
-def _per_index_reference(f, spec, samples, seed, max_violations):
-    """verify_invariance as a loop over the samples, one generator each."""
+def _per_sample_reference(f, spec, samples, seed, max_violations):
+    """verify_invariance as a loop over the lane sampler's points, one sample at a time."""
+    rng = _stream(seed)
+    u = np.array([rng.random() for _ in range(4 * samples)]).reshape(samples, 4)
     violations = []
     for idx in range(samples):
-        rng = random.Random((seed << 20) ^ idx)
-        z, w = _sample_in_wedge(spec, rng)
+        # sample idx reads uniforms 4 idx ... 4 idx + 3, whatever the block
+        zs, ws, failure = _sample_lanes(spec, u[idx:idx + 1])
+        if failure is not None:
+            raise failure
+        (z,), (w,) = zs.tolist(), ws.tolist()
         if not contains(spec, z, w):
             continue
         z1, w1 = eval_skew(f, z, w)
@@ -298,9 +333,9 @@ def _report_or_error(run):
         return repr(exc)
 
 
-def test_verify_invariance_matches_per_index_reference(monkeypatch):
-    # verify_invariance tests and maps its samples a block at a time; its
-    # reports, witnesses included, and its errors must be the loop's
+def test_verify_invariance_matches_per_sample_reference(monkeypatch):
+    # verify_invariance draws, tests and maps its samples a block at a time;
+    # its reports, witnesses included, and its errors must be the loop's
     from skewdyn import regions
 
     case2, case4 = invariance_example_case2(), invariance_example_case4()
@@ -309,16 +344,17 @@ def test_verify_invariance_matches_per_index_reference(monkeypatch):
     # sample 0 of seed 1 maps onto |w| = r exactly, so it exits; at this r
     # np.log (numpy 2.4, x86-64) is one ulp below math.log and would keep it
     r_edge = 0.2917460554893024
-    edge = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 5.488706228112352}))
-    z0, w0 = _sample_in_wedge(wedge_u_l(0, r_edge), random.Random(1 << 20))
+    edge = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 3.8153677885693518}))
+    (z0, w0), = _lane_points(wedge_u_l(0, r_edge), _stream(1), 1)
     assert abs(eval_skew(edge, z0, w0)[1]) == r_edge
     # powers that overflow (eval_skew gives inf) and products that
-    # overflow (non-finite, no OverflowError); for the square map, seed 1
+    # overflow (non-finite, no OverflowError); for the square map, seed 64
     # meets an image whose abs() raises after five exits, and on the huge
-    # U_l1l2 wedge a draw whose math.exp overflows after two
+    # U_l1l2 wedge seed 17 a draw that overflows after two
     huge = SkewProduct(UniPoly({2: 1.0, 90: 1.0}), BiPoly({(0, 80): 1.0, (1, 2): 1e300}))
     square = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0}))
-    raising = (wedge_u_l(0, 1.6e154), wedge_u_l1l2(Fraction(3, 5), 1, 1e141))
+    raising = ((wedge_u_l(0, 1.6e154), 64, 5, "OverflowError"),
+               (wedge_u_l1l2(Fraction(3, 5), 1, 1e141), 17, 2, "ValueError"))
     polar = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (1, 101): 1.0}))  # w**101
     flat = SkewProduct(UniPoly({90: 1.0}), BiPoly({(0, 2): 1.0}))   # z**90 underflows to 0
     s_out = WedgeSpec("S_out", (Fraction(1),), (0.1,))
@@ -333,8 +369,7 @@ def test_verify_invariance_matches_per_index_reference(monkeypatch):
         (case2, WedgeSpec("V_l", (Fraction(1),), (0.3, 0.5)), 600, 8),
         (edge, wedge_u_l(0, r_edge), 1, 1),
         (huge, wedge_u_l(0, 1e5), 600, 9),
-        (square, raising[0], 50, 1),
-        (square, raising[1], 50, 1),
+        *((square, spec, 50, seed) for spec, seed, _, _ in raising),
         (polar, wedge_u_l(0, 3.0), 300, 10),
         (flat, wedge_u_l(0, 0.5), 200, 2),
         (case2, wedge_u_l(1, 0.1), 0, 1),
@@ -348,11 +383,66 @@ def test_verify_invariance_matches_per_index_reference(monkeypatch):
         for f, spec, samples, seed in runs:
             for most in (1, 16):
                 want = _report_or_error(
-                    lambda: _per_index_reference(f, spec, samples, seed, most))
+                    lambda: _per_sample_reference(f, spec, samples, seed, most))
                 got = _report_or_error(lambda: verify_invariance(f, spec, samples, seed, most))
                 assert got == want, (spec, samples, seed, most, block)
     # the image's abs() raises OverflowError; the sampler reports its overflow as ValueError
-    for spec, error in zip(raising, ("OverflowError", "ValueError")):
-        first, sixteen = (_report_or_error(lambda: verify_invariance(square, spec, 50, 1, most))
-                          for most in (1, 16))
+    for spec, seed, exits, error in raising:
+        first, last, past, sixteen = (
+            _report_or_error(lambda: verify_invariance(square, spec, 50, seed, most))
+            for most in (1, exits, exits + 1, 16))
         assert first.startswith("InvarianceReport") and sixteen.startswith(error)
+        assert last.count("Violation(") == exits and past.startswith(error)
+
+
+def test_verify_invariance_prefix_across_blocks(monkeypatch):
+    # the samples of a run of N are the first N of a run of M > N, whatever
+    # the block: the exits of N = 2500 open the report of M = 3000
+    from skewdyn import regions
+
+    f = invariance_example_case2()
+    r1 = invariance_radii(f, classify(f), Fraction(1), 0.05)
+    spec = wedge_u_r1r2(1, 10 * r1, 0.05)
+    reports = []
+    for block in (regions._BLOCK, 10):
+        monkeypatch.setattr(regions, "_BLOCK", block)
+        short, long = (verify_invariance(f, spec, n, 6, max_violations=10_000).violations
+                       for n in (2500, 3000))
+        assert 0 < len(short) < len(long) and long[:len(short)] == short
+        reports.append(long)
+    assert reports[0] == reports[1]
+
+
+def test_verify_invariance_seeds():
+    # the same seed repeats its report; distinct seeds, negative ones
+    # included (random.Random seeds from |seed|), draw distinct samples
+    f = invariance_example_case2()
+    r1 = invariance_radii(f, classify(f), Fraction(1), 0.05)
+    spec = wedge_u_r1r2(1, 10 * r1, 0.05)
+    seeds = (-3, -2, -1, 0, 1, 2, 3, 1 << 40, -(1 << 40))
+    reports = [verify_invariance(f, spec, 500, s, max_violations=1) for s in seeds]
+    assert reports == [verify_invariance(f, spec, 500, s, max_violations=1) for s in seeds]
+    firsts = {_stream(s).random() for s in seeds}
+    assert len(firsts) == len(seeds)
+    witnesses = {rep.violations[0].point for rep in reports}
+    assert len(witnesses) == len(seeds)
+
+
+def test_verify_invariance_seeds_one_stream_per_call(monkeypatch):
+    # one seeding per call, however many samples and blocks it draws
+    from skewdyn import regions
+
+    seeded = []
+
+    class Counting(random.Random):
+        def seed(self, *args, **kwargs):
+            seeded.append(args)
+            super().seed(*args, **kwargs)
+
+    monkeypatch.setattr(regions.random, "Random", Counting)
+    monkeypatch.setattr(regions, "_BLOCK", 100)
+    f = invariance_example_case2()
+    report = verify_invariance(f, wedge_u_l(1, 0.05), 3000, seed=4)
+    assert report.ok and len(seeded) == 1
+    verify_invariance(f, wedge_u_l(1, 0.05), 10, seed=5)
+    assert len(seeded) == 2
