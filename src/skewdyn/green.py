@@ -21,20 +21,24 @@ dominate (the neglected level eta, folded as 4 eta / base^k for a switch
 at step k, is added to the reported residual).  For integer weights alpha
 the weighted ratio c_n = w_n / z_n^alpha satisfies its own polynomial
 recursion with non-negative z-exponents, which reaches far deeper than
-the raw orbit; G_z^alpha, G_z^alpha+ and G_z use it when it applies.  Its
+the raw orbit; G_z^alpha and G_z^alpha+ use it when it applies.  Its
 driver, ratio_orbit, re-validates dominance at every step.  G_z^alpha and
 G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
-_settle_gza, each with its own error fold.
+_settle_gza, each with its own error fold.  Since log|w_n| =
+alpha log|z_n| + log|c_n| exactly, G_z there is composed from parts that
+settle superexponentially, [d = lambda] G_z^alpha + [delta = lambda]
+alpha G_p, as G_f^alpha at delta = d composes G_z^alpha+ with alpha G_p
+(_composed); the direct orbit serves where a part is not finite.
 
 Every estimator reads an orbit in two parts: an orbit producer and a
 settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
 ratio_orbit) are pulled: each returns an orbit whose steps are computed
 only as the settle routine reads them, and cached.  A settle routine
 that reads in order and stops at its exit computes no step past it:
-g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_f^alpha),
-_gzi_direct and regions.classify_point.  g_z's ratio branch, _gz_direct
-and _max_of_limits drain the orbit before they settle, because how the
-orbit ends, or a zero anywhere on it, decides how they settle.
+g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z and
+G_f^alpha), _gzi_direct and regions.classify_point.  _gz_direct and
+_max_of_limits drain the orbit before they settle, because a zero
+anywhere on it decides how they settle.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
@@ -451,14 +455,13 @@ def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
 
 
 class _RatioOrbit(_PulledSteps):
-    """Weighted-ratio orbit steps (log|c_n|, log|z_n|, eta_n), pulled from ratio_orbit.
+    """Weighted-ratio orbit steps (log|c_n|, eta_n), pulled from ratio_orbit.
 
     log|c_n| is -inf for an exact zero; eta_n is the step's neglected-term
     bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
-    G_z^{alpha,+} and the G_z^{alpha,+} part of G_f^alpha, reads the steps
-    in order and stops at its exit.  g_z drains the orbit: how the orbit
-    ends decides between its ratio and its direct branch.  The public
-    fields compute the whole orbit first.
+    G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
+    order and stops at its exit.  The public fields compute the whole
+    orbit first.
     """
 
     __slots__ = ("_reason",)
@@ -471,15 +474,11 @@ class _RatioOrbit(_PulledSteps):
 
     @property
     def log_mags(self) -> list[float]:
-        return [lc for lc, _, _ in self._drain()]
-
-    @property
-    def log_z(self) -> list[float]:
-        return [lz for _, lz, _ in self._drain()]
+        return [lc for lc, _ in self._drain()]
 
     @property
     def etas(self) -> list[float]:
-        return [eta for _, _, eta in self._drain()]
+        return [eta for _, eta in self._drain()]
 
     def fold_bound(self, d: int, upto: int) -> float:
         """Bound on the accumulated value error: sum 2 eta_k d^-k, k <= upto.
@@ -489,7 +488,7 @@ class _RatioOrbit(_PulledSteps):
         # a plain left-to-right sum, as the fiber kernel keeps it; sum() of
         # floats is compensated from Python 3.12 on
         total = 0.0
-        for k, (_, _, e) in enumerate(self._steps[: upto + 1]):
+        for k, (_, e) in enumerate(self._steps[: upto + 1]):
             if e:
                 total += _over(2.0 * e, d**k)
         return total
@@ -516,7 +515,7 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
 
 def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  term_list: list[tuple[int, int, complex, float]], z: complex,
-                 w: complex, n_max: int) -> Iterator[tuple[float, float, float]]:
+                 w: complex, n_max: int) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one; the end goes on ro."""
     log_a = cmath.log(f.p.leading_at_zero())
     tail = _p_tail(f)
@@ -524,7 +523,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     lz = cmath.log(complex(z))
     c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
     lc = _lmag(c)
-    yield lc, lz.real, 0.0
+    yield lc, 0.0
     extended = False
     dom = None  # (it, j, log|coeff|) of the validated dominant monomial
     for _ in range(n_max):
@@ -573,7 +572,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             lz = log_a + delta * lz + corr
             c = nxt
             lc = _lmag(c)
-        yield lc, lz.real, step_eta
+        yield lc, step_eta
         if lc == -math.inf:
             ro._reason = "zero"
             return
@@ -758,7 +757,7 @@ def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: flo
                     plus: bool) -> GreenEstimate:
     tail_m = _plus_tail_constant(c.d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
     shift = _escape_shift(_ratio_terms(f, c.alpha), c.d)
-    return _settle_gza(enumerate(lc for lc, _, _ in ro), c.d, tol, plus, tail_m, shift,
+    return _settle_gza(enumerate(lc for lc, _ in ro), c.d, tol, plus, tail_m, shift,
                        lambda n: ro.fold_bound(c.d, n),
                        lambda: len(ro.log_mags) - 1 if ro.reason == "range" else None)
 
@@ -897,31 +896,28 @@ def _w_axis_invariant(f: SkewProduct) -> bool:
 def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
         n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_z(w) = lim lambda^-n log|w_n|."""
-    lam = c.lam
-    axis_inv = _w_axis_invariant(f)
-    if c.alpha is not None and z != 0:
-        # log|w_n| = alpha log|z_n| + log|c_n| exactly; the weighted-ratio
-        # orbit reaches far deeper than the raw one while the ratio stays
-        # representable (on ratio escape w itself may still decay, so that
-        # case falls back to the direct orbit below)
-        ro = ratio_orbit(f, c.alpha, z, w, n_max)
-        if ro is not None and ro.reason in ("complete", "zero"):
-            alpha = float(c.alpha)
-            vals = []
-            for n, (lcn, lzn, _) in enumerate(ro):
-                if lcn == -math.inf:
-                    if axis_inv:
-                        return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
-                    break
-                lw = alpha * lzn + lcn
-                if lw > ESCAPE_LOG:
-                    return GreenEstimate(_over(lw, lam**n), n, TERM_ESCAPED,
-                                         _over(3e-12, lam**n) + ro.fold_bound(lam, n))
-                vals.append((n, _over(lw, lam**n)))
-            else:
-                est = _series_limit(vals, tol)
-                return _fold_residual(est, ro.fold_bound(lam, est.n_used))
+    ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
+    if ro is not None:
+        est = _gz_composed(f, c, _gza_from_ratio(f, c, ro, tol, plus=False),
+                           g_p(f.p, z, n_max, tol))
+        if est is not None:
+            return est
     return _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
+
+
+def _gz_composed(f: SkewProduct, c: Classification, part: GreenEstimate,
+                 base: GreenEstimate) -> Optional[GreenEstimate]:
+    """G_z = [d = lambda] G_z^alpha + [delta = lambda] alpha G_p, or None.
+
+    None where the direct orbit serves instead: a part that is not finite,
+    or an escape of a ratio recursion with a term c^j, j > d, where
+    d^-n log|c_n| grows without bound once that term leads.
+    """
+    if part.termination == TERM_ESCAPED and any(j > c.d for _, j, _, _ in
+                                                _ratio_terms(f, c.alpha)):
+        return None
+    return _composed(part, base, 1 if c.d == c.lam else 0,
+                     float(c.alpha) if c.delta == c.lam else 0.0)
 
 
 def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
@@ -1005,29 +1001,34 @@ def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
     if c.delta == c.d and z != 0:
         ro = ratio_orbit(f, c.alpha, z, w, n_max)
         if ro is not None:
-            est = _gfa_composed(c, _gza_from_ratio(f, c, ro, tol, plus=True),
-                                g_p(f.p, z, n_max, tol))
+            est = _composed(_gza_from_ratio(f, c, ro, tol, plus=True),
+                            g_p(f.p, z, n_max, tol), 1, float(c.alpha))
             if est is not None:
                 return est
     return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol,
                           z_scale=float(c.alpha))
 
 
-def _gfa_composed(c: Classification, plus: GreenEstimate, base: GreenEstimate
-                  ) -> Optional[GreenEstimate]:
-    """G_f^alpha = alpha G_p + G_z^{alpha,+} at lambda = d, or None if a part is infinite.
+def _composed(part: GreenEstimate, base: GreenEstimate, a: float, b: float
+              ) -> Optional[GreenEstimate]:
+    """a part + b base, from a G_z^alpha or G_z^{alpha,+} part and a G_p base, or None.
 
-    At lambda = d, max(a L_z, L_w) = a L_z + log+ of the weighted ratio,
-    so the two separately convergent parts compose.
+    None unless both parts are finite.  Both settle on their own, so their
+    limits compose: G_z as _gz_composed weighs them, and at lambda = d,
+    max(alpha L_z, L_w) = alpha L_z + log+ of the weighted ratio, so
+    G_f^alpha = G_z^{alpha,+} + alpha G_p.  A part with weight 0 has only
+    to be finite: it adds neither residual nor termination.
     """
-    if not (plus.finite and base.finite):
+    if not (part.finite and base.finite):
         return None
-    alpha = float(c.alpha)
-    term = plus.termination
-    if term == TERM_CONVERGED:
-        term = base.termination
-    return GreenEstimate(alpha * base.value + plus.value, max(plus.n_used, base.n_used),
-                         term, plus.residual + abs(alpha) * base.residual)
+    term, residual = TERM_CONVERGED, 0.0
+    for weight, est in ((a, part), (b, base)):
+        if weight:
+            if term == TERM_CONVERGED:
+                term = est.termination
+            residual += abs(weight) * est.residual
+    return GreenEstimate(a * part.value + b * base.value, max(part.n_used, base.n_used),
+                         term, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1152,14 +1153,15 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
                  tol: float = DEFAULT_TOL) -> FiberFunctionSample:
     """Evaluate one estimator across a fiber {z} x ws, in input order.
 
-    G_p depends on z alone and is estimated once.  G_z^alpha, G_z^{alpha,+}
-    and G_z with an integer weighted-ratio recursion run all lanes at once
-    (_fiber_ratio); so does G_f^alpha at delta = d, which composes that
-    G_z^{alpha,+} with the fiber's one G_p (_gfa_composed).  Where an
-    estimator reads the direct orbit alone (_direct_only), the orbits of
-    all lanes run at once (_fiber_logs) and are settled as arrays
-    (_fiber_direct).  Every other case calls the scalar estimator per
-    point.  All give identical results.
+    G_p depends on z alone and is estimated once.  G_z^alpha and
+    G_z^{alpha,+} with an integer weighted-ratio recursion run all lanes
+    at once (_fiber_ratio).  G_z with d >= 1 and G_f^alpha at delta = d
+    compose those lanes with the fiber's one G_p, as g_z and g_f_alpha
+    compose one point; a lane whose composition is refused takes the
+    direct orbit.  Where an estimator reads the direct orbit alone
+    (_direct_only), the orbits of all lanes run at once (_fiber_logs) and
+    are settled as arrays (_fiber_direct).  Every other case calls the
+    scalar estimator per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
@@ -1169,15 +1171,16 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
              and c.alpha is not None and _ratio_terms(f, c.alpha) is not None)
     if which == "Gp":
         ests = [g_p(f.p, z, n_max, tol)] * len(ws) if ws else []
-    elif ratio and which in ("Gza", "Gzap", "Gz"):
-        if which != "Gz":
-            _require_d(c)
-        ests = _fiber_ratio(f, c, which, complex(z), ws, n_max, tol)
-    elif ratio and which == "Gfa" and c.delta == c.d:
-        # g_f_alpha's composed path; lanes it refuses take the direct orbit
+    elif ratio and which in ("Gza", "Gzap"):
+        _require_d(c)
+        ests = _fiber_ratio(f, c, which == "Gzap", complex(z), ws, n_max, tol)
+    elif ratio and ((which == "Gz" and c.d >= 1) or (which == "Gfa" and c.delta == c.d)):
         base = g_p(f.p, z, n_max, tol)
-        plus = _fiber_ratio(f, c, "Gzap", complex(z), ws, n_max, tol)
-        ests = [_gfa_composed(c, est, base) for est in plus]
+        parts = _fiber_ratio(f, c, which == "Gfa", complex(z), ws, n_max, tol)
+        if which == "Gz":
+            ests = [_gz_composed(f, c, est, base) for est in parts]
+        else:
+            ests = [_composed(est, base, 1, float(c.alpha)) for est in parts]
         rest = [k for k, est in enumerate(ests) if est is None]
         for k, est in zip(rest, _fiber_direct(f, c, which, complex(z),
                                               [ws[k] for k in rest], n_max, tol)):
@@ -1201,7 +1204,7 @@ def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> b
     if which == "Gzi":
         return c.d >= 1 and c.delta == c.d
     if which == "Gz":
-        return no_ratio
+        return no_ratio or c.d < 1
     if which == "Gfa":
         return c.alpha is not None and (no_ratio or c.delta != c.d)
     return which == "Gf"
@@ -1257,7 +1260,6 @@ def _math_map(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
 _TAGS = (TERM_CONVERGED, TERM_ESCAPED, TERM_BUDGET, TERM_HIT_ZERO,
          TERM_DIV_NEG, TERM_DIV_POS, TERM_HIT_EZ)
 _CONV, _ESC, _BUDGET, _ZERO, _DIV_NEG, _DIV_POS, _EZ = range(len(_TAGS))
-_DIRECT = len(_TAGS)   # G_z lane settled on the direct orbit instead
 
 
 def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
@@ -1316,24 +1318,19 @@ def _fold(residual, extra: np.ndarray) -> np.ndarray:
     return np.where(extra > 0, residual + extra, residual)
 
 
-def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
+def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                  ws: tuple, n_max: int, tol: float) -> list[GreenEstimate]:
-    """Gza, Gzap or Gz over a fiber from all weighted-ratio lanes at once.
+    """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
     The z side (log z_n, the p-tail correction, the z-factors of the
     recursion) is computed once per step for the whole fiber.  Lanes are
-    settled online as _settle_gza and g_z settle the scalar orbit and
-    retire once their estimate is final; a G_z lane runs until its orbit
-    ends, because the orbit's end decides between the ratio and the
-    direct branch.
+    settled online as _settle_gza settles the scalar orbit and retire
+    once their estimate is final.
     """
-    plus, gz = which == "Gzap", which == "Gz"
-    base = c.lam if gz else c.d
-    alpha, al = float(c.alpha), int(c.alpha)
-    axis_inv = _w_axis_invariant(f)
-    tail_m = _plus_tail_constant(base, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
+    d, al = c.d, int(c.alpha)
+    tail_m = _plus_tail_constant(d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
     terms = _ratio_terms(f, c.alpha)
-    shift = _escape_shift(terms, base)
+    shift = _escape_shift(terms, d)
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
@@ -1350,95 +1347,67 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
     lc = _log_abs(cr, ci)
     live = np.arange(lanes)           # input index of each running lane
     ext = np.zeros(lanes, bool)       # past the switch to the log recursion
-    fold = np.zeros(lanes)            # running fold_bound(base, n)
+    fold = np.zeros(lanes)            # running fold_bound(d, n)
     settler = _LaneSettler(lanes, tol)
-    # results by input index; rank 2 is final, rank 1 a G_z series limit
-    # that a later escape or zero of the same orbit still overrides
+    # results by input index, and which lanes hold their final estimate
     val, res, used = np.zeros(lanes), np.zeros(lanes), np.zeros(lanes, int)
-    tag, rank = np.zeros(lanes, np.int8), np.zeros(lanes, np.int8)
+    tag, final = np.zeros(lanes, np.int8), np.zeros(lanes, bool)
 
-    def put(mask, t, v, r, rk=2):
+    def put(mask, t, v, r):
         if not mask.any():
             return
         sel = live[mask]
         for arr, x in ((tag, t), (val, v), (res, r)):
             arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
         used[sel] = n
-        rank[sel] = rk
+        final[sel] = True
 
-    def put_settled(mask, conv, div, g, rk):
-        inc = settler.last_inc(n)
-        r = _fold(np.abs(inc), fold)
-        put(mask & conv, _CONV, g, r, rk)
-        up = inc > 0
-        put(mask & div, np.where(up, _DIV_POS, _DIV_NEG),
-            np.where(up, math.inf, -math.inf), r, rk)
-
-    def end(mask, reason):
-        """The orbits of the masked lanes end after element n."""
+    def end(mask, dove=False):
+        """The orbits of the masked lanes end after element n; dove: below the double range."""
         if not mask.any():
             return
-        if gz:
-            if reason == "ok":
-                finish(mask & (rank[live] == 0))
-            else:
-                put(mask, _DIRECT, 0.0, 0.0)
-        elif plus and reason == "range" and base >= 2:
+        if plus and dove and d >= 2:
             bound = _over(tail_m, dn)
             put(mask, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
         else:
-            finish(mask)
-
-    def finish(mask):
-        g, r, conv = settler.finish(n)
-        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
+            g, r, conv = settler.finish(n)
+            put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
 
     n = 0
     with np.errstate(all="ignore"):
         while True:
             # -- settle element n of every running lane
-            dn = base**n
+            dn = d**n
             zero = lc == -math.inf
-            if gz:
-                lw = alpha * lz.real + lc
-                open_ = rank[live] < 2
-                put(zero & open_, _ZERO if axis_inv else _DIRECT, -math.inf, 0.0)
-                esc = (lw > ESCAPE_LOG) & open_ & ~zero
-                g = _over(lw, dn)
-                put(esc, _ESC, g, _over(3e-12, dn) + fold)
-                conv, div = settler.push(g, n)
-                put_settled(rank[live] == 0, conv, div, g, 1)
-                done = np.zeros(live.size, bool)
-            else:
-                put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
-                esc = lc > ESCAPE_LOG
-                put(esc, _ESC, _over(lc + shift, dn), _over(3e-12, dn) + fold)
-                rest = ~zero & ~esc
-                if plus:
-                    g = _over(np.where(0.0 > lc, 0.0, lc), dn)
-                    bound = _over(tail_m, dn) if base >= 2 else math.inf
-                    if bound < tol:
-                        put(rest, _CONV, g, bound + fold)
-                    else:
-                        settler.push(g, n)
+            put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
+            esc = lc > ESCAPE_LOG
+            put(esc, _ESC, _over(lc + shift, dn), _over(3e-12, dn) + fold)
+            rest = ~zero & ~esc
+            if plus:
+                g = _over(np.where(0.0 > lc, 0.0, lc), dn)
+                bound = _over(tail_m, dn) if d >= 2 else math.inf
+                if bound < tol:
+                    put(rest, _CONV, g, bound + fold)
                 else:
-                    g = _over(lc, dn)
-                    conv, div = settler.push(g, n)
-                    put_settled(rest, conv, div, g, 2)
-                done = rank[live] == 2
+                    settler.push(g, n)
+            else:
+                g = _over(lc, dn)
+                conv, div = settler.push(g, n)
+                inc = settler.last_inc(n)
+                r = _fold(np.abs(inc), fold)
+                put(rest & conv, _CONV, g, r)
+                up = inc > 0
+                put(rest & div, np.where(up, _DIV_POS, _DIV_NEG),
+                    np.where(up, math.inf, -math.inf), r)
+            done = final[live]
 
-            # -- orbits that end before step n + 1
-            if n == n_max:
-                end(~done, "ok")
+            # -- the orbits end at the budget, or before step n + 1 where z escapes
+            if n == n_max or lz.real > ESCAPE_LOG:
+                end(~done)
                 break
-            ended = ~done & zero
-            end(ended, "ok")
-            escaping = ~done & ~zero & ((lc > ESCAPE_LOG) | (lz.real > ESCAPE_LOG))
-            end(escaping, "escaped")
-            keep = ~(done | ended | escaping)
-            if not keep.all():
-                live, cr, ci, lc, ext, fold = (
-                    x[keep] for x in (live, cr, ci, lc, ext, fold))
+            if done.any():
+                keep = ~done
+                live, cr, ci, lc, ext, fold = (x[keep] for x in (live, cr, ci, lc, ext, fold))
                 settler.keep(keep)
             if not live.size:
                 break
@@ -1485,8 +1454,8 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
                     cr[exact], ci[exact] = nr, ni
                     new_lc[exact] = _log_abs(nr, ni)
             # a refused extension ends as 'range', a non-finite exact step as 'escaped'
-            end(failed & logm, "range")
-            end(failed & exact, "escaped")
+            end(failed & logm, dove=True)
+            end(failed & exact)
             keep = ~failed
             ext = ext | logm
             lc = new_lc
@@ -1496,16 +1465,11 @@ def _fiber_ratio(f: SkewProduct, c: Classification, which: str, z: complex,
                 settler.keep(keep)
             lz = log_a + f.delta * lz + corr
             n += 1
-            fold = fold + _over(2.0 * eta, base**n)
+            fold = fold + _over(2.0 * eta, d**n)
             if not live.size:
                 break
 
-    redo = np.flatnonzero(tag == _DIRECT).tolist()
-    tag[redo] = _BUDGET   # placeholder: these lanes are settled on the direct orbit below
-    ests = _estimates(val, used, tag, res)
-    for k, est in zip(redo, _fiber_direct(f, c, "Gz", z, [ws[k] for k in redo], n_max, tol)):
-        ests[k] = est
-    return ests
+    return _estimates(val, used, tag, res)
 
 
 def _estimates(val: np.ndarray, used: np.ndarray, tag: np.ndarray, res: np.ndarray

@@ -118,7 +118,8 @@ def test_verify_v_l_without_admissible_z_is_reported(tmp_path, capsys, weights, 
 
 
 def test_green_gz_past_the_float_range_of_lambda_powers(tmp_path, capsys):
-    # (z^2, z^2): 2**1030 leaves the double range, the estimate does not
+    # (z^2, z^2): d = 0, so the direct orbit serves; 2**1030 leaves the
+    # double range, the estimate does not
     path = tmp_path / "zz.skew"
     path.write_text("p 2 1.0 0.0\nq 2 0 1.0 0.0\n")
     rc = main(["green", str(path), "--function", "Gz", "--point", "0.5,0,0.3,0",

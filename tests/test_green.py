@@ -533,10 +533,8 @@ def test_max_of_limits_residual_sums_every_part():
     assert repr(fiber_sample(f0, c0, "Gfa", 0.5, [0j]).estimates) == repr((est,))
 
 
-@pytest.mark.xfail(strict=True, reason="g_z drops its settled ratio estimate when the "
-                   "ratio orbit ends as 'range'; ROADMAP item 2 composes G_z instead")
 def test_gz_converges_at_large_budgets():
-    # G_z = G_p = log 0.5 on this fiber; n_max 64 converges at step 35
+    # G_z = G_p = log 0.5 on this fiber
     f = example_degenerate(1, 4)
     c = classify(f)
     for n_max in (600, 10_000):
@@ -545,9 +543,21 @@ def test_gz_converges_at_large_budgets():
         assert abs(est.value - math.log(0.5)) < 1e-9
 
 
+def test_gz_fiber_lanes_keep_their_estimate_at_large_budgets():
+    # every lane settles at n_max 200 and gives the same estimate at 1000
+    f = example_degenerate(1, 4)
+    c = classify(f)
+    ws = [complex(-0.5 + 0.1 * i, -0.5 + 0.1 * j) for j in range(11) for i in range(11)]
+    short, deep = (fiber_sample(f, c, "Gz", 0.5, ws, n_max, DEFAULT_TOL).estimates
+                   for n_max in (200, 1000))
+    assert all(est.termination != "budget" for est in short)
+    assert [_estimate_key(est) for est in deep] == [_estimate_key(est) for est in short]
+
+
 def test_gz_past_the_float_range_of_lambda_powers():
-    # on (z^2, z^2), lambda = 2 and 2**n leaves the double range at n = 1024;
-    # the ratio orbit runs on to n_max, so its partials still divide by 2**n
+    # on (z^2, z^2), d = 0, so G_z reads the direct orbit, per point and per
+    # fiber; lambda = 2 and 2**n leaves the double range at n = 1024, where
+    # that orbit ends as 'range', long after the estimate settled at step 3
     f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(2, 0): 1.0}))
     c = classify(f)
     for n_max in (1000, 1030, 3000):

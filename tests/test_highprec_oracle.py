@@ -13,6 +13,7 @@ import random
 import mpmath as mp
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, g_z, g_z_alpha
+from skewdyn.green import _gz_direct, best_orbit_logs
 
 mp.mp.dps = 60
 
@@ -56,6 +57,16 @@ def test_estimates_within_reported_residuals():
             continue
         est = g_z(f, c, z, w, n_ref, 0.0)
         ref = float(mp.log(abs(wN)) / mp.mpf(c.lam) ** n_ref)
+        if est != _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_ref), 0.0):
+            # g_z composed [d = lambda] G_z^alpha + [delta = lambda] alpha G_p,
+            # so its depth-n value is that sum of the parts' partials
+            al, lz = mp.mpf(float(c.alpha)), mp.log(abs(zN))
+            ref = mp.mpf(0)
+            if c.d == c.lam:
+                ref += (mp.log(abs(wN)) - al * lz) / mp.mpf(c.d) ** n_ref
+            if c.delta == c.lam:
+                ref += al * lz / mp.mpf(c.delta) ** n_ref
+            ref = float(ref)
         if est.finite and est.n_used == n_ref:
             assert abs(est.value - ref) <= est.residual + 1e-12
             compared += 1

@@ -53,7 +53,7 @@ PINNED = {
         'Gza': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 6.221764478117302e-10),
-        'Gz': (-3.1810843234485566, 56, 'converged', 6.382020582361062e-10),
+        'Gz': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gf': (-0.1863391801841055, 4, 'budget', 0.1863407724185686),
         'Gfa': (0.1863391801841055, 4, 'budget', 0.1863407724185686),
         'label': ('in_A0_and_Afl', 2, False),
@@ -63,7 +63,7 @@ PINNED = {
         'Gza': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666405231785e-11),
-        'Gz': (-0.6190943218145994, 55, 'converged', 5.393263683069599e-11),
+        'Gz': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
         'Gf': (-1.0786524645097908e-10, 55, 'converged', 1.0786526353543655e-10),
         'Gfa': (1.0786524645097908e-10, 55, 'converged', 1.0786526353543655e-10),
         'label': ('in_A0_and_Afl', 3, False),
@@ -73,7 +73,7 @@ PINNED = {
         'Gza': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335648024e-11),
-        'Gz': (-4.412725354843201, 59, 'converged', 5.933475932807947e-11),
+        'Gz': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
         'Gf': (-1.1867038669851e-10, 59, 'converged', 1.1866995267739747e-10),
         'Gfa': (1.1867038669851e-10, 59, 'converged', 1.1866995267739747e-10),
         'label': ('in_A0_and_Afl', 1, False),
@@ -83,7 +83,7 @@ PINNED = {
         'Gza': (-0.3188569292814862, 5, 'converged', 0.0),
         'Gzi': None,
         'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
-        'Gz': (-1.1512925465958026, 54, 'converged', 4.939004760728949e-11),
+        'Gz': (-1.151292546497023, 5, 'converged', 0.0),
         'Gf': (-1.151292546497023, 54, 'converged', 4.939004760728949e-11),
         'Gfa': (-1.151292546497023, 54, 'converged', 4.939004760728949e-11),
         'label': ('in_A0_and_Afl', 2, False),
@@ -103,7 +103,7 @@ PINNED = {
         'Gza': (0.354648137922395, 4, 'converged', 0.0),
         'Gzi': None,
         'Gzap': (0.354648137922395, 7, 'escaped_with_tail', 2.34375e-14),
-        'Gz': (-3.322695507147454, 54, 'converged', 5.4933391169242896e-11),
+        'Gz': (-3.322695507257323, 4, 'converged', 0.0),
         'Gf': (-3.322695507147454, 54, 'converged', 5.4933391169242896e-11),
         'Gfa': (-3.322695507147454, 54, 'converged', 5.4933391169242896e-11),
         'label': ('in_A0_and_Afl', 1, False),
@@ -113,7 +113,7 @@ PINNED = {
         'Gza': (-1.1169055932193024e-10, 51, 'converged', 5.584527966096512e-11),
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
-        'Gz': (-0.6931471806096893, 31, 'converged', 4.974398670753999e-11),
+        'Gz': (-0.6931471805599453, 51, 'converged', 0.0),
         'Gf': (-0.6931471805599453, 4, 'budget', 0.008574312300724474),
         'Gfa': (-0.6931471805599453, 4, 'budget', 0.008574312300724474),
         'label': ('in_A0_and_Afl', 2, False),
@@ -123,7 +123,7 @@ PINNED = {
         'Gza': (1.2414357056407812, 3, 'escaped_with_tail', 1.1111111111111111e-13),
         'Gzi': None,
         'Gzap': (1.2414357056407812, 3, 'escaped_with_tail', 1.1111111111111111e-13),
-        'Gz': (-0.6931471680330028, 64, 'budget', 4.175647605464405e-09),
+        'Gz': (-0.6931471805599453, 3, 'converged', 0.0),
         'Gf': (-0.6931471680330028, 64, 'budget', 4.175647605464405e-09),
         'Gfa': (-0.6931471680330028, 64, 'budget', 4.175647605464405e-09),
         'label': ('in_A0_and_Afl', 3, False),
@@ -133,7 +133,7 @@ PINNED = {
         'Gza': (-1.1431696562254808e-10, 58, 'converged', 5.715848281127405e-11),
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
-        'Gz': (-1.9560115027412577, 36, 'converged', 2.7184698936366658e-11),
+        'Gz': (-1.956011502714073, 58, 'converged', 0.0),
         'Gf': (-1.956011502714073, 36, 'converged', 2.7184884989600048e-11),
         'Gfa': (-1.956011502714073, 36, 'converged', 2.7184884989600048e-11),
         'label': ('in_A0_and_Afl', 1, False),
@@ -143,7 +143,7 @@ PINNED = {
         'Gza': (-0.20304210999250577, 35, 'converged', 3.1973812486540965e-11),
         'Gzi': None,
         'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
-        'Gz': (-1.4978661368713466, 53, 'converged', 4.7175818806977077e-11),
+        'Gz': (-1.4978661367769954, 35, 'converged', 0.0),
         'Gf': (-1.4978661367769954, 53, 'converged', 4.7175818806977077e-11),
         'Gfa': (-1.4978661367769954, 53, 'converged', 4.7175818806977077e-11),
         'label': ('in_A0_and_Afl', 1, False),

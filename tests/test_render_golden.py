@@ -29,9 +29,9 @@ GOLDEN = {
         "meta": "d48abc6edb2266ea25f1371992459f30f728b7cacfd03cbbfc0996b07218c0c7",
     },
     ("fiber_ratio", "Gz"): {
-        "csv": "ac0b005917545bc24d144cc49946a2dd631aa65a53b40cb0a7e1dd98e75df196",
-        "pgm": "98e9fd8968e4bc4cf38fabe8238ecd106d6227507da753fb6a6bf58e6d708495",
-        "meta": "6e841a5b228e905444147bd355f2220858504b60f13b09e52ec8049c1de2ec9a",
+        "csv": "ed4fcc65e43f1e89d26bcabb115a97ccf4b5514f7d54c5d752e552e56f7bdcbb",
+        "pgm": "f4b898b3b63470f0a21c218921c1734aa96bfc03f1740421dec24b1e478d5c6f",
+        "meta": "def8de8e174073028fe4a2553e8191fd03e06c857d9a65570741678dfebfbfcc",
     },
     ("fiber_direct", "Gza"): {
         "csv": "d3c14e129ccb3681da5b2ba3c796b8c712c0f68abaea8e235d228695119c5705",
