@@ -28,7 +28,9 @@ _settle_gza, each with its own error fold.  Since log|w_n| =
 alpha log|z_n| + log|c_n| exactly, G_z there is composed from parts that
 settle superexponentially, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p, as G_f^alpha at delta = d composes G_z^alpha+ with alpha G_p
-(_composed); the direct orbit serves where a part is not finite.
+(_composed); the direct orbit serves where a part is not finite and
+where a G_z^alpha of weight 0, whose limit G_z needs finite, did not
+settle.
 
 Every estimator reads an orbit in two parts: an orbit producer and a
 settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
@@ -898,26 +900,29 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
     """G_z(w) = lim lambda^-n log|w_n|."""
     ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
-        est = _gz_composed(f, c, _gza_from_ratio(f, c, ro, tol, plus=False),
-                           g_p(f.p, z, n_max, tol))
+        refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
+        est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, plus=False),
+                           g_p(f.p, z, n_max, tol), refuse_escape)
         if est is not None:
             return est
     return _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
 
 
-def _gz_composed(f: SkewProduct, c: Classification, part: GreenEstimate,
-                 base: GreenEstimate) -> Optional[GreenEstimate]:
+def _gz_composed(c: Classification, part: GreenEstimate, base: GreenEstimate,
+                 refuse_escape: bool) -> Optional[GreenEstimate]:
     """G_z = [d = lambda] G_z^alpha + [delta = lambda] alpha G_p, or None.
 
-    None where the direct orbit serves instead: a part that is not finite,
-    or an escape of a ratio recursion with a term c^j, j > d, where
+    None where the direct orbit serves instead: a part that is not finite;
+    a G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
+    limit finite and an unsettled part cannot tell; or, with refuse_escape
+    (the recursion has a term c^j, j > d), an escape of the ratio, where
     d^-n log|c_n| grows without bound once that term leads.
     """
-    if part.termination == TERM_ESCAPED and any(j > c.d for _, j, _, _ in
-                                                _ratio_terms(f, c.alpha)):
+    a = 1 if c.d == c.lam else 0
+    if ((part.termination == TERM_ESCAPED and refuse_escape)
+            or (not a and part.termination == TERM_BUDGET)):
         return None
-    return _composed(part, base, 1 if c.d == c.lam else 0,
-                     float(c.alpha) if c.delta == c.lam else 0.0)
+    return _composed(part, base, a, float(c.alpha) if c.delta == c.lam else 0.0)
 
 
 def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
@@ -1017,7 +1022,8 @@ def _composed(part: GreenEstimate, base: GreenEstimate, a: float, b: float
     limits compose: G_z as _gz_composed weighs them, and at lambda = d,
     max(alpha L_z, L_w) = alpha L_z + log+ of the weighted ratio, so
     G_f^alpha = G_z^{alpha,+} + alpha G_p.  A part with weight 0 has only
-    to be finite: it adds neither residual nor termination.
+    to be finite here: it adds neither residual nor termination
+    (_gz_composed refuses a weight-0 G_z^alpha that did not settle).
     """
     if not (part.finite and base.finite):
         return None
@@ -1178,7 +1184,8 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
         base = g_p(f.p, z, n_max, tol)
         parts = _fiber_ratio(f, c, which == "Gfa", complex(z), ws, n_max, tol)
         if which == "Gz":
-            ests = [_gz_composed(f, c, est, base) for est in parts]
+            refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
+            ests = [_gz_composed(c, est, base, refuse_escape) for est in parts]
         else:
             ests = [_composed(est, base, 1, float(c.alpha)) for est in parts]
         rest = [k for k, est in enumerate(ests) if est is None]

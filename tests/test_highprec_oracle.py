@@ -13,18 +13,44 @@ import random
 import mpmath as mp
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, g_z, g_z_alpha
-from skewdyn.green import _gz_direct, best_orbit_logs
+from skewdyn.green import ESCAPE_LOG, _ratio_terms
 
 mp.mp.dps = 60
 
 
 def _mp_orbit(f, z, w, n):
-    zc, wc = mp.mpc(z), mp.mpc(w)
+    """[(z_k, w_k)] for k = 0..n."""
+    orbit = [(mp.mpc(z), mp.mpc(w))]
     for _ in range(n):
-        pz = sum(mp.mpc(c) * zc**k for k, c in f.p.terms.items())
-        qw = sum(mp.mpc(c) * zc**i * wc**j for (i, j), c in f.q.terms.items())
-        zc, wc = pz, qw
-    return zc, wc
+        zc, wc = orbit[-1]
+        orbit.append((sum(mp.mpc(c) * zc**k for k, c in f.p.terms.items()),
+                      sum(mp.mpc(c) * zc**i * wc**j for (i, j), c in f.q.terms.items())))
+    return orbit
+
+
+def _gz_partial(f, c, orbit):
+    """The depth-n partial of g_z: of G_z or of its composition from the parts.
+
+    Where the integer-alpha ratio recursion c' = q(z, z^alpha c)/p(z)^alpha
+    serves, G_z = [d = lambda] G_z^alpha + [delta = lambda] alpha G_p.  At
+    tol = 0 no part settles, so the composition needs a G_z^alpha that
+    counts (d = lambda) or escaped, and it is refused where the ratio
+    escapes on a recursion with a term c^j, j > d (G_z = +inf there).
+    Elsewhere the estimate is the w-partial lambda^-n log|w_n|.
+    """
+    n = len(orbit) - 1
+    zn, wn = orbit[-1]
+    terms = _ratio_terms(f, c.alpha) if c.alpha is not None and c.d >= 1 else None
+    if terms is not None:
+        al = int(c.alpha)
+        escaped = max(mp.log(abs(wk)) - al * mp.log(abs(zk)) for zk, wk in orbit) > ESCAPE_LOG
+        if (c.d == c.lam or escaped) and not (escaped and any(j > c.d for _, j, _, _ in terms)):
+            lz = mp.log(abs(zn))
+            ref = (mp.log(abs(wn)) - al * lz) / mp.mpf(c.d) ** n if c.d == c.lam else 0
+            if c.delta == c.lam:
+                ref += al * lz / mp.mpf(c.delta) ** n
+            return float(ref)
+    return float(mp.log(abs(wn)) / mp.mpf(c.lam) ** n)
 
 
 def test_estimates_within_reported_residuals():
@@ -52,21 +78,12 @@ def test_estimates_within_reported_residuals():
         c = classify(f)
         z = cmath.rect(rng.uniform(0.05, 0.45), rng.uniform(0, 2 * math.pi))
         w = cmath.rect(10 ** rng.uniform(-40, -0.5), rng.uniform(0, 2 * math.pi))
-        zN, wN = _mp_orbit(f, z, w, n_ref)
+        orbit = _mp_orbit(f, z, w, n_ref)
+        zN, wN = orbit[-1]
         if abs(wN) == 0 or abs(zN) == 0 or abs(wN) > 1e12 or abs(zN) > 1e12:
             continue
         est = g_z(f, c, z, w, n_ref, 0.0)
-        ref = float(mp.log(abs(wN)) / mp.mpf(c.lam) ** n_ref)
-        if est != _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_ref), 0.0):
-            # g_z composed [d = lambda] G_z^alpha + [delta = lambda] alpha G_p,
-            # so its depth-n value is that sum of the parts' partials
-            al, lz = mp.mpf(float(c.alpha)), mp.log(abs(zN))
-            ref = mp.mpf(0)
-            if c.d == c.lam:
-                ref += (mp.log(abs(wN)) - al * lz) / mp.mpf(c.d) ** n_ref
-            if c.delta == c.lam:
-                ref += al * lz / mp.mpf(c.delta) ** n_ref
-            ref = float(ref)
+        ref = _gz_partial(f, c, orbit)
         if est.finite and est.n_used == n_ref:
             assert abs(est.value - ref) <= est.residual + 1e-12
             compared += 1
