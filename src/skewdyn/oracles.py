@@ -18,10 +18,21 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .algebra import BiPoly, SkewProduct, UniPoly
-from .green import DEFAULT_N_MAX, DEFAULT_TOL, ESCAPE_LOG
+from .green import (
+    DEFAULT_N_MAX,
+    DEFAULT_TOL,
+    ESCAPE_LOG,
+    _WINDOW,
+    _cmul,
+    _cpow,
+    _math_map,
+    _plus_tail_constant,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +166,14 @@ def _h_orbit(h: OneDimPoly, w: complex, n_max: int) -> tuple[list[complex], str]
     return orbit, "complete"
 
 
+def _h_tail_m(h: OneDimPoly, base: int) -> float:
+    return _plus_tail_constant(base, sum(abs(c) for c in h.coeffs) + 1.0)
+
+
 def _h_rate(h: OneDimPoly, w: complex, n_max: int, tol: float,
             base: int, plus: bool) -> float:
-    from .green import _plus_tail_constant
-
-    orbit, reason = _h_orbit(h, w, n_max)
-    tail_m = _plus_tail_constant(base, sum(abs(c) for c in h.coeffs) + 1.0)
+    orbit, _ = _h_orbit(h, w, n_max)
+    tail_m = _h_tail_m(h, base) if plus else None
     gs: list[float] = []
     n = 0
     for n, wn in enumerate(orbit):
@@ -178,8 +191,6 @@ def _h_rate(h: OneDimPoly, w: complex, n_max: int, tol: float,
         elif (len(gs) >= 3 and abs(gs[-1] - gs[-2]) < tol
                 and abs(gs[-2] - gs[-3]) < tol):
             return gs[-1]
-    if plus and reason == "zero":
-        return 0.0
     return gs[-1]
 
 
@@ -235,6 +246,139 @@ def julia_membership(h: OneDimPoly, w: complex, budget: int = 200) -> str:
         if not (math.isfinite(cur.real) and math.isfinite(cur.imag)):
             return "escaping"
     return "boundary_band"
+
+
+# -- lane versions: one orbit of h per array element, all in lockstep
+#
+# These repeat julia_membership and _h_rate bit for bit on every lane, as
+# green's lane kernels repeat its scalar drivers: h runs in __call__'s
+# Horner order on split real and imaginary parts, moduli use np.hypot and
+# logs math.log per lane.  A lane whose modulus or image is not finite is
+# re-run with the scalar function, which keeps its OverflowError ->
+# "escaped" rule; so is every lane when h.m > 100, where CPython forms
+# w**m in polar form.  A grid is cheaper this way; a single point is not,
+# so point queries keep the scalar functions.
+
+def _step_lanes(h: OneDimPoly, live: np.ndarray, wr: np.ndarray, wi: np.ndarray,
+                redo: np.ndarray, *carried: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The lanes live moved to their images h(w), as OneDimPoly.__call__ computes them.
+
+    A lane whose image is not finite leaves, marked in redo.
+    """
+    accr, acci = np.zeros(wr.size), np.zeros(wr.size)
+    for c in reversed(h.coeffs):
+        c = complex(c)
+        accr, acci = _cmul(accr, acci, wr, wi)
+        accr, acci = accr + c.real, acci + c.imag
+    nr, ni = _cmul(accr, acci, *_cpow([(wr, wi)], h.m))
+    fin = np.isfinite(nr) & np.isfinite(ni)
+    redo[live[~fin]] = True
+    return (live[fin], nr[fin], ni[fin], *(x[fin] for x in carried))
+
+
+def _stays_finite(h: OneDimPoly) -> bool:
+    """Whether h keeps every point short of the escape test inside the double range.
+
+    Then an orbit can end only by its zero, escape or budget exit, so a
+    lane may stop at a convergence exit without iterating on to see
+    whether the scalar orbit would meet an overflow later.
+    """
+    coeff_sum = sum(abs(c) for c in h.coeffs)
+    return math.log(coeff_sum) + h.degree * math.log(4 * math.exp(ESCAPE_LOG)) < _WINDOW
+
+
+def julia_membership_lanes(h: OneDimPoly, ws: Iterable[complex],
+                           budget: int = 200) -> list[str]:
+    """julia_membership(h, w, budget) for every w of ws."""
+    ws = np.asarray(list(ws), complex)
+    if h.m > 100:
+        return [julia_membership(h, w, budget) for w in ws.tolist()]
+    trap = _trap_radius(h)
+    side = np.full(ws.size, "boundary_band", object)
+    redo = np.zeros(ws.size, bool)
+    live = np.arange(ws.size)
+    wr, wi = ws.real.copy(), ws.imag.copy()
+    with np.errstate(all="ignore"):
+        for _ in range(budget):
+            a = np.hypot(wr, wi)
+            redo[live[~np.isfinite(a)]] = True
+            esc = a > 1e12
+            inside = ~esc & (a < trap) if trap is not None else np.zeros(a.size, bool)
+            side[live[esc]] = "escaping"
+            side[live[inside]] = "inside_filled"
+            go = np.isfinite(a) & ~esc & ~inside
+            live, wr, wi = _step_lanes(h, live[go], wr[go], wi[go], redo)
+            if not live.size:
+                break
+    out = side.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        out[i] = julia_membership(h, ws[i].item(), budget)
+    return out
+
+
+def _h_rate_lanes(h: OneDimPoly, ws: Iterable[complex], n_max: int, tol: float,
+                  base: int, plus: bool) -> list[float]:
+    """_h_rate(h, w, n_max, tol, base, plus) for every w of ws.
+
+    Step n of the loop meets orbit point w_n of every live lane with
+    _h_rate's exits in its order: zero, escape, then the stop on g_n (the
+    certified stop when plus, else two small increments) and the budget.
+    """
+    ws = np.asarray(list(ws), complex)
+    if h.m > 100:
+        return [_h_rate(h, w, n_max, tol, base, plus) for w in ws.tolist()]
+    tail_m = _h_tail_m(h, base) if plus else None
+    # _h_rate runs the whole orbit before it reads g_n, so where h could
+    # still overflow further on, a lane that stops on g_n is re-run
+    stop_redo = not _stays_finite(h)
+    out = np.empty(ws.size)
+    redo = np.zeros(ws.size, bool)
+    live = np.arange(ws.size)
+    wr, wi = ws.real.copy(), ws.imag.copy()
+    g1 = g2 = np.full(ws.size, math.nan)   # g_{n-1} and g_{n-2} per lane
+    with np.errstate(all="ignore"):
+        for n in range(n_max + 1):
+            mag = np.hypot(wr, wi)
+            zero = (wr == 0) & (wi == 0)
+            out[live[zero]] = 0.0 if plus else -math.inf
+            redo[live[~np.isfinite(mag)]] = True
+            ok = np.isfinite(mag) & ~zero
+            live, wr, wi, mag, g1, g2 = (x[ok] for x in (live, wr, wi, mag, g1, g2))
+            if not live.size:
+                break
+            lr = np.zeros(mag.size)
+            logged = mag > 1 if plus else slice(None)   # log+ is 0 where |w_n| <= 1
+            lr[logged] = _math_map(math.log, mag[logged])
+            bn = float(base**n)
+            esc = lr > ESCAPE_LOG
+            out[live[esc]] = lr[esc] / bn
+            g = (np.maximum(lr, 0.0) if plus else lr) / bn
+            if n == n_max:
+                out[live[~esc]] = g[~esc]
+                break
+            if plus:
+                stop = np.full(g.size, base >= 2 and tail_m / base**n < tol)
+            elif n >= 2:
+                stop = (np.abs(g - g1) < tol) & (np.abs(g1 - g2) < tol)
+            else:
+                stop = np.zeros(g.size, bool)
+            stop &= ~esc
+            out[live[stop]] = g[stop]
+            if stop_redo:
+                redo[live[stop]] = True
+            go = ~(esc | stop)
+            live, wr, wi, g2, g1 = _step_lanes(h, live[go], wr[go], wi[go], redo,
+                                               g1[go], g[go])
+    vals = out.tolist()
+    for i in np.flatnonzero(redo).tolist():
+        vals[i] = _h_rate(h, ws[i].item(), n_max, tol, base, plus)
+    return vals
+
+
+def g_h_infty_plus_lanes(h: OneDimPoly, ws: Iterable[complex], n_max: int = DEFAULT_N_MAX,
+                         tol: float = DEFAULT_TOL) -> list[float]:
+    """g_h_infty_plus(h, w, n_max, tol) for every w of ws."""
+    return _h_rate_lanes(h, ws, n_max, tol, h.degree, plus=True)
 
 
 # ---------------------------------------------------------------------------

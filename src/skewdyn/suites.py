@@ -18,8 +18,8 @@ from .green import fiber_sample
 from .oracles import (
     example_cubic_h,
     example_degenerate,
-    g_h_infty_plus,
-    julia_membership,
+    g_h_infty_plus_lanes,
+    julia_membership_lanes,
     monomial_reference,
 )
 from .regions import verify_invariance, wedge_u_r1r2
@@ -169,28 +169,22 @@ def suite_semiconjugate(grid: int = 64, tol: float = 1e-6,
     h = example_cubic_h()
     z0 = 0.5 + 0j
     scale = abs(z0)  # window is [-1, 1]^2 * |z0|^alpha
-    ws, sides = [], []   # cells outside the Julia boundary band
-    for iy in range(grid):
-        for ix in range(grid):
-            w = complex(
-                scale * (2 * (ix + 0.5) / grid - 1),
-                scale * (2 * (iy + 0.5) / grid - 1),
-            )
-            side = julia_membership(h, w / z0, budget)
-            if side != "boundary_band":
-                ws.append(w)
-                sides.append(side)
-    band_cells = grid * grid - len(ws)
-    compared = len(ws)
-    sample = fiber_sample(f, c, "Gzap", z0, ws, budget, 1e-12)
+    ws = [complex(scale * (2 * (ix + 0.5) / grid - 1), scale * (2 * (iy + 0.5) / grid - 1))
+          for iy in range(grid) for ix in range(grid)]
+    ratios = [w / z0 for w in ws]
+    sides = julia_membership_lanes(h, ratios, budget)
+    kept = [k for k, side in enumerate(sides) if side != "boundary_band"]  # off the band
+    band_cells = grid * grid - len(kept)
+    compared = len(kept)
+    sample = fiber_sample(f, c, "Gzap", z0, [ws[k] for k in kept], budget, 1e-12)
+    ghs = g_h_infty_plus_lanes(h, [ratios[k] for k in kept], budget, 1e-12)
     worst = 0.0
     mismatches = 0
-    for w, side, gf in zip(ws, sides, sample.estimates):
-        gh = g_h_infty_plus(h, w / z0, budget, 1e-12)
+    for k, gf, gh in zip(kept, sample.estimates, ghs):
         worst = max(worst, abs(gf.value - gh))
         # the locus side of a cell: escape seen by the 2-D estimator
         positive = gf.termination == "escaped_with_tail" or gf.value > 1e-9
-        if positive != (side == "escaping"):
+        if positive != (sides[k] == "escaping"):
             mismatches += 1
     frac = mismatches / compared if compared else 0.0
     return [

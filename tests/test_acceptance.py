@@ -32,8 +32,9 @@ from skewdyn.newton import Case, newton_polygon, newton_polygon_bruteforce
 from skewdyn.oracles import (
     example_cubic_h,
     example_degenerate,
-    g_h_infty_plus,
+    g_h_infty_plus_lanes,
     julia_membership,
+    julia_membership_lanes,
     monomial_reference,
 )
 from skewdyn.raster import RenderJob, RunConfig, render
@@ -320,21 +321,14 @@ def test_criterion_10_plurisubharmonicity_surrogate():
     def one_sided(center: complex, radius: float):
         # certified side: every dense probe node decided on one side, with a
         # Green-level margin on the escaping side (see decisions ledger on
-        # circle sampling near the locus)
-        sides = set()
-        gmin = math.inf
-        for k in range(192):
-            ratio = (center + radius * cmath.exp(2j * math.pi * k / 192)) / z0
-            side = julia_membership(h, ratio, 400)
-            if side == "boundary_band":
-                return None
-            sides.add(side)
-            if side == "escaping":
-                gmin = min(gmin, g_h_infty_plus(h, ratio, 220, 1e-13))
-        if len(sides) != 1:
+        # circle sampling near the locus); one lane-oracle call per circle
+        ratios = [(center + radius * cmath.exp(2j * math.pi * k / 192)) / z0
+                  for k in range(192)]
+        sides = set(julia_membership_lanes(h, ratios, 400))
+        if len(sides) != 1 or "boundary_band" in sides:
             return None
         side = sides.pop()
-        if side == "escaping" and gmin < 0.02:
+        if side == "escaping" and min(g_h_infty_plus_lanes(h, ratios, 220, 1e-13)) < 0.02:
             return None
         return side
 

@@ -1,5 +1,6 @@
 """CLI subcommands and raster determinism."""
 
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,10 @@ q 1 3 1.0 0.0
 """
 
 SEMI_TEXT = "builtin semiconjugate degenerate 1 4 ; h: 3 1 0 2 1 0\n"
+
+# sha256 of the whole `skewdyn verify` stdout: 13 PASS lines and the total,
+# so a speed-up that moves any figure of any suite fails here
+VERIFY_STDOUT = "b5fe2eaedbcc9b874d91bcb9d4348de2950543411e2b66c675945827a75c888d"
 
 
 @pytest.fixture()
@@ -135,6 +140,15 @@ def test_verify_hull_suite(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS: hull oracle equivalence" in out
+
+
+def test_verify_stdout_golden(capsys):
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 14 and all(line.startswith("PASS: ") for line in lines[:13])
+    assert lines[13] == "total: 13 checks, 0 failed"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT
 
 
 def test_verify_rejects_budget_flags():

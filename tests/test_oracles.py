@@ -20,7 +20,15 @@ from skewdyn import (
     monomial_reference,
 )
 from skewdyn.green import fiber_sample
-from skewdyn.oracles import example_cubic_h, example_degenerate, example_nondegenerate
+from skewdyn.oracles import (
+    _h_rate_lanes,
+    _trap_radius,
+    example_cubic_h,
+    example_degenerate,
+    example_nondegenerate,
+    g_h_infty_plus_lanes,
+    julia_membership_lanes,
+)
 
 
 def test_monomial_reference_examples():
@@ -112,6 +120,71 @@ def test_julia_membership_basics():
     assert julia_membership(h, 0.05) == "inside_filled"
     assert julia_membership(h, 2.0) == "escaping"
     assert julia_membership(h, -1.0) == "inside_filled"  # h(-1) = 0
+
+
+def _assert_lanes_repeat_scalar(h, ws, n_max, tol):
+    rates = ((g_h_infty, h.degree, False), (g_h_infty_plus, h.degree, True),
+             (g_h_zero, h.m, False))
+    for scalar, base, plus in rates:
+        want = [repr(scalar(h, w, n_max, tol)) for w in ws]
+        got = [repr(x) for x in _h_rate_lanes(h, ws, n_max, tol, base, plus)]
+        assert got == want, (h, scalar.__name__, n_max)
+    want = [julia_membership(h, w, n_max) for w in ws]
+    assert julia_membership_lanes(h, ws, n_max) == want, (h, n_max)
+
+
+def test_lane_oracles_repeat_scalar_oracles():
+    # the semiconjugate suite's grid, at its budgets
+    h = example_cubic_h()
+    z0 = 0.5 + 0j
+    ratios = [complex(0.5 * (2 * (ix + 0.5) / 64 - 1), 0.5 * (2 * (iy + 0.5) / 64 - 1)) / z0
+              for iy in range(64) for ix in range(64)]
+    assert julia_membership_lanes(h, ratios, 200) == [
+        julia_membership(h, r, 200) for r in ratios]
+    assert [repr(x) for x in g_h_infty_plus_lanes(h, ratios, 200, 1e-12)] == [
+        repr(g_h_infty_plus(h, r, 200, 1e-12)) for r in ratios]
+    # exact zeros (h(-1) = 0), escape at the start, and budget exits
+    special = [0j, -1 + 0j, 0.05, 2.0, 1e13, -0.5 + 0.3j]
+    for n_max in (0, 1, 2, 5, 64):
+        _assert_lanes_repeat_scalar(h, special, n_max, 1e-13)
+    # seeded random maps: m = 1..3, degree up to 5, some with no trap disc
+    rng = random.Random(2024)
+    trapless = 0
+    for _ in range(24):
+        m = rng.randint(1, 3)
+        degree = rng.randint(max(2, m + 1), 5)
+        scale = rng.choice((0.5, 1.5, 3.0))
+        coeffs = [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+                  for _ in range(degree - m)]
+        h_r = OneDimPoly((*coeffs, 1.0 + 0j), m)
+        trapless += _trap_radius(h_r) is None
+        ws = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(60)]
+        for n_max in (3, 40):
+            _assert_lanes_repeat_scalar(h_r, [0j, *ws], n_max, 1e-12)
+    assert trapless >= 3
+    # at n_max 0 a rate is log|w| itself, so many moduli near 1 pin each
+    # lane's modulus and log to abs and math.log, last bit included
+    near_one = [cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+                for _ in range(2000)]
+    _assert_lanes_repeat_scalar(h, near_one, 0, 1e-12)
+    # images past the double range: w = 1e5 maps to inf, and on a map with
+    # m = 30, w**30 raises OverflowError, which the scalar oracles read as escape
+    huge = OneDimPoly((1e300 + 0j, 1.0 + 0j), 2)
+    assert not cmath.isfinite(huge(1e5))
+    _assert_lanes_repeat_scalar(huge, [1e-100, 1e-3, 1e5, 1e-140j, 1e-200, 0.5 + 0.5j], 60, 1e-12)
+    steep = OneDimPoly((1.0 + 0j, 1.0 + 0j), 30)
+    with pytest.raises(OverflowError):
+        steep(1e11)
+    _assert_lanes_repeat_scalar(steep, [1e11, 0.5, 1.01, 1.0], 30, 1e-12)
+    # h(1.1) = 1.32e308 (1 + i) has finite parts but no finite modulus, so
+    # abs() raises in the scalar orbit, which runs on past the stop on g_0
+    # that tol = 1e300 makes; the lanes raise as well
+    edge = OneDimPoly((1.2e308 + 1.2e308j, 1.0 + 0j), 1)
+    for w in (1.1, 1.5e308 + 1.5e308j):
+        with pytest.raises(OverflowError):
+            g_h_infty_plus(edge, w, 5, 1e300)
+        with pytest.raises(OverflowError):
+            g_h_infty_plus_lanes(edge, [0.5, w], 5, 1e300)
 
 
 def test_iterate_identity_semiconjugate():
