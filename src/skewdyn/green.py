@@ -27,20 +27,22 @@ G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
 _settle_gza, each with its own error fold.  Since log|w_n| =
 alpha log|z_n| + log|c_n| exactly, G_z there is composed from parts that
 settle superexponentially, [d = lambda] G_z^alpha + [delta = lambda]
-alpha G_p, as G_f^alpha at delta = d composes G_z^alpha+ with alpha G_p
-(_composed); the direct orbit serves where a part is not finite and
-where a G_z^alpha of weight 0, whose limit G_z needs finite, did not
-settle.
+alpha G_p (_gz_composed); the direct orbit serves where a part is not
+finite and where a G_z^alpha of weight 0, whose limit G_z needs finite,
+did not settle.  The max in G_f and G_f^alpha splits the same way:
+with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
+max(s Z, G_z) for s = 1 and s = alpha (_f_z_part, _max_of_parts), from
+the one G_p that G_z's composition shares.
 
 Every estimator reads an orbit in two parts: an orbit producer and a
 settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
 ratio_orbit) are pulled: each returns an orbit whose steps are computed
 only as the settle routine reads them, and cached.  A settle routine
 that reads in order and stops at its exit computes no step past it:
-g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z and
-G_f^alpha), _gzi_direct and regions.classify_point.  _gz_direct and
-_max_of_limits drain the orbit before they settle, because a zero
-anywhere on it decides how they settle.
+g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z),
+_gzi_direct and regions.classify_point.  _gz_direct drains the orbit
+before it settles, because a zero anywhere on it decides how it
+settles.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
@@ -197,8 +199,8 @@ class _OrbitLogs(_PulledSteps):
     far; the switch and the vertex that drives it are set before the
     switch step is yielded, so a consumer reads them at or after that
     step.  Draining consumers read the public fields, which compute the
-    whole orbit first: _gz_direct and _max_of_limits scan the whole orbit
-    for zeros before they settle.
+    whole orbit first: _gz_direct scans the whole orbit for zeros before
+    it settles.
     """
 
     __slots__ = ("_reason", "_switch_step", "_switch_eta", "_dominant")
@@ -898,11 +900,18 @@ def _w_axis_invariant(f: SkewProduct) -> bool:
 def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
         n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_z(w) = lim lambda^-n log|w_n|."""
+    return _gz(f, c, z, w, n_max, tol, None)
+
+
+def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
+        tol: float, base: Optional[GreenEstimate]) -> GreenEstimate:
+    """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
     ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
         refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
         est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, plus=False),
-                           g_p(f.p, z, n_max, tol), refuse_escape)
+                           base if base is not None else g_p(f.p, z, n_max, tol),
+                           refuse_escape)
         if est is not None:
             return est
     return _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
@@ -910,19 +919,30 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
 
 def _gz_composed(c: Classification, part: GreenEstimate, base: GreenEstimate,
                  refuse_escape: bool) -> Optional[GreenEstimate]:
-    """G_z = [d = lambda] G_z^alpha + [delta = lambda] alpha G_p, or None.
+    """G_z = a G_z^alpha + b G_p, a = [d = lambda], b = [delta = lambda] alpha, or None.
 
-    None where the direct orbit serves instead: a part that is not finite;
-    a G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
-    limit finite and an unsettled part cannot tell; or, with refuse_escape
-    (the recursion has a term c^j, j > d), an escape of the ratio, where
-    d^-n log|c_n| grows without bound once that term leads.
+    Both parts settle on their own, so their limits compose.  None where
+    the direct orbit serves instead: a part that is not finite; a
+    G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
+    limit finite and an unsettled part cannot tell; or, with
+    refuse_escape (the recursion has a term c^j, j > d), an escape of the
+    ratio, where d^-n log|c_n| grows without bound once that term leads.
+    A part with weight 0 adds neither residual nor termination.
     """
     a = 1 if c.d == c.lam else 0
-    if ((part.termination == TERM_ESCAPED and refuse_escape)
+    if (not (part.finite and base.finite)
+            or (part.termination == TERM_ESCAPED and refuse_escape)
             or (not a and part.termination == TERM_BUDGET)):
         return None
-    return _composed(part, base, a, float(c.alpha) if c.delta == c.lam else 0.0)
+    b = float(c.alpha) if c.delta == c.lam else 0.0
+    term, residual = TERM_CONVERGED, 0.0
+    for weight, est in ((a, part), (b, base)):
+        if weight:
+            if term == TERM_CONVERGED:
+                term = est.termination
+            residual += abs(weight) * est.residual
+    return GreenEstimate(a * part.value + b * base.value, max(part.n_used, base.n_used),
+                         term, residual)
 
 
 def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
@@ -938,103 +958,72 @@ def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
     return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
 
 
-def _max_of_limits(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
-                   z_scale: float) -> GreenEstimate:
-    """lim lambda^-n max(z_scale log|z_n|, log|w_n|) settled on the direct orbit logs.
-
-    The raw max sequence can sit on a transient plateau before the two
-    branches cross, so each branch is settled on its own and the limits
-    are combined (valid whenever both limits exist in [-inf, inf)).
-    """
-    lam = c.lam
-    steps = logs.steps
-    n_zero = next((n for n, lz, lw in steps if lz == -math.inf and lw == -math.inf), None)
-    if n_zero is not None:
-        return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
-    z_zero = any(lz == -math.inf for _, lz, _ in steps)  # z stays on the invariant fiber z = 0
-    w_zero = _w_axis_invariant(f) and any(lw == -math.inf for _, _, lw in steps)
-    z_vals = ((n, lz / lam**n) for n, lz, _ in steps if lz != -math.inf)
-    w_vals = ((n, lw / lam**n) for n, _, lw in steps if lw != -math.inf)
-
-    if z_zero and z_scale < 0:
-        return GreenEstimate(math.inf, len(steps) - 1, TERM_HIT_EZ, math.inf)
-    parts: list[tuple[float, GreenEstimate | None]] = []
-    if z_scale == 0.0:
-        parts.append((0.0, None))
-    elif z_zero:
-        parts.append((-math.inf, None))
-    else:
-        ez = _series_limit(z_vals, tol)
-        val = z_scale * ez.value
-        if ez.termination in (TERM_DIV_NEG, TERM_DIV_POS):
-            val = -math.inf if (ez.value < 0) == (z_scale > 0) else math.inf
-        parts.append((val, ez))
-    if w_zero:
-        parts.append((-math.inf, None))
-    else:
-        ew = _series_limit(w_vals, tol)
-        val = ew.value if ew.termination != TERM_DIV_NEG else -math.inf
-        parts.append((val, ew))
-
-    value = max(p[0] for p in parts)
-    ests = [p[1] for p in parts if p[1] is not None]
-    n_used = max((e.n_used for e in ests), default=len(steps) - 1)
-    residual = sum((e.residual for e in ests), 0.0)   # inf where a part did not settle
-    termination = TERM_CONVERGED
-    for e in ests:
-        if e.termination == TERM_BUDGET:
-            termination = TERM_BUDGET
-    if value == math.inf:
-        termination = TERM_DIV_POS
-    elif value == -math.inf:
-        termination = TERM_HIT_ZERO
-    return _fold_residual(GreenEstimate(value, n_used, termination, residual),
-                          _switch_fold(logs, lam, n_used))
-
-
 def g_f(f: SkewProduct, c: Classification, z: complex, w: complex,
         n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_f = lim lambda^-n log max(|z_n|, |w_n|) (max norm)."""
-    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol, z_scale=1.0)
+    return _gf(f, c, "Gf", z, w, n_max, tol)
 
 
 def g_f_alpha(f: SkewProduct, c: Classification, z: complex, w: complex,
               n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_f^alpha = lim lambda^-n log max(|z_n^alpha|, |w_n|), with z^0 = 1."""
-    if c.alpha is None:
-        raise ValueError("alpha undefined (gamma > 0, delta == d)")
-    if c.delta == c.d and z != 0:
-        ro = ratio_orbit(f, c.alpha, z, w, n_max)
-        if ro is not None:
-            est = _composed(_gza_from_ratio(f, c, ro, tol, plus=True),
-                            g_p(f.p, z, n_max, tol), 1, float(c.alpha))
-            if est is not None:
-                return est
-    return _max_of_limits(f, c, best_orbit_logs(f, c, z, w, n_max), tol,
-                          z_scale=float(c.alpha))
+    return _gf(f, c, "Gfa", z, w, n_max, tol)
 
 
-def _composed(part: GreenEstimate, base: GreenEstimate, a: float, b: float
-              ) -> Optional[GreenEstimate]:
-    """a part + b base, from a G_z^alpha or G_z^{alpha,+} part and a G_p base, or None.
+def _gf(f: SkewProduct, c: Classification, which: str, z: complex, w: complex,
+        n_max: int, tol: float) -> GreenEstimate:
+    """G_f ('Gf') or G_f^alpha ('Gfa') = max(s Z, G_z), from one G_p."""
+    zpart, base = _f_z_part(f, c, which, z, n_max, tol)
+    if zpart.termination == TERM_HIT_EZ:
+        return zpart
+    return _max_of_parts(zpart, _gz(f, c, z, w, n_max, tol, base))
 
-    None unless both parts are finite.  Both settle on their own, so their
-    limits compose: G_z as _gz_composed weighs them, and at lambda = d,
-    max(alpha L_z, L_w) = alpha L_z + log+ of the weighted ratio, so
-    G_f^alpha = G_z^{alpha,+} + alpha G_p.  A part with weight 0 has only
-    to be finite here: it adds neither residual nor termination
-    (_gz_composed refuses a weight-0 G_z^alpha that did not settle).
+
+def _f_z_part(f: SkewProduct, c: Classification, which: str, z: complex, n_max: int,
+              tol: float) -> tuple[GreenEstimate, Optional[GreenEstimate]]:
+    """(s Z, the G_p estimate at z or None) for G_f (s = 1) or G_f^alpha (s = alpha).
+
+    Z = lim lambda^-n log|z_n| = (delta/lambda)^n delta^-n log|z_n| is
+    [delta = lambda] G_p: 0 where delta < lambda and G_p is finite, -inf
+    where G_p is.  s = 0 gives the constant 0 (z^0 = 1) and needs no
+    G_p; s < 0 on E_z, where G_p = -inf, gives +inf (hit_Ez).
     """
-    if not (part.finite and base.finite):
-        return None
-    term, residual = TERM_CONVERGED, 0.0
-    for weight, est in ((a, part), (b, base)):
-        if weight:
-            if term == TERM_CONVERGED:
-                term = est.termination
-            residual += abs(weight) * est.residual
-    return GreenEstimate(a * part.value + b * base.value, max(part.n_used, base.n_used),
-                         term, residual)
+    if which == "Gf":
+        s = 1.0
+    elif c.alpha is None:
+        raise ValueError("alpha undefined (gamma > 0, delta == d)")
+    else:
+        s = float(c.alpha)
+    if not s:
+        return GreenEstimate(0.0, 0, TERM_CONVERGED, 0.0), None
+    base = g_p(f.p, z, n_max, tol)
+    if base.value == -math.inf and s < 0:
+        return GreenEstimate(math.inf, base.n_used, TERM_HIT_EZ, math.inf), base
+    if base.finite and c.delta < c.lam:
+        return GreenEstimate(0.0, base.n_used, base.termination, 0.0), base
+    return GreenEstimate(s * base.value, base.n_used, base.termination,
+                         abs(s) * base.residual), base
+
+
+def _max_of_parts(a: GreenEstimate, b: GreenEstimate) -> GreenEstimate:
+    """max(a, b) of two estimates, each of its own limit; n_used is the larger.
+
+    Parts further apart than the sum of their residuals, neither of them
+    'budget', order their limits as their values: the larger one keeps
+    its value, tag and residual.  Otherwise the value is the max and the
+    residual the larger one, since max is 1-Lipschitz in each argument;
+    the tag is 'budget' if either part is (a budget residual bounds
+    nothing), else the larger part's.
+    """
+    win = b if b.value > a.value else a
+    n_used = max(a.n_used, b.n_used)
+    budget = TERM_BUDGET in (a.termination, b.termination)
+    if not budget and abs(a.value - b.value) > a.residual + b.residual:
+        if win.n_used == n_used:
+            return win
+        return GreenEstimate(win.value, n_used, win.termination, win.residual)
+    return GreenEstimate(win.value, n_used, TERM_BUDGET if budget else win.termination,
+                         max(a.residual, b.residual))
 
 
 # ---------------------------------------------------------------------------
@@ -1161,42 +1150,64 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
 
     G_p depends on z alone and is estimated once.  G_z^alpha and
     G_z^{alpha,+} with an integer weighted-ratio recursion run all lanes
-    at once (_fiber_ratio).  G_z with d >= 1 and G_f^alpha at delta = d
-    compose those lanes with the fiber's one G_p, as g_z and g_f_alpha
-    compose one point; a lane whose composition is refused takes the
-    direct orbit.  Where an estimator reads the direct orbit alone
-    (_direct_only), the orbits of all lanes run at once (_fiber_logs) and
-    are settled as arrays (_fiber_direct).  Every other case calls the
-    scalar estimator per point.  All give identical results.
+    at once (_fiber_ratio).  G_z takes its lanes from _fiber_gz, and G_f
+    and G_f^alpha take the max of those with the fiber's one s Z, as g_f
+    and g_f_alpha do for one point.  Where an estimator reads the direct
+    orbit alone (_direct_only), the orbits of all lanes run at once
+    (_fiber_logs) and are settled as arrays (_fiber_direct).  Every other
+    case calls the scalar estimator per point.  All give identical
+    results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
     # w**j and c**j with j > 100 are CPython's polar power, which the kernels do not replay
     batch = bool(ws) and all(j <= 100 for _, j in f.q.terms)
-    ratio = (batch and which in ("Gza", "Gzap", "Gz", "Gfa") and z != 0
-             and c.alpha is not None and _ratio_terms(f, c.alpha) is not None)
     if which == "Gp":
         ests = [g_p(f.p, z, n_max, tol)] * len(ws) if ws else []
-    elif ratio and which in ("Gza", "Gzap"):
+    elif batch and which in ("Gf", "Gfa"):
+        zpart, base = _f_z_part(f, c, which, z, n_max, tol)
+        if zpart.termination == TERM_HIT_EZ:
+            ests = [zpart] * len(ws)
+        else:
+            ests = [_max_of_parts(zpart, est) for est in _fiber_gz(f, c, z, ws, n_max, tol, base)]
+    elif batch and which == "Gz":
+        ests = _fiber_gz(f, c, z, ws, n_max, tol, None)
+    elif batch and which in ("Gza", "Gzap") and _ratio_serves(f, c, z):
         _require_d(c)
         ests = _fiber_ratio(f, c, which == "Gzap", complex(z), ws, n_max, tol)
-    elif ratio and ((which == "Gz" and c.d >= 1) or (which == "Gfa" and c.delta == c.d)):
-        base = g_p(f.p, z, n_max, tol)
-        parts = _fiber_ratio(f, c, which == "Gfa", complex(z), ws, n_max, tol)
-        if which == "Gz":
-            refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
-            ests = [_gz_composed(c, est, base, refuse_escape) for est in parts]
-        else:
-            ests = [_composed(est, base, 1, float(c.alpha)) for est in parts]
-        rest = [k for k, est in enumerate(ests) if est is None]
-        for k, est in zip(rest, _fiber_direct(f, c, which, complex(z),
-                                              [ws[k] for k in rest], n_max, tol)):
-            ests[k] = est
     elif batch and _direct_only(f, c, which, z):
         ests = _fiber_direct(f, c, which, complex(z), ws, n_max, tol)
     else:
         ests = [fn(f, c, z, w, n_max, tol) for w in ws]
     return FiberFunctionSample(z=z, ws=ws, estimates=tuple(ests))
+
+
+def _ratio_serves(f: SkewProduct, c: Classification, z: complex) -> bool:
+    """Whether the integer weighted-ratio recursion runs on the fiber z."""
+    return z != 0 and c.alpha is not None and _ratio_terms(f, c.alpha) is not None
+
+
+def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, ...],
+              n_max: int, tol: float, base: Optional[GreenEstimate]) -> list[GreenEstimate]:
+    """g_z of every lane w of ws, reusing base, the G_p estimate at z, if given.
+
+    With d >= 1 and a weighted-ratio recursion, the lanes of _fiber_ratio
+    are composed with the fiber's one G_p, as g_z composes one point; a
+    lane whose composition is refused takes the direct orbit, as every
+    lane does otherwise (_fiber_direct).
+    """
+    if _direct_only(f, c, "Gz", z):
+        return _fiber_direct(f, c, "Gz", complex(z), ws, n_max, tol)
+    if base is None:
+        base = g_p(f.p, z, n_max, tol)
+    refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
+    ests = [_gz_composed(c, est, base, refuse_escape)
+            for est in _fiber_ratio(f, c, False, complex(z), ws, n_max, tol)]
+    rest = [k for k, est in enumerate(ests) if est is None]
+    for k, est in zip(rest, _fiber_direct(f, c, "Gz", complex(z),
+                                          [ws[k] for k in rest], n_max, tol)):
+        ests[k] = est
+    return ests
 
 
 def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> bool:
@@ -1205,16 +1216,12 @@ def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> b
     False also where the per-point estimator refuses the map; the
     conditions mirror its branches.
     """
-    no_ratio = z == 0 or c.alpha is None or _ratio_terms(f, c.alpha) is None
+    no_ratio = not _ratio_serves(f, c, z)
     if which in ("Gza", "Gzap"):
         return c.d >= 1 and c.alpha is not None and no_ratio
     if which == "Gzi":
         return c.d >= 1 and c.delta == c.d
-    if which == "Gz":
-        return no_ratio or c.d < 1
-    if which == "Gfa":
-        return c.alpha is not None and (no_ratio or c.delta != c.d)
-    return which == "Gf"
+    return which == "Gz" and (no_ratio or c.d < 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1750,9 +1757,8 @@ def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
                   ws: list[complex], n_max: int, tol: float) -> list[GreenEstimate]:
     """Estimator `which` from best_orbit_logs of every lane w of ws, in order.
 
-    Gza/Gzap, Gzi, Gz, Gf and Gfa settle the batched orbits of _fiber_logs
-    as arrays, as _gza_direct, _gzi_direct, _gz_direct and _max_of_limits
-    settle one orbit.
+    Gza/Gzap, Gzi and Gz settle the batched orbits of _fiber_logs as
+    arrays, as _gza_direct, _gzi_direct and _gz_direct settle one orbit.
     """
     ests: list[GreenEstimate] = []
     with np.errstate(all="ignore"):
@@ -1761,10 +1767,8 @@ def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
                 cols = _lanes_gza(f, c, logs, tol, which == "Gzap")
             elif which == "Gzi":
                 cols = _lanes_gzi(f, c, logs, tol)
-            elif which == "Gz":
-                cols = _lanes_gz(f, c, logs, tol)
             else:
-                cols = _lanes_max(f, c, logs, tol, 1.0 if which == "Gf" else float(c.alpha))
+                cols = _lanes_gz(f, c, logs, tol)
             ests += _estimates(*cols)
     return ests
 
@@ -1857,43 +1861,6 @@ def _lanes_gz(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) ->
     if _w_axis_invariant(f):
         hit = zero.any(axis=1)
         val[hit], used[hit], tag[hit], res[hit] = -math.inf, zero.argmax(axis=1)[hit], _ZERO, 0.0
-    return val, used, tag, res
-
-
-def _lanes_max(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float,
-               z_scale: float) -> tuple:
-    """_max_of_limits per lane: (value, n_used, tag, residual)."""
-    lanes, width = logs.log_z.shape
-    powers = _powers(c.lam, width)
-    z_zeros, w_zeros = logs.log_z == -math.inf, logs.log_w == -math.inf
-    z_zero = z_zeros.any(axis=1)
-    w_zero = w_zeros.any(axis=1) & _w_axis_invariant(f)
-    has_z = ~z_zero & (z_scale != 0.0)
-    z_val = np.full(lanes, 0.0 if z_scale == 0.0 else -math.inf)   # where no z series runs
-    zn = zt = zr = 0
-    if has_z.any():
-        zv, zn, zt, zr, _ = _lane_limits(logs.log_z / powers, np.arange(width)[None],
-                                         logs.length, tol)
-        div = (zt == _DIV_NEG) | (zt == _DIV_POS)
-        z_val = np.where(has_z, np.where(div, np.where((zv < 0) == (z_scale > 0), -math.inf,
-                                                       math.inf), z_scale * zv), z_val)
-    step, m, lw = _read(logs, w_zeros, logs.log_w)
-    wv, wn, wt, wr, _ = _lane_limits(lw / powers[step], step, m, tol)
-    has_w = ~w_zero
-    w_val = np.where(w_zero | (wt == _DIV_NEG), -math.inf, wv)
-    val = np.where(w_val > z_val, w_val, z_val)   # max(z part, w part), as Python's max
-    used = np.where(has_z & has_w, np.maximum(zn, wn),
-                    np.where(has_z, zn, np.where(has_w, wn, logs.length - 1)))
-    res = np.where(has_z, zr, 0.0) + np.where(has_w, wr, 0.0)
-    tag = np.where((has_z & (zt == _BUDGET)) | (has_w & (wt == _BUDGET)), _BUDGET, _CONV)
-    tag = np.where(val == math.inf, _DIV_POS, np.where(val == -math.inf, _ZERO, tag))
-    res = _fold(res, _lane_switch_fold(logs, powers, used))
-    if z_scale < 0:
-        ez = z_zero
-        val[ez], used[ez], tag[ez], res[ez] = math.inf, logs.length[ez] - 1, _EZ, math.inf
-    both = z_zeros & w_zeros
-    hit = both.any(axis=1)
-    val[hit], used[hit], tag[hit], res[hit] = -math.inf, both.argmax(axis=1)[hit], _ZERO, 0.0
     return val, used, tag, res
 
 

@@ -148,11 +148,19 @@ class OneDimPoly:
         return {self.m + k: c for k, c in enumerate(self.coeffs) if c != 0}
 
 
+def _log_abs(w: complex) -> float:
+    """log|w| for w != 0, also where |w| is past the double range though its parts are not."""
+    try:
+        return math.log(abs(w))
+    except OverflowError:
+        return math.log(abs(w * 0.5)) + math.log(2.0)
+
+
 def _h_orbit(h: OneDimPoly, w: complex, n_max: int) -> tuple[list[complex], str]:
     orbit = [complex(w)]
     for _ in range(n_max):
         cur = orbit[-1]
-        if abs(cur) > 0 and math.log(abs(cur)) > ESCAPE_LOG:
+        if cur != 0 and _log_abs(cur) > ESCAPE_LOG:
             return orbit, "escaped"
         try:
             nxt = h(cur)
@@ -179,7 +187,7 @@ def _h_rate(h: OneDimPoly, w: complex, n_max: int, tol: float,
     for n, wn in enumerate(orbit):
         if wn == 0:
             return 0.0 if plus else -math.inf
-        lr = math.log(abs(wn))
+        lr = _log_abs(wn)
         if lr > ESCAPE_LOG:
             return lr / base**n
         gs.append((max(lr, 0.0) if plus else lr) / base**n)
@@ -234,7 +242,10 @@ def julia_membership(h: OneDimPoly, w: complex, budget: int = 200) -> str:
     trap = _trap_radius(h)
     cur = complex(w)
     for _ in range(budget):
-        a = abs(cur)
+        try:
+            a = abs(cur)
+        except OverflowError:   # finite parts, modulus past the double range
+            return "escaping"
         if a > 1e12:
             return "escaping"
         if trap is not None and a < trap:
@@ -254,8 +265,8 @@ def julia_membership(h: OneDimPoly, w: complex, budget: int = 200) -> str:
 # green's lane kernels repeat its scalar drivers: h runs in __call__'s
 # Horner order on split real and imaginary parts, moduli use np.hypot and
 # logs math.log per lane.  A lane whose modulus or image is not finite is
-# re-run with the scalar function, which keeps its OverflowError ->
-# "escaped" rule; so is every lane when h.m > 100, where CPython forms
+# re-run with the scalar function, which reads an overflow of h or of the
+# modulus as escape; so is every lane when h.m > 100, where CPython forms
 # w**m in polar form.  A grid is cheaper this way; a single point is not,
 # so point queries keep the scalar functions.
 

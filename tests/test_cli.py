@@ -18,7 +18,7 @@ SEMI_TEXT = "builtin semiconjugate degenerate 1 4 ; h: 3 1 0 2 1 0\n"
 
 # sha256 of the whole `skewdyn verify` stdout: 13 PASS lines and the total,
 # so a speed-up that moves any figure of any suite fails here
-VERIFY_STDOUT = "b5fe2eaedbcc9b874d91bcb9d4348de2950543411e2b66c675945827a75c888d"
+VERIFY_STDOUT = "a349085b900234db6f58315a0e4cd38fd7370ca379c5ad9378f0b864fa1b72cd"
 
 
 @pytest.fixture()

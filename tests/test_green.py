@@ -463,14 +463,29 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
     for f, z, lanes in fibers:
         c = classify(f)
         for key in ("Gza", "Gzap", "Gzi", "Gz", "Gf", "Gfa"):
-            if _direct_only(f, c, key, z):
+            # G_f and G_f^alpha are the max of the G_z lanes and the fiber's one G_p
+            if key in ("Gf", "Gfa"):
+                direct = _direct_only(f, c, "Gz", z) and (key == "Gf" or c.alpha is not None)
+            else:
+                direct = _direct_only(f, c, key, z)
+            if direct:
                 for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
                     want = [_estimate_key(ESTIMATORS[key](f, c, z, w, n_max, tol)) for w in lanes]
                     runs.append((f, c, key, z, lanes, n_max, tol, want))
     assert len(runs) > 60
+    assert {"Gf", "Gfa"} <= {run[2] for run in runs}
     calls = []
-    for name in ("_gza_direct", "_gzi_direct", "_gz_direct", "_max_of_limits", "orbit_logs"):
+    for name in ("_gza_direct", "_gzi_direct", "_gz_direct"):
         monkeypatch.setattr(green, name, lambda *a, _name=name: calls.append(_name))
+    orbit_logs = green.orbit_logs
+
+    def orbit_of_p_only(f, *args):
+        # the fiber's one G_p runs the orbit of p; no lane runs a scalar orbit
+        if not isinstance(f, UniPoly):
+            calls.append("orbit_logs")
+        return orbit_logs(f, *args)
+
+    monkeypatch.setattr(green, "orbit_logs", orbit_of_p_only)
     for chunk in (green._CHUNK, 3):
         monkeypatch.setattr(green, "_CHUNK", chunk)
         for f, c, key, z, lanes, n_max, tol, want in runs:
@@ -511,12 +526,28 @@ def test_ratio_escape_exit_carries_log_b():
         assert fiber_sample(f, c, key, z, [w]).estimates == (est,)
 
 
-def test_max_of_limits_residual_sums_every_part():
-    # G_f and G_f^alpha settle the z and w series apart; the residual is
-    # the float sum of both parts' residuals, inf where a part has a single
-    # partial (n_max 0), and 0.0 where no part runs a series
-    from skewdyn.green import fiber_sample
+def test_gf_is_the_max_of_its_z_part_and_gz():
+    # G_f and G_f^alpha are max(s Z, G_z) of two estimates, each of its own
+    # limit; max is 1-Lipschitz in each argument
+    from skewdyn.green import GreenEstimate as E, _max_of_parts
 
+    # further apart than r_A + r_B: the larger part keeps value, tag and residual
+    assert _max_of_parts(E(-1.0, 3, "converged", 1e-11),
+                         E(-2.0, 7, "escaped_with_tail", 1e-3)) == E(-1.0, 7, "converged", 1e-11)
+    # closer: the max, and the larger residual, not the sum of both
+    assert _max_of_parts(E(-1.0, 3, "converged", 1e-11),
+                         E(-1.0 + 5e-12, 7, "escaped_with_tail", 2e-11)
+                         ) == E(-1.0 + 5e-12, 7, "escaped_with_tail", 2e-11)
+    # a 'budget' part bounds nothing, so the max stays 'budget' where it loses
+    assert _max_of_parts(E(0.0, 7, "converged", 0.0),
+                         E(-3.0, 4, "budget", 0.5)) == E(0.0, 7, "budget", 0.5)
+    assert _max_of_parts(E(-3.0, 4, "budget", 0.5),
+                         E(0.0, 2, "converged", 0.0)) == E(0.0, 4, "budget", 0.5)
+    # an exact zero loses to any finite part
+    assert _max_of_parts(E(-math.inf, 1, "hit_zero", 0.0),
+                         E(-0.5, 9, "converged", 1e-12)) == E(-0.5, 9, "converged", 1e-12)
+
+    # n_max 0: both parts have a single partial, so the max is 'budget' with residual inf
     f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     c = classify(f)
     for fn, key in ((g_f, "Gf"), (g_f_alpha, "Gfa")):
@@ -531,6 +562,14 @@ def test_max_of_limits_residual_sums_every_part():
     assert (est.value, est.termination) == (0.0, "converged")
     assert type(est.residual) is float and est.residual == 0.0
     assert repr(fiber_sample(f0, c0, "Gfa", 0.5, [0j]).estimates) == repr((est,))
+    # alpha < 0 on E_z: |z_n^alpha| is infinite, whatever w does
+    f1 = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
+    c1 = classify(f1)
+    assert c1.alpha == -1
+    for w in (0.1 - 0.05j, 0j):
+        est = g_f_alpha(f1, c1, 0j, w)
+        assert (est.value, est.termination) == (math.inf, "hit_Ez"), w
+        assert repr(fiber_sample(f1, c1, "Gfa", 0j, [w]).estimates) == repr((est,))
 
 
 def test_gz_converges_at_large_budgets():

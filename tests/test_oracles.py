@@ -176,15 +176,17 @@ def test_lane_oracles_repeat_scalar_oracles():
     with pytest.raises(OverflowError):
         steep(1e11)
     _assert_lanes_repeat_scalar(steep, [1e11, 0.5, 1.01, 1.0], 30, 1e-12)
-    # h(1.1) = 1.32e308 (1 + i) has finite parts but no finite modulus, so
-    # abs() raises in the scalar orbit, which runs on past the stop on g_0
-    # that tol = 1e300 makes; the lanes raise as well
+    # h(1.1) = 1.32e308 (1 + i) has finite parts but no finite modulus; the
+    # oracles read such a point as escape, past the stop on g_0 that
+    # tol = 1e300 makes and at a start point, and the lanes repeat them
     edge = OneDimPoly((1.2e308 + 1.2e308j, 1.0 + 0j), 1)
-    for w in (1.1, 1.5e308 + 1.5e308j):
-        with pytest.raises(OverflowError):
-            g_h_infty_plus(edge, w, 5, 1e300)
-        with pytest.raises(OverflowError):
-            g_h_infty_plus_lanes(edge, [0.5, w], 5, 1e300)
+    assert g_h_infty_plus(edge, 1.1, 5, 1e300) == math.log(1.1)
+    assert julia_membership(edge, 1.5e308 + 1.5e308j) == "escaping"
+    # the escape exit reads log|w| of the huge point itself
+    assert g_h_infty(edge, 1.1, 5, 1e-12) == pytest.approx(
+        (math.log(1.2e308 * 1.1 + 1.21) + 0.5 * math.log(2.0)) / 2, rel=1e-12)
+    for tol in (1e300, 1e-12):
+        _assert_lanes_repeat_scalar(edge, [0.5, 1.1, 1.5e308 + 1.5e308j, 2.0], 5, tol)
 
 
 def test_iterate_identity_semiconjugate():

@@ -54,8 +54,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 6.221764478117302e-10),
         'Gz': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
-        'Gf': (-0.1863391801841055, 4, 'budget', 0.1863407724185686),
-        'Gfa': (0.1863391801841055, 4, 'budget', 0.1863407724185686),
+        'Gf': (0.0, 7, 'converged', 0.0),
+        'Gfa': (0.0, 7, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case1', 1): {
@@ -64,8 +64,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666405231785e-11),
         'Gz': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
-        'Gf': (-1.0786524645097908e-10, 55, 'converged', 1.0786526353543655e-10),
-        'Gfa': (1.0786524645097908e-10, 55, 'converged', 1.0786526353543655e-10),
+        'Gf': (0.0, 7, 'converged', 0.0),
+        'Gfa': (0.0, 7, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case1', 2): {
@@ -74,8 +74,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335648024e-11),
         'Gz': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
-        'Gf': (-1.1867038669851e-10, 59, 'converged', 1.1866995267739747e-10),
-        'Gfa': (1.1867038669851e-10, 59, 'converged', 1.1866995267739747e-10),
+        'Gf': (0.0, 5, 'converged', 0.0),
+        'Gfa': (0.0, 5, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case2', 0): {
@@ -84,8 +84,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
         'Gz': (-1.151292546497023, 5, 'converged', 0.0),
-        'Gf': (-1.151292546497023, 54, 'converged', 4.939004760728949e-11),
-        'Gfa': (-1.151292546497023, 54, 'converged', 4.939004760728949e-11),
+        'Gf': (-1.151292546497023, 5, 'converged', 0.0),
+        'Gfa': (-1.151292546497023, 5, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case2', 1): {
@@ -104,8 +104,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.354648137922395, 7, 'escaped_with_tail', 2.34375e-14),
         'Gz': (-3.322695507257323, 4, 'converged', 0.0),
-        'Gf': (-3.322695507147454, 54, 'converged', 5.4933391169242896e-11),
-        'Gfa': (-3.322695507147454, 54, 'converged', 5.4933391169242896e-11),
+        'Gf': (-3.322695507257323, 4, 'converged', 0.0),
+        'Gfa': (-3.322695507257323, 4, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case3', 0): {
@@ -114,8 +114,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
         'Gz': (-0.6931471805599453, 51, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 4, 'budget', 0.008574312300724474),
-        'Gfa': (-0.6931471805599453, 4, 'budget', 0.008574312300724474),
+        'Gf': (-0.6931471805599453, 51, 'converged', 0.0),
+        'Gfa': (-0.6931471805599453, 51, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case3', 1): {
@@ -124,8 +124,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (1.2414357056407812, 3, 'escaped_with_tail', 1.1111111111111111e-13),
         'Gz': (-0.6931471805599453, 3, 'converged', 0.0),
-        'Gf': (-0.6931471680330028, 64, 'budget', 4.175647605464405e-09),
-        'Gfa': (-0.6931471680330028, 64, 'budget', 4.175647605464405e-09),
+        'Gf': (-0.6931471805599453, 3, 'converged', 0.0),
+        'Gfa': (-0.6931471805599453, 3, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case3', 2): {
@@ -134,8 +134,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
         'Gz': (-1.956011502714073, 58, 'converged', 0.0),
-        'Gf': (-1.956011502714073, 36, 'converged', 2.7184884989600048e-11),
-        'Gfa': (-1.956011502714073, 36, 'converged', 2.7184884989600048e-11),
+        'Gf': (-1.956011502714073, 58, 'converged', 0.0),
+        'Gfa': (-1.956011502714073, 58, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 0): {
@@ -144,8 +144,8 @@ PINNED = {
         'Gzi': None,
         'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
         'Gz': (-1.4978661367769954, 35, 'converged', 0.0),
-        'Gf': (-1.4978661367769954, 53, 'converged', 4.7175818806977077e-11),
-        'Gfa': (-1.4978661367769954, 53, 'converged', 4.7175818806977077e-11),
+        'Gf': (-1.4978661367769954, 35, 'converged', 0.0),
+        'Gfa': (-1.4978661367769954, 35, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 1): {
@@ -174,8 +174,8 @@ PINNED = {
         'Gzi': (-0.8846206087035358, 7, 'converged', 0.0),
         'Gzap': (0.44434702274537075, 6, 'escaped_with_tail', 4.6875e-14),
         'Gz': (-0.8846206087035358, 7, 'converged', 0.0),
-        'Gf': (-0.8846206087035358, 7, 'converged', 1.1102230246251565e-16),
-        'Gfa': (-0.8846206087035358, 7, 'converged', 1.1102230246251565e-16),
+        'Gf': (-0.8846206087035358, 7, 'converged', 0.0),
+        'Gfa': (-0.8846206087035358, 7, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('alpha32', 1): {
@@ -195,7 +195,7 @@ PINNED = {
         'Gzi': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
         'Gzap': (0.08224896059769016, 9, 'escaped_with_tail', 1.121135254375603e-11),
         'Gz': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
-        'Gf': (-2.180786621117447, 9, 'converged', 1.120549316875603e-11),
+        'Gf': (-2.180786621117447, 9, 'converged', 0.0),
         'Gfa': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
         'label': ('in_A0_and_Afl', 1, False),
     },

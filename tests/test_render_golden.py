@@ -49,7 +49,7 @@ GOLDEN = {
         "meta": "56aef2a8e5d55d9f08d3e2810f043da382234b6254a155e9c001a0ca8b60e181",
     },
     ("fiber_direct", "Gf"): {
-        "csv": "f0bb96332b64c5ad396bc0870943608372ed4c00dfbe4d4aceabdc4ba5938dda",
+        "csv": "6223ee5144829fe66fa2a522e65ded20a58d458050c33ac4db302be06b92942e",
         "pgm": "b284b21fe923dc6eae23943eafb0a35f184d233dd3ac0e7760636f3b985c01e6",
         "meta": "a8427df0a4e1bcc7be54b2debbb30b70ffc0f6682f57f1e0aaedf3342cdcc912",
     },
