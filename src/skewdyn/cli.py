@@ -107,7 +107,7 @@ def cmd_green(args) -> int:
             print(f"csv: {args.out}")
         return 0
     if args.grid:
-        job = _grid_job(args, for_csv=True)
+        job = _grid_job(args)
         paths = render(f, job, cfg, out_dir=args.out_dir)
         if args.out:
             Path(args.out).write_bytes(paths["csv"].read_bytes())
@@ -120,7 +120,7 @@ def cmd_green(args) -> int:
     raise SystemExit("green needs --point or --grid")
 
 
-def _grid_job(args, for_csv: bool = False) -> RenderJob:
+def _grid_job(args) -> RenderJob:
     spec = args.grid
     vals = [float(x) for x in spec.split(",")]
     if len(vals) != 7:

@@ -22,11 +22,14 @@ at step k, is added to the reported residual).  For integer weights alpha
 the weighted ratio c_n = w_n / z_n^alpha satisfies its own polynomial
 recursion with non-negative z-exponents, which reaches far deeper than
 the raw orbit; G_z^alpha and G_z^alpha+ use it when it applies.  Its
-driver, ratio_orbit, re-validates dominance at every step.  G_z^alpha and
-G_z^alpha+ settle the ratio orbit and the direct orbit in one routine,
-_settle_gza, each with its own error fold.  Since log|w_n| =
+driver, ratio_orbit, has no escape exit: where a term or a factor of it
+leaves the double range, either way, it continues by the dominant
+monomial, re-validated at every step, so d^-n log|c_n| settles as an
+ordinary series, or diverges where a term c^j, j > d, comes to lead an
+escape.  _settle_gza settles it and the direct orbit, which ends at its
+escape, each with its own error fold.  Since log|w_n| =
 alpha log|z_n| + log|c_n| exactly, G_z there is composed from parts that
-settle superexponentially, [d = lambda] G_z^alpha + [delta = lambda]
+settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
 finite and where a G_z^alpha of weight 0, whose limit G_z needs finite,
 did not settle.  The max in G_f and G_f^alpha splits the same way:
@@ -84,6 +87,7 @@ ESCAPE_LOG = math.log(1e12)
 _WINDOW = 690.0          # |log| range where double products stay representable
 _NEGLIGIBLE_GAP = 40.0   # terms this many e-folds below the max are droppable
 _TAIL_TOL = 1e-9         # dominance level required to extend in log space
+_SAFE = _WINDOW - 1.0    # factor logs this small in size need no check
 
 TERM_CONVERGED = "converged"
 TERM_ESCAPED = "escaped_with_tail"
@@ -220,19 +224,34 @@ class _OrbitLogs(_PulledSteps):
     dominant = _final("_dominant")
 
 
-def _terms_safe(term_logs: list[float]) -> bool:
+def _terms_safe(term_logs: list[float], *factor_logs: list[float]) -> bool:
     """True when a polynomial value computes faithfully in doubles.
 
     The result magnitude tracks the top term, so the top must sit inside
     the window, and every other term must be representable or negligible
     relative to the top.  -inf terms are exact zeros and never block.
+    Each of factor_logs holds, per term, the log of a factor it is formed
+    from: none may overflow, and one may underflow only in a negligible term.
     """
     top = max(term_logs)
     if top == -math.inf:
         return True
     if top > _WINDOW or top < -_WINDOW:
         return False
-    return all(t >= -_WINDOW or t <= top - _NEGLIGIBLE_GAP for t in term_logs)
+    low = top - _NEGLIGIBLE_GAP
+    return all(t >= -_WINDOW or t <= low for t in term_logs) and all(
+        x <= _WINDOW and (x >= -_WINDOW or t <= low)
+        for logs in factor_logs for t, x in zip(term_logs, logs))
+
+
+def _lanes_terms_safe(tl: np.ndarray, *factor_logs: np.ndarray) -> np.ndarray:
+    """_terms_safe per lane: one row per term in tl and in each of factor_logs, which broadcast."""
+    top = tl.max(axis=0)
+    negligible = tl <= top - _NEGLIGIBLE_GAP
+    ok = (top <= _WINDOW) & (top >= -_WINDOW) & ((tl >= -_WINDOW) | negligible).all(axis=0)
+    for logs in factor_logs:
+        ok &= ((logs <= _WINDOW) & ((logs >= -_WINDOW) | negligible)).all(axis=0)
+    return (top == -math.inf) | ok
 
 
 def _extension_eta(comps: list, lz: float, lw: float) -> Optional[float]:
@@ -503,11 +522,12 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     """Orbit of c_n = w_n / z_n^alpha for integer alpha; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
-    after z_n itself leaves the double range.  Once the ratio dives
-    toward zero and a single monomial of the recursion provably
-    dominates, the magnitude continues by the exact dominant log
-    recursion, re-validated at every step.  The steps are computed as
-    they are read (_RatioOrbit).
+    after z_n itself leaves the double range.  Once a term or a factor of
+    one leaves the double range (_terms_safe), either way, and a single
+    monomial provably dominates, the magnitude continues by the exact
+    dominant log recursion, re-validated at every step; the orbit ends as
+    'range' where that fails.  The steps are computed as they are read
+    (_RatioOrbit).
     """
     term_list = _ratio_terms(f, alpha)
     if term_list is None or z == 0:
@@ -530,11 +550,12 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     yield lc, 0.0
     extended = False
     dom = None  # (it, j, log|coeff|) of the validated dominant monomial
+    j_top, it_top = max(j for _, j, _, _ in term_list), max(it for it, _, _, _ in term_list)
     for _ in range(n_max):
-        if lc > ESCAPE_LOG or lz.real > ESCAPE_LOG:
+        if lz.real > ESCAPE_LOG:
             ro._reason = "escaped"
             return
-        if not extended and lc == -math.inf:
+        if lc == -math.inf:
             ro._reason = "zero"
             return
         lzr = lz.real
@@ -543,7 +564,12 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
             for it, j, _, lb in term_list
         ]
-        if extended or not _terms_safe(tlogs):
+        factors = ()   # the logs of the factors c^j and exp(i~ lz - al corr) of the terms
+        if not extended and (j_top * abs(lc) > _SAFE
+                             or it_top * abs(lzr) + abs(al * corr.real) > _SAFE):
+            factors = ([j * lc if j else 0.0 for _, j, _, _ in term_list],
+                       [(it * lzr if it else 0.0) - al * corr.real for it, _, _, _ in term_list])
+        if extended or not _terms_safe(tlogs, *factors):
             top_idx = max(range(len(tlogs)), key=tlogs.__getitem__)
             top = tlogs[top_idx]
             eta = 0.0  # summed left to right, as in fold_bound
@@ -562,14 +588,10 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             step_eta = eta
         else:
             step_eta = 0.0
-            try:
-                nxt = 0j
-                for it, j, coeff, _ in term_list:
-                    zfac = cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
-                    nxt += coeff * (c**j) * zfac
-            except OverflowError:
-                ro._reason = "escaped"
-                return
+            nxt = 0j
+            for it, j, coeff, _ in term_list:
+                zfac = cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                nxt += coeff * (c**j) * zfac
             if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
                 ro._reason = "escaped"
                 return
@@ -577,9 +599,6 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             c = nxt
             lc = _lmag(c)
         yield lc, step_eta
-        if lc == -math.inf:
-            ro._reason = "zero"
-            return
 
 
 # ---------------------------------------------------------------------------
@@ -652,19 +671,22 @@ def _series_limit(partials: Iterable[tuple[int, float]], tol: float) -> GreenEst
 
 
 def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol: float,
-                plus: bool, tail_m: float, shift: float, fold: Callable[[int], float],
+                plus: bool, tail_m: float, fold: Callable[[int], float],
                 range_end: Callable[[], Optional[int]]) -> GreenEstimate:
     """G_z^alpha, or G_z^{alpha,+} when plus, from pairs (n, log|c_n|).
 
     c_n is the weighted ratio w_n / z_n^alpha.  The pairs are read in
-    order up to the first final estimate: a sentinel estimate in place of
-    log|c_n| (the orbit hit E_z), an exact zero, an escape, the certified
-    tail bound (plus) or the settler.  Past the last pair come zero for
-    plus when the ratio dove below the double range at step range_end()
-    (None otherwise; called only once the pairs have run out), then the
-    settler's finish.  fold(n) bounds the error the orbit itself carries
-    up to step n; it is added to every estimate but the sentinels.  shift
-    is added to log|c_n| at the escape exit (_escape_shift).
+    order up to the first final estimate: one given in place of log|c_n|
+    (the direct orbit hit E_z or escaped), an exact zero, the certified
+    tail bound (plus) or the settler, which reads d^-n log|c_n| (log+ for
+    plus) as an ordinary series and diverges where a term c^j, j > d,
+    takes the lead.  For plus it decides only past the escape radius;
+    below it the certified bound stops the series.  Past the last pair
+    come zero for plus when the ratio dove below the double range at step
+    range_end() (None otherwise; called only once the pairs have run
+    out), then the settler's finish.  fold(n) bounds the error the orbit
+    itself carries up to step n; it is added to every estimate the settle
+    makes.
     """
     settler = _Settler(tol)
     for n, lr in pairs:
@@ -672,21 +694,18 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             return lr
         if lr == -math.inf:
             return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
-        if lr > ESCAPE_LOG:
-            # tail past the escape radius is below 1e-12 of the last term
-            est = GreenEstimate(_over(lr + shift, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
-        elif plus:
+        dn = d**n
+        g = _over(max(lr, 0.0) if plus else lr, dn)
+        est = settler.push(g, n)
+        if plus and not lr > ESCAPE_LOG:
             # converged only when the certified tail bound is below tol;
             # increments alone can sit on the spurious log+ = 0 plateau
-            bound = _over(tail_m, d**n) if d >= 2 else math.inf
+            bound = _over(tail_m, dn) if d >= 2 else math.inf
             if bound >= tol:
-                settler.push(_over(max(lr, 0.0), d**n), n)
                 continue
-            est = GreenEstimate(_over(max(lr, 0.0), d**n), n, TERM_CONVERGED, bound)
-        else:
-            est = settler.push(_over(lr, d**n), n)
-            if est is None:
-                continue
+            est = GreenEstimate(g, n, TERM_CONVERGED, bound)
+        elif est is None:
+            continue
         return _fold_residual(est, fold(est.n_used))
     if plus and d >= 2 and (end := range_end()) is not None:
         # the ratio dove below the double range: every later bounce is
@@ -730,46 +749,40 @@ def _require_d(c: Classification, minimum: int = 1) -> int:
     return c.d
 
 
-def _plus_tail_constant(d: int, coeff_sum: float) -> float:
+def _plus_tail_constant(d: int, coeff_sum: float, j_max: int = 0) -> float:
     """M with |G+ - d^-n log+|c_n|| <= M d^-n, from the one-step defect.
 
-    log+|c'| - d log+|c| is bounded above by log(sum of coefficient
-    magnitudes) and below by -d log(escape radius) until escape, so the
-    geometric tail is controlled by M = max(...) * d/(d-1).
+    Below the escape radius R, log+|c'| - d log+|c| is bounded above by
+    log(sum of coefficient magnitudes) + (j_max - d)+ log R, j_max the
+    highest power of c, and below by -d log R, so the geometric tail is
+    controlled by M = max(...) * d/(d-1).
     """
-    m1 = max(math.log(max(coeff_sum, 1.0)) + 1.0, d * ESCAPE_LOG)
+    m1 = max(math.log(max(coeff_sum, 1.0)) + 1.0 + max(j_max - d, 0) * ESCAPE_LOG,
+             d * ESCAPE_LOG)
     return m1 * d / (d - 1) if d >= 2 else m1
 
 
-def _ratio_coeff_sum(f: SkewProduct, alpha: Fraction) -> float:
-    return sum(abs(coeff) for _, _, coeff, _ in _ratio_terms(f, alpha)) + 1.0
-
-
-def _escape_shift(terms: list[tuple[int, int, complex, float]], d: int) -> float:
-    """log|b|/(d-1), b the (0, d) coefficient of the ratio recursion, when it leads at escape.
-
-    Past the escape radius c' = b c^d (1 + o(1)) when no term has a higher
-    j, so log|c_n| + log|b|/(d-1) grows like d^n exactly and its d^-n
-    multiple is the escape rate; 0.0 where there is no such b or d < 2.
-    """
-    if d < 2 or any(j > d for _, j, _, _ in terms):
-        return 0.0
-    return next((lb / (d - 1) for it, j, _, lb in terms if it == 0 and j == d), 0.0)
+def _ratio_tail_m(f: SkewProduct, c: Classification) -> float:
+    """_plus_tail_constant of G_z^{alpha,+} on the weighted-ratio orbit."""
+    terms = _ratio_terms(f, c.alpha)
+    return _plus_tail_constant(c.d, sum(abs(coeff) for _, _, coeff, _ in terms) + 1.0,
+                               max(j for _, j, _, _ in terms))
 
 
 def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
                     plus: bool) -> GreenEstimate:
-    tail_m = _plus_tail_constant(c.d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
-    shift = _escape_shift(_ratio_terms(f, c.alpha), c.d)
-    return _settle_gza(enumerate(lc for lc, _ in ro), c.d, tol, plus, tail_m, shift,
+    tail_m = _ratio_tail_m(f, c) if plus else 0.0
+    return _settle_gza(enumerate(lc for lc, _ in ro), c.d, tol, plus, tail_m,
                        lambda n: ro.fold_bound(c.d, n),
-                       lambda: len(ro.log_mags) - 1 if ro.reason == "range" else None)
+                       lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
+                                if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
 
 
 def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
     """_plus_tail_constant of G_z^{alpha,+} on the direct orbit."""
     b = abs(f.q.terms[c.primary.vertex])
-    return _plus_tail_constant(c.d, sum(abs(v) for v in f.q.terms.values()) / b + 1)
+    return _plus_tail_constant(c.d, sum(abs(v) for v in f.q.terms.values()) / b + 1,
+                               max(j for _, j in f.q.terms))
 
 
 def _line_recursion(f: SkewProduct, c: Classification, dominant: tuple[int, int]
@@ -817,9 +830,13 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                 u = line[0] * u + line[1]
             else:
                 u = lw - (alpha * lz if alpha != 0.0 else 0.0)
+            if u > ESCAPE_LOG:   # the orbit ends; its tail is below 1e-12 of the last term
+                est = GreenEstimate(_over(u, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
+                yield n, _fold_residual(est, _switch_fold(logs, d, n))
+                return
             yield n, u
 
-    return _settle_gza(ratio_logs(), d, tol, plus, tail_m, 0.0,
+    return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
                        lambda n: _switch_fold(logs, d, n),
                        lambda: logs.steps[-1][0] if logs.reason == "range" else None)
 
@@ -880,7 +897,7 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
         if lz == -math.inf:
             return GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
         if (logs._switch_step is not None and n >= logs._switch_step and u_prev is not None
-                and logs._dominant == c.primary.vertex and c.delta == d):
+                and logs._dominant == c.primary.vertex):
             u = d * u_prev + log_b - (gamma / d) * n * log_a
         else:
             u = lw - (gamma / d) * n * lz
@@ -908,31 +925,26 @@ def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
     ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
-        refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
         est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, plus=False),
-                           base if base is not None else g_p(f.p, z, n_max, tol),
-                           refuse_escape)
+                           base if base is not None else g_p(f.p, z, n_max, tol))
         if est is not None:
             return est
     return _gz_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
 
 
-def _gz_composed(c: Classification, part: GreenEstimate, base: GreenEstimate,
-                 refuse_escape: bool) -> Optional[GreenEstimate]:
+def _gz_composed(c: Classification, part: GreenEstimate,
+                 base: GreenEstimate) -> Optional[GreenEstimate]:
     """G_z = a G_z^alpha + b G_p, a = [d = lambda], b = [delta = lambda] alpha, or None.
 
     Both parts settle on their own, so their limits compose.  None where
-    the direct orbit serves instead: a part that is not finite; a
+    the direct orbit serves instead: a part that is not finite, such as a
+    G_z^alpha whose escape a term c^j, j > d, comes to lead; or a
     G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
-    limit finite and an unsettled part cannot tell; or, with
-    refuse_escape (the recursion has a term c^j, j > d), an escape of the
-    ratio, where d^-n log|c_n| grows without bound once that term leads.
-    A part with weight 0 adds neither residual nor termination.
+    limit finite and an unsettled part cannot tell.  A part with weight
+    0 adds neither residual nor termination.
     """
     a = 1 if c.d == c.lam else 0
-    if (not (part.finite and base.finite)
-            or (part.termination == TERM_ESCAPED and refuse_escape)
-            or (not a and part.termination == TERM_BUDGET)):
+    if not (part.finite and base.finite) or (not a and part.termination == TERM_BUDGET):
         return None
     b = float(c.alpha) if c.delta == c.lam else 0.0
     term, residual = TERM_CONVERGED, 0.0
@@ -1193,15 +1205,14 @@ def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, 
 
     With d >= 1 and a weighted-ratio recursion, the lanes of _fiber_ratio
     are composed with the fiber's one G_p, as g_z composes one point; a
-    lane whose composition is refused takes the direct orbit, as every
-    lane does otherwise (_fiber_direct).
+    lane whose composition is refused (a part not finite, or unsettled of
+    weight 0) takes the direct orbit, as every lane does otherwise.
     """
     if _direct_only(f, c, "Gz", z):
         return _fiber_direct(f, c, "Gz", complex(z), ws, n_max, tol)
     if base is None:
         base = g_p(f.p, z, n_max, tol)
-    refuse_escape = any(j > c.d for _, j, _, _ in _ratio_terms(f, c.alpha))
-    ests = [_gz_composed(c, est, base, refuse_escape)
+    ests = [_gz_composed(c, est, base)
             for est in _fiber_ratio(f, c, False, complex(z), ws, n_max, tol)]
     rest = [k for k, est in enumerate(ests) if est is None]
     for k, est in zip(rest, _fiber_direct(f, c, "Gz", complex(z),
@@ -1342,12 +1353,12 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     once their estimate is final.
     """
     d, al = c.d, int(c.alpha)
-    tail_m = _plus_tail_constant(d, _ratio_coeff_sum(f, c.alpha)) if plus else 0.0
+    tail_m = _ratio_tail_m(f, c) if plus else 0.0
     terms = _ratio_terms(f, c.alpha)
-    shift = _escape_shift(terms, d)
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
+    j_top, it_top = t_j.max(), t_it.max()
     log_a = cmath.log(f.p.leading_at_zero())
     tail = _p_tail(f)
     lz = cmath.log(z)
@@ -1376,16 +1387,14 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
         used[sel] = n
         final[sel] = True
 
-    def end(mask, dove=False):
-        """The orbits of the masked lanes end after element n; dove: below the double range."""
-        if not mask.any():
-            return
-        if plus and dove and d >= 2:
+    def end(mask, dove=None):
+        """The orbits of the masked lanes end after element n; dove marks dives below the range."""
+        if plus and dove is not None and d >= 2:
             bound = _over(tail_m, dn)
-            put(mask, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
-        else:
-            g, r, conv = settler.finish(n)
-            put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
+            put(mask & dove, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
+            mask = mask & ~dove
+        g, r, conv = settler.finish(n)
+        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
 
     n = 0
     with np.errstate(all="ignore"):
@@ -1394,25 +1403,20 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             dn = d**n
             zero = lc == -math.inf
             put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
-            esc = lc > ESCAPE_LOG
-            put(esc, _ESC, _over(lc + shift, dn), _over(3e-12, dn) + fold)
-            rest = ~zero & ~esc
+            g = _over(np.where(0.0 > lc, 0.0, lc) if plus else lc, dn)
+            conv, div = settler.push(g, n)
             if plus:
-                g = _over(np.where(0.0 > lc, 0.0, lc), dn)
+                # the settler decides past the escape radius, the certified bound below it
+                past = lc > ESCAPE_LOG
                 bound = _over(tail_m, dn) if d >= 2 else math.inf
                 if bound < tol:
-                    put(rest, _CONV, g, bound + fold)
-                else:
-                    settler.push(g, n)
-            else:
-                g = _over(lc, dn)
-                conv, div = settler.push(g, n)
+                    put(~zero & ~past, _CONV, g, bound + fold)
+            fin = (past if plus else ~zero) & (conv | div)   # conv and div are disjoint
+            if fin.any():
                 inc = settler.last_inc(n)
-                r = _fold(np.abs(inc), fold)
-                put(rest & conv, _CONV, g, r)
                 up = inc > 0
-                put(rest & div, np.where(up, _DIV_POS, _DIV_NEG),
-                    np.where(up, math.inf, -math.inf), r)
+                put(fin, np.where(conv, _CONV, np.where(up, _DIV_POS, _DIV_NEG)),
+                    np.where(conv, g, np.where(up, math.inf, -math.inf)), _fold(np.abs(inc), fold))
             done = final[live]
 
             # -- the orbits end at the budget, or before step n + 1 where z escapes
@@ -1432,16 +1436,17 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             tl = np.empty((len(terms), live.size))
             for k, (it, j, _, lb) in enumerate(terms):
                 tl[k] = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
-            top = tl.max(axis=0)
-            safe = (top == -math.inf) | (
-                (top <= _WINDOW) & (top >= -_WINDOW)
-                & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0))
-            logm = ext | ~safe
+            factors = ()   # as in _ratio_steps, on the lanes before their switch
+            if max(j_top * np.abs(np.where(ext, 0.0, lc)).max(),
+                   it_top * abs(lzr) + abs(al * corr.real)) > _SAFE:
+                factors = (t_j[:, None] * lc, np.array(
+                    [[(it * lzr if it else 0.0) - al * corr.real] for it, _, _, _ in terms]))
+            logm = ext | ~_lanes_terms_safe(tl, *factors)
             new_lc = np.empty(live.size)
             eta = np.zeros(live.size)
             failed = np.zeros(live.size, bool)
             if logm.any():
-                sub, sub_top = tl[:, logm], top[logm]
+                sub, sub_top = tl[:, logm], tl[:, logm].max(axis=0)
                 dom = sub.argmax(axis=0)
                 sub_eta = np.zeros(dom.size)
                 for k in range(len(terms)):
@@ -1457,19 +1462,16 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                                 - al * corr.real)
             exact = ~logm
             if exact.any():
-                try:
-                    zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
-                             for it, _, _, _ in terms]
-                except OverflowError:  # a shared z-factor overflows: every exact lane escapes
-                    failed[exact] = True
-                else:
-                    nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
-                    failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
-                    cr[exact], ci[exact] = nr, ni
-                    new_lc[exact] = _log_abs(nr, ni)
-            # a refused extension ends as 'range', a non-finite exact step as 'escaped'
-            end(failed & logm, dove=True)
-            end(failed & exact)
+                zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                         for it, _, _, _ in terms]
+                nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
+                failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
+                cr[exact], ci[exact] = nr, ni
+                new_lc[exact] = _log_abs(nr, ni)
+            if failed.any():   # a refused extension ends as 'range', a dive where
+                # log|c| < 0; a non-finite exact step as 'escaped'
+                end(failed & logm, dove=lc < 0)
+                end(failed & exact)
             keep = ~failed
             ext = ext | logm
             lc = new_lc
@@ -1572,10 +1574,7 @@ def _lanes_exact(f: SkewProduct, dominant: tuple[int, int], z: complex, ws: np.n
             # _extension_eta's safety test; p's terms sit at (k, 0) with k >= 2,
             # so their logs are k lz + 0.0
             tl = _lane_term_logs(q_keys, lzc, lw)
-            top = tl.max(axis=0)
-            unsafe = ~((top == -math.inf) | (
-                (top <= _WINDOW) & (top >= -_WINDOW)
-                & ((tl >= -_WINDOW) | (tl <= top - _NEGLIGIBLE_GAP)).all(axis=0)))
+            unsafe = ~_lanes_terms_safe(tl)
             if not _terms_safe([k * lzc + 0.0 for k in p_terms]):
                 unsafe[:] = True
             unsafe &= ~stop
@@ -1927,7 +1926,7 @@ def _lanes_gzi(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -
     step, m, lz, lw = _read(logs, skip, logs.log_z, logs.log_w)
     u = lw - slope * step * lz
     # the cancellation-free extension, where the primary vertex drives it
-    use = ((logs.vertex == 0) & (logs.switch_step >= 0) & (c.delta == d))[:, None] \
+    use = ((logs.vertex == 0) & (logs.switch_step >= 0))[:, None] \
         & (step >= logs.switch_step[:, None])
     use[:, 0] = False
     for k in np.flatnonzero(use.any(axis=0)).tolist():

@@ -18,7 +18,7 @@ SEMI_TEXT = "builtin semiconjugate degenerate 1 4 ; h: 3 1 0 2 1 0\n"
 
 # sha256 of the whole `skewdyn verify` stdout: 13 PASS lines and the total,
 # so a speed-up that moves any figure of any suite fails here
-VERIFY_STDOUT = "a349085b900234db6f58315a0e4cd38fd7370ca379c5ad9378f0b864fa1b72cd"
+VERIFY_STDOUT = "70a58fbdcb9498d9f057bbca77565f47dceccdd6e21e78bb630428487b1b0c4e"
 
 
 @pytest.fixture()

@@ -23,7 +23,7 @@ from skewdyn import (
     monomial_skew,
     submean_check,
 )
-from skewdyn.green import DEFAULT_TOL, ESTIMATORS, fiber_sample
+from skewdyn.green import DEFAULT_TOL, ESCAPE_LOG, ESTIMATORS, fiber_sample
 from skewdyn.oracles import (
     example_degenerate,
     julia_membership,
@@ -356,7 +356,7 @@ def test_fiber_sample_traversal_order(monkeypatch):
     # e-folds, so the log-space extension runs with eta > 0
     f0, c0 = maps[0], classify(maps[0])
     assert ratio_orbit(f0, c0.alpha, 0.5, ws[1], 64).log_mags[1] == -math.inf
-    assert ratio_orbit(f0, c0.alpha, 0.5, ws[8], 64).reason == "escaped"
+    assert max(ratio_orbit(f0, c0.alpha, 0.5, ws[8], 64).log_mags) > ESCAPE_LOG
     assert any(ratio_orbit(maps[4], classify(maps[4]).alpha, -1.0, ws[2], 64).etas)
     # the last fiber suits the d = 1 map; on its extra lane np.log and
     # math.log differ in the last bit
@@ -404,7 +404,7 @@ def test_fiber_sample_traversal_order(monkeypatch):
     assert (tail_logs.reason, tail_logs.steps[-1][0]) == ("range", 4)
     _, z_esc, (w_esc, *_) = cases[-1]
     c_esc = classify(ESCAPE_MAP)
-    assert ratio_orbit(ESCAPE_MAP, c_esc.alpha, z_esc, w_esc, 64).reason == "escaped"
+    assert max(ratio_orbit(ESCAPE_MAP, c_esc.alpha, z_esc, w_esc, 64).log_mags) > ESCAPE_LOG
     for chunk in (green._CHUNK, 3):
         monkeypatch.setattr(green, "_CHUNK", chunk)
         for f, z, lanes in cases:
@@ -501,13 +501,14 @@ ESCAPE_MAP = SkewProduct(UniPoly({3: 1.28 + 0.40j, 4: 0.22 + 0.16j}),
                          BiPoly({(0, 3): 0.77 - 0.67j, (2, 1): 0.94 - 0.56j}))
 
 
-def test_ratio_escape_exit_carries_log_b():
-    # past the escape radius c' = b c^3 (1 + o(1)), so the exit reads
-    # (log|c_n| + log|b|/(d - 1)) / d^n; the reference iterates the ratio
-    # recursion c' = q(z, z c) / p(z) itself in mpmath, 45 steps deep
+def test_ratio_orbit_runs_past_the_escape_radius():
+    # past the escape radius c' = b c^3 (1 + o(1)) with |b| != 1, so
+    # d^-n log|c_n| settles as a geometric series in log|b|; the reference
+    # iterates the ratio recursion c' = q(z, z c) / p(z) itself in mpmath,
+    # 45 steps deep
     import mpmath as mp
 
-    from skewdyn.green import fiber_sample
+    from skewdyn.green import fiber_sample, ratio_orbit
 
     f, z, w = ESCAPE_MAP, 0.134 - 0.221j, 0.165 + 0.395j
     c = classify(f)
@@ -519,11 +520,37 @@ def test_ratio_escape_exit_carries_log_b():
             cn = sum(mp.mpc(b) * zn**i * (zn * cn)**j for (i, j), b in f.q.terms.items()) / pz
             zn = pz
         limit = float(mp.log(abs(cn)) / mp.mpf(3) ** 45)
+    ro = ratio_orbit(f, c.alpha, z, w, 64)
+    escape = next(n for n, lc in enumerate(ro.log_mags) if lc > ESCAPE_LOG)
     for fn, key in ((g_z_alpha, "Gza"), (g_z_alpha_plus, "Gzap")):
         est = fn(f, c, z, w)
-        assert (est.n_used, est.termination) == (5, "escaped_with_tail")
-        assert abs(est.value - limit) < 1e-12
+        assert est.termination == "converged" and est.n_used > escape
+        assert abs(est.value - limit) <= est.residual
         assert fiber_sample(f, c, key, z, [w]).estimates == (est,)
+
+
+def test_escape_side_range_end_is_not_a_dive():
+    # c' = (b + b' z^2) c^4: past log|c| ~ 1e32 the log recursion cannot
+    # resolve its two terms apart and the orbit ends as 'range' at step 55,
+    # far on the escape side; at tol 0 nothing settles before, so
+    # G_z^{alpha,+} must keep its partial there, not read the end as a dive to 0
+    from skewdyn.green import ratio_orbit
+
+    f = SkewProduct(UniPoly({2: -0.3724285298060012 - 1.0327585247305746j,
+                             3: -0.43605874680282 - 0.433088373126995j}),
+                    BiPoly({(0, 4): -1.2765496341385223 + 0.17189730211040333j,
+                            (2, 4): 0.667336094983511 + 0.44520004770628185j}))
+    c = classify(f)
+    z, w = 0.21877769097343763 - 0.21123232556423177j, -1.3173222514220182 + 0.4277501852031263j
+    ro = ratio_orbit(f, c.alpha, z, w, 64)
+    assert (ro.reason, len(ro.log_mags) - 1) == ("range", 55) and ro.log_mags[-1] > 1e32
+    settled = g_z_alpha_plus(f, c, z, w)
+    assert settled.termination == "converged" and settled.n_used < 55
+    for tol in (0.0, DEFAULT_TOL):
+        est = g_z_alpha_plus(f, c, z, w, 64, tol)
+        assert abs(est.value - settled.value) <= settled.residual
+        assert fiber_sample(f, c, "Gzap", z, [w], 64, tol).estimates == (est,)
+    assert g_z_alpha_plus(f, c, z, w, 64, 0.0).n_used == 55
 
 
 def test_gf_is_the_max_of_its_z_part_and_gz():

@@ -13,7 +13,7 @@ import random
 import mpmath as mp
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, g_z, g_z_alpha
-from skewdyn.green import ESCAPE_LOG, _ratio_terms
+from skewdyn.green import _ratio_terms
 
 mp.mp.dps = 60
 
@@ -34,22 +34,18 @@ def _gz_partial(f, c, orbit):
     Where the integer-alpha ratio recursion c' = q(z, z^alpha c)/p(z)^alpha
     serves, G_z = [d = lambda] G_z^alpha + [delta = lambda] alpha G_p.  At
     tol = 0 no part settles, so the composition needs a G_z^alpha that
-    counts (d = lambda) or escaped, and it is refused where the ratio
-    escapes on a recursion with a term c^j, j > d (G_z = +inf there).
-    Elsewhere the estimate is the w-partial lambda^-n log|w_n|.
+    counts (d = lambda); a part of weight 0 cannot show that its limit is
+    finite.  Elsewhere the estimate is the w-partial lambda^-n log|w_n|.
     """
     n = len(orbit) - 1
     zn, wn = orbit[-1]
-    terms = _ratio_terms(f, c.alpha) if c.alpha is not None and c.d >= 1 else None
-    if terms is not None:
+    if c.d == c.lam and c.alpha is not None and _ratio_terms(f, c.alpha) is not None:
         al = int(c.alpha)
-        escaped = max(mp.log(abs(wk)) - al * mp.log(abs(zk)) for zk, wk in orbit) > ESCAPE_LOG
-        if (c.d == c.lam or escaped) and not (escaped and any(j > c.d for _, j, _, _ in terms)):
-            lz = mp.log(abs(zn))
-            ref = (mp.log(abs(wn)) - al * lz) / mp.mpf(c.d) ** n if c.d == c.lam else 0
-            if c.delta == c.lam:
-                ref += al * lz / mp.mpf(c.delta) ** n
-            return float(ref)
+        lz = mp.log(abs(zn))
+        ref = (mp.log(abs(wn)) - al * lz) / mp.mpf(c.d) ** n
+        if c.delta == c.lam:
+            ref += al * lz / mp.mpf(c.delta) ** n
+        return float(ref)
     return float(mp.log(abs(wn)) / mp.mpf(c.lam) ** n)
 
 

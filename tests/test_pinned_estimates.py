@@ -82,7 +82,7 @@ PINNED = {
         'Gp': (-1.151292546497023, 2, 'converged', 0.0),
         'Gza': (-0.3188569292814862, 5, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
+        'Gzap': (0.0, 41, 'converged', 5.2169211376645036e-11),
         'Gz': (-1.151292546497023, 5, 'converged', 0.0),
         'Gf': (-1.151292546497023, 5, 'converged', 0.0),
         'Gfa': (-1.151292546497023, 5, 'converged', 0.0),
@@ -90,9 +90,9 @@ PINNED = {
     },
     ('case2', 1): {
         'Gp': (-0.4581453659370776, 2, 'converged', 0.0),
-        'Gza': (5.852205300259192, 4, 'escaped_with_tail', 1.875e-13),
+        'Gza': (INF, 5, 'divergent_to_plus_inf', 4.692524842730964),
         'Gzi': None,
-        'Gzap': (5.852205300259192, 4, 'escaped_with_tail', 1.875e-13),
+        'Gzap': (INF, 5, 'divergent_to_plus_inf', 4.692524842730964),
         'Gz': (0.6978458044844915, 4, 'budget', 0.17446145112112288),
         'Gf': (0.6978458044844915, 4, 'budget', 0.17446145112112288),
         'Gfa': (0.6978458044844915, 4, 'budget', 0.17446145112112288),
@@ -102,7 +102,7 @@ PINNED = {
         'Gp': (-3.322695507257323, 2, 'converged', 0.0),
         'Gza': (0.354648137922395, 4, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.354648137922395, 7, 'escaped_with_tail', 2.34375e-14),
+        'Gzap': (0.354648137922395, 7, 'converged', 0.0),
         'Gz': (-3.322695507257323, 4, 'converged', 0.0),
         'Gf': (-3.322695507257323, 4, 'converged', 0.0),
         'Gfa': (-3.322695507257323, 4, 'converged', 0.0),
@@ -120,12 +120,12 @@ PINNED = {
     },
     ('case3', 1): {
         'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
-        'Gza': (1.2414357056407812, 3, 'escaped_with_tail', 1.1111111111111111e-13),
+        'Gza': (1.2414357056407812, 5, 'converged', 2.220446049250313e-16),
         'Gzi': None,
-        'Gzap': (1.2414357056407812, 3, 'escaped_with_tail', 1.1111111111111111e-13),
-        'Gz': (-0.6931471805599453, 3, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 3, 'converged', 0.0),
-        'Gfa': (-0.6931471805599453, 3, 'converged', 0.0),
+        'Gzap': (1.2414357056407812, 5, 'converged', 2.220446049250313e-16),
+        'Gz': (-0.6931471805599453, 5, 'converged', 0.0),
+        'Gf': (-0.6931471805599453, 5, 'converged', 0.0),
+        'Gfa': (-0.6931471805599453, 5, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case3', 2): {
@@ -142,7 +142,7 @@ PINNED = {
         'Gp': (-1.4978661367769954, 2, 'converged', 0.0),
         'Gza': (-0.20304210999250577, 35, 'converged', 3.1973812486540965e-11),
         'Gzi': None,
-        'Gzap': (0.0, 41, 'converged', 5.0260534619025834e-11),
+        'Gzap': (0.0, 41, 'converged', 7.792989237442607e-11),
         'Gz': (-1.4978661367769954, 35, 'converged', 0.0),
         'Gf': (-1.4978661367769954, 35, 'converged', 0.0),
         'Gfa': (-1.4978661367769954, 35, 'converged', 0.0),
@@ -150,9 +150,9 @@ PINNED = {
     },
     ('case4', 1): {
         'Gp': (-0.8047189562170501, 2, 'converged', 0.0),
-        'Gza': (5.282677598520042, 4, 'escaped_with_tail', 1.875e-13),
+        'Gza': (INF, 5, 'divergent_to_plus_inf', 3.8501266819312487),
         'Gzi': None,
-        'Gzap': (5.282677598520042, 4, 'escaped_with_tail', 1.875e-13),
+        'Gzap': (INF, 5, 'divergent_to_plus_inf', 3.8501266819312487),
         'Gz': (0.39795485849258566, 5, 'budget', 0.15918194339703423),
         'Gf': (0.39795485849258566, 5, 'budget', 0.15918194339703423),
         'Gfa': (0.39795485849258566, 5, 'budget', 0.15918194339703423),
