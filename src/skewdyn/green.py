@@ -27,13 +27,15 @@ leaves the double range, either way, it continues by the dominant
 monomial, re-validated at every step, so d^-n log|c_n| settles as an
 ordinary series, or diverges where a term c^j, j > d, comes to lead an
 escape.  _settle_gza settles it and the direct orbit, which ends at its
-escape, each with its own error fold.  Since log|w_n| =
-alpha log|z_n| + log|c_n| exactly, G_z there is composed from parts that
-settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
+escape, each with its own error fold; past the escape radius the series
+is geometric at the rate 1/d, and its residual counts the tail.  Since
+log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
+parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
 finite and where a G_z^alpha of weight 0, whose limit G_z needs finite,
-did not settle.  The max in G_f and G_f^alpha splits the same way:
-with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
+did not settle.  Such a part stops at the escape radius where no term
+c^j, j > d, can take the lead.  The max in G_f and G_f^alpha splits the
+same way: with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
 max(s Z, G_z) for s = 1 and s = alpha (_f_z_part, _max_of_parts), from
 the one G_p that G_z's composition shares.
 
@@ -224,14 +226,17 @@ class _OrbitLogs(_PulledSteps):
     dominant = _final("_dominant")
 
 
-def _terms_safe(term_logs: list[float], *factor_logs: list[float]) -> bool:
+def _terms_safe(term_logs: list[float], exps: Optional[tuple] = None, lc: float = 0.0,
+                lz: float = 0.0, ac: float = 0.0) -> bool:
     """True when a polynomial value computes faithfully in doubles.
 
     The result magnitude tracks the top term, so the top must sit inside
     the window, and every other term must be representable or negligible
     relative to the top.  -inf terms are exact zeros and never block.
-    Each of factor_logs holds, per term, the log of a factor it is formed
-    from: none may overflow, and one may underflow only in a negligible term.
+    exps = (j per term, i~ per term, top j, top i~) marks the terms z^i~ c^j
+    of the ratio recursion at log|c| = lc, log|z| = lz, ac = alpha Re(corr):
+    no factor c^j or exp(i~ log z - alpha corr) may overflow, and one may
+    underflow only in a negligible term (checked where one can at all).
     """
     top = max(term_logs)
     if top == -math.inf:
@@ -239,18 +244,32 @@ def _terms_safe(term_logs: list[float], *factor_logs: list[float]) -> bool:
     if top > _WINDOW or top < -_WINDOW:
         return False
     low = top - _NEGLIGIBLE_GAP
-    return all(t >= -_WINDOW or t <= low for t in term_logs) and all(
-        x <= _WINDOW and (x >= -_WINDOW or t <= low)
-        for logs in factor_logs for t, x in zip(term_logs, logs))
+    if min(term_logs) < -_WINDOW and not all(t >= -_WINDOW or t <= low for t in term_logs):
+        return False
+    if exps is None:
+        return True
+    js, its, j_top, it_top = exps
+    if j_top * abs(lc) <= _SAFE and it_top * abs(lz) + abs(ac) <= _SAFE:
+        return True
+    return all(x <= _WINDOW and (x >= -_WINDOW or t <= low)
+               for t, j, it in zip(term_logs, js, its)
+               for x in (j * lc if j else 0.0, (it * lz if it else 0.0) - ac))
 
 
-def _lanes_terms_safe(tl: np.ndarray, *factor_logs: np.ndarray) -> np.ndarray:
-    """_terms_safe per lane: one row per term in tl and in each of factor_logs, which broadcast."""
-    top = tl.max(axis=0)
-    negligible = tl <= top - _NEGLIGIBLE_GAP
-    ok = (top <= _WINDOW) & (top >= -_WINDOW) & ((tl >= -_WINDOW) | negligible).all(axis=0)
-    for logs in factor_logs:
-        ok &= ((logs <= _WINDOW) & ((logs >= -_WINDOW) | negligible)).all(axis=0)
+def _lanes_terms_safe(tl: np.ndarray, top: np.ndarray, exps: Optional[tuple] = None,
+                      lc: Optional[np.ndarray] = None, lz: float = 0.0, ac: float = 0.0
+                      ) -> np.ndarray:
+    """_terms_safe per lane: one row per term in tl, top its max, exps as arrays, lc per lane."""
+    low = top - _NEGLIGIBLE_GAP
+    ok = (top <= _WINDOW) & (top >= -_WINDOW)
+    if tl.size and tl.min() < -_WINDOW:
+        ok &= ((tl >= -_WINDOW) | (tl <= low)).all(axis=0)
+    if exps is not None:
+        js, its, j_top, it_top = exps
+        if j_top * np.abs(lc).max() > _SAFE or it_top * abs(lz) + abs(ac) > _SAFE:
+            negligible = tl <= low
+            for logs in (js[:, None] * lc, (its * lz - ac)[:, None]):
+                ok &= ((logs <= _WINDOW) & ((logs >= -_WINDOW) | negligible)).all(axis=0)
     return (top == -math.inf) | ok
 
 
@@ -471,9 +490,9 @@ def _p_tail(f: SkewProduct) -> list[tuple[complex, int]]:
 
 def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
     """p-tail correction log(p(z)/(a z^delta)) at log z; exact 0 once z underflows."""
-    if not tail:
-        return 0j   # cmath.log(1 + 0)
-    zv = cmath.exp(lz) if lz.real > -700.0 else 0j
+    if not tail or lz.real <= -700.0:
+        return 0j   # cmath.log(1 + 0), exactly as the sum gives it at z = 0
+    zv = cmath.exp(lz)
     return cmath.log(1 + sum(ca * zv ** e for ca, e in tail))
 
 
@@ -550,7 +569,8 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     yield lc, 0.0
     extended = False
     dom = None  # (it, j, log|coeff|) of the validated dominant monomial
-    j_top, it_top = max(j for _, j, _, _ in term_list), max(it for it, _, _, _ in term_list)
+    js, its = [j for _, j, _, _ in term_list], [it for it, _, _, _ in term_list]
+    exps = (js, its, max(js), max(its))
     for _ in range(n_max):
         if lz.real > ESCAPE_LOG:
             ro._reason = "escaped"
@@ -564,14 +584,9 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
             for it, j, _, lb in term_list
         ]
-        factors = ()   # the logs of the factors c^j and exp(i~ lz - al corr) of the terms
-        if not extended and (j_top * abs(lc) > _SAFE
-                             or it_top * abs(lzr) + abs(al * corr.real) > _SAFE):
-            factors = ([j * lc if j else 0.0 for _, j, _, _ in term_list],
-                       [(it * lzr if it else 0.0) - al * corr.real for it, _, _, _ in term_list])
-        if extended or not _terms_safe(tlogs, *factors):
-            top_idx = max(range(len(tlogs)), key=tlogs.__getitem__)
-            top = tlogs[top_idx]
+        if extended or not _terms_safe(tlogs, exps, lc, lzr, al * corr.real):
+            top = max(tlogs)
+            top_idx = tlogs.index(top)
             eta = 0.0  # summed left to right, as in fold_bound
             for k, t in enumerate(tlogs):
                 if k != top_idx and t - top > -80.0:
@@ -623,7 +638,8 @@ class _Settler:
         self.inc: Optional[float] = None
         self.run = 0   # trailing same-sign increments above floor, none decaying
 
-    def push(self, g: float, n: int) -> Optional[GreenEstimate]:
+    def push(self, g: float, n: int, decide: bool = True) -> Optional[GreenEstimate]:
+        """Partial g_n in; its final estimate out, if any and decide is set."""
         prev = self.inc
         if self.g is not None:
             self.inc = g - self.g
@@ -632,14 +648,14 @@ class _Settler:
         if inc is None:
             return None
         if prev is not None and abs(inc) < self.tol and abs(prev) < self.tol:
-            return GreenEstimate(g, n, TERM_CONVERGED, abs(inc))
+            return GreenEstimate(g, n, TERM_CONVERGED, abs(inc)) if decide else None
         if not abs(inc) > self.floor:   # nan included
             self.run = 0
         elif self.run and (inc > 0) == (prev > 0) and not abs(inc) < 0.9 * abs(prev):
             self.run += 1
         else:
             self.run = 1
-        if self.run >= 5:
+        if self.run >= 5 and decide:
             if inc > 0:
                 return GreenEstimate(math.inf, n, TERM_DIV_POS, abs(inc))
             return GreenEstimate(-math.inf, n, TERM_DIV_NEG, abs(inc))
@@ -684,11 +700,14 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
     below it the certified bound stops the series.  Past the last pair
     come zero for plus when the ratio dove below the double range at step
     range_end() (None otherwise; called only once the pairs have run
-    out), then the settler's finish.  fold(n) bounds the error the orbit
-    itself carries up to step n; it is added to every estimate the settle
-    makes.
+    out), then the settler's finish.  Past the escape radius the
+    increments shrink at the rate 1/d, so the tail past the last one, r,
+    is about r/(d-1): a settler estimate read there adds that, and r more
+    is its margin.  fold(n) bounds the error the orbit itself carries up
+    to step n; it is added to every estimate the settle makes.
     """
     settler = _Settler(tol)
+    lr = -math.inf
     for n, lr in pairs:
         if isinstance(lr, GreenEstimate):
             return lr
@@ -696,26 +715,27 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
             return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
         dn = d**n
         g = _over(max(lr, 0.0) if plus else lr, dn)
-        est = settler.push(g, n)
-        if plus and not lr > ESCAPE_LOG:
+        below = plus and not lr > ESCAPE_LOG
+        est = settler.push(g, n, not below)
+        if below:
             # converged only when the certified tail bound is below tol;
             # increments alone can sit on the spurious log+ = 0 plateau
             bound = _over(tail_m, dn) if d >= 2 else math.inf
-            if bound >= tol:
-                continue
-            est = GreenEstimate(g, n, TERM_CONVERGED, bound)
-        elif est is None:
-            continue
-        return _fold_residual(est, fold(est.n_used))
-    if plus and d >= 2 and (end := range_end()) is not None:
-        # the ratio dove below the double range: every later bounce is
-        # bounded by shrinking z-powers, so the escape rate is zero; it is
-        # converged only when the certified tail bound is below tol
-        bound = _over(tail_m, d**end)
-        est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
+            if bound < tol:
+                return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold(n))
+        elif est is not None:
+            break
     else:
+        if plus and d >= 2 and (end := range_end()) is not None:
+            # the ratio dove below the double range: every later bounce is
+            # bounded by shrinking z-powers, so the escape rate is zero; it is
+            # converged only when the certified tail bound is below tol
+            bound = _over(tail_m, d**end)
+            est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
+            return _fold_residual(est, fold(end))
         est = settler.finish()
-    return _fold_residual(est, fold(est.n_used))
+    tail = est.residual / (d - 1) if d >= 2 and lr > ESCAPE_LOG and est.finite else 0.0
+    return _fold_residual(est, tail + fold(est.n_used))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +790,18 @@ def _ratio_tail_m(f: SkewProduct, c: Classification) -> float:
 
 
 def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
-                    plus: bool) -> GreenEstimate:
+                    plus: bool, weightless: bool = False) -> GreenEstimate:
+    """G_z^alpha, or G_z^{alpha,+} when plus, settled on the weighted-ratio orbit.
+
+    weightless asks only whether the limit is finite, as G_z of a G_z^alpha
+    of weight 0 does: with no term c^j, j > d, the c^d term leads past the
+    escape radius, and the orbit stops there as 'escaped', its tail unknown.
+    """
     tail_m = _ratio_tail_m(f, c) if plus else 0.0
-    return _settle_gza(enumerate(lc for lc, _ in ro), c.d, tol, plus, tail_m,
+    stop = ESCAPE_LOG if weightless and all(j <= c.d for _, j in f.q.terms) else math.inf
+    pairs = ((n, GreenEstimate(_over(lc, c.d**n), n, TERM_ESCAPED, math.inf) if lc > stop else lc)
+             for n, (lc, _) in enumerate(ro))
+    return _settle_gza(pairs, c.d, tol, plus, tail_m,
                        lambda n: ro.fold_bound(c.d, n),
                        lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
                                 if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
@@ -925,7 +954,7 @@ def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
     ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
-        est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, plus=False),
+        est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, False, c.d < c.lam),
                            base if base is not None else g_p(f.p, z, n_max, tol))
         if est is not None:
             return est
@@ -941,7 +970,8 @@ def _gz_composed(c: Classification, part: GreenEstimate,
     G_z^alpha whose escape a term c^j, j > d, comes to lead; or a
     G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
     limit finite and an unsettled part cannot tell.  A part with weight
-    0 adds neither residual nor termination.
+    0 (settled 'weightless', _gza_from_ratio) adds neither residual nor
+    termination.
     """
     a = 1 if c.d == c.lam else 0
     if not (part.finite and base.finite) or (not a and part.termination == TERM_BUDGET):
@@ -1213,7 +1243,7 @@ def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, 
     if base is None:
         base = g_p(f.p, z, n_max, tol)
     ests = [_gz_composed(c, est, base)
-            for est in _fiber_ratio(f, c, False, complex(z), ws, n_max, tol)]
+            for est in _fiber_ratio(f, c, False, complex(z), ws, n_max, tol, c.d < c.lam)]
     rest = [k for k, est in enumerate(ests) if est is None]
     for k, est in zip(rest, _fiber_direct(f, c, "Gz", complex(z),
                                           [ws[k] for k in rest], n_max, tol)):
@@ -1344,21 +1374,23 @@ def _fold(residual, extra: np.ndarray) -> np.ndarray:
 
 
 def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
-                 ws: tuple, n_max: int, tol: float) -> list[GreenEstimate]:
+                 ws: tuple, n_max: int, tol: float, weightless: bool = False
+                 ) -> list[GreenEstimate]:
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
     The z side (log z_n, the p-tail correction, the z-factors of the
     recursion) is computed once per step for the whole fiber.  Lanes are
     settled online as _settle_gza settles the scalar orbit and retire
-    once their estimate is final.
+    once their estimate is final; weightless as in _gza_from_ratio.
     """
     d, al = c.d, int(c.alpha)
+    stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     tail_m = _ratio_tail_m(f, c) if plus else 0.0
     terms = _ratio_terms(f, c.alpha)
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
-    j_top, it_top = t_j.max(), t_it.max()
+    exps = (t_j, t_it, t_j.max(), t_it.max())
     log_a = cmath.log(f.p.leading_at_zero())
     tail = _p_tail(f)
     lz = cmath.log(z)
@@ -1387,6 +1419,9 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
         used[sel] = n
         final[sel] = True
 
+    def escape_tail(r):   # _settle_gza's tail past the escape radius, on finite lanes at element n
+        return np.where(lc > ESCAPE_LOG, r / (d - 1), 0.0) if d >= 2 else 0.0
+
     def end(mask, dove=None):
         """The orbits of the masked lanes end after element n; dove marks dives below the range."""
         if plus and dove is not None and d >= 2:
@@ -1394,7 +1429,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             put(mask & dove, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
             mask = mask & ~dove
         g, r, conv = settler.finish(n)
-        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, fold))
+        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, escape_tail(r) + fold))
 
     n = 0
     with np.errstate(all="ignore"):
@@ -1405,6 +1440,10 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
             g = _over(np.where(0.0 > lc, 0.0, lc) if plus else lc, dn)
             conv, div = settler.push(g, n)
+            if stop_escaped:
+                esc = lc > ESCAPE_LOG
+                put(esc, _ESC, g, math.inf)
+                conv, div = conv & ~esc, div & ~esc
             if plus:
                 # the settler decides past the escape radius, the certified bound below it
                 past = lc > ESCAPE_LOG
@@ -1416,7 +1455,8 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                 inc = settler.last_inc(n)
                 up = inc > 0
                 put(fin, np.where(conv, _CONV, np.where(up, _DIV_POS, _DIV_NEG)),
-                    np.where(conv, g, np.where(up, math.inf, -math.inf)), _fold(np.abs(inc), fold))
+                    np.where(conv, g, np.where(up, math.inf, -math.inf)),
+                    _fold(np.abs(inc), np.where(conv, escape_tail(np.abs(inc)), 0.0) + fold))
             done = final[live]
 
             # -- the orbits end at the budget, or before step n + 1 where z escapes
@@ -1436,17 +1476,15 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             tl = np.empty((len(terms), live.size))
             for k, (it, j, _, lb) in enumerate(terms):
                 tl[k] = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
-            factors = ()   # as in _ratio_steps, on the lanes before their switch
-            if max(j_top * np.abs(np.where(ext, 0.0, lc)).max(),
-                   it_top * abs(lzr) + abs(al * corr.real)) > _SAFE:
-                factors = (t_j[:, None] * lc, np.array(
-                    [[(it * lzr if it else 0.0) - al * corr.real] for it, _, _, _ in terms]))
-            logm = ext | ~_lanes_terms_safe(tl, *factors)
+            top = tl.max(axis=0)
+            # the factors of the lanes past their switch need no check
+            logm = ext | ~_lanes_terms_safe(tl, top, exps, np.where(ext, 0.0, lc), lzr,
+                                            al * corr.real)
             new_lc = np.empty(live.size)
             eta = np.zeros(live.size)
             failed = np.zeros(live.size, bool)
             if logm.any():
-                sub, sub_top = tl[:, logm], tl[:, logm].max(axis=0)
+                sub, sub_top = tl[:, logm], top[logm]
                 dom = sub.argmax(axis=0)
                 sub_eta = np.zeros(dom.size)
                 for k in range(len(terms)):
@@ -1574,7 +1612,7 @@ def _lanes_exact(f: SkewProduct, dominant: tuple[int, int], z: complex, ws: np.n
             # _extension_eta's safety test; p's terms sit at (k, 0) with k >= 2,
             # so their logs are k lz + 0.0
             tl = _lane_term_logs(q_keys, lzc, lw)
-            unsafe = ~_lanes_terms_safe(tl)
+            unsafe = ~_lanes_terms_safe(tl, tl.max(axis=0))
             if not _terms_safe([k * lzc + 0.0 for k in p_terms]):
                 unsafe[:] = True
             unsafe &= ~stop

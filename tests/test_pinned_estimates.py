@@ -120,12 +120,12 @@ PINNED = {
     },
     ('case3', 1): {
         'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
-        'Gza': (1.2414357056407812, 5, 'converged', 2.220446049250313e-16),
+        'Gza': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
         'Gzi': None,
-        'Gzap': (1.2414357056407812, 5, 'converged', 2.220446049250313e-16),
-        'Gz': (-0.6931471805599453, 5, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 5, 'converged', 0.0),
-        'Gfa': (-0.6931471805599453, 5, 'converged', 0.0),
+        'Gzap': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
+        'Gz': (-0.6931471805599453, 3, 'converged', 0.0),
+        'Gf': (-0.6931471805599453, 3, 'converged', 0.0),
+        'Gfa': (-0.6931471805599453, 3, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case3', 2): {

@@ -19,17 +19,17 @@ GRID = "0.5,0.0,0.01,-0.01,1.0,1.0,12"
 
 GOLDEN = {
     ("fiber_ratio", "Gzap"): {
-        "csv": "89a5179bd30ef6baa00cb5ca9b01d766d61ac89946c3dca924df23991e5374b9",
+        "csv": "b1df1aef6e941645f83b959800787d32f966904a473331f1c6c1d52344fbe716",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
         "meta": "4113fdab52a266ebe3e87a002df8f42e0372e6f93a4482417d5227875eb0a2b0",
     },
     ("fiber_ratio", "Gza"): {
-        "csv": "525772937ac2942ab9049694f904dd7af05d1fe535e454286a46d60c31cfcd0f",
+        "csv": "3e8541ebb0422e35217b981bacddd61849454144e1ed7b92bd1122dbf70479e8",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
         "meta": "22ecd7923e78c9eab99ae6fe8259ec77702856617ffb42c30206502d7e2fecfa",
     },
     ("fiber_ratio", "Gz"): {
-        "csv": "5869435d063fbc3e088d245281578e88297f0f08305d15db1d385e14c674d851",
+        "csv": "ed4fcc65e43f1e89d26bcabb115a97ccf4b5514f7d54c5d752e552e56f7bdcbb",
         "pgm": "f4b898b3b63470f0a21c218921c1734aa96bfc03f1740421dec24b1e478d5c6f",
         "meta": "def8de8e174073028fe4a2553e8191fd03e06c857d9a65570741678dfebfbfcc",
     },
