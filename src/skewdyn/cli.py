@@ -81,6 +81,8 @@ def cmd_green(args) -> int:
     c = classify(f)
     cfg = _env_config(args)
     if args.function == "bottcher":
+        if args.point is None:
+            raise SystemExit("green --function bottcher needs --point")
         z, w = _parse_point(args.point)
         est = bottcher(f, c, z, w, n_max=min(cfg.n_max, 32), tol=cfg.tol)
         print(f"phi1: {est.phi1.real!r} {est.phi1.imag!r}")
@@ -153,6 +155,8 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _env_config(args)
     if args.wedge:
+        if None in (args.file, args.weights, args.radii):
+            raise SystemExit("verify --wedge needs a map file, --weights and --radii")
         f = load_skew_product(args.file)
         weights = tuple(Fraction(x) for x in args.weights.split(","))
         radii = tuple(float(x) for x in args.radii.split(","))

@@ -1330,42 +1330,47 @@ def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
 
 
 class _LaneSettler:
-    """_Settler over lanes that receive their partials in lockstep."""
+    """_Settler over lanes that receive their partials in lockstep.
+
+    Each lane keeps _Settler's state: its last partial g (NaN before the
+    first), its last increment inc (inf before the first) and the run of
+    trailing increments that can signal divergence.
+    """
 
     def __init__(self, lanes: int, tol: float):
         self.tol = tol
-        self.g = np.zeros(lanes)            # last partial
-        self.incs = np.zeros((5, lanes))    # increment k sits in row k % 5
+        self.floor = max(tol, 1e-14)
+        self.g = np.full(lanes, math.nan)
+        self.inc = np.full(lanes, math.inf)
+        self.run = np.zeros(lanes, int)
 
     def keep(self, mask: np.ndarray) -> None:
-        self.g = self.g[mask]
-        self.incs = self.incs[:, mask]
+        self.g, self.inc, self.run = self.g[mask], self.inc[mask], self.run[mask]
 
-    def last_inc(self, n: int) -> np.ndarray:
-        return self.incs[n % 5]
+    def push(self, g: np.ndarray, n: int) -> np.ndarray:
+        """Partial number n (from 0) in; out the mask of lanes _Settler.push decides on."""
+        if not n:
+            self.g = g
+            return np.zeros(g.shape, bool)
+        prev, self.inc, self.g = self.inc, g - self.g, g
+        mag, prev_mag = np.abs(self.inc), np.abs(prev)
+        conv = (mag < self.tol) & (prev_mag < self.tol)
+        # a converged lane resets its run, as its increment is below floor
+        grow = ((self.inc > 0) == (prev > 0)) & ~(mag < 0.9 * prev_mag)
+        self.run = np.where(mag > self.floor, np.where(grow, self.run + 1, 1), 0)
+        return conv | (self.run >= 5)
 
-    def push(self, g: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(converged, divergent) lane masks after partial g_n."""
-        if n >= 1:
-            self.incs[n % 5] = g - self.g
-        self.g = g
-        conv = div = np.zeros(g.shape, bool)
-        if n >= 2:
-            conv = (np.abs(self.incs[[(n - 1) % 5, n % 5]]) < self.tol).all(axis=0)
-        if n >= 5:
-            window = self.incs[[(n - k) % 5 for k in range(4, -1, -1)]]
-            mag = np.abs(window)
-            div = ((mag > max(self.tol, 1e-14)).all(axis=0)
-                   & ((window > 0).all(axis=0) | (window < 0).all(axis=0))
-                   & ~(mag[1:] < 0.9 * mag[:-1]).any(axis=0) & ~conv)
-        return conv, div
+    def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tag, value, residual) per lane, as _Settler.finish."""
+        residual = np.abs(self.inc)
+        return np.where(residual < self.tol, _CONV, _BUDGET), self.g, residual
 
-    def finish(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(value, residual, converged) of _Settler.finish after partial g_n."""
-        if n == 0:
-            return self.g, np.full(self.g.shape, math.inf), np.zeros(self.g.shape, bool)
-        residual = np.abs(self.last_inc(n))
-        return self.g, residual, residual < self.tol
+    def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tag, value, residual) per lane: _Settler.push's where push decided, else finish."""
+        tag, val, residual = self.finish()
+        div, up = self.run >= 5, self.inc > 0
+        return (np.where(div, np.where(up, _DIV_POS, _DIV_NEG), tag),
+                np.where(div, np.where(up, math.inf, -math.inf), val), residual)
 
 
 def _fold(residual, extra: np.ndarray) -> np.ndarray:
@@ -1419,8 +1424,10 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
         used[sel] = n
         final[sel] = True
 
-    def escape_tail(r):   # _settle_gza's tail past the escape radius, on finite lanes at element n
-        return np.where(lc > ESCAPE_LOG, r / (d - 1), 0.0) if d >= 2 else 0.0
+    def settle(mask, t, v, r):
+        """put a settler estimate read at element n, with _settle_gza's escape tail."""
+        tail = np.where(np.isfinite(v) & (lc > ESCAPE_LOG), r / (d - 1), 0.0) if d >= 2 else 0.0
+        put(mask, t, v, _fold(r, tail + fold))
 
     def end(mask, dove=None):
         """The orbits of the masked lanes end after element n; dove marks dives below the range."""
@@ -1428,8 +1435,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             bound = _over(tail_m, dn)
             put(mask & dove, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
             mask = mask & ~dove
-        g, r, conv = settler.finish(n)
-        put(mask, np.where(conv, _CONV, _BUDGET), g, _fold(r, escape_tail(r) + fold))
+        settle(mask, *settler.finish())
 
     n = 0
     with np.errstate(all="ignore"):
@@ -1439,24 +1445,20 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             zero = lc == -math.inf
             put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
             g = _over(np.where(0.0 > lc, 0.0, lc) if plus else lc, dn)
-            conv, div = settler.push(g, n)
+            decided = settler.push(g, n)
             if stop_escaped:
                 esc = lc > ESCAPE_LOG
                 put(esc, _ESC, g, math.inf)
-                conv, div = conv & ~esc, div & ~esc
+                decided &= ~esc
             if plus:
                 # the settler decides past the escape radius, the certified bound below it
                 past = lc > ESCAPE_LOG
                 bound = _over(tail_m, dn) if d >= 2 else math.inf
                 if bound < tol:
                     put(~zero & ~past, _CONV, g, bound + fold)
-            fin = (past if plus else ~zero) & (conv | div)   # conv and div are disjoint
+            fin = (past if plus else ~zero) & decided
             if fin.any():
-                inc = settler.last_inc(n)
-                up = inc > 0
-                put(fin, np.where(conv, _CONV, np.where(up, _DIV_POS, _DIV_NEG)),
-                    np.where(conv, g, np.where(up, math.inf, -math.inf)),
-                    _fold(np.abs(inc), np.where(conv, escape_tail(np.abs(inc)), 0.0) + fold))
+                settle(fin, *settler.final())
             done = final[live]
 
             # -- the orbits end at the budget, or before step n + 1 where z escapes
@@ -1846,32 +1848,24 @@ def _lane_limits(g: np.ndarray, step: np.ndarray, m: np.ndarray, tol: float,
     Without finals no push is read, as _settle_gza's plus settler does.
     """
     rows = np.arange(g.shape[0])
-    last = np.maximum(m - 1, 0)
-    val = g[rows, last]
-    res = np.where(m >= 2, np.abs(val - g[rows, np.maximum(m - 2, 0)]), math.inf)
-    tag = np.where(res < tol, _CONV, _BUDGET).astype(np.int8)
-    val = np.where(m > 0, val, math.nan)
-    col = last
+    val, res = np.full(rows.size, math.nan), np.full(rows.size, math.inf)
+    tag, col = np.full(rows.size, _BUDGET, np.int8), np.zeros(rows.size, int)
     final = np.zeros(rows.size, bool)
-    live = np.flatnonzero(m > 2) if finals else rows[:0]   # a final needs two increments
+    live = np.flatnonzero(m > 0)   # the others keep the finish of a settler without partials
     settler = _LaneSettler(live.size, tol)
+    estimates = settler.final if finals else settler.finish
     k = 0
     while live.size:
-        conv, div = settler.push(g[live, k], k)
-        stop = conv | div
-        if stop.any():
-            sel, conv = live[stop], conv[stop]
-            inc = settler.last_inc(k)[stop]
-            val[sel] = np.where(conv, g[sel, k], np.where(inc > 0, math.inf, -math.inf))
-            res[sel] = np.abs(inc)
-            tag[sel] = np.where(conv, _CONV, np.where(inc > 0, _DIV_POS, _DIV_NEG))
-            col[sel] = k
-            final[sel] = True
+        decided = settler.push(g[live, k], k) & finals
+        out = decided | (m[live] == k + 1)
+        if out.any():
+            sel = live[out]
+            t, v, r = estimates()
+            tag[sel], val[sel], res[sel] = t[out], v[out], r[out]
+            col[sel], final[sel] = k, decided[out]
+            live = live[~out]
+            settler.keep(~out)
         k += 1
-        keep = ~stop & (m[live] > k)
-        if not keep.all():
-            live = live[keep]
-            settler.keep(keep)
     return val, np.where(m > 0, np.broadcast_to(step, g.shape)[rows, col], 0), tag, res, final
 
 

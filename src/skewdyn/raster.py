@@ -13,7 +13,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .algebra import SkewProduct
 from .fileio import dump_skew_product
@@ -43,7 +42,6 @@ class RenderJob:
     height: float = 2.0
     pixels_x: int = 256
     pixels_y: int = 256
-    clamp: Optional[tuple[float, float]] = None  # affine range; None = auto
     out_prefix: str = "render"
 
     def __post_init__(self):
@@ -68,9 +66,7 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
     ests = fiber_sample(f, c, job.function, job.fiber_z, ws, cfg.n_max, cfg.tol).estimates
 
     finite = [e.value for e in ests if math.isfinite(e.value)]
-    if job.clamp is not None:
-        vmin, vmax = job.clamp
-    elif finite:
+    if finite:
         vmin, vmax = min(finite), max(finite)
     else:
         vmin, vmax = 0.0, 1.0

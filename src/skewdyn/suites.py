@@ -183,7 +183,7 @@ def suite_semiconjugate(grid: int = 64, tol: float = 1e-6,
     for k, gf, gh in zip(kept, sample.estimates, ghs):
         worst = max(worst, abs(gf.value - gh))
         # the locus side of a cell: escape seen by the 2-D estimator
-        positive = gf.termination == "escaped_with_tail" or gf.value > 1e-9
+        positive = gf.value > 1e-9
         if positive != (sides[k] == "escaping"):
             mismatches += 1
     frac = mismatches / compared if compared else 0.0

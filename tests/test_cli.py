@@ -135,6 +135,25 @@ def test_green_gz_past_the_float_range_of_lambda_powers(tmp_path, capsys):
                                     "termination: converged"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["green", "MAP", "--function", "bottcher"], "green --function bottcher needs --point"),
+    (["green", "MAP", "--function", "bottcher", "--grid", "0.5,0,0,0,1,1,4"],
+     "green --function bottcher needs --point"),
+    (["green", "MAP", "--function", "Gz"], "green needs --point or --grid"),
+    (["verify", "--wedge", "U_l", "--weights", "1", "--radii", "0.1"],
+     "verify --wedge needs a map file, --weights and --radii"),
+    (["verify", "MAP", "--wedge", "U_l", "--radii", "0.1"],
+     "verify --wedge needs a map file, --weights and --radii"),
+    (["verify", "MAP", "--wedge", "U_l", "--weights", "1"],
+     "verify --wedge needs a map file, --weights and --radii"),
+])
+def test_missing_arguments_end_with_a_message(map_file, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([str(map_file) if arg == "MAP" else arg for arg in argv])
+    assert exc.value.code == message
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_hull_suite(capsys):
     rc = main(["verify", "--suite", "hull"])
     out = capsys.readouterr().out
