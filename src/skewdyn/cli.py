@@ -77,6 +77,10 @@ def _parse_point(raw: str) -> tuple[complex, complex]:
 
 
 def cmd_green(args) -> int:
+    if args.point and args.grid:
+        raise SystemExit("green takes --point or --grid, not both")
+    if args.function == "bottcher" and args.out:
+        raise SystemExit("green --function bottcher takes no --out")
     f = load_skew_product(args.file)
     c = classify(f)
     cfg = _env_config(args)

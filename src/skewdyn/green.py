@@ -77,8 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .algebra import SkewProduct, UniPoly
 from .newton import Classification
 
@@ -445,9 +444,9 @@ def _over(x, den: int):
         return x / float(den)
     except OverflowError:
         pass
-    if isinstance(x, np.ndarray):
-        return np.array([_over_exact(v, den) for v in x.tolist()], float)
-    return _over_exact(x, den)
+    if isinstance(x, float):   # not np: a scalar query must not load numpy
+        return _over_exact(x, den)
+    return np.array([_over_exact(v, den) for v in x.tolist()], float)
 
 
 def _over_exact(x: float, den: int) -> float:
@@ -599,6 +598,9 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                 ro._reason = "range"
                 return
             lc = dom[2] + dom[0] * lzr + dom[1] * lc - al * corr.real
+            if not math.isfinite(lc):   # the recursion, or log z_n in it, left the double range
+                ro._reason = "range"
+                return
             lz = log_a + delta * lz + corr
             step_eta = eta
         else:
@@ -753,7 +755,7 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
             # an exact zero z_n = 0 ends the sequence; it did not settle before
             est = GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
             break
-        est = settler.push(lz / delta**n, n)
+        est = settler.push(_over(lz, delta**n), n)
         if est is not None:
             break
     else:
@@ -931,7 +933,7 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
         else:
             u = lw - (gamma / d) * n * lz
         u_prev = u
-        est = settler.push(u / d**n, n)
+        est = settler.push(_over(u, d**n), n)
         if est is not None:
             break
     if est is None:
@@ -996,7 +998,8 @@ def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
         if n_zero is not None:
             return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
     # a transient zero (j = 0 terms revive w) leaves the limit unaffected
-    est = _series_limit(((n, lw / lam**n) for n, _, lw in logs.steps if lw != -math.inf), tol)
+    est = _series_limit(((n, _over(lw, lam**n)) for n, _, lw in logs.steps
+                         if lw != -math.inf), tol)
     return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
 
 
@@ -1497,9 +1500,10 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                         term[near] = _math_map(math.exp, gap[near])
                         sub_eta += term
                 eta[logm] = sub_eta
-                failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf))
                 new_lc[logm] = (t_lb[dom] + t_it[dom] * lzr + t_j[dom] * lc[logm]
                                 - al * corr.real)
+                failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf)
+                                 & np.isfinite(new_lc[logm]))
             exact = ~logm
             if exact.any():
                 zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
@@ -1823,6 +1827,18 @@ def _powers(base: int, count: int) -> np.ndarray:
     return out
 
 
+def _over_steps(x: np.ndarray, step: np.ndarray, powers: np.ndarray, base: int) -> np.ndarray:
+    """_over(x, base**step) per element; step as _read gives it, powers from _powers(base, ...)."""
+    den = powers[step]
+    out = x / den
+    past = np.isinf(den)
+    if past.any():   # base**step is past the double range
+        past = np.broadcast_to(past, x.shape)
+        ks = np.broadcast_to(step, x.shape)[past].tolist()
+        out[past] = [_over_exact(v, base**k) for v, k in zip(x[past].tolist(), ks)]
+    return out
+
+
 def _read(logs: _LaneLogs, skip: np.ndarray, *arrays: np.ndarray) -> tuple:
     """(step, m, *arrays) with the steps skip marks left out of each row.
 
@@ -1887,7 +1903,7 @@ def _lanes_gz(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) ->
     powers = _powers(c.lam, logs.log_w.shape[1])
     zero = logs.log_w == -math.inf   # the NaN past each lane's end compares False
     step, m, lw = _read(logs, zero, logs.log_w)
-    val, used, tag, res, _ = _lane_limits(lw / powers[step], step, m, tol)
+    val, used, tag, res, _ = _lane_limits(_over_steps(lw, step, powers, c.lam), step, m, tol)
     res = _fold(res, _lane_switch_fold(logs, powers, used))
     if _w_axis_invariant(f):
         hit = zero.any(axis=1)
@@ -1966,7 +1982,7 @@ def _lanes_gzi(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -
                            u[:, k])
     w_zero, z_zero = lw == -math.inf, lz == -math.inf
     e = _first_exit(w_zero | z_zero, m)
-    u /= powers[step]
+    u = _over_steps(u, step, powers, d)
     val, used, tag, res, final = _lane_limits(u, step, np.minimum(m, e), tol)
     res = _fold(res, _lane_switch_fold(logs, powers, used))
     rows = np.flatnonzero(~final & (e < m))

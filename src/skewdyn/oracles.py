@@ -20,8 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-import numpy as np
-
+from ._lazy import np
 from .algebra import BiPoly, SkewProduct, UniPoly
 from .green import (
     DEFAULT_N_MAX,

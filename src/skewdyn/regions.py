@@ -26,13 +26,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
+from ._lazy import np
 from .algebra import SkewProduct, eval_skew
 from .newton import Classification
 from .green import _cmul, _cpow, _log_abs, _math_map, best_orbit_logs, g_p, g_z_alpha
-
-# numpy after .green: where no bytecode is cached, compiling green.py with
-# numpy already loaded raises the peak memory of `import skewdyn` by 3 MB
-import numpy as np  # noqa: E402
 
 EPS_DEG = 1e-9          # near-degenerate fiber threshold on |c_j(z)|
 _BAND = 1e-6            # relative band for the measure-zero S families

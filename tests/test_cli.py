@@ -146,6 +146,10 @@ def test_green_gz_past_the_float_range_of_lambda_powers(tmp_path, capsys):
      "verify --wedge needs a map file, --weights and --radii"),
     (["verify", "MAP", "--wedge", "U_l", "--weights", "1"],
      "verify --wedge needs a map file, --weights and --radii"),
+    (["green", "MAP", "--function", "Gz", "--point", "0.5,0,0.4,0", "--grid", "0.5,0,0,0,1,1,4"],
+     "green takes --point or --grid, not both"),
+    (["green", "MAP", "--function", "bottcher", "--point", "0.1,0,0.05,0", "--out", "b.csv"],
+     "green --function bottcher takes no --out"),
 ])
 def test_missing_arguments_end_with_a_message(map_file, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -294,6 +294,24 @@ def test_escape_residual_keeps_a_margin():
     assert degrees == {2, 3}
 
 
+@pytest.mark.xfail(reason="five growing increments of a j < d dive read as divergence; "
+                          "ROADMAP item 2")
+def test_j_lt_d_dive_settles_to_its_limit():
+    # c' = b c^4 + b' c^3 + b'' z^4 c^4 (delta = d = 4, alpha = 1): the ratio
+    # dives toward 0 led by c^3, so d^-n log|c_n| tends to 0 at the rate 3/4,
+    # but its first five increments grow before that decay shows
+    f = SkewProduct(UniPoly({4: 1.2028 - 0.3925j}),
+                    BiPoly({(0, 4): -1.1579 + 0.1414j, (1, 3): -0.1078 - 0.0164j,
+                            (4, 4): -1.2745 - 1.2781j}))
+    z, w = 0.30248 + 0.05864j, 0.10540 + 0.22685j
+    c = classify(f)
+    assert (c.delta, c.d, c.alpha) == (4, 4, 1)
+    limit = _deep_ratio(f, c, z, w)
+    assert abs(limit) < 1e-15
+    est = g_z_alpha(f, c, z, w, 200)
+    assert est.termination in SETTLED and abs(est.value - limit) <= est.residual, est
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_unbounded_points_do_not_settle_before_the_ratio_escapes(n_max):
     # c_n escapes at step 4 on both points; before that G_z^alpha, of

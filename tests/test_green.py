@@ -416,6 +416,18 @@ def test_fiber_sample_traversal_order(monkeypatch):
                     want = _keys_or_refusal(
                         lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
                     assert got == want, (f.q.terms, key, z, n_max, chunk)
+
+    # tol 0 settles nothing, so the partials run as far as the orbits: on
+    # alpha32 to step 1024, where 2**n has left the double range, and on the
+    # first map until its log z_n = 4^n log 0.5 overflows, which ends the
+    # ratio orbit as 'range' before step 514
+    assert ratio_orbit(f0, c0.alpha, 0.5, 0.3 + 0.1j, 1100).reason == "range"
+    for f, z, w in ((alpha32, 0.4 + 0.1j, 0.3 - 0.2j), (f0, 0.5, 0.3 + 0.1j)):
+        c = classify(f)
+        for key, fn in ESTIMATORS.items():
+            want = _keys_or_refusal(lambda: [fn(f, c, z, w, 1100, 0.0)])
+            got = _keys_or_refusal(lambda: fiber_sample(f, c, key, z, [w], 1100, 0.0).estimates)
+            assert got == want and "nan" not in repr(want), (key, z, want)
     sample = fiber_sample(f0, c0, "Gza", 0.5, ws)
     assert sample.ws == tuple(ws)
 
