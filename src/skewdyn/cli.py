@@ -88,10 +88,12 @@ def cmd_green(args) -> int:
         if args.point is None:
             raise SystemExit("green --function bottcher needs --point")
         z, w = _parse_point(args.point)
-        est = bottcher(f, c, z, w, n_max=min(cfg.n_max, 32), tol=cfg.tol)
+        n_max = min(cfg.n_max, 32)   # the budget applied: at most 32 steps
+        est = bottcher(f, c, z, w, n_max=n_max, tol=cfg.tol)
         print(f"phi1: {est.phi1.real!r} {est.phi1.imag!r}")
         print(f"phi2: {est.phi2.real!r} {est.phi2.imag!r}")
         print(f"n_used: {est.n_used}")
+        print(f"n_max: {n_max}")
         print(f"conj_residual: {est.conj_residual!r}")
         print(f"id_deviation: {est.id_deviation!r}")
         if est.no_theorem_warning:

@@ -11,10 +11,10 @@ Estimated limits, with (z_n, w_n) = f^n(z, w) and lambda = max{delta, d}:
     G_f^alpha  = lim lambda^-n log max(|z_n^alpha|, |w_n|)
 
 Only magnitudes enter any of these, so orbits are tracked as log
-magnitudes by one driver, orbit_logs, over the components of the map: p
-alone for G_p, p and q for the others.  Each component is a term table
-with a dominant monomial.  The complex orbit is iterated exactly while
-every non-negligible monomial stays inside the double-precision window;
+magnitudes by one driver per kind of orbit: _p_steps over p alone for
+G_p, orbit_logs over p and q for the others.  Each component is a term
+table with a dominant monomial.  The complex orbit is iterated exactly
+while every non-negligible monomial stays inside the float window;
 past that the driver switches to the exact dominant-monomial recursion in
 log space, but only after verifying that the dominant terms actually
 dominate (the neglected level eta, folded as 4 eta / base^k for a switch
@@ -42,12 +42,17 @@ the one G_p that G_z's composition shares.
 Every estimator reads an orbit in two parts: an orbit producer and a
 settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
 ratio_orbit) are pulled: each returns an orbit whose steps are computed
-only as the settle routine reads them, and cached.  A settle routine
-that reads in order and stops at its exit computes no step past it:
-g_p, _settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z),
-_gzi_direct and regions.classify_point.  _gz_direct drains the orbit
-before it settles, because a zero anywhere on it decides how it
-settles.
+only as they are read.  A driver is a generator that records each step
+on the orbit before it yields it and runs its successor (the log
+recursion, an alternate vertex) by yield from; the first reader
+iterates it directly, a later one catches up from the recorded steps.
+An orbit has one reader at a time, never two interleaved
+(_PulledSteps).  A settle routine that reads in order and stops at its
+exit computes no step past it: g_p (on _p_steps, which it alone reads),
+_settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z),
+_gzi_direct, _gz_direct and regions.classify_point.  Where the w-axis
+is invariant, _gz_direct drains the orbit before it settles, because a
+zero anywhere on it decides how it settles.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
@@ -75,6 +80,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._lazy import np
@@ -89,6 +95,7 @@ _WINDOW = 690.0          # |log| range where double products stay representable
 _NEGLIGIBLE_GAP = 40.0   # terms this many e-folds below the max are droppable
 _TAIL_TOL = 1e-9         # dominance level required to extend in log space
 _SAFE = _WINDOW - 1.0    # factor logs this small in size need no check
+_FLOAT_TOP = 2**1024 - 2**970   # float(n) overflows for ints n from here up
 
 TERM_CONVERGED = "converged"
 TERM_ESCAPED = "escaped_with_tail"
@@ -136,53 +143,40 @@ def _lmag(x: complex) -> float:
 # ---------------------------------------------------------------------------
 
 class _PulledSteps:
-    """Steps of a per-point orbit driver, computed only as consumers pull them.
+    """Steps of a per-point orbit driver, computed only as a reader pulls them.
 
-    The driver is a generator (source) that yields one step at a time and
-    keeps its running diagnostics on this object.  Every step it yields is
-    cached before the source resumes, so several readers see the same
-    orbit, none computes a step twice, and the source may read its own
-    steps so far.  A source may hand the rest of the orbit to a successor
-    source by setting _source to it before it returns.  A finished orbit
+    The driver is a generator (source) that appends each step to the list
+    before it yields it and keeps its running diagnostics on this object;
+    it runs a successor (the log recursion, an alternate vertex) by yield
+    from.  The first reader iterates the source itself.  A later reader
+    catches up from the list and then resumes the source, so no step is
+    computed twice.  An orbit has one reader at a time: a reader may stop
+    early and another take over, but no two read it interleaved, and no
+    caller reads one orbit from two places at once.  A finished orbit
     (source None) iterates as its plain list.
     """
 
     __slots__ = ("_steps", "_source")
 
-    def __init__(self, steps: list):
-        self._steps = steps
+    def __init__(self):
+        self._steps: list = []
         self._source: Optional[Iterator] = None
 
     def __iter__(self) -> Iterator:
-        return iter(self._steps) if self._source is None else self._pull()
+        if self._source is None:
+            return iter(self._steps)
+        return self._pull() if self._steps else self._source
 
     def _pull(self) -> Iterator:
-        steps, k = self._steps, 0
-        while True:
-            while k < len(steps):
-                yield steps[k]
-                k += 1
-            source = self._source
-            if source is None:
-                return
-            for step in source:
-                steps.append(step)
-                yield step
-                k += 1
-                if k < len(steps):   # another reader pulled further meanwhile
-                    break
-            else:
-                if self._source is source:   # no successor
-                    self._source = None
+        yield from self._steps
+        yield from self._source
 
     def _drain(self) -> list:
-        """Every step, the source (and its successors) run to its end first."""
-        append = self._steps.append
-        while (source := self._source) is not None:
-            for step in source:
-                append(step)
-            if self._source is source:
-                self._source = None
+        """Every step, the source run to its end first."""
+        if self._source is not None:
+            for _ in self._source:
+                pass
+            self._source = None
         return self._steps
 
 
@@ -198,24 +192,23 @@ class _OrbitLogs(_PulledSteps):
     """Log-magnitude orbit steps (n, log|z_n|, log|w_n|), pulled from orbit_logs.
 
     Lazy consumers iterate the orbit and stop at their exit, so no step
-    past it is computed: g_p, _gza_direct, _gzi_direct and
+    past it is computed: _gza_direct, _gzi_direct, _gz_direct and
     regions.classify_point.  While the orbit runs, _switch_step,
     _switch_eta and _dominant hold the values of the steps computed so
     far; the switch and the vertex that drives it are set before the
     switch step is yielded, so a consumer reads them at or after that
     step.  Draining consumers read the public fields, which compute the
     whole orbit first: _gz_direct scans the whole orbit for zeros before
-    it settles.
+    it settles where the w-axis is invariant.
     """
 
     __slots__ = ("_reason", "_switch_step", "_switch_eta", "_dominant")
 
-    def __init__(self, steps: list, reason: str, switch_step: Optional[int],
-                 switch_eta: float, dominant: Optional[tuple[int, int]]):
-        super().__init__(steps)
-        self._reason = reason              # 'complete' | 'escaped' | 'range'
-        self._switch_step = switch_step
-        self._switch_eta = switch_eta
+    def __init__(self, dominant: Optional[tuple[int, int]]):
+        super().__init__()
+        self._reason = "complete"          # 'complete' | 'escaped' | 'range'
+        self._switch_step: Optional[int] = None
+        self._switch_eta = 0.0
         self._dominant = dominant          # q vertex driving the extension
 
     steps = _final("_steps")
@@ -293,73 +286,74 @@ def _extension_eta(comps: list, lz: float, lw: float) -> Optional[float]:
     return eta
 
 
-def orbit_logs(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]],
-               z: complex, w: Optional[complex], n_max: int,
-               alternates: Iterable[tuple[int, int]] = ()) -> _OrbitLogs:
+def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex,
+               n_max: int, alternates: Iterable[tuple[int, int]] = ()) -> _OrbitLogs:
     """Log-magnitude orbit with validated extension past the float window.
 
-    The components are p alone (f a UniPoly; w is ignored and log_w stays
-    0) or p and q (f a skew product).  Each is a term table with a
-    dominant monomial, (delta, 0) for p and `dominant` for q, whose exact
-    log recursion continues the orbit once it leaves the double range.
+    The components are p and q, each a term table with a dominant
+    monomial, (delta, 0) for p and `dominant` for q, whose exact log
+    recursion continues the orbit once it leaves the double range.
     Where `dominant` refuses the switch, the alternates of q are tried in
     order (_alternate_steps).  The steps are computed as they are read
-    (_OrbitLogs).
+    (_OrbitLogs).  g_p runs the orbit of p alone (_p_steps).
     """
-    logs = _OrbitLogs([], "complete", None, 0.0, dominant)
+    logs = _OrbitLogs(dominant)
     logs._source = _log_steps(logs, f, dominant, z, w, n_max, alternates)
     return logs
 
 
-def _log_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
-               dominant: Optional[tuple[int, int]], z: complex, w: Optional[complex],
-               n_max: int, alternates: Iterable[tuple[int, int]]
+def _log_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int], z: complex,
+               w: complex, n_max: int, alternates: Iterable[tuple[int, int]]
                ) -> Iterator[tuple[int, float, float]]:
-    """orbit_logs' exact steps one by one; the switch and the end go on logs.
+    """orbit_logs' steps one by one, each put on logs before it is yielded.
 
-    At the switch the log recursion takes over as the successor source.
+    The switch and the end go on logs too.  At the switch, and past a
+    refused one, the log recursion runs on by yield from.
     """
-    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
+    p, q = f.p, f.q
     comps = _components(f, dominant)
-    z, w = complex(z), (1 + 0j if q is None else complex(w))
-    lz, lw = _lmag(z), _lmag(w)
-    yield 0, lz, lw
+    # each term log is at most i_top |lz| + j_top |lw| in size: below _WINDOW, all are safe
+    i_top, j_top = max(max(p.terms), max(q.terms)[0]), max(j for _, j in q.terms)
+    append = logs._steps.append
+    lz, lw = _lmag(z := complex(z)), _lmag(w := complex(w))
+    append(step := (0, lz, lw))
+    yield step
     for n in range(1, n_max + 1):
         if lz > ESCAPE_LOG or lw > ESCAPE_LOG:
             logs._reason = "escaped"
             return
-        if (eta := _extension_eta(comps, lz, lw)) is not None:
+        if (not i_top * abs(lz) + j_top * abs(lw) <= _WINDOW
+                and (eta := _extension_eta(comps, lz, lw)) is not None):
             if eta < _TAIL_TOL and lz > -math.inf and lw > -math.inf:
                 logs._switch_step, logs._switch_eta = n, eta
-                logs._source = _extension_steps(logs, f, dominant, n, lz, lw, n_max)
+                yield from _extension_steps(logs, f, dominant, n, lz, lw, n_max)
             else:
                 logs._reason = "range"
-                logs._source = _alternate_steps(logs, f, alternates, n, lz, lw, n_max)
+                yield from _alternate_steps(logs, f, alternates, n, lz, lw, n_max)
             return
         try:
-            z, w = p(z), (w if q is None else q(z, w))
+            z, w = p(z), q(z, w)
         except OverflowError:
             logs._reason = "escaped"
             return
-        if not (math.isfinite(abs(z)) and math.isfinite(abs(w))):
+        if not (math.isfinite(az := abs(z)) and math.isfinite(aw := abs(w))):
             logs._reason = "escaped"
             return
-        lz, lw = _lmag(z), _lmag(w)
-        yield n, lz, lw
+        lz = math.log(az) if az > 0 else -math.inf
+        lw = math.log(aw) if aw > 0 else -math.inf
+        append(step := (n, lz, lw))
+        yield step
 
 
-def _components(f: SkewProduct | UniPoly, dominant: Optional[tuple[int, int]]) -> list:
-    """The term tables of orbit_logs' components, each with its dominant monomial."""
-    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
-    comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (p.order, 0))]
-    if q is not None:
-        comps.append((q.terms, dominant))
-    return comps
+def _components(f: SkewProduct, dominant: tuple[int, int]) -> list:
+    """The term tables of p and q, each with its dominant monomial."""
+    p = f.p
+    return [({(k, 0): coeff for k, coeff in p.terms.items()}, (p.order, 0)),
+            (f.q.terms, dominant)]
 
 
-def _extension_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
-                     dominant: Optional[tuple[int, int]], n: int, lz: float, lw: float,
-                     n_max: int) -> Iterator[tuple[int, float, float]]:
+def _extension_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int], n: int,
+                     lz: float, lw: float, n_max: int) -> Iterator[tuple[int, float, float]]:
     """Steps n..n_max by the dominant-monomial log recursion from step n - 1's logs.
 
     A step past ESCAPE_LOG ends the orbit as 'escaped' after it, as in
@@ -367,16 +361,16 @@ def _extension_steps(logs: _OrbitLogs, f: SkewProduct | UniPoly,
     range) ends it as 'range' before it, so -inf on an orbit is always an
     exact zero.
     """
-    p, q = (f, None) if isinstance(f, UniPoly) else (f.p, f.q)
-    delta, log_a = p.order, _lmag(p.leading_at_zero())
-    if q is not None:
-        (gamma, d), log_b = dominant, _lmag(q.terms[dominant])
+    append = logs._steps.append
+    delta, log_a = f.p.order, _lmag(f.p.leading_at_zero())
+    (gamma, d), log_b = dominant, _lmag(f.q.terms[dominant])
     while True:
-        lz, lw = log_a + delta * lz, (lw if q is None else log_b + gamma * lz + d * lw)
+        lz, lw = log_a + delta * lz, log_b + gamma * lz + d * lw
         if not (math.isfinite(lz) and math.isfinite(lw)):
             logs._reason = "range"
             return
-        yield n, lz, lw
+        append(step := (n, lz, lw))
+        yield step
         if n == n_max:
             return
         n += 1
@@ -397,8 +391,8 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
 
 
 def _alternate_steps(logs: _OrbitLogs, f: SkewProduct, alternates: Iterable[tuple[int, int]],
-                     n: int, lz: float, lw: float, n_max: int) -> Optional[Iterator]:
-    """The steps from n on of the alternate that carries on past a refused switch, or None.
+                     n: int, lz: float, lw: float, n_max: int) -> Iterator:
+    """The steps from n on of the alternate that carries on past a refused switch, if any.
 
     The primary vertex refused to switch at step n, the first step that
     fails the dominance check, so its orbit ends as 'range' with step
@@ -411,14 +405,46 @@ def _alternate_steps(logs: _OrbitLogs, f: SkewProduct, alternates: Iterable[tupl
     is the one that carries furthest.
     """
     if lz == -math.inf or lw == -math.inf:
-        return None   # an exact zero coordinate cannot switch
+        return   # an exact zero coordinate cannot switch
     for vertex in alternates:
         eta = _extension_eta(_components(f, vertex), lz, lw)
         if eta < _TAIL_TOL:
             logs._reason, logs._dominant = "complete", vertex
             logs._switch_step, logs._switch_eta = n, eta
-            return _extension_steps(logs, f, vertex, n, lz, lw, n_max)
-    return None
+            yield from _extension_steps(logs, f, vertex, n, lz, lw, n_max)
+            return
+
+
+def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int) -> Iterator[tuple[int, float]]:
+    """(n, log|z_n|) on the orbit of p alone, as _log_steps runs the z side, for g_p alone.
+
+    The switch and the end go on logs; g_p reads each step once, so none is kept.
+    """
+    delta, log_a, k_top = p.order, _lmag(p.leading_at_zero()), max(p.terms)
+    comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
+    switched, lz = False, _lmag(z := complex(z))
+    yield 0, lz
+    for n in range(1, n_max + 1):
+        if lz > ESCAPE_LOG:
+            logs._reason = "escaped"
+            return
+        if switched or (not k_top * abs(lz) <= _WINDOW
+                        and (eta := _extension_eta(comps, lz, 0.0)) is not None):
+            if not switched and eta < _TAIL_TOL and lz > -math.inf:
+                logs._switch_step, logs._switch_eta, switched = n, eta, True
+            if not (switched and math.isfinite(lz := log_a + delta * lz)):
+                logs._reason = "range"   # a refused switch, or the recursion overflowed
+                return
+        else:
+            try:
+                z = p(z)
+            except OverflowError:
+                z = complex(math.inf)   # escaped, as a non-finite value is
+            if not math.isfinite(az := abs(z)):
+                logs._reason = "escaped"
+                return
+            lz = math.log(az) if az > 0 else -math.inf
+        yield n, lz
 
 
 def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
@@ -492,6 +518,8 @@ def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
     if not tail or lz.real <= -700.0:
         return 0j   # cmath.log(1 + 0), exactly as the sum gives it at z = 0
     zv = cmath.exp(lz)
+    if len(tail) == 1:   # one term t, added as sum() adds it: 0 + t
+        return cmath.log(1 + (0 + tail[0][0] * zv ** tail[0][1]))
     return cmath.log(1 + sum(ca * zv ** e for ca, e in tail))
 
 
@@ -502,14 +530,14 @@ class _RatioOrbit(_PulledSteps):
     bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
     G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
     order and stops at its exit.  The public fields compute the whole
-    orbit first.
+    orbit first.  terms holds the recursion's terms (_ratio_terms).
     """
 
-    __slots__ = ("_reason",)
+    __slots__ = ("_reason", "terms")
 
-    def __init__(self):
-        super().__init__([])
-        self._reason = "complete"   # 'complete' | 'escaped' | 'zero' | 'range'
+    def __init__(self, terms: list[tuple[int, int, complex, float]]):
+        super().__init__()
+        self.terms, self._reason = terms, "complete"   # complete, escaped, zero or range
 
     reason = _final("_reason")
 
@@ -550,7 +578,7 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     term_list = _ratio_terms(f, alpha)
     if term_list is None or z == 0:
         return None
-    ro = _RatioOrbit()
+    ro = _RatioOrbit(term_list)
     ro._source = _ratio_steps(ro, f, int(alpha), term_list, z, w, n_max)
     return ro
 
@@ -558,64 +586,69 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
 def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  term_list: list[tuple[int, int, complex, float]], z: complex,
                  w: complex, n_max: int) -> Iterator[tuple[float, float]]:
-    """ratio_orbit's steps one by one; the end goes on ro."""
-    log_a = cmath.log(f.p.leading_at_zero())
-    tail = _p_tail(f)
-    delta = f.delta
+    """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro."""
+    append = ro._steps.append
+    log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f), f.delta
     lz = cmath.log(complex(z))
     c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
     lc = _lmag(c)
-    yield lc, 0.0
-    extended = False
-    dom = None  # (it, j, log|coeff|) of the validated dominant monomial
+    append(step := (lc, 0.0))
+    yield step
+    extended = False   # past the switch to the dominant monomial's log recursion
     js, its = [j for _, j, _, _ in term_list], [it for it, _, _, _ in term_list]
-    exps = (js, its, max(js), max(its))
+    exps = (js, its, j_top := max(js), it_top := max(its))
+    # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
+    lb_top = max(abs(lb) for _, _, _, lb in term_list)
+    isfinite, exp, zero = math.isfinite, math.exp, -math.inf
     for _ in range(n_max):
-        if lz.real > ESCAPE_LOG:
+        lzr = lz.real
+        if lzr > ESCAPE_LOG:
             ro._reason = "escaped"
             return
-        if lc == -math.inf:
+        if lc == zero:
             ro._reason = "zero"
             return
-        lzr = lz.real
-        corr = _p_tail_log(tail, lz)
-        tlogs = [
-            (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
-            for it, j, _, lb in term_list
-        ]
-        if extended or not _terms_safe(tlogs, exps, lc, lzr, al * corr.real):
-            top = max(tlogs)
-            top_idx = tlogs.index(top)
+        corr = _p_tail_log(tail, lz) if tail else 0j
+        ac = al * corr.real
+        if not extended:
+            # _terms_safe holds without a look at the terms where these bounds do
+            jc, iz = j_top * abs(lc), it_top * abs(lzr)
+            safe = jc <= _SAFE and iz + abs(ac) <= _SAFE and jc + iz + lb_top <= _WINDOW
+        if extended or not safe:
+            tlogs = []
+            for it, j, _, lb in term_list:
+                t = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
+                if not tlogs or t > top:   # top = max(tlogs) at its first index, as max() picks
+                    top, top_idx = t, len(tlogs)
+                tlogs.append(t)
+        if extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac)):
             eta = 0.0  # summed left to right, as in fold_bound
-            for k, t in enumerate(tlogs):
-                if k != top_idx and t - top > -80.0:
-                    eta += math.exp(t - top)
-            if eta < _SOFT_TAIL_TOL and top > -math.inf:
-                it, j, _, lb = term_list[top_idx]
-                dom = (it, j, lb)
-                extended = True
-            else:
+            if len(tlogs) > 1:   # a lone term has no other to sum
+                for k, t in enumerate(tlogs):
+                    if k != top_idx and t - top > -80.0:
+                        eta += exp(t - top)
+            # the validated dominant monomial's recursion
+            it, j, _, lb = term_list[top_idx]
+            extended = eta < _SOFT_TAIL_TOL and top > zero
+            if not (extended and isfinite(lc := lb + it * lzr + j * lc - ac)):
+                # refused, or the recursion (or log z_n in it) left the double range
                 ro._reason = "range"
                 return
-            lc = dom[2] + dom[0] * lzr + dom[1] * lc - al * corr.real
-            if not math.isfinite(lc):   # the recursion, or log z_n in it, left the double range
-                ro._reason = "range"
-                return
-            lz = log_a + delta * lz + corr
-            step_eta = eta
+            step = (lc, eta)
         else:
-            step_eta = 0.0
             nxt = 0j
+            acorr, nacorr = al * corr, -al * corr
             for it, j, coeff, _ in term_list:
-                zfac = cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                zfac = cmath.exp(it * lz - acorr) if it else cmath.exp(nacorr)
                 nxt += coeff * (c**j) * zfac
-            if not (math.isfinite(nxt.real) and math.isfinite(nxt.imag)):
+            if not (isfinite(nxt.real) and isfinite(nxt.imag)):
                 ro._reason = "escaped"
                 return
-            lz = log_a + delta * lz + corr
             c = nxt
-            lc = _lmag(c)
-        yield lc, step_eta
+            step = (lc := _lmag(c), 0.0)
+        lz = log_a + delta * lz + corr
+        append(step)
+        yield step
 
 
 # ---------------------------------------------------------------------------
@@ -678,11 +711,18 @@ def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
     return GreenEstimate(est.value, est.n_used, est.termination, est.residual + extra)
 
 
-def _series_limit(partials: Iterable[tuple[int, float]], tol: float) -> GreenEstimate:
-    """The settler's first final estimate over pairs (n, g_n), else its finish."""
-    settler = _Settler(tol)
-    for n, g in partials:
-        est = settler.push(g, n)
+def _series_limit(pairs: Iterable[tuple[int, float]], base: int, tol: float) -> GreenEstimate:
+    """The settler's first final estimate over base^-n x_n from pairs (n, x_n), else its finish.
+
+    An exact zero, x_n = -inf, ends the series as 'hit_zero'.
+    """
+    settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
+    for n, x in pairs:
+        if x == -math.inf:
+            return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
+        while k < n:
+            k, bk = k + 1, bk * base
+        est = settler.push(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n)
         if est is not None:
             return est
     return settler.finish()
@@ -709,20 +749,23 @@ def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol:
     to step n; it is added to every estimate the settle makes.
     """
     settler = _Settler(tol)
-    lr = -math.inf
+    lr, k, dk = -math.inf, 0, 1   # dk is the running d**k
     for n, lr in pairs:
         if isinstance(lr, GreenEstimate):
             return lr
         if lr == -math.inf:
             return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
-        dn = d**n
-        g = _over(max(lr, 0.0) if plus else lr, dn)
+        while k < n:   # a pair per step, but where the direct orbit skips a transient zero
+            k, dk = k + 1, dk * d
+        fdk = float(dk) if dk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
+        g = max(lr, 0.0) if plus else lr
+        g = g / fdk if fdk else _over_exact(g, dk)
         below = plus and not lr > ESCAPE_LOG
         est = settler.push(g, n, not below)
         if below:
             # converged only when the certified tail bound is below tol;
             # increments alone can sit on the spurious log+ = 0 plateau
-            bound = _over(tail_m, dn) if d >= 2 else math.inf
+            bound = (tail_m / fdk if fdk else _over_exact(tail_m, dk)) if d >= 2 else math.inf
             if bound < tol:
                 return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold(n))
         elif est is not None:
@@ -748,20 +791,10 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
         tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_p(z) = lim delta^-n log|p^n(z)| with delta the order of p at 0."""
     delta = p.order
-    logs = orbit_logs(p, None, z, None, n_max)
-    settler = _Settler(tol)
-    for n, lz, _ in logs:
-        if lz == -math.inf:
-            # an exact zero z_n = 0 ends the sequence; it did not settle before
-            est = GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
-            break
-        est = settler.push(_over(lz, delta**n), n)
-        if est is not None:
-            break
-    else:
-        est = settler.finish()
-        if est.termination == TERM_BUDGET and logs.reason == "escaped":
-            est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
+    logs = _OrbitLogs(None)   # the switch and end of _p_steps
+    est = _series_limit(_p_steps(logs, p, z, n_max), delta, tol)
+    if est.termination == TERM_BUDGET and logs._reason == "escaped":
+        est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
     return _fold_residual(est, _switch_fold(logs, delta, est.n_used))
 
 
@@ -784,27 +817,27 @@ def _plus_tail_constant(d: int, coeff_sum: float, j_max: int = 0) -> float:
     return m1 * d / (d - 1) if d >= 2 else m1
 
 
-def _ratio_tail_m(f: SkewProduct, c: Classification) -> float:
-    """_plus_tail_constant of G_z^{alpha,+} on the weighted-ratio orbit."""
-    terms = _ratio_terms(f, c.alpha)
-    return _plus_tail_constant(c.d, sum(abs(coeff) for _, _, coeff, _ in terms) + 1.0,
+def _ratio_tail_m(d: int, terms: list[tuple[int, int, complex, float]]) -> float:
+    """_plus_tail_constant of G_z^{alpha,+} on the weighted-ratio orbit of terms (_ratio_terms)."""
+    return _plus_tail_constant(d, sum(abs(coeff) for _, _, coeff, _ in terms) + 1.0,
                                max(j for _, j, _, _ in terms))
 
 
-def _gza_from_ratio(f: SkewProduct, c: Classification, ro: _RatioOrbit, tol: float,
-                    plus: bool, weightless: bool = False) -> GreenEstimate:
+def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
+                    weightless: bool = False) -> GreenEstimate:
     """G_z^alpha, or G_z^{alpha,+} when plus, settled on the weighted-ratio orbit.
 
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
     of weight 0 does: with no term c^j, j > d, the c^d term leads past the
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
     """
-    tail_m = _ratio_tail_m(f, c) if plus else 0.0
-    stop = ESCAPE_LOG if weightless and all(j <= c.d for _, j in f.q.terms) else math.inf
-    pairs = ((n, GreenEstimate(_over(lc, c.d**n), n, TERM_ESCAPED, math.inf) if lc > stop else lc)
-             for n, (lc, _) in enumerate(ro))
-    return _settle_gza(pairs, c.d, tol, plus, tail_m,
-                       lambda n: ro.fold_bound(c.d, n),
+    d = c.d
+    pairs = enumerate(map(itemgetter(0), ro))
+    if weightless and all(j <= d for _, j, _, _ in ro.terms):
+        pairs = ((n, GreenEstimate(_over(lc, d**n), n, TERM_ESCAPED, math.inf)
+                  if lc > ESCAPE_LOG else lc) for n, lc in pairs)
+    return _settle_gza(pairs, d, tol, plus, _ratio_tail_m(d, ro.terms) if plus else 0.0,
+                       lambda n: ro.fold_bound(d, n),
                        lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
                                 if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
 
@@ -879,7 +912,7 @@ def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
         raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
     ro = ratio_orbit(f, c.alpha, z, w, n_max)
     if ro is not None:
-        return _gza_from_ratio(f, c, ro, tol, plus)
+        return _gza_from_ratio(c, ro, tol, plus)
     return _gza_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol, plus)
 
 
@@ -919,6 +952,7 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
     u_prev: Optional[float] = None
     est = None
     for n, lz, lw in logs:
+        dn = dn * d if n else 1   # the running d**n
         if lw == -math.inf and lz == -math.inf:
             return GreenEstimate(math.nan, n, TERM_HIT_ZERO, math.inf)
         if lw == -math.inf:
@@ -933,7 +967,7 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
         else:
             u = lw - (gamma / d) * n * lz
         u_prev = u
-        est = settler.push(_over(u, d**n), n)
+        est = settler.push(u / float(dn) if dn < _FLOAT_TOP else _over_exact(u, dn), n)
         if est is not None:
             break
     if est is None:
@@ -956,7 +990,7 @@ def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
     ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
-        est = _gz_composed(c, _gza_from_ratio(f, c, ro, tol, False, c.d < c.lam),
+        est = _gz_composed(c, _gza_from_ratio(c, ro, tol, False, c.d < c.lam),
                            base if base is not None else g_p(f.p, z, n_max, tol))
         if est is not None:
             return est
@@ -993,13 +1027,12 @@ def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
                tol: float) -> GreenEstimate:
     """G_z settled on the direct orbit logs, where the weighted ratio cannot serve."""
     lam = c.lam
-    if _w_axis_invariant(f):
+    if _w_axis_invariant(f):   # a zero anywhere on the orbit decides: it runs whole first
         n_zero = next((n for n, _, lw in logs.steps if lw == -math.inf), None)
         if n_zero is not None:
             return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
     # a transient zero (j = 0 terms revive w) leaves the limit unaffected
-    est = _series_limit(((n, _over(lw, lam**n)) for n, _, lw in logs.steps
-                         if lw != -math.inf), tol)
+    est = _series_limit(((n, lw) for n, _, lw in logs if lw != -math.inf), lam, tol)
     return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
 
 
@@ -1393,8 +1426,8 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
-    tail_m = _ratio_tail_m(f, c) if plus else 0.0
     terms = _ratio_terms(f, c.alpha)
+    tail_m = _ratio_tail_m(d, terms) if plus else 0.0
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ._lazy import np
 from .algebra import SkewProduct, eval_skew
@@ -94,30 +94,32 @@ def wedge_u_l1l2(l1, l2, r: float) -> WedgeSpec:
     return WedgeSpec("U_l1l2", (Fraction(l1), Fraction(l2)), (float(r),))
 
 
-def _contains_logs(spec: WedgeSpec, log_z, log_w):
-    """Membership from log magnitudes (strict inequalities as written).
+def _membership(spec: WedgeSpec) -> Callable:
+    """The test (log_z, log_w) -> membership of spec, strict inequalities as written.
 
-    log_z and log_w are floats, or numpy arrays of lanes: the tests are
-    joined with & so that one formula serves both.
+    The family is picked once, here.  log_z and log_w are floats, or
+    numpy arrays of lanes: the tests are joined with & so that one
+    formula serves both.
     """
     fam, lw = spec.family, spec.float_weights
     if fam in ("U_l", "U_l_plus", "U_r1r2_l"):
         # U_l has r1 = r2 = r
-        lr1, lr2 = spec.log_radii[0], spec.log_radii[-1]
-        return (log_z < lr1) & (log_w < lr2 + lw[0] * log_z)
+        lr1, lr2, (l,) = spec.log_radii[0], spec.log_radii[-1], lw
+        return lambda log_z, log_w: (log_z < lr1) & (log_w < lr2 + l * log_z)
     if fam == "V_l":
-        lr, lr3 = spec.log_radii
-        return ((-math.inf < log_z) & (log_z < lr) & (log_w >= lr + lw[0] * log_z)
-                & (log_w < lr3))
+        (lr, lr3), (l,) = spec.log_radii, lw
+        return lambda log_z, log_w: ((-math.inf < log_z) & (log_z < lr)
+                                     & (log_w >= lr + l * log_z) & (log_w < lr3))
     (lr,) = spec.log_radii
     if fam == "U_l1l2":
         l1, l2 = lw
-        return (log_w < lr + l1 * log_z) & ((l1 + l2) * log_z < l2 * lr + log_w)
-    (l,) = lw
+        return lambda log_z, log_w: ((log_w < lr + l1 * log_z)
+                                     & ((l1 + l2) * log_z < l2 * lr + log_w))
+    (l,), band = lw, spec.band
     if fam == "S_out":
-        return (abs(log_w - lr) <= spec.band) & (l * log_z < l * lr + log_w)
+        return lambda log_z, log_w: (abs(log_w - lr) <= band) & (l * log_z < l * lr + log_w)
     # S_in
-    return (abs(l * log_z - l * lr - log_w) <= spec.band) & (log_w < lr)
+    return lambda log_z, log_w: (abs(l * log_z - l * lr - log_w) <= band) & (log_w < lr)
 
 
 def _axis_member(spec: WedgeSpec, log_w):
@@ -136,7 +138,7 @@ def contains(spec: WedgeSpec, z: complex, w: complex) -> bool:
     log_w = math.log(aw) if aw > 0 else -math.inf
     if log_z == -math.inf and spec.family in _AXIS_FAMILIES:
         return _axis_member(spec, log_w)
-    return _contains_logs(spec, log_z, log_w)
+    return _membership(spec)(log_z, log_w)
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,7 @@ def _lanes_contain(spec: WedgeSpec, zr, zi, wr, wi) -> tuple[np.ndarray, np.ndar
             re, im = np.where(over, 0.0, re), np.where(over, 0.0, im)
         logs.append(_log_abs(re, im))
     log_z, log_w = logs
-    inside = _contains_logs(spec, log_z, log_w)
+    inside = _membership(spec)(log_z, log_w)
     if spec.family in _AXIS_FAMILIES:
         inside = np.where(log_z == -math.inf, _axis_member(spec, log_w), inside)
     return inside, raises
@@ -390,15 +392,16 @@ def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,
     rho0 = min(min(spec.radii), _POLYDISK_CAP)
     log_rho0 = math.log(rho0)
     logs = best_orbit_logs(f, c, z, w, budget)
+    member = _membership(spec)
     decay_run = 0
     in_basin = False
     prev = None
     for n, log_z, log_w in logs:   # steps past the label's decision are never computed
         if log_z == -math.inf:
             return BasinLabel("on_Ez", entry_step=n)
-        if _contains_logs(spec, log_z, log_w):
+        if member(log_z, log_w):
             return BasinLabel("in_A0_and_Afl", entry_step=n)
-        if prev is not None:
+        if prev is not None and not in_basin:   # in the basin for good once decided
             prev_z, prev_w = prev
             inside = log_z < log_rho0 and log_w < log_rho0
             decaying = (log_z <= prev_z and log_w <= prev_w

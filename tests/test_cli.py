@@ -69,6 +69,14 @@ def test_green_bottcher_output(map_file, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "phi1:" in out and "conj_residual:" in out
+    # the budget it applied is printed: --n-max is capped at 32
+    for n_max, applied in (("64", "32"), ("8", "8")):
+        assert main(["green", str(map_file), "--function", "bottcher",
+                     "--point", "0.05,0,0.03,0", "--n-max", n_max]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"n_max: {applied}" in lines
+        if n_max == "64":   # the default budget, 64, is capped alike
+            assert lines == out.splitlines()
 
 
 def test_render_deterministic(semi_file, tmp_path):

@@ -31,7 +31,7 @@ import pytest
 
 from skewdyn import (BiPoly, SkewProduct, UniPoly, classify, g_f, g_f_alpha, g_z, g_z_alpha,
                      g_z_alpha_plus)
-from skewdyn.green import ESCAPE_LOG, _ratio_terms, fiber_sample, ratio_orbit
+from skewdyn.green import ESCAPE_LOG, _ratio_terms, best_orbit_logs, fiber_sample, ratio_orbit
 from skewdyn.oracles import example_degenerate
 from test_green import ESCAPE_MAP
 from test_pinned_estimates import MAPS, POINTS
@@ -310,6 +310,23 @@ def test_j_lt_d_dive_settles_to_its_limit():
     assert abs(limit) < 1e-15
     est = g_z_alpha(f, c, z, w, 200)
     assert est.termination in SETTLED and abs(est.value - limit) <= est.residual, est
+
+
+@pytest.mark.xfail(reason="the direct orbit of a p-tail map with alpha = -3 ends 'range' at "
+                          "step 4, so G_z and G_f end 'budget'; ROADMAP item 4")
+def test_p_tail_orbit_runs_past_its_first_refused_switch():
+    # alpha = -3, delta = 2, d = lambda = 3: no ratio recursion, so G_z and
+    # G_f read the direct orbit, where neither dominant term passes the
+    # dominance check at step 5 (1 of 35 such points among 60 seeded ones)
+    f = SkewProduct(UniPoly({2: 0.99 - 0.28j, 3: 0.24 - 0.10j}),
+                    BiPoly({(3, 3): 0.10 + 0.77j, (3, 4): -0.44 - 0.17j}))
+    z, w = 0.3783573756303091 + 0.1652246999096066j, 0.02989958742735883 - 0.048812974685758986j
+    c = classify(f)
+    assert (c.alpha, c.delta, c.d) == (-3, 2, 3)
+    logs = best_orbit_logs(f, c, z, w, 64)
+    assert logs.reason != "range" or logs.steps[-1][0] >= 10, logs.steps[-1]
+    for fn in (g_z, g_f):
+        assert fn(f, c, z, w).termination != "budget"
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])

@@ -491,13 +491,12 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
         monkeypatch.setattr(green, name, lambda *a, _name=name: calls.append(_name))
     orbit_logs = green.orbit_logs
 
-    def orbit_of_p_only(f, *args):
-        # the fiber's one G_p runs the orbit of p; no lane runs a scalar orbit
-        if not isinstance(f, UniPoly):
-            calls.append("orbit_logs")
-        return orbit_logs(f, *args)
+    def no_scalar_orbit(*args):
+        # no lane runs a scalar orbit; the fiber's one G_p runs _p_steps
+        calls.append("orbit_logs")
+        return orbit_logs(*args)
 
-    monkeypatch.setattr(green, "orbit_logs", orbit_of_p_only)
+    monkeypatch.setattr(green, "orbit_logs", no_scalar_orbit)
     for chunk in (green._CHUNK, 3):
         monkeypatch.setattr(green, "_CHUNK", chunk)
         for f, c, key, z, lanes, n_max, tol, want in runs:

@@ -28,6 +28,7 @@ from skewdyn import (
 from skewdyn import green, regions
 from skewdyn.green import ESTIMATORS
 from skewdyn.oracles import example_degenerate
+from conftest import random_maps
 
 # (z^2, w^2 - z^3): two dominant terms; at this point the primary orbit
 # ends as 'range' and the alternate vertex (3, 0) carries the orbit on
@@ -52,6 +53,7 @@ def computed(monkeypatch):
 
     monkeypatch.setattr(green, "_log_steps", counting(green._log_steps))
     monkeypatch.setattr(green, "_ratio_steps", counting(green._ratio_steps))
+    monkeypatch.setattr(green, "_p_steps", counting(green._p_steps))
     return count
 
 
@@ -88,6 +90,53 @@ def test_classify_point_computes_no_step_past_its_entry(computed):
     assert computed[0] == label.entry_step + 1
 
 
+EXTENSION_MAP = monomial_skew(2, 1, 2)
+
+
+@pytest.mark.parametrize("orbit", [
+    # the primary vertex's log recursion takes over at step 7
+    lambda: green.best_orbit_logs(EXTENSION_MAP, classify(EXTENSION_MAP),
+                                  0.3 + 0.2j, 0.1 - 0.05j, 64),
+    # the primary vertex refuses at step 10, and the alternate (3, 0) carries on
+    lambda: green.best_orbit_logs(ALT_MAP, classify(ALT_MAP), *ALT_POINT, 64),
+], ids=["extension", "alternate"])
+@pytest.mark.parametrize("second", ["steps", "iterate"])
+def test_an_orbit_read_again_after_its_first_reader_stopped(computed, orbit, second):
+    eager = orbit()
+    want = eager.steps
+    assert len(want) == 65 and eager.switch_step is not None
+    computed[0] = 0
+    logs = orbit()
+    reader = iter(logs)
+    head = [next(reader) for _ in range(3)]   # the first reader stops early
+    assert computed[0] == 3
+    # a later reader catches up from the recorded steps, then runs the rest,
+    # across the yield from hand-over to the log recursion
+    steps = logs.steps if second == "steps" else list(logs)
+    assert head == steps[:3] and steps == want == logs.steps == list(logs)
+    assert (logs.reason, logs.switch_step, logs.switch_eta, logs.dominant) == (
+        eager.reason, eager.switch_step, eager.switch_eta, eager.dominant)
+    assert computed[0] == len(want)   # each step computed once
+
+
+@pytest.mark.parametrize("second", ["log_mags", "iterate"])
+def test_a_ratio_orbit_read_again_after_its_first_reader_stopped(computed, second):
+    f = example_degenerate(1, 4)
+    alpha = classify(f).alpha
+    want = green.ratio_orbit(f, alpha, 0.5, 0.1 + 0.1j, 64)._drain()
+    computed[0] = 0
+    ro = green.ratio_orbit(f, alpha, 0.5, 0.1 + 0.1j, 64)
+    reader = iter(ro)
+    head = [next(reader) for _ in range(3)]
+    assert computed[0] == 3
+    if second == "log_mags":
+        assert ro.log_mags == [lc for lc, _ in want]
+    else:
+        assert list(ro) == want
+    assert head == want[:3] and list(ro) == want and ro.reason == "complete"
+    assert computed[0] == len(want) == 65
+
+
 def _eager_best_orbit_logs(f, c, z, w, n_max):
     """best_orbit_logs with every orbit computed in full before it is read."""
     best = green.orbit_logs(f, c.primary.vertex, z, w, n_max)
@@ -97,28 +146,6 @@ def _eager_best_orbit_logs(f, c, z, w, n_max):
             if len(other.steps) > len(best.steps):
                 best = other
     return best
-
-
-def _random_maps(seed, per_case):
-    """Seeded random maps, per_case of each of Cases 1-4, half with a p tail."""
-    rng = random.Random(seed)
-    grid = [(i, j) for i in range(6) for j in range(6) if i + j >= 2 or (i, j) == (1, 0)]
-    found = {case: [] for case in (1, 2, 3, 4)}
-    while any(len(maps) < per_case for maps in found.values()):
-        delta = rng.randint(1, 4)
-        p = {delta: complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))}
-        if rng.random() < 0.5:
-            p[delta + rng.randint(1, 2)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        support = rng.sample(grid, rng.randint(1, 4))
-        try:
-            f = SkewProduct(UniPoly(p), BiPoly({
-                ij: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for ij in support}))
-            case = classify(f).case.value
-        except ValueError:
-            continue
-        if len(found[case]) < per_case:
-            found[case].append(f)
-    return [f for maps in found.values() for f in maps]
 
 
 def _outcomes(cases):
@@ -141,7 +168,7 @@ def _outcomes(cases):
 def test_lazy_orbits_match_fully_computed_orbits(monkeypatch):
     rng = random.Random(5)
     cases = [(ALT_MAP, [ALT_POINT, ZERO_POINT, (0.4 + 0.1j, 0.3 - 0.2j)])]
-    for f in _random_maps(11, 3):
+    for f in random_maps(11, 3):
         cases.append((f, [(cmath.rect(rng.uniform(0.05, 0.9), rng.uniform(0, 2 * math.pi)),
                            cmath.rect(rng.uniform(0.01, 1.2), rng.uniform(0, 2 * math.pi)))
                           for _ in range(3)]))
