@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -187,13 +189,19 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # every add_argument makes a help formatter, which without a width asks
+    # the terminal for one: this parser asks once, as HelpFormatter would
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     ap = argparse.ArgumentParser(
         prog="skewdyn",
         description="Newton-polygon classification, invariant wedges, Green "
                     "functions and Böttcher coordinates for superattracting "
                     "polynomial skew products",
+        formatter_class=fmt,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True,
+                            parser_class=functools.partial(argparse.ArgumentParser,
+                                                           formatter_class=fmt))
 
     def common(p):
         p.add_argument("--n-max", dest="n_max", type=int, default=None)

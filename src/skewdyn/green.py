@@ -55,20 +55,24 @@ is invariant, _gz_direct drains the orbit before it settles, because a
 zero anywhere on it decides how it settles.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
-once per step: _fiber_ratio for the weighted ratio, and _fiber_logs for
-the direct orbit.  The direct lanes come out finished as arrays, and
-_fiber_direct settles them together, a column of steps at a time, as
-the scalar settle routines settle one orbit.
+once per step: _fiber_ratio for the weighted ratio, and _LaneOrbits for
+the direct orbit.  Both settle online: each column of steps goes into
+the lanes' settle as it is computed, as the scalar settle routines read
+one orbit, and a lane retires once its estimate is final, so no step
+past the last settled lane is computed and none is kept
+(_settle_direct).  The kernels hand their estimates over as columns
+(value, n_used, tag, residual), and G_z's composition and G_f's max run
+on the columns.
 
 Both direct drivers keep one rule for the alternate vertex of a
 two-dominant-term map: only an orbit that ended 'range' at a refused
 switch tries it, and it resumes from that orbit's last step, switching
 at the very next step or not at all (_alternate_steps).  Past the switch
 an orbit follows the exact log recursion alone (_extension_steps); the
-lane kernel runs that recursion for every switched lane of a batch as
-one column loop (_lanes_tail) and cuts each lane at its exit afterwards.
-A step the recursion overflows ends the orbit as 'range' before it, so
--inf in an orbit always means an exact zero.
+lane kernel steps its switched lanes by that recursion in the same
+column loop as its exact ones.  A step the recursion overflows ends the
+orbit as 'range' before it, so -inf in an orbit always means an exact
+zero.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -79,6 +83,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -124,18 +129,36 @@ class GreenEstimate:
         return math.isfinite(self.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiberFunctionSample:
-    """Grid of estimates over one fiber {z} x rectangle, row-major order."""
+    """Grid of estimates over one fiber {z} x rectangle, row-major order.
+
+    columns holds them as arrays over the lanes: value, n_used, tag (an
+    index into _TAGS) and residual.  estimates, one GreenEstimate per
+    lane, is built where it is first read.
+    """
 
     z: complex
     ws: tuple[complex, ...]
-    estimates: tuple[GreenEstimate, ...]
+    columns: tuple
+
+    @cached_property
+    def estimates(self) -> tuple[GreenEstimate, ...]:
+        val, used, tag, res = (col.tolist() for col in self.columns)
+        return tuple(map(GreenEstimate, val, used, map(_TAGS.__getitem__, tag), res))
 
 
 def _lmag(x: complex) -> float:
     m = abs(x)
     return math.log(m) if m > 0 else -math.inf
+
+
+def _lcoeff(x: complex) -> float:
+    """_lmag of a coefficient: its log is finite also where |x| overflows."""
+    try:
+        return _lmag(x)
+    except OverflowError:
+        return math.log(abs(x / 2)) + math.log(2)
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +354,12 @@ def _log_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int], z: c
                 logs._reason = "range"
                 yield from _alternate_steps(logs, f, alternates, n, lz, lw, n_max)
             return
-        try:
+        try:   # p(z), q(z, w) or a modulus past the double range ends the orbit escaped
             z, w = p(z), q(z, w)
+            az, aw = abs(z), abs(w)
         except OverflowError:
-            logs._reason = "escaped"
-            return
-        if not (math.isfinite(az := abs(z)) and math.isfinite(aw := abs(w))):
+            az = math.inf
+        if not (math.isfinite(az) and math.isfinite(aw)):
             logs._reason = "escaped"
             return
         lz = math.log(az) if az > 0 else -math.inf
@@ -362,8 +385,8 @@ def _extension_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int]
     exact zero.
     """
     append = logs._steps.append
-    delta, log_a = f.p.order, _lmag(f.p.leading_at_zero())
-    (gamma, d), log_b = dominant, _lmag(f.q.terms[dominant])
+    delta, log_a = f.p.order, _lcoeff(f.p.leading_at_zero())
+    (gamma, d), log_b = dominant, _lcoeff(f.q.terms[dominant])
     while True:
         lz, lw = log_a + delta * lz, log_b + gamma * lz + d * lw
         if not (math.isfinite(lz) and math.isfinite(lw)):
@@ -420,7 +443,7 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int) -> Iterator[t
 
     The switch and the end go on logs; g_p reads each step once, so none is kept.
     """
-    delta, log_a, k_top = p.order, _lmag(p.leading_at_zero()), max(p.terms)
+    delta, log_a, k_top = p.order, _lcoeff(p.leading_at_zero()), max(p.terms)
     comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
     switched, lz = False, _lmag(z := complex(z))
     yield 0, lz
@@ -437,10 +460,10 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int) -> Iterator[t
                 return
         else:
             try:
-                z = p(z)
+                az = abs(z := p(z))
             except OverflowError:
-                z = complex(math.inf)   # escaped, as a non-finite value is
-            if not math.isfinite(az := abs(z)):
+                az = math.inf   # escaped, as a non-finite value is
+            if not math.isfinite(az):
                 logs._reason = "escaped"
                 return
             lz = math.log(az) if az > 0 else -math.inf
@@ -862,7 +885,7 @@ def _line_recursion(f: SkewProduct, c: Classification, dominant: tuple[int, int]
     g_dom, d_dom = dominant
     if Fraction(g_dom) + c.alpha * (d_dom - f.delta) != 0:
         return None
-    return d_dom, _lmag(f.q.terms[dominant]) - float(c.alpha) * _lmag(f.p.leading_at_zero())
+    return d_dom, _lcoeff(f.q.terms[dominant]) - float(c.alpha) * _lcoeff(f.p.leading_at_zero())
 
 
 def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
@@ -946,8 +969,8 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
     # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
     # past the switch, valid when the extension uses the primary vertex:
     # u' = d u + log|b| - (gamma/d)(n+1) log|a|
-    log_a = _lmag(f.p.leading_at_zero())
-    log_b = _lmag(f.q.terms[c.primary.vertex])
+    log_a = _lcoeff(f.p.leading_at_zero())
+    log_b = _lcoeff(f.q.terms[c.primary.vertex])
     axis_inv = _w_axis_invariant(f)
     u_prev: Optional[float] = None
     est = None
@@ -1231,33 +1254,40 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     at once (_fiber_ratio).  G_z takes its lanes from _fiber_gz, and G_f
     and G_f^alpha take the max of those with the fiber's one s Z, as g_f
     and g_f_alpha do for one point.  Where an estimator reads the direct
-    orbit alone (_direct_only), the orbits of all lanes run at once
-    (_fiber_logs) and are settled as arrays (_fiber_direct).  Every other
-    case calls the scalar estimator per point.  All give identical
-    results.
+    orbit alone (_direct_only), the orbits of all lanes run at once and
+    settle as they run (_fiber_direct).  Every other case calls the
+    scalar estimator per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
     # w**j and c**j with j > 100 are CPython's polar power, which the kernels do not replay
     batch = bool(ws) and all(j <= 100 for _, j in f.q.terms)
-    if which == "Gp":
-        ests = [g_p(f.p, z, n_max, tol)] * len(ws) if ws else []
-    elif batch and which in ("Gf", "Gfa"):
-        zpart, base = _f_z_part(f, c, which, z, n_max, tol)
-        if zpart.termination == TERM_HIT_EZ:
-            ests = [zpart] * len(ws)
+    with np.errstate(all="ignore"):   # the kernels replay inf and nan as the scalars do
+        if which == "Gp":
+            cols = _columns([g_p(f.p, z, n_max, tol)] * len(ws) if ws else [])
+        elif batch and which in ("Gf", "Gfa"):
+            zpart, base = _f_z_part(f, c, which, z, n_max, tol)
+            if zpart.termination == TERM_HIT_EZ:
+                cols = _columns([zpart] * len(ws))
+            else:
+                cols = _lanes_max(zpart, _fiber_gz(f, c, z, ws, n_max, tol, base))
+        elif batch and which == "Gz":
+            cols = _fiber_gz(f, c, z, ws, n_max, tol, None)
+        elif batch and which in ("Gza", "Gzap") and _ratio_serves(f, c, z):
+            _require_d(c)
+            cols = _fiber_ratio(f, c, which == "Gzap", complex(z), ws, n_max, tol)
+        elif batch and _direct_only(f, c, which, z):
+            cols = _fiber_direct(f, c, which, z, ws, n_max, tol)
         else:
-            ests = [_max_of_parts(zpart, est) for est in _fiber_gz(f, c, z, ws, n_max, tol, base)]
-    elif batch and which == "Gz":
-        ests = _fiber_gz(f, c, z, ws, n_max, tol, None)
-    elif batch and which in ("Gza", "Gzap") and _ratio_serves(f, c, z):
-        _require_d(c)
-        ests = _fiber_ratio(f, c, which == "Gzap", complex(z), ws, n_max, tol)
-    elif batch and _direct_only(f, c, which, z):
-        ests = _fiber_direct(f, c, which, complex(z), ws, n_max, tol)
-    else:
-        ests = [fn(f, c, z, w, n_max, tol) for w in ws]
-    return FiberFunctionSample(z=z, ws=ws, estimates=tuple(ests))
+            cols = _columns([fn(f, c, z, w, n_max, tol) for w in ws])
+    return FiberFunctionSample(z, ws, cols)
+
+
+def _columns(ests: list[GreenEstimate]) -> tuple:
+    """The columns (value, n_used, tag, residual) of a list of estimates."""
+    return (np.array([e.value for e in ests], float), np.array([e.n_used for e in ests], int),
+            np.array([_TAGS.index(e.termination) for e in ests], np.int8),
+            np.array([e.residual for e in ests], float))
 
 
 def _ratio_serves(f: SkewProduct, c: Classification, z: complex) -> bool:
@@ -1266,25 +1296,46 @@ def _ratio_serves(f: SkewProduct, c: Classification, z: complex) -> bool:
 
 
 def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, ...],
-              n_max: int, tol: float, base: Optional[GreenEstimate]) -> list[GreenEstimate]:
-    """g_z of every lane w of ws, reusing base, the G_p estimate at z, if given.
+              n_max: int, tol: float, base: Optional[GreenEstimate]) -> tuple:
+    """g_z of every lane w of ws as columns, reusing base, the G_p estimate at z, if given.
 
     With d >= 1 and a weighted-ratio recursion, the lanes of _fiber_ratio
-    are composed with the fiber's one G_p, as g_z composes one point; a
-    lane whose composition is refused (a part not finite, or unsettled of
-    weight 0) takes the direct orbit, as every lane does otherwise.
+    are composed with the fiber's one G_p, as _gz_composed composes one
+    point; a lane whose composition is refused (a part not finite, or
+    unsettled of weight 0) takes the direct orbit, as every lane does
+    otherwise.
     """
     if _direct_only(f, c, "Gz", z):
-        return _fiber_direct(f, c, "Gz", complex(z), ws, n_max, tol)
+        return _fiber_direct(f, c, "Gz", z, ws, n_max, tol)
     if base is None:
         base = g_p(f.p, z, n_max, tol)
-    ests = [_gz_composed(c, est, base)
-            for est in _fiber_ratio(f, c, False, complex(z), ws, n_max, tol, c.d < c.lam)]
-    rest = [k for k, est in enumerate(ests) if est is None]
-    for k, est in zip(rest, _fiber_direct(f, c, "Gz", complex(z),
-                                          [ws[k] for k in rest], n_max, tol)):
-        ests[k] = est
-    return ests
+    val, used, tag, res = _fiber_ratio(f, c, False, complex(z), ws, n_max, tol, c.d < c.lam)
+    a, b = (1 if c.d == c.lam else 0), (float(c.alpha) if c.delta == c.lam else 0.0)
+    refused = ~np.isfinite(val) | (not base.finite) | ((tag == _BUDGET) & (not a))
+    # _gz_composed per lane: the first weighted part that did not converge gives the tag
+    tag = tag.copy() if a else np.full(tag.size, _CONV, np.int8)
+    res = 0.0 + res if a else np.zeros(res.size)
+    if b:
+        tag[tag == _CONV] = _TAGS.index(base.termination)
+        res = res + abs(b) * base.residual
+    cols = (a * val + b * base.value, np.maximum(used, base.n_used), tag, res)
+    if (rest := np.flatnonzero(refused)).size:
+        direct = _fiber_direct(f, c, "Gz", z, [ws[k] for k in rest], n_max, tol)
+        for col, part in zip(cols, direct):
+            col[rest] = part
+    return cols
+
+
+def _lanes_max(a: GreenEstimate, cols: tuple) -> tuple:
+    """_max_of_parts(a, b) of every lane b of the columns cols, as columns."""
+    bv, bu, bt, br = cols
+    at, win = _TAGS.index(a.termination), bv > a.value
+    budget = (bt == _BUDGET) | (at == _BUDGET)
+    apart = ~budget & (np.abs(a.value - bv) > a.residual + br)
+    return (np.where(win, bv, a.value), np.maximum(bu, a.n_used),
+            np.where(budget, _BUDGET, np.where(win, bt, at)).astype(np.int8),
+            np.where(apart, np.where(win, br, a.residual),
+                     np.where(br > a.residual, br, a.residual)))
 
 
 def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> bool:
@@ -1335,8 +1386,14 @@ def _log_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     mag = np.hypot(re, im)
     if (np.isinf(mag) & np.isfinite(re) & np.isfinite(im)).any():
         raise OverflowError("absolute value too large")  # as abs() of such a complex
+    return _log_mag(mag)
+
+
+def _log_mag(mag: np.ndarray) -> np.ndarray:
+    """math.log per lane of the moduli mag, -inf at exact zero."""
+    if (pos := mag > 0).all():
+        return _math_map(math.log, mag)
     out = np.full(mag.shape, -math.inf)
-    pos = mag > 0
     out[pos] = _math_map(math.log, mag[pos])
     return out
 
@@ -1366,35 +1423,49 @@ def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
 
 
 class _LaneSettler:
-    """_Settler over lanes that receive their partials in lockstep.
+    """_Settler over lanes that receive their partials a column at a time.
 
     Each lane keeps _Settler's state: its last partial g (NaN before the
-    first), its last increment inc (inf before the first) and the run of
-    trailing increments that can signal divergence.
+    first) and its step n (-1 before the first), its last increment inc
+    (inf before the first) and the run of trailing increments that can
+    signal divergence.
     """
 
     def __init__(self, lanes: int, tol: float):
         self.tol = tol
         self.floor = max(tol, 1e-14)
         self.g = np.full(lanes, math.nan)
+        self.n = np.full(lanes, -1)
         self.inc = np.full(lanes, math.inf)
         self.run = np.zeros(lanes, int)
 
     def keep(self, mask: np.ndarray) -> None:
-        self.g, self.inc, self.run = self.g[mask], self.inc[mask], self.run[mask]
+        self.g, self.n, self.inc, self.run = (
+            x[mask] for x in (self.g, self.n, self.inc, self.run))
 
-    def push(self, g: np.ndarray, n: int) -> np.ndarray:
-        """Partial number n (from 0) in; out the mask of lanes _Settler.push decides on."""
-        if not n:
-            self.g = g
-            return np.zeros(g.shape, bool)
-        prev, self.inc, self.g = self.inc, g - self.g, g
-        mag, prev_mag = np.abs(self.inc), np.abs(prev)
+    def push(self, g: np.ndarray, n: int, take: Optional[np.ndarray] = None) -> np.ndarray:
+        """Partials g_n in; out the mask of lanes _Settler.push decides on.
+
+        Only the lanes take marks push (all by default); the others keep
+        their state.  A lane's first partial makes no increment.
+        """
+        had = self.n >= 0   # the lanes whose partial makes an increment
+        if take is None or take.all():
+            self.n = np.full(g.size, n)
+        else:
+            had &= take
+            g, self.n = np.where(take, g, self.g), np.where(take, n, self.n)
+        prev, inc, every = self.inc, g - self.g, had.all()
+        if not every:
+            inc = np.where(had, inc, prev)
+        self.g, self.inc = g, inc
+        mag, prev_mag = np.abs(inc), np.abs(prev)
         conv = (mag < self.tol) & (prev_mag < self.tol)
         # a converged lane resets its run, as its increment is below floor
-        grow = ((self.inc > 0) == (prev > 0)) & ~(mag < 0.9 * prev_mag)
-        self.run = np.where(mag > self.floor, np.where(grow, self.run + 1, 1), 0)
-        return conv | (self.run >= 5)
+        grow = ((inc > 0) == (prev > 0)) & ~(mag < 0.9 * prev_mag)
+        run = np.where(mag > self.floor, np.where(grow, self.run + 1, 1), 0)
+        self.run = run if every else np.where(had, run, self.run)
+        return (conv | (self.run >= 5)) if every else (conv | (self.run >= 5)) & had
 
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tag, value, residual) per lane, as _Settler.finish."""
@@ -1415,8 +1486,7 @@ def _fold(residual, extra: np.ndarray) -> np.ndarray:
 
 
 def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
-                 ws: tuple, n_max: int, tol: float, weightless: bool = False
-                 ) -> list[GreenEstimate]:
+                 ws: tuple, n_max: int, tol: float, weightless: bool = False) -> tuple:
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
     The z side (log z_n, the p-tail correction, the z-factors of the
@@ -1562,33 +1632,13 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             if not live.size:
                 break
 
-    return _estimates(val, used, tag, res)
-
-
-def _estimates(val: np.ndarray, used: np.ndarray, tag: np.ndarray, res: np.ndarray
-               ) -> list[GreenEstimate]:
-    """One GreenEstimate per lane from its columns; tag indexes _TAGS."""
-    return [GreenEstimate(v, k, _TAGS[t], r)
-            for v, k, t, r in zip(val.tolist(), used.tolist(), tag.tolist(), res.tolist())]
+    return val, used, tag, res
 
 
 # -- direct log-orbit kernel
 
-_CHUNK = 1024   # lanes per batch: their step history is ~1 MB at n_max 64
+_CHUNK = 1024   # lanes per batch
 _COMPLETE, _ESCAPED, _RANGE = range(3)   # how an orbit ends, as _OrbitLogs.reason
-
-
-@dataclass
-class _LaneLogs:
-    """orbit_logs of a batch of lanes; row k holds lane k's steps 0..length[k]-1, then NaN."""
-
-    log_z: np.ndarray          # (lanes, n_max + 1)
-    log_w: np.ndarray
-    length: np.ndarray         # steps per lane
-    reason: np.ndarray         # _COMPLETE, _ESCAPED or _RANGE
-    switch_step: np.ndarray    # -1 where the lane never switched
-    switch_eta: np.ndarray
-    vertex: np.ndarray         # 0 for the primary vertex, k for the k-th alternate
 
 
 def _lane_term_logs(keys: list[tuple[int, int]], lz, lw: np.ndarray) -> np.ndarray:
@@ -1620,412 +1670,252 @@ def _lane_eta(f: SkewProduct, vertex: tuple[int, int], lz, lw: np.ndarray,
     return eta
 
 
-def _lanes_exact(f: SkewProduct, dominant: tuple[int, int], z: complex, ws: np.ndarray,
-                 n_max: int) -> _LaneLogs:
-    """orbit_logs(f, dominant, z, w, n_max) for every lane w of ws, up to each lane's switch.
+class _LaneOrbits:
+    """orbit_logs(f, vertices[0], z, w, n_max, vertices[1:]) of a batch of lanes w, by columns.
 
-    The exact z_n, its log and the p part of the dominance test are shared
-    by every lane and computed once per step; lanes end as the scalar
-    driver ends them.  A lane that passes the dominance test at step n
-    leaves the exact orbit there, with its switch_step n: _lanes_tail
-    computes its steps from n on.
+    Iterating yields (n, live, lz, lw) for n = 0, 1, ...: step n of the
+    lanes still running, whose batch indices live holds in increasing
+    order; ext marks the ones past their switch and vtx holds their
+    vertex, an index into vertices.  A reader that sets retire, a mask
+    over the lanes of the column it read, stops those lanes: they compute
+    no further step.  Any other lane missing from a column ended after its
+    step in the one before, as reason records (_COMPLETE, _ESCAPED or
+    _RANGE); switch_step (-1 where none), switch_eta and vertex hold each
+    lane's switch as _OrbitLogs does.  No step is kept.
+
+    Each step replays the scalar driver on every lane.  The exact lanes
+    share z_n, its log and p's part of the dominance test.  A lane that
+    fails the test switches to the log recursion of the first vertex whose
+    eta passes it, the primary and then the alternates (_alternate_steps),
+    or ends 'range'; the switched lanes step by their vertex's recursion
+    (_extension_steps).
     """
-    p_terms, q_terms = f.p.terms, f.q.terms
-    q_keys = list(q_terms)
-    lanes = ws.size
-    zc = complex(z)
-    lzc = _lmag(zc)
-    wr, wi = ws.real.copy(), ws.imag.copy()
-    lw = _log_abs(wr, wi)
-    shape = (lanes, n_max + 1)
-    out = _LaneLogs(np.full(shape, math.nan), np.full(shape, math.nan),
-                    np.ones(lanes, int), np.zeros(lanes, np.int8), np.full(lanes, -1),
-                    np.zeros(lanes), np.zeros(lanes, int))
-    out.log_z[:, 0], out.log_w[:, 0] = lzc, lw
-    live = np.arange(lanes)          # row of each lane still on the exact orbit
 
-    with np.errstate(all="ignore"):
-        for n in range(1, n_max + 1):
-            stop = (lw > ESCAPE_LOG) | (lzc > ESCAPE_LOG)
-            out.reason[live[stop]] = _ESCAPED
-            # _extension_eta's safety test; p's terms sit at (k, 0) with k >= 2,
-            # so their logs are k lz + 0.0
-            tl = _lane_term_logs(q_keys, lzc, lw)
-            unsafe = ~_lanes_terms_safe(tl, tl.max(axis=0))
-            if not _terms_safe([k * lzc + 0.0 for k in p_terms]):
-                unsafe[:] = True
-            unsafe &= ~stop
-            if unsafe.any():
-                # an unsafe lane with a zero coordinate cannot switch
-                cand = unsafe & (lw > -math.inf) & (lzc > -math.inf)
-                eta = np.full(lw.size, math.inf)
-                if cand.any():
-                    eta[cand] = _lane_eta(f, dominant, lzc, lw[cand], tl[:, cand])
-                switch = eta < _TAIL_TOL
-                out.reason[live[unsafe & ~switch]] = _RANGE
-                out.switch_step[live[switch]], out.switch_eta[live[switch]] = n, eta[switch]
-                stop |= unsafe
-            if stop.any():
-                keep = ~stop
-                live, wr, wi, lw = (x[keep] for x in (live, wr, wi, lw))
-            if not live.size:
-                break
+    def __init__(self, f: SkewProduct, vertices: list[tuple[int, int]], z: complex,
+                 ws: np.ndarray, n_max: int):
+        self.f, self.vertices, self.z, self.ws, self.n_max = f, vertices, complex(z), ws, n_max
+        self.reason, self.vertex = np.zeros(ws.size, np.int8), np.zeros(ws.size, int)
+        self.switch_step, self.switch_eta = np.full(ws.size, -1), np.zeros(ws.size)
+        self.retire: Optional[np.ndarray] = None
 
-            failed = np.zeros(live.size, bool)
-            try:
-                zn = f.p(zc)
-                czs = [coeff * zc**i for (i, _), coeff in q_terms.items()]
-            except OverflowError:
-                failed[:] = True
-            else:
-                # q(z, w) adds (coeff z^i) w^j in term order; w**j raises
-                # OverflowError, which ends the lane, where a part of it is infinite
-                squares = [(wr, wi)]
-                nr, ni = np.zeros(live.size), np.zeros(live.size)
-                for (_, j), cz in zip(q_keys, czs):
-                    pr, pi = _cpow(squares, j)
-                    failed |= np.isinf(pr) | np.isinf(pi)
-                    tr, ti = _cmul(cz.real, cz.imag, pr, pi)
-                    nr += tr
-                    ni += ti
-                if not failed.all():
-                    az = abs(zn)
-                    if not math.isfinite(az):
-                        failed[:] = True
-                    else:
-                        ok = ~failed
-                        new_lw = _log_abs(nr[ok], ni[ok])
-                        failed[ok] = ~(np.isfinite(nr[ok]) & np.isfinite(ni[ok]))
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        f, vertices = self.f, self.vertices
+        p_terms, q_terms = f.p.terms, f.q.terms
+        q_keys = list(q_terms)
+        # each term log is at most i_top |lz| + j_top |lw| in size: below _WINDOW, all are safe
+        i_top, j_top = max(max(p_terms), max(q_terms)[0]), max(j for _, j in q_keys)
+        log_a, delta = _lcoeff(f.p.leading_at_zero()), f.delta
+        recursion = np.array([(_lcoeff(q_terms[v]), *v) for v in vertices])   # log|b|, gamma, d
+        zc = self.z
+        lzc = _lmag(zc)
+        wr, wi = self.ws.real.copy(), self.ws.imag.copy()
+        lw = _log_abs(wr, wi)
+        live, lz = np.arange(lw.size), np.full(lw.size, lzc)
+        ext, vtx = np.zeros(lw.size, bool), np.zeros(lw.size, int)
+
+        def keep(mask, reason=None):
+            nonlocal live, lz, lw, wr, wi, ext, vtx
+            if reason is not None:
+                self.reason[live[~mask]] = reason
+            live, lz, lw, wr, wi, ext, vtx = (x[mask] for x in (live, lz, lw, wr, wi, ext, vtx))
+
+        for n in range(self.n_max + 1):
+            if n:
+                # the orbits past the escape radius ended after step n - 1
+                esc = (lz > ESCAPE_LOG) | (lw > ESCAPE_LOG)
+                if esc.any():
+                    keep(~esc, _ESCAPED)
+                # the dominance test at step n - 1 of the exact lanes the cheap bound
+                # leaves: where it holds for the largest |lw|, it holds for every lane
+                mag_z, mag_w = i_top * abs(lzc), np.abs(lw)
+                if (not mag_z + j_top * mag_w.max(initial=0.0) <= _WINDOW
+                        and (test := ~ext & ~(mag_z + j_top * mag_w <= _WINDOW)).any()):
+                    tl = _lane_term_logs(q_keys, lzc, lw)
+                    unsafe = test & ~_lanes_terms_safe(tl, tl.max(axis=0))
+                    if not _terms_safe([k * lzc + 0.0 for k in p_terms]):
+                        unsafe = test
+                    # a lane with a zero coordinate cannot switch
+                    pending = unsafe & (lw > -math.inf) & (lzc > -math.inf)
+                    ext, vtx = ext.copy(), vtx.copy()
+                    for t, vertex in enumerate(vertices):
+                        if not (at := np.flatnonzero(pending)).size:
+                            break
+                        eta = _lane_eta(f, vertex, lzc, lw[at], tl[:, at])
+                        at, eta = at[eta < _TAIL_TOL], eta[eta < _TAIL_TOL]
+                        ext[at], vtx[at], pending[at] = True, t, False
+                        self.switch_step[live[at]], self.switch_eta[live[at]] = n, eta
+                        self.vertex[live[at]] = t
+                    if (unsafe & ~ext).any():   # refused by every vertex
+                        keep(~(unsafe & ~ext), _RANGE)
+                # step n: the switched lanes by their recursion, where it stays finite
+                if ext.any():
+                    b, g, d = recursion[vtx].T
+                    lz, lw = log_a + delta * lz, b + g * lz + d * lw
+                    if (bad := ext & ~(np.isfinite(lz) & np.isfinite(lw))).any():
+                        keep(~bad, _RANGE)
+                else:
+                    lz, lw = lz.copy(), lw.copy()
+                exact = ~ext
+                if exact.any():
+                    at = exact if ext.any() else slice(None)
+                    # p(z), q(z, w) or a modulus past the double range ends an orbit escaped
+                    escaped = exact.copy()
+                    try:
+                        zn = f.p(zc)
+                        az = abs(zn)
+                        czs = [coeff * zc**i for (i, _), coeff in q_terms.items()]
+                    except OverflowError:
+                        az = math.inf
+                    if math.isfinite(az):
+                        # q(z, w) adds (coeff z^i) w^j in term order
+                        squares = [(wr[at], wi[at])]
+                        nr, ni = np.zeros(squares[0][0].size), np.zeros(squares[0][0].size)
+                        for (_, j), cz in zip(q_keys, czs):
+                            tr, ti = _cmul(cz.real, cz.imag, *_cpow(squares, j))
+                            nr += tr
+                            ni += ti
+                        mag = np.hypot(nr, ni)   # abs() per lane
+                        wr[at], wi[at], lw[at] = nr, ni, _log_mag(mag)
+                        escaped[at] = ~np.isfinite(mag)
                         zc, lzc = zn, (math.log(az) if az > 0 else -math.inf)
-                        wr, wi = nr, ni
-                        lw[ok] = new_lw
-            if failed.any():
-                out.reason[live[failed]] = _ESCAPED
-                keep = ~failed
-                live, wr, wi, lw = (x[keep] for x in (live, wr, wi, lw))
-            out.log_z[live, n], out.log_w[live, n] = lzc, lw
-            out.length[live] = n + 1
+                        lz[at] = lzc
+                    if escaped.any():
+                        keep(~escaped, _ESCAPED)
             if not live.size:
-                break
-    return out
+                return
+            self.ext, self.vtx = ext, vtx
+            yield n, live, lz, lw
+            if self.retire is not None:
+                keep(~self.retire)
+                self.retire = None
+                if not live.size:
+                    return
 
-
-def _lanes_tail(f: SkewProduct, vertices: list[tuple[int, int]], out: _LaneLogs,
-                n_max: int) -> None:
-    """The steps of every switched lane from its switch on, written into out in place.
-
-    A lane that switched at step s continues from its step s - 1 by the
-    log recursion of its vertex, vertices[vertex]:
-    log|z'| = log|a| + delta log|z|, log|w'| = log|b| + gamma log|z| + d log|w|.
-    The lanes run as one column loop, each lane's j-th step landing in its
-    column s + j, with the arithmetic of _extension_steps.  Each lane is
-    then cut at its first exit, as _extension_steps ends an orbit: a
-    non-finite step ends it as 'range' before that step, a step past
-    ESCAPE_LOG before n_max as 'escaped' after it.
-    """
-    rows = np.flatnonzero(out.switch_step >= 0)
-    if not rows.size:
-        return
-    width = n_max + 1
-    start = out.switch_step[rows]
-    lz, lw = out.log_z[rows, start - 1], out.log_w[rows, start - 1]
-    log_a, delta = _lmag(f.p.leading_at_zero()), f.delta
-    v = out.vertex[rows]
-    gamma = np.array([g for g, _ in vertices])[v]
-    d = np.array([dd for _, dd in vertices])[v]
-    log_b = np.array([_lmag(f.q.terms[vx]) for vx in vertices])[v]
-    order = np.argsort(start, kind="stable")   # the lanes with the most steps first
-    rows, start, lz, lw, gamma, d, log_b = (
-        x[order] for x in (rows, start, lz, lw, gamma, d, log_b))
-    flat = rows * width + start                # flat index of each lane's first step
-    zf, wf = out.log_z.reshape(-1), out.log_w.reshape(-1)
-    count = np.searchsorted(start, n_max - np.arange(width - start[0]), side="right")
-    with np.errstate(all="ignore"):   # an overflow to +-inf is cut below
-        for j, k in enumerate(count.tolist()):
-            if k < lz.size:
-                lz, lw, gamma, d, log_b = lz[:k], lw[:k], gamma[:k], d[:k], log_b[:k]
-            lz, lw = log_a + delta * lz, log_b + gamma * lz + d * lw
-            at = flat[:k] + j
-            zf[at], wf[at] = lz, lw
-
-    # cut each lane at its first exit
-    first = start[0]
-    tz, tw = out.log_z[:, first:], out.log_w[:, first:]
-    bad = ~(np.isfinite(tz) & np.isfinite(tw))
-    exits = bad.copy()
-    exits[:, :-1] |= (tz[:, :-1] > ESCAPE_LOG) | (tw[:, :-1] > ESCAPE_LOG)
-    exits = exits[rows] & (np.arange(first, width) >= start[:, None])
-    hit = exits.any(axis=1)
-    out.length[rows] = width
-    if hit.any():
-        rows, col = rows[hit], exits[hit].argmax(axis=1)
-        ranged = bad[rows, col]
-        ends = first + col + ~ranged
-        out.reason[rows] = np.where(ranged, _RANGE, _ESCAPED)
-        out.length[rows] = ends
-        for row, end in zip(rows.tolist(), ends.tolist()):
-            out.log_z[row, end:] = out.log_w[row, end:] = math.nan
-
-
-def _lanes_orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex,
-                      ws: np.ndarray, n_max: int,
-                      alternates: Sequence[tuple[int, int]] = ()) -> _LaneLogs:
-    """orbit_logs(f, dominant, z, w, n_max, alternates) for every lane w of ws at once.
-
-    _lanes_exact runs the exact orbits.  A lane that refused to switch (a
-    'range' end at step L + 1, L its last step) resumes from step L by the
-    rule of _alternate_steps: the first alternate whose eta there passes
-    the test takes the lane from step L + 1, and its vertex, numbered as
-    [dominant, *alternates].  Then _lanes_tail runs the log recursion of
-    every switched lane, primary and alternate, as one column loop.
-    """
-    vertices = [dominant, *alternates]
-    out = _lanes_exact(f, dominant, z, ws, n_max)
-    # before the tail runs, every 'range' end is a refused switch
-    retry = np.flatnonzero(out.reason == _RANGE)
-    if retry.size and alternates:
-        last = out.length[retry] - 1
-        lz, lw = out.log_z[retry, last], out.log_w[retry, last]
-        cand = (lz > -math.inf) & (lw > -math.inf)   # a zero coordinate cannot switch
-        retry, last, lz, lw = (x[cand] for x in (retry, last, lz, lw))
-        tl = _lane_term_logs(list(f.q.terms), lz, lw)
-        for t in range(1, len(vertices)):
-            eta = _lane_eta(f, vertices[t], lz, lw, tl)
-            win = eta < _TAIL_TOL
-            rows = retry[win]
-            out.reason[rows], out.vertex[rows] = _COMPLETE, t
-            out.switch_step[rows], out.switch_eta[rows] = last[win] + 1, eta[win]
-            # at most one vertex passes the test at a point
-            retry, last, lz, lw, tl = (retry[~win], last[~win], lz[~win], lw[~win],
-                                       tl[:, ~win])
-    _lanes_tail(f, vertices, out, n_max)
-    return out
-
-
-def _fiber_logs(f: SkewProduct, c: Classification, z: complex, ws: Iterable[complex],
-                n_max: int) -> Iterator[_LaneLogs]:
-    """best_orbit_logs(f, c, z, w, n_max) for the lanes w of ws, in order.
-
-    The orbits run in batches of _CHUNK lanes, one _LaneLogs each, by
-    _lanes_orbit_logs with the classification's alternate vertices: no
-    alternate runs from step 0, a lane resumes one at the step where its
-    primary orbit ended 'range', and every switched lane of the batch
-    runs its log recursion in one column loop.
-    """
-    ws = list(ws)
-    alternates = [term.vertex for term in c.terms[1:]]
-    for begin in range(0, len(ws), _CHUNK):
-        lanes = np.array(ws[begin:begin + _CHUNK], dtype=complex)
-        yield _lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max, alternates)
-
-
-# -- direct settles: the scalar settle routines of the direct orbit, per lane
-#
-# A settle reads each lane's steps in order, except the ones it skips (a
-# transient zero w_n = 0 has no partial).  _read compacts the steps it
-# reads to the left of each row, so that column i is the lane's i-th read
-# and step[k, i] the step index an estimate reports as n_used.  A lane's
-# first exit (an exact zero, E_z, an escape, a certified bound) is found
-# by a scan over its columns; the settler runs in lockstep over the
-# columns before it (_lane_limits).
 
 def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
-                  ws: list[complex], n_max: int, tol: float) -> list[GreenEstimate]:
-    """Estimator `which` from best_orbit_logs of every lane w of ws, in order.
+                  ws: Sequence[complex], n_max: int, tol: float) -> tuple:
+    """Estimator `which` from best_orbit_logs of every lane w of ws, in order, as columns.
 
-    Gza/Gzap, Gzi and Gz settle the batched orbits of _fiber_logs as
-    arrays, as _gza_direct, _gzi_direct and _gz_direct settle one orbit.
+    The orbits run in batches of _CHUNK lanes (_LaneOrbits), each settled
+    as its columns arrive (_settle_direct).
     """
-    ests: list[GreenEstimate] = []
-    with np.errstate(all="ignore"):
-        for logs in _fiber_logs(f, c, z, ws, n_max):
-            if which in ("Gza", "Gzap"):
-                cols = _lanes_gza(f, c, logs, tol, which == "Gzap")
-            elif which == "Gzi":
-                cols = _lanes_gzi(f, c, logs, tol)
-            else:
-                cols = _lanes_gz(f, c, logs, tol)
-            ests += _estimates(*cols)
-    return ests
+    ws = np.array(ws, dtype=complex)
+    vertices = [term.vertex for term in c.terms]
+    parts = [_settle_direct(f, c, which, _LaneOrbits(f, vertices, z, ws[b:b + _CHUNK], n_max), tol)
+             for b in range(0, ws.size, _CHUNK)]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _powers(base: int, count: int) -> np.ndarray:
-    """float(base**k) for k < count, as a float divided by base**k reads it; inf past range."""
-    out = np.full(count, math.inf)
-    for k in range(count):
-        try:
-            out[k] = float(base**k)
-        except OverflowError:
-            break
-    return out
+def _settle_direct(f: SkewProduct, c: Classification, which: str, orbits: _LaneOrbits,
+                   tol: float) -> tuple:
+    """_gza_direct ('Gza', 'Gzap'), _gzi_direct ('Gzi') or _gz_direct ('Gz') on orbits' lanes.
 
-
-def _over_steps(x: np.ndarray, step: np.ndarray, powers: np.ndarray, base: int) -> np.ndarray:
-    """_over(x, base**step) per element; step as _read gives it, powers from _powers(base, ...)."""
-    den = powers[step]
-    out = x / den
-    past = np.isinf(den)
-    if past.any():   # base**step is past the double range
-        past = np.broadcast_to(past, x.shape)
-        ks = np.broadcast_to(step, x.shape)[past].tolist()
-        out[past] = [_over_exact(v, base**k) for v, k in zip(x[past].tolist(), ks)]
-    return out
-
-
-def _read(logs: _LaneLogs, skip: np.ndarray, *arrays: np.ndarray) -> tuple:
-    """(step, m, *arrays) with the steps skip marks left out of each row.
-
-    The kept steps of lane k are compacted to its columns 0..m[k]-1, and
-    step[k, i] is the step index of column i; where no step is skipped,
-    step is the one row of column indices, which broadcasts over the
-    lanes.  skip must be False past each lane's end.
+    Each column goes into one _LaneSettler as it arrives, through a
+    masked push: a transient zero w_n = 0 skips its lane's push.  A lane
+    retires once its estimate is final, where the scalar routine stops
+    reading, and a lane whose orbit ends takes the settler's finish.
+    Where the w-axis is invariant, a settled G_z lane runs on, since a
+    zero later on decides.  Returns (value, n_used, tag, residual).
     """
-    if not skip.any():
-        return (np.arange(logs.log_z.shape[1])[None], logs.length, *arrays)
-    keep = (np.arange(logs.log_z.shape[1]) < logs.length[:, None]) & ~skip
-    step = np.argsort(~keep, axis=1, kind="stable")
-    return (step, keep.sum(axis=1), *(np.take_along_axis(a, step, 1) for a in arrays))
+    d, plus, axis_inv = c.lam if which == "Gz" else c.d, which == "Gzap", _w_axis_invariant(f)
+    alpha, low = float(c.alpha) if which in ("Gza", "Gzap") else 0.0, 0.0 if plus else -math.inf
+    lanes = orbits.vertex.size
+    val, res, used = np.full(lanes, math.nan), np.full(lanes, math.inf), np.zeros(lanes, int)
+    tag, final = np.full(lanes, _BUDGET, np.int8), np.zeros(lanes, bool)
+    settler = _LaneSettler(lanes, tol)
+    rows, fold, u = np.arange(lanes), np.zeros(lanes), np.zeros(lanes)   # per running lane
+    if which == "Gzi":
+        slope = c.gamma / d
+        log_a, log_b = _lcoeff(f.p.leading_at_zero()), _lcoeff(f.q.terms[c.primary.vertex])
+    elif which != "Gz":
+        tail_m = _direct_tail_m(f, c)
+        lines = [_line_recursion(f, c, vertex) for vertex in orbits.vertices]
+        on_line = np.array([line is not None for line in lines])
+        mult, const = np.array([line or (0, 0.0) for line in lines], float).T
 
+    def put(mask, t, v, r, n):
+        """Final estimates of the masked running lanes: arrays over them, or one for all."""
+        if not mask.any():
+            return
+        sel = rows[mask]
+        for arr, x in ((tag, t), (val, v), (res, r), (used, n)):
+            arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
+        final[sel] = True
 
-def _lane_limits(g: np.ndarray, step: np.ndarray, m: np.ndarray, tol: float,
-                 finals: bool = True) -> tuple:
-    """_series_limit per lane over the partials g[k, :m[k]] read at step[k].
+    def end(mask, last):
+        """The orbits of the masked lanes ended after step last."""
+        mask = mask & ~final[rows]
+        if plus and d >= 2:   # the ratio dove below the double range at the orbit's last step
+            dove, bound = mask & (orbits.reason[rows] == _RANGE), _over(tail_m, d**last)
+            put(dove, _CONV if bound < tol else _BUDGET, 0.0, _fold(bound, fold), last)
+            mask &= ~dove
+        t, v, r = settler.finish()
+        put(mask, t, v, _fold(r, fold), np.maximum(settler.n, 0))
 
-    Returns (value, n_used, tag, residual, final); final marks the lanes
-    whose settler gave a final estimate, the others carry its finish.
-    The lanes push their partials in lockstep, a column at a time.
-    Without finals no push is read, as _settle_gza's plus settler does.
-    """
-    rows = np.arange(g.shape[0])
-    val, res = np.full(rows.size, math.nan), np.full(rows.size, math.inf)
-    tag, col = np.full(rows.size, _BUDGET, np.int8), np.zeros(rows.size, int)
-    final = np.zeros(rows.size, bool)
-    live = np.flatnonzero(m > 0)   # the others keep the finish of a settler without partials
-    settler = _LaneSettler(live.size, tol)
-    estimates = settler.final if finals else settler.finish
-    k = 0
-    while live.size:
-        decided = settler.push(g[live, k], k) & finals
-        out = decided | (m[live] == k + 1)
-        if out.any():
-            sel = live[out]
-            t, v, r = estimates()
-            tag[sel], val[sel], res[sel] = t[out], v[out], r[out]
-            col[sel], final[sel] = k, decided[out]
-            live = live[~out]
-            settler.keep(~out)
-        k += 1
-    return val, np.where(m > 0, np.broadcast_to(step, g.shape)[rows, col], 0), tag, res, final
-
-
-def _lane_switch_fold(logs: _LaneLogs, powers: np.ndarray, n_used: np.ndarray) -> np.ndarray:
-    """_switch_fold per lane, read at step n_used; powers from _powers(base, ...)."""
-    ss = logs.switch_step
-    return np.where((ss >= 0) & (ss <= n_used),
-                    4 * logs.switch_eta / powers[np.maximum(ss, 0)], 0.0)
-
-
-def _first_exit(exits: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Per lane, the first of its m columns that exits, else m."""
-    exits &= np.arange(exits.shape[1]) < m[:, None]
-    return np.where(exits.any(axis=1), exits.argmax(axis=1), m)
-
-
-def _lanes_gz(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -> tuple:
-    """_gz_direct per lane: (value, n_used, tag, residual)."""
-    powers = _powers(c.lam, logs.log_w.shape[1])
-    zero = logs.log_w == -math.inf   # the NaN past each lane's end compares False
-    step, m, lw = _read(logs, zero, logs.log_w)
-    val, used, tag, res, _ = _lane_limits(_over_steps(lw, step, powers, c.lam), step, m, tol)
-    res = _fold(res, _lane_switch_fold(logs, powers, used))
-    if _w_axis_invariant(f):
-        hit = zero.any(axis=1)
-        val[hit], used[hit], tag[hit], res[hit] = -math.inf, zero.argmax(axis=1)[hit], _ZERO, 0.0
-    return val, used, tag, res
-
-
-def _lanes_gza(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float,
-               plus: bool) -> tuple:
-    """_gza_direct per lane: (value, n_used, tag, residual)."""
-    alpha, d = float(c.alpha), c.d
-    powers = _powers(d, logs.log_w.shape[1])
-    bounds = _direct_tail_m(f, c) / powers if d >= 2 else np.full(powers.size, math.inf)
-    # a transient zero (j = 0 terms revive w) has no pair; an invariant axis keeps w = 0
-    skip = (logs.log_w == -math.inf) & (not _w_axis_invariant(f))
-    step, m, lz, lw = _read(logs, skip, logs.log_z, logs.log_w)
-    u = lw - (alpha * lz if alpha != 0.0 else 0.0)
-    lines = [_line_recursion(f, c, term.vertex) for term in c.terms]
-    on_line = np.array([line is not None for line in lines])[logs.vertex]
-    use = on_line[:, None] & (logs.switch_step[:, None] >= 0) & (step >= logs.switch_step[:, None])
-    use[:, 0] = False   # the first pair is read directly
-    if use.any():
-        mult = np.array([float(line[0]) if line else 0.0 for line in lines])[logs.vertex]
-        const = np.array([line[1] if line else 0.0 for line in lines])[logs.vertex]
-        for k in np.flatnonzero(use.any(axis=0)).tolist():
-            u[:, k] = np.where(use[:, k], mult * u[:, k - 1] + const, u[:, k])
-    w_zero = lw == -math.inf
-    ez = (lz == -math.inf) & (alpha != 0.0) & ~w_zero
-    zero = w_zero | (~ez & (u == -math.inf))
-    esc = ~zero & ~ez & (u > ESCAPE_LOG)
-    certified = plus & ~zero & ~ez & ~esc & (bounds[step] < tol)
-    e = _first_exit(zero | ez | esc | certified, m)
-    g = u   # the partials, in place: max(u, 0.0) for plus, over d^n
-    if plus:
-        g[0.0 > g] = 0.0
-    g /= powers[step]
-    val, used, tag, res, final = _lane_limits(g, step, np.minimum(m, e), tol, finals=not plus)
-    rows = np.flatnonzero(~final & (e < m))
-    if rows.size:
-        k = e[rows]
-        n = np.broadcast_to(step, u.shape)[rows, k]
-        kz, ke, kx = zero[rows, k], ez[rows, k], esc[rows, k]
-        low = 0.0 if plus else -math.inf
-        val[rows] = np.where(kz, low, np.where(ke, math.inf if alpha > 0 else low, g[rows, k]))
-        used[rows] = n
-        tag[rows] = np.where(kz, _ZERO, np.where(ke, _EZ, np.where(kx, _ESC, _CONV)))
-        res[rows] = np.where(kz, 0.0, np.where(ke, math.inf if alpha > 0 else 0.0,
-                                               np.where(kx, 3e-12 / powers[n], bounds[n])))
-    if plus and d >= 2:
-        # the ratio dove below the double range at the orbit's last step
-        end = logs.length - 1
-        dove = (e >= m) & (logs.reason == _RANGE)
-        val[dove], used[dove], res[dove] = 0.0, end[dove], bounds[end[dove]]
-        tag[dove] = np.where(bounds[end[dove]] < tol, _CONV, _BUDGET)
-    folded = ~((tag == _ZERO) | (tag == _EZ))
-    res = np.where(folded, _fold(res, _lane_switch_fold(logs, powers, used)), res)
-    return val, used, tag, res
-
-
-def _lanes_gzi(f: SkewProduct, c: Classification, logs: _LaneLogs, tol: float) -> tuple:
-    """_gzi_direct per lane: (value, n_used, tag, residual)."""
-    d, slope = c.d, c.gamma / c.d
-    powers = _powers(d, logs.log_w.shape[1])
-    log_a = _lmag(f.p.leading_at_zero())
-    log_b = _lmag(f.q.terms[c.primary.vertex])
-    w_zeros = logs.log_w == -math.inf
-    skip = w_zeros & (logs.log_z != -math.inf) & (not _w_axis_invariant(f))
-    step, m, lz, lw = _read(logs, skip, logs.log_z, logs.log_w)
-    u = lw - slope * step * lz
-    # the cancellation-free extension, where the primary vertex drives it
-    use = ((logs.vertex == 0) & (logs.switch_step >= 0))[:, None] \
-        & (step >= logs.switch_step[:, None])
-    use[:, 0] = False
-    for k in np.flatnonzero(use.any(axis=0)).tolist():
-        u[:, k] = np.where(use[:, k], d * u[:, k - 1] + log_b - slope * step[:, k] * log_a,
-                           u[:, k])
-    w_zero, z_zero = lw == -math.inf, lz == -math.inf
-    e = _first_exit(w_zero | z_zero, m)
-    u = _over_steps(u, step, powers, d)
-    val, used, tag, res, final = _lane_limits(u, step, np.minimum(m, e), tol)
-    res = _fold(res, _lane_switch_fold(logs, powers, used))
-    rows = np.flatnonzero(~final & (e < m))
-    if rows.size:
-        k = e[rows]
-        kw, kz = w_zero[rows, k], z_zero[rows, k]
-        val[rows] = np.where(kw & kz, math.nan, np.where(kw, -math.inf, math.inf))
-        used[rows] = np.broadcast_to(step, u.shape)[rows, k]
-        tag[rows] = np.where(kw, _ZERO, _EZ)
-        res[rows] = np.where(kw & ~kz, 0.0, math.inf)
+    last = 0
+    for n, live, lz, lw in orbits:
+        if live.size < rows.size:   # the others' orbits ended after step n - 1
+            stay = np.zeros(rows.size, bool)
+            stay[np.searchsorted(rows, live)] = True
+            end(~stay, n - 1)
+            rows, fold, u = rows[stay], fold[stay], u[stay]
+            settler.keep(stay)
+        last, dn, ext, vtx = n, d**n, orbits.ext, orbits.vtx
+        # the switch fold, 4 eta / base^k, of the lanes that switched at step k = n
+        if ext.any() and (new := ext & (orbits.switch_step[rows] == n)).any():
+            fold[new] = 4 * orbits.switch_eta[rows[new]] / float(dn)
+        take = lw > -math.inf   # a transient zero w_n = 0 has no partial
+        if which == "Gz":
+            if axis_inv:   # a zero anywhere on the orbit decides
+                put(~take, _ZERO, -math.inf, 0.0, n)
+                take &= ~final[rows]
+            g = _over(lw, dn)
+        elif which == "Gzi":
+            z_zero = lz == -math.inf
+            put(~take & z_zero, _ZERO, math.nan, math.inf, n)
+            if axis_inv:
+                put(~take & ~z_zero, _ZERO, -math.inf, 0.0, n)
+            put(take & z_zero, _EZ, math.inf, math.inf, n)
+            take &= ~z_zero
+            s = slope * n
+            x = lw - s * lz
+            # the cancellation-free extension, where the primary vertex drives it
+            if (line := take & ext & (vtx == 0) & (settler.n >= 0)).any():
+                x = np.where(line, d * u + log_b - s * log_a, x)
+            u = np.where(take, x, u)
+            g = _over(u, dn)
+        else:
+            if axis_inv:
+                put(~take, _ZERO, low, 0.0, n)
+            if alpha:   # E_z: the ratio blows up (alpha > 0) or tends to 0 (alpha < 0)
+                ez = take & (lz == -math.inf)
+                put(ez, _EZ, math.inf if alpha > 0 else low, math.inf if alpha > 0 else 0.0, n)
+                take &= ~ez
+            x = lw - (alpha * lz if alpha else 0.0)
+            # the weighted ratio's own recursion, where the vertex lies on the sweep line
+            if (line := take & ext & on_line[vtx] & (settler.n >= 0)).any():
+                x = np.where(line, mult[vtx] * u + const[vtx], x)
+            u = np.where(take, x, u)
+            zero, esc = take & (u == -math.inf), take & (u > ESCAPE_LOG)
+            put(zero, _ZERO, low, 0.0, n)
+            put(esc, _ESC, _over(u, dn), _fold(_over(3e-12, dn), fold), n)
+            take &= ~(zero | esc)
+            g = _over(np.where(0.0 > u, 0.0, u) if plus else u, dn)
+        decided = settler.push(g, n, take)
+        if plus:   # the certified tail bound decides below the escape radius
+            if (bound := _over(tail_m, dn) if d >= 2 else math.inf) < tol:
+                put(take, _CONV, g, _fold(bound, fold), n)
+        elif decided.any():
+            t, v, r = settler.final()
+            put(decided, t, v, _fold(r, fold), n)
+        done = final[rows]
+        if which == "Gz" and axis_inv:   # a settled lane runs on, to a zero
+            done &= lw == -math.inf
+        if done.any():
+            orbits.retire = done
+            rows, fold, u = rows[~done], fold[~done], u[~done]
+            settler.keep(~done)
+    end(np.ones(rows.size, bool), last)
     return val, used, tag, res
 
 

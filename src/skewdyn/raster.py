@@ -3,8 +3,10 @@
 The whole grid is one fiber {z} x window, evaluated by a single
 green.fiber_sample call in row-major pixel order.  Pixel values map
 through an affine clamp of the function value onto 0..255, with
--inf -> 0, +inf -> 255 and undecided/NaN -> 128.  Reruns with the same
-job and config are byte-identical.
+-inf -> 0, +inf -> 255 and undecided/NaN -> 128.  The grid, the pixel
+bytes and the CSV rows are built from the sample's columns, with the
+arithmetic RenderJob.w_at and a per-pixel clamp would do.  Reruns with
+the same job and config are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,11 +14,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
+from ._lazy import np
 from .algebra import SkewProduct
 from .fileio import dump_skew_product
-from .green import DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS, GreenEstimate, fiber_sample
+from .green import _TAGS, DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS, fiber_sample
 from .newton import classify
 
 MAX_PIXELS = 8192
@@ -62,27 +66,27 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
            out_dir: str | Path = ".") -> dict[str, Path]:
     """Evaluate the grid and write <prefix>.pgm, <prefix>.csv, <prefix>.meta."""
     c = classify(f)
-    ws = [job.w_at(ix, iy) for iy in range(job.pixels_y) for ix in range(job.pixels_x)]
-    ests = fiber_sample(f, c, job.function, job.fiber_z, ws, cfg.n_max, cfg.tol).estimates
+    px, py = job.pixels_x, job.pixels_y
+    # w_at per pixel: w.real depends on ix alone and w.imag on iy alone
+    re = job.center.real + job.width * ((np.arange(px) + 0.5) / px - 0.5)
+    im = job.center.imag + job.height * ((np.arange(py) + 0.5) / py - 0.5)
+    grid = np.empty((py, px), complex)
+    grid.real, grid.imag = re, im[:, None]
+    ws = grid.ravel().tolist()
+    val, used, tag, res = fiber_sample(f, c, job.function, job.fiber_z, ws, cfg.n_max,
+                                       cfg.tol).columns
 
-    finite = [e.value for e in ests if math.isfinite(e.value)]
+    finite = val[np.isfinite(val)].tolist()
     if finite:
         vmin, vmax = min(finite), max(finite)
     else:
         vmin, vmax = 0.0, 1.0
     if vmax <= vmin:
         vmax = vmin + 1.0
-
-    def to_byte(est: GreenEstimate) -> int:
-        v = est.value
-        if math.isnan(v):
-            return 128
-        if v == -math.inf:
-            return 0
-        if v == math.inf:
-            return 255
-        t = (v - vmin) / (vmax - vmin)
-        return max(0, min(255, int(round(255 * t))))
+    # max(0, min(255, round(255 t))) for t = (v - vmin) / (vmax - vmin), rounding half to even
+    with np.errstate(all="ignore"):
+        pixel = np.clip(np.rint(255 * ((val - vmin) / (vmax - vmin))), 0, 255)
+    pixel[val == -math.inf], pixel[val == math.inf], pixel[np.isnan(val)] = 0, 255, 128
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -90,18 +94,16 @@ def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
     csv_path = out_dir / f"{job.out_prefix}.csv"
     meta_path = out_dir / f"{job.out_prefix}.meta"
 
-    header = f"P5\n{job.pixels_x} {job.pixels_y}\n255\n".encode("ascii")
-    body = bytes(to_byte(e) for e in ests)
-    pgm_path.write_bytes(header + body)
+    header = f"P5\n{px} {py}\n255\n".encode("ascii")
+    pgm_path.write_bytes(header + pixel.astype(np.uint8).tobytes())
 
-    # w.real depends on ix alone and w.imag on iy alone: each is formatted once
+    # each w.real and w.imag is formatted once
     head = f"{job.fiber_z.real!r},{job.fiber_z.imag!r},"
-    re_cols = [f"{head}{w.real!r}," for w in ws[:job.pixels_x]]
-    im_cols = [f"{ws[iy * job.pixels_x].imag!r}," for iy in range(job.pixels_y)]
-    prefixes = (re + im for im in im_cols for re in re_cols)
+    re_cols = [f"{head}{x!r}," for x in re.tolist()] * py
+    im_cols = chain.from_iterable(repeat(f"{y!r},", px) for y in im.tolist())
     lines = ["z_re,z_im,w_re,w_im,value,n_used,termination,residual"]
-    lines += [f"{pre}{e.value!r},{e.n_used},{e.termination},{e.residual!r}"
-              for pre, e in zip(prefixes, ests)]
+    lines += map("{}{}{!r},{},{},{!r}".format, re_cols, im_cols, val.tolist(), used.tolist(),
+                 map(_TAGS.__getitem__, tag.tolist()), res.tolist())
     csv_path.write_text("\n".join(lines) + "\n")
 
     map_hash = hashlib.sha256(dump_skew_product(f).encode()).hexdigest()

@@ -180,10 +180,10 @@ def suite_semiconjugate(grid: int = 64, tol: float = 1e-6,
     ghs = g_h_infty_plus_lanes(h, [ratios[k] for k in kept], budget, 1e-12)
     worst = 0.0
     mismatches = 0
-    for k, gf, gh in zip(kept, sample.estimates, ghs):
-        worst = max(worst, abs(gf.value - gh))
+    for k, gf, gh in zip(kept, sample.columns[0].tolist(), ghs):
+        worst = max(worst, abs(gf - gh))
         # the locus side of a cell: escape seen by the 2-D estimator
-        positive = gf.value > 1e-9
+        positive = gf > 1e-9
         if positive != (sides[k] == "escaping"):
             mismatches += 1
     frac = mismatches / compared if compared else 0.0

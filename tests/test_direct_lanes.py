@@ -1,15 +1,20 @@
 """The direct-orbit lane kernel against full replays of every vertex.
 
-green._fiber_logs resumes an alternate vertex at the step where the
-primary orbit ended 'range' and runs every extended lane in one column
-loop.  Here its _LaneLogs must equal, field by field and byte by byte (so
-NaN and the sign of zero count), the orbits of a full replay that runs
-each vertex from step 0 and takes the longer orbit where one exists:
-once with the lane kernel itself, once with the scalar orbit_logs.
+green._LaneOrbits runs a batch of lanes one column of steps at a time:
+it resumes an alternate vertex at the step where the primary orbit
+ended 'range', and steps every switched lane by its log recursion in the
+same loop.  Its column stream, drained with no settle attached and
+rebuilt into per-lane rows, must equal, field by field and byte by byte
+(so NaN and the sign of zero count), the orbits of a full replay that
+runs each vertex from step 0 and takes the longer orbit where one
+exists: once with the lane kernel itself, once with the scalar
+orbit_logs.
 """
 
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,12 +62,18 @@ CASES = [
 N_MAXES = (0, 1, 9, 10, 11, 64, 200)
 
 
+def _logs(lanes, n_max):
+    """Per-lane rows of FIELDS: steps 0..length-1 of log_z and log_w, then NaN."""
+    width = n_max + 1
+    return SimpleNamespace(log_z=np.full((lanes, width), math.nan),
+                           log_w=np.full((lanes, width), math.nan), length=np.ones(lanes, int),
+                           reason=np.zeros(lanes, np.int8), switch_step=np.full(lanes, -1),
+                           switch_eta=np.zeros(lanes), vertex=np.zeros(lanes, int))
+
+
 def _stack(orbits, n_max):
-    """_LaneLogs of per-lane rows (steps, reason, switch_step, switch_eta, vertex)."""
-    lanes, width = len(orbits), n_max + 1
-    out = green._LaneLogs(np.full((lanes, width), math.nan), np.full((lanes, width), math.nan),
-                          np.ones(lanes, int), np.zeros(lanes, np.int8), np.full(lanes, -1),
-                          np.zeros(lanes), np.zeros(lanes, int))
+    """The rows of per-lane orbits (steps, reason, switch_step, switch_eta, vertex)."""
+    out = _logs(len(orbits), n_max)
     for k, (steps, reason, switch_step, switch_eta, vertex) in enumerate(orbits):
         out.log_z[k, :len(steps)] = [lz for _, lz, _ in steps]
         out.log_w[k, :len(steps)] = [lw for _, _, lw in steps]
@@ -86,29 +97,49 @@ def _scalar_replay(f, c, z, ws, n_max):
     return _stack(orbits, n_max)
 
 
+def _drain(orbits, n_max):
+    """The rows of a _LaneOrbits batch, its columns read to the end with none retired."""
+    out = _logs(orbits.ws.size, n_max)
+    with np.errstate(all="ignore"):
+        for n, live, lz, lw in orbits:
+            out.log_z[live, n], out.log_w[live, n], out.length[live] = lz, lw, n + 1
+    for name in FIELDS[3:]:
+        setattr(out, name, getattr(orbits, name))
+    return out
+
+
+def _concat(parts):
+    return SimpleNamespace(**{name: np.concatenate([getattr(p, name) for p in parts])
+                              for name in FIELDS})
+
+
 def _lane_replay(f, c, z, ws, n_max):
-    """Every vertex's _lanes_orbit_logs from step 0; the longer wins a 'range' end."""
+    """Every vertex's _LaneOrbits from step 0, alone; the longer wins a 'range' end."""
     parts = []
     for begin in range(0, len(ws), green._CHUNK):
         lanes = np.array(ws[begin:begin + green._CHUNK], dtype=complex)
-        best = green._lanes_orbit_logs(f, c.primary.vertex, z, lanes, n_max)
+        best = _drain(green._LaneOrbits(f, [c.primary.vertex], z, lanes, n_max), n_max)
         retry = np.flatnonzero(best.reason == green._RANGE)
         for t in range(1, len(c.terms)):
-            other = green._lanes_orbit_logs(f, c.terms[t].vertex, z, lanes[retry], n_max)
+            other = _drain(green._LaneOrbits(f, [c.terms[t].vertex], z, lanes[retry], n_max),
+                           n_max)
             longer = other.length > best.length[retry]
             rows = retry[longer]
             for name in FIELDS[:-1]:
                 getattr(best, name)[rows] = getattr(other, name)[longer]
             best.vertex[rows] = t
         parts.append(best)
-    return green._LaneLogs(*(np.concatenate([getattr(p, name) for p in parts])
-                             for name in FIELDS))
+    return _concat(parts)
 
 
 def _kernel(f, c, z, ws, n_max):
-    parts = list(green._fiber_logs(f, c, z, ws, n_max))
-    return green._LaneLogs(*(np.concatenate([getattr(p, name) for p in parts])
-                             for name in FIELDS))
+    """The rows of every batch of _LaneOrbits with the classification's vertices."""
+    vertices = [term.vertex for term in c.terms]
+    parts = []
+    for begin in range(0, len(ws), green._CHUNK):
+        lanes = np.array(ws[begin:begin + green._CHUNK], dtype=complex)
+        parts.append(_drain(green._LaneOrbits(f, vertices, z, lanes, n_max), n_max))
+    return _concat(parts)
 
 
 def _assert_same(got, want, where):
@@ -155,3 +186,52 @@ def test_tail_overflow_ends_range_before_the_step():
     dived = got.reason == green._RANGE
     assert dived.any() and (got.switch_step[dived] == 1).all()
     assert not (got.log_w == -math.inf).any()
+
+
+# the fiber_direct render: a 24 x 24 window of width 1 around w = 0 over z near 0.5
+FIBER_Z, FIBER_WS = 0.5 + 0.004j, _grid(0.01 - 0.01j, 1.0, 24)
+
+
+@pytest.fixture
+def columns(monkeypatch):
+    """The number of columns each _LaneOrbits batch yields, in batch order."""
+    counts = []
+    iterate = green._LaneOrbits.__iter__
+
+    def counted(self):
+        counts.append(0)
+        for column in iterate(self):
+            counts[-1] += 1
+            yield column
+
+    monkeypatch.setattr(green._LaneOrbits, "__iter__", counted)
+    return counts
+
+
+@pytest.mark.parametrize("key", ["Gza", "Gzi", "Gz"])
+def test_lanes_compute_no_step_past_their_last_settled_pixel(monkeypatch, columns, key):
+    # the lane twin of test_estimator_computes_no_step_past_its_exit: lanes
+    # retire once settled, and the loop stops when none is left
+    c = classify(DIRECT)
+    for chunk in (1024, 100):
+        monkeypatch.setattr(green, "_CHUNK", chunk)
+        columns.clear()
+        used = green.fiber_sample(DIRECT, c, key, FIBER_Z, FIBER_WS, 64).columns[1]
+        tops = [used[b:b + chunk].max() for b in range(0, used.size, chunk)]
+        assert columns == [top + 1 for top in tops], (key, chunk)
+        assert max(tops) < 20   # of the 65 columns at n_max 64
+
+
+def test_lane_memory_does_not_grow_with_the_budget():
+    # no step history: a G_f render peaks alike at n_max 64 and 3000
+    c = classify(DIRECT)
+    green.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, 64)   # loads what a first call loads
+    peaks = []
+    for n_max in (64, 3000):
+        tracemalloc.start()
+        try:
+            green.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, n_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

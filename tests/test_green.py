@@ -665,6 +665,37 @@ def test_transient_zero_on_non_invariant_axis():
     assert abs(gzi.value - 1.5 * math.log(abs(z))) < 1e-9
 
 
+# moduli past the double range from finite parts: |p(1)| on the first map,
+# |q(z, w)| at step 1 on the second (alpha 3/2, so every G_z lane is direct)
+BIG_P = SkewProduct(UniPoly({2: 1.5e308 + 1.5e308j}), BiPoly({(0, 2): 1.0}))
+BIG_Q = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1e300, (3, 0): -1.0}))
+BIG_Q_W = cmath.rect(1.5e4, math.pi / 8)
+
+
+def test_a_modulus_past_the_double_range_ends_the_orbit_escaped(tmp_path):
+    from skewdyn.cli import main
+    from skewdyn.green import best_orbit_logs
+
+    assert g_p(BIG_P.p, 1.0).termination == "escaped_with_tail"
+    for f, z, w in ((BIG_P, 1.0, 0.5), (BIG_Q, 0.5, BIG_Q_W)):
+        c = classify(f)
+        logs = best_orbit_logs(f, c, z, w, 64)
+        assert (logs.reason, len(logs.steps)) == ("escaped", 1)
+        lanes = [w, 0.1 + 0.05j]
+        for key, fn in ESTIMATORS.items():
+            want = _keys_or_refusal(lambda: [fn(f, c, z, v, 64, DEFAULT_TOL) for v in lanes])
+            got = _keys_or_refusal(lambda: fiber_sample(f, c, key, z, lanes).estimates)
+            assert got == want and not isinstance(want, str), (key, want)
+    (tmp_path / "p.skew").write_text("p 2 1.5e308 1.5e308\nq 0 2 1.0 0.0\n")
+    (tmp_path / "q.skew").write_text("p 2 1.0 0.0\nq 0 2 1e300 0.0\nq 3 0 -1.0 0.0\n")
+    grids = {"p.skew": "1,0,0,0,1,1,4",
+             "q.skew": f"0.5,0,{BIG_Q_W.real!r},{BIG_Q_W.imag!r},0.001,0.001,3"}
+    for name, grid in grids.items():
+        for key in ("Gzi", "Gz", "Gf"):
+            assert main(["render", str(tmp_path / name), "--function", key, "--grid", grid,
+                         "--out-dir", str(tmp_path)]) == 0, (name, key)
+
+
 def test_gzap_range_exit_is_converged_only_below_tol():
     # when the ratio dives below the double range, G_z^{alpha,+} is 0 with
     # the certified bound tail_m / d^n; that bound decides the tag

@@ -137,3 +137,26 @@ def test_finish_without_partials():
     want = _est_key(green._Settler(TOL).finish())
     assert _lane_keys(green._LaneSettler(3, TOL).finish()) == [want] * 3
     assert want == ("budget", "nan", "inf")
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_masked_pushes_skip_their_lanes(seed):
+    # a lane that a push leaves out (a transient zero w_n = 0) keeps its
+    # state, as a _Settler that is not pushed; the first partial a lane
+    # takes, at whatever step, makes no increment
+    rng = random.Random(seed)
+    seqs = _fuzzed(seed, 60, 14)
+    takes = [[rng.random() < 0.7 for _ in seq] for seq in seqs]
+    for tol in (TOL, 1e-20):
+        scalars = [green._Settler(tol) for _ in seqs]
+        lanes = green._LaneSettler(len(seqs), tol)
+        for n in range(14):
+            take = np.array([t[n] for t in takes])
+            with np.errstate(invalid="ignore"):
+                decided = lanes.push(np.array([s[n] for s in seqs]), n, take)
+                finishes = _lane_keys(lanes.finish())
+            for k, seq in enumerate(seqs):
+                est = scalars[k].push(seq[n], n) if take[k] else None
+                assert bool(decided[k]) == (est is not None), (seq, takes[k], n)
+                assert finishes[k] == _est_key(scalars[k].finish()), (seq, takes[k], n)
+                assert lanes.n[k] == (-1 if scalars[k].g is None else scalars[k].n)

@@ -2,14 +2,21 @@
 
 Each render goes through `skewdyn render` on a 12 x 12 grid of the fiber
 z = 0.5, so any change to an orbit kernel, a settle routine or the writer
-that moves a single byte of a rendered file fails here.
+that moves a single byte of a rendered file fails here.  The writer, which
+works on the sample's columns, must also equal a pixel-by-pixel loop over
+its GreenEstimates, sentinels and all.
 """
 
 import hashlib
+import math
 
 import pytest
 
+from skewdyn import BiPoly, SkewProduct, UniPoly, classify, monomial_skew
 from skewdyn.cli import main
+from skewdyn.green import fiber_sample
+from skewdyn.oracles import example_degenerate
+from skewdyn.raster import RenderJob, RunConfig, render
 
 # example_degenerate(1, 4): integer alpha = 1, the weighted-ratio kernel
 RATIO_MAP = "builtin semiconjugate degenerate 1 4 ; h: 3 1 0 2 1 0\n"
@@ -72,3 +79,48 @@ def test_render_bytes(tmp_path, capsys, name, fn):
     got = {ext: hashlib.sha256((tmp_path / f"r.{ext}").read_bytes()).hexdigest()
            for ext in ("csv", "pgm", "meta")}
     assert got == GOLDEN[name, fn]
+
+
+def _loop_writer(f, job, cfg):
+    """The PGM body and CSV text of a render, written pixel by pixel from GreenEstimates."""
+    ws = [job.w_at(ix, iy) for iy in range(job.pixels_y) for ix in range(job.pixels_x)]
+    ests = fiber_sample(f, classify(f), job.function, job.fiber_z, ws, cfg.n_max,
+                        cfg.tol).estimates
+    finite = [e.value for e in ests if math.isfinite(e.value)]
+    vmin, vmax = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    if vmax <= vmin:
+        vmax = vmin + 1.0
+
+    def to_byte(v):
+        if math.isnan(v):
+            return 128
+        if math.isinf(v):
+            return 255 if v > 0 else 0
+        return max(0, min(255, int(round(255 * (v - vmin) / (vmax - vmin)))))
+
+    z = job.fiber_z
+    lines = ["z_re,z_im,w_re,w_im,value,n_used,termination,residual"]
+    lines += [f"{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},{e.value!r},{e.n_used},"
+              f"{e.termination},{e.residual!r}" for w, e in zip(ws, ests)]
+    return bytes(to_byte(e.value) for e in ests), "\n".join(lines) + "\n"
+
+
+DIRECT = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+
+
+@pytest.mark.parametrize("f,fn,z,center", [
+    (DIRECT, "Gza", 0.5, 0j),                       # w = 0 at the middle pixel: a transient zero
+    (DIRECT, "Gf", 0.3 - 0.1j, 0.2 + 0.1j),
+    (monomial_skew(2, 1, 2), "Gzi", 0j, 0j),        # E_z: +inf, and nan at w = 0
+    (monomial_skew(2, 0, 2), "Gz", 0.5, 0j),        # an invariant w-axis: -inf at w = 0
+    (monomial_skew(2, 0, 2), "Gp", 0.5, 0j),        # one value: the clamp widens to vmin + 1
+    (example_degenerate(1, 4), "Gzap", 0.5, 0.1j),
+], ids=["transient_zero", "gf", "e_z", "zero", "constant", "ratio"])
+def test_render_writer_matches_the_per_pixel_loop(tmp_path, f, fn, z, center):
+    # a 5 x 3 window, so rows and columns cannot swap unseen
+    job = RenderJob(fn, complex(z), center, width=0.8, height=0.6, pixels_x=5, pixels_y=3)
+    cfg = RunConfig(n_max=64, tol=1e-10)
+    paths = render(f, job, cfg, tmp_path)
+    body, text = _loop_writer(f, job, cfg)
+    assert paths["pgm"].read_bytes() == b"P5\n5 3\n255\n" + body
+    assert paths["csv"].read_text() == text
