@@ -26,9 +26,8 @@ driver, ratio_orbit, has no escape exit: where a term or a factor of it
 leaves the double range, either way, it continues by the dominant
 monomial, re-validated at every step, so d^-n log|c_n| settles as an
 ordinary series, or diverges where a term c^j, j > d, comes to lead an
-escape.  _settle_gza settles it and the direct orbit, which ends at its
-escape, each with its own error fold; past the escape radius the series
-is geometric at the rate 1/d, and its residual counts the tail.  Since
+escape.  Past the escape radius that series is geometric at the rate
+1/d, and its residual counts the tail (_gza_from_ratio).  Since
 log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
 parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
@@ -39,30 +38,29 @@ same way: with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
 max(s Z, G_z) for s = 1 and s = alpha (_f_z_part, _max_of_parts), from
 the one G_p that G_z's composition shares.
 
-Every estimator reads an orbit in two parts: an orbit producer and a
-settle routine.  The per-point drivers (orbit_logs, best_orbit_logs,
-ratio_orbit) are pulled: each returns an orbit whose steps are computed
-only as they are read.  A driver is a generator that records each step
-on the orbit before it yields it and runs its successor (the log
-recursion, an alternate vertex) by yield from; the first reader
-iterates it directly, a later one catches up from the recorded steps.
-An orbit has one reader at a time, never two interleaved
-(_PulledSteps).  A settle routine that reads in order and stops at its
-exit computes no step past it: g_p (on _p_steps, which it alone reads),
-_settle_gza (G_z^alpha, G_z^{alpha,+} and the composed G_z),
-_gzi_direct, _gz_direct and regions.classify_point.  Where the w-axis
-is invariant, _gz_direct drains the orbit before it settles, because a
-zero anywhere on it decides how it settles.
+Every estimator reads an orbit in two parts: a producer of pairs
+(n, x_n), which keeps only its own exits (handed over as estimates) and
+its error fold, and the one settle of the series base^-n x_n, _settle.
+The per-point drivers (orbit_logs, best_orbit_logs, ratio_orbit) are
+pulled: each returns an orbit whose steps are computed only as they are
+read.  A driver is a generator that records each step on the orbit
+before it yields it and runs its successor (the log recursion, an
+alternate vertex) by yield from; the first reader iterates it directly,
+a later one catches up from the recorded steps.  An orbit has one
+reader at a time, never two interleaved (_PulledSteps).  The settle and
+regions.classify_point read in order and stop at their exit, so they
+compute no step past it.  Where the w-axis is invariant, _gz_direct
+drains the orbit before it settles, because a zero anywhere on it
+decides how it settles.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
-once per step: _fiber_ratio for the weighted ratio, and _LaneOrbits for
-the direct orbit.  Both settle online: each column of steps goes into
-the lanes' settle as it is computed, as the scalar settle routines read
-one orbit, and a lane retires once its estimate is final, so no step
-past the last settled lane is computed and none is kept
-(_settle_direct).  The kernels hand their estimates over as columns
-(value, n_used, tag, residual), and G_z's composition and G_f's max run
-on the columns.
+once per step: _fiber_ratio for the weighted ratio, and _fiber_direct
+(_LaneOrbits) for the direct orbit.  Both settle online through one
+_LaneSettle, the lanes' twin of _settle: each column of steps goes in as
+it is computed, and a lane retires once its estimate is final, so no
+step past the last settled lane is computed and none is kept.  The
+kernels hand their estimates over as columns (value, n_used, tag,
+residual), and G_z's composition and G_f's max run on the columns.
 
 Both direct drivers keep one rule for the alternate vertex of a
 two-dominant-term map: only an orbit that ended 'range' at a refused
@@ -159,6 +157,14 @@ def _lcoeff(x: complex) -> float:
         return _lmag(x)
     except OverflowError:
         return math.log(abs(x / 2)) + math.log(2)
+
+
+def _abs_ratio(x: complex, y: complex) -> float:
+    """|x| / |y| of two coefficients, through their logs where a modulus overflows."""
+    try:
+        return abs(x) / abs(y)
+    except OverflowError:
+        return math.exp(r) if (r := _lcoeff(x) - _lcoeff(y)) < 709.0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +308,9 @@ def _extension_eta(comps: list, lz: float, lw: float) -> Optional[float]:
     eta = 0.0
     for (terms, dom), tl in zip(comps, term_logs):
         base = dom[0] * lz + dom[1] * lw
-        top = abs(terms[dom])
         for (key, coeff), t in zip(terms.items(), tl):
             if key != dom:
-                eta += abs(coeff) / top * math.exp(min(t - base, 700.0))
+                eta += _abs_ratio(coeff, terms[dom]) * math.exp(min(t - base, 700.0))
     return eta
 
 
@@ -518,7 +523,8 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
 
     The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials
     (b_ij / a^alpha) z^(i~) c^j with i~ = i + alpha (j - delta); it is
-    usable when alpha is an integer and every i~ is >= 0.
+    usable when alpha is an integer, every i~ is >= 0 and every coefficient
+    and its log are finite (else the direct orbit serves).
     """
     if alpha.denominator != 1:
         return None
@@ -526,8 +532,12 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
     terms = [(i + al * (j - f.delta), j, b) for (i, j), b in f.q.terms.items()]
     if any(it < 0 for it, _, _ in terms):
         return None
-    a_pow = f.p.leading_at_zero() ** al
-    return [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
+    try:   # ValueError: the log of a coefficient that underflowed to 0
+        a_pow = f.p.leading_at_zero() ** al
+        terms = [(it, j, b / a_pow, math.log(abs(b / a_pow))) for it, j, b in terms]
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    return terms if all(cmath.isfinite(x) and math.isfinite(lb) for _, _, x, lb in terms) else None
 
 
 def _p_tail(f: SkewProduct) -> list[tuple[complex, int]]:
@@ -696,28 +706,36 @@ class _Settler:
         self.inc: Optional[float] = None
         self.run = 0   # trailing same-sign increments above floor, none decaying
 
-    def push(self, g: float, n: int, decide: bool = True) -> Optional[GreenEstimate]:
-        """Partial g_n in; its final estimate out, if any and decide is set."""
+    def push(self, g: float, n: int) -> Optional[GreenEstimate]:
+        """Partial g_n in; its final estimate out, if any."""
+        return self.decision() if self.decides(g, n) else None
+
+    def decides(self, g: float, n: int) -> bool:
+        """Partial g_n in; whether the settler decides there (decision() builds the estimate)."""
         prev = self.inc
         if self.g is not None:
             self.inc = g - self.g
         self.g, self.n = g, n
         inc = self.inc
         if inc is None:
-            return None
+            return False
         if prev is not None and abs(inc) < self.tol and abs(prev) < self.tol:
-            return GreenEstimate(g, n, TERM_CONVERGED, abs(inc)) if decide else None
+            return True   # converged; the run is 0 here, as prev reset it
         if not abs(inc) > self.floor:   # nan included
             self.run = 0
         elif self.run and (inc > 0) == (prev > 0) and not abs(inc) < 0.9 * abs(prev):
             self.run += 1
         else:
             self.run = 1
-        if self.run >= 5 and decide:
-            if inc > 0:
-                return GreenEstimate(math.inf, n, TERM_DIV_POS, abs(inc))
-            return GreenEstimate(-math.inf, n, TERM_DIV_NEG, abs(inc))
-        return None
+        return self.run >= 5
+
+    def decision(self) -> GreenEstimate:
+        """The estimate of the partial that decided: converged, or divergent after a run."""
+        inc = self.inc
+        if self.run < 5:
+            return GreenEstimate(self.g, self.n, TERM_CONVERGED, abs(inc))
+        return GreenEstimate(math.copysign(math.inf, inc), self.n,
+                             TERM_DIV_POS if inc > 0 else TERM_DIV_NEG, abs(inc))
 
     def finish(self) -> GreenEstimate:
         if self.g is None:
@@ -728,82 +746,64 @@ class _Settler:
         return GreenEstimate(self.g, self.n, tag, residual)
 
 
-def _fold_residual(est: GreenEstimate, extra: float) -> GreenEstimate:
-    if extra <= 0:
+def _fold_residual(est: GreenEstimate, fold: Callable[[GreenEstimate], float]) -> GreenEstimate:
+    """est with fold(est) added to its residual."""
+    if (extra := fold(est)) <= 0:
         return est
     return GreenEstimate(est.value, est.n_used, est.termination, est.residual + extra)
 
 
-def _series_limit(pairs: Iterable[tuple[int, float]], base: int, tol: float) -> GreenEstimate:
-    """The settler's first final estimate over base^-n x_n from pairs (n, x_n), else its finish.
+def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: float,
+            fold: Callable[[GreenEstimate], float], plus: bool = False, tail_m: float = 0.0,
+            range_end: Optional[Callable[[], Optional[int]]] = None) -> GreenEstimate:
+    """The limit of base^-n x_n (base^-n max(x_n, 0) for plus) from pairs (n, x_n), read in order.
 
-    An exact zero, x_n = -inf, ends the series as 'hit_zero'.
+    Every Green series of a point settles here.  It ends at an estimate
+    given in place of x_n (the producer's own exit), an exact zero
+    x_n = -inf or the settler's decision, which for plus counts only past
+    the escape radius: below it the certified bound tail_m base^-n < tol
+    decides, as increments can sit on the spurious log+ = 0 plateau.  Past
+    the pairs come zero for plus where the series dove below the double
+    range at step range_end() (if not None), then the settler's finish.
+    fold(est), the orbit's own error up to est's step and any tail the
+    producer adds, goes into every estimate the settle returns.
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
+    decides, zero, given = settler.decides, -math.inf, GreenEstimate
+    if not plus:   # the loop without plus, as tight as the series allows
+        for n, x in pairs:
+            if x.__class__ is given:
+                return _fold_residual(x, fold)
+            if x == zero:
+                return _fold_residual(GreenEstimate(zero, n, TERM_HIT_ZERO, 0.0), fold)
+            while k < n:   # a pair per step, but where the direct orbit skips a transient zero
+                k, bk = k + 1, bk * base
+            if decides(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n):
+                return _fold_residual(settler.decision(), fold)
+        return _fold_residual(settler.finish(), fold)
     for n, x in pairs:
-        if x == -math.inf:
-            return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
+        if x.__class__ is given:
+            return _fold_residual(x, fold)
+        if x == zero:
+            return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
         while k < n:
             k, bk = k + 1, bk * base
-        est = settler.push(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n)
-        if est is not None:
-            return est
-    return settler.finish()
-
-
-def _settle_gza(pairs: Iterable[tuple[int, float | GreenEstimate]], d: int, tol: float,
-                plus: bool, tail_m: float, fold: Callable[[int], float],
-                range_end: Callable[[], Optional[int]]) -> GreenEstimate:
-    """G_z^alpha, or G_z^{alpha,+} when plus, from pairs (n, log|c_n|).
-
-    c_n is the weighted ratio w_n / z_n^alpha.  The pairs are read in
-    order up to the first final estimate: one given in place of log|c_n|
-    (the direct orbit hit E_z or escaped), an exact zero, the certified
-    tail bound (plus) or the settler, which reads d^-n log|c_n| (log+ for
-    plus) as an ordinary series and diverges where a term c^j, j > d,
-    takes the lead.  For plus it decides only past the escape radius;
-    below it the certified bound stops the series.  Past the last pair
-    come zero for plus when the ratio dove below the double range at step
-    range_end() (None otherwise; called only once the pairs have run
-    out), then the settler's finish.  Past the escape radius the
-    increments shrink at the rate 1/d, so the tail past the last one, r,
-    is about r/(d-1): a settler estimate read there adds that, and r more
-    is its margin.  fold(n) bounds the error the orbit itself carries up
-    to step n; it is added to every estimate the settle makes.
-    """
-    settler = _Settler(tol)
-    lr, k, dk = -math.inf, 0, 1   # dk is the running d**k
-    for n, lr in pairs:
-        if isinstance(lr, GreenEstimate):
-            return lr
-        if lr == -math.inf:
-            return GreenEstimate(0.0 if plus else -math.inf, n, TERM_HIT_ZERO, 0.0)
-        while k < n:   # a pair per step, but where the direct orbit skips a transient zero
-            k, dk = k + 1, dk * d
-        fdk = float(dk) if dk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
-        g = max(lr, 0.0) if plus else lr
-        g = g / fdk if fdk else _over_exact(g, dk)
-        below = plus and not lr > ESCAPE_LOG
-        est = settler.push(g, n, not below)
-        if below:
-            # converged only when the certified tail bound is below tol;
-            # increments alone can sit on the spurious log+ = 0 plateau
-            bound = (tail_m / fdk if fdk else _over_exact(tail_m, dk)) if d >= 2 else math.inf
-            if bound < tol:
-                return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold(n))
-        elif est is not None:
-            break
-    else:
-        if plus and d >= 2 and (end := range_end()) is not None:
-            # the ratio dove below the double range: every later bounce is
-            # bounded by shrinking z-powers, so the escape rate is zero; it is
-            # converged only when the certified tail bound is below tol
-            bound = _over(tail_m, d**end)
-            est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
-            return _fold_residual(est, fold(end))
-        est = settler.finish()
-    tail = est.residual / (d - 1) if d >= 2 and lr > ESCAPE_LOG and est.finite else 0.0
-    return _fold_residual(est, tail + fold(est.n_used))
+        fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
+        g = max(x, 0.0)
+        g = g / fbk if fbk else _over_exact(g, bk)
+        if decides(g, n) and x > ESCAPE_LOG:
+            return _fold_residual(settler.decision(), fold)
+        if (not x > ESCAPE_LOG and base >= 2
+                and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
+            return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
+    if base >= 2 and (end := range_end()) is not None:
+        # the series dove below the double range: every later bounce is
+        # bounded by shrinking z-powers, so the escape rate is zero; it is
+        # converged only when the certified tail bound is below tol
+        bound = _over(tail_m, base**end)
+        est = GreenEstimate(0.0, end, TERM_CONVERGED if bound < tol else TERM_BUDGET, bound)
+        return _fold_residual(est, fold)
+    return _fold_residual(settler.finish(), fold)
 
 
 # ---------------------------------------------------------------------------
@@ -815,10 +815,11 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
     """G_p(z) = lim delta^-n log|p^n(z)| with delta the order of p at 0."""
     delta = p.order
     logs = _OrbitLogs(None)   # the switch and end of _p_steps
-    est = _series_limit(_p_steps(logs, p, z, n_max), delta, tol)
+    est = _settle(_p_steps(logs, p, z, n_max), delta, tol,
+                  lambda est: _switch_fold(logs, delta, est.n_used))
     if est.termination == TERM_BUDGET and logs._reason == "escaped":
         est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
-    return _fold_residual(est, _switch_fold(logs, delta, est.n_used))
+    return est
 
 
 def _require_d(c: Classification, minimum: int = 1) -> int:
@@ -854,38 +855,47 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     of weight 0 does: with no term c^j, j > d, the c^d term leads past the
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
     """
-    d = c.d
+    d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
     if weightless and all(j <= d for _, j, _, _ in ro.terms):
         pairs = ((n, GreenEstimate(_over(lc, d**n), n, TERM_ESCAPED, math.inf)
                   if lc > ESCAPE_LOG else lc) for n, lc in pairs)
-    return _settle_gza(pairs, d, tol, plus, _ratio_tail_m(d, ro.terms) if plus else 0.0,
-                       lambda n: ro.fold_bound(d, n),
-                       lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
-                                if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
+
+    def fold(est: GreenEstimate) -> float:
+        # past the escape radius the increments shrink at the rate 1/d, so the
+        # tail past the last one, r, is about r/(d-1): an estimate read there
+        # adds that, and r more is its margin
+        past = d >= 2 and steps[est.n_used][0] > ESCAPE_LOG and est.finite
+        return (est.residual / (d - 1) if past else 0.0) + ro.fold_bound(d, est.n_used)
+
+    return _settle(pairs, d, tol, fold, plus, _ratio_tail_m(d, ro.terms) if plus else 0.0,
+                   lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
+                            if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
 
 
 def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
     """_plus_tail_constant of G_z^{alpha,+} on the direct orbit."""
-    b = abs(f.q.terms[c.primary.vertex])
-    return _plus_tail_constant(c.d, sum(abs(v) for v in f.q.terms.values()) / b + 1,
-                               max(j for _, j in f.q.terms))
+    b, coeffs = f.q.terms[c.primary.vertex], f.q.terms.values()
+    try:
+        total = sum(abs(v) for v in coeffs) / abs(b)
+    except OverflowError:   # a modulus past the double range
+        total = sum(_abs_ratio(v, b) for v in coeffs)
+    return _plus_tail_constant(c.d, total + 1, max(j for _, j in f.q.terms))
 
 
 def _line_recursion(f: SkewProduct, c: Classification, dominant: tuple[int, int]
-                    ) -> Optional[tuple[int, float]]:
-    """(d~, log|b~| - alpha log|a|) when the extension vertex lies on the sweep line, else None.
+                    ) -> tuple[int, float]:
+    """(d~, log|b~| - alpha log|a|) of the extension vertex dominant = (g~, d~).
 
     Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
-    and their difference cancels catastrophically; when the extension
-    vertex (g~, d~) sits on the sweep line (g~ = alpha (delta - d~), exact
-    in rationals), the weighted ratio obeys its own exact recursion
-    u' = d~ u + (log|b~| - alpha log|a|).
+    and their difference cancels catastrophically.  But a dominant vertex
+    lies on the sweep line g~ = alpha (delta - d~), so the weighted ratio
+    obeys its own exact recursion u' = d~ u + (log|b~| - alpha log|a|): a
+    lone one has alpha = gamma/(delta - d) or gamma = 0 = delta - d, and two
+    lie on the edge i = l (delta - j) of intercept T_k = delta, weight l = alpha.
     """
-    g_dom, d_dom = dominant
-    if Fraction(g_dom) + c.alpha * (d_dom - f.delta) != 0:
-        return None
-    return d_dom, _lcoeff(f.q.terms[dominant]) - float(c.alpha) * _lcoeff(f.p.leading_at_zero())
+    log_a = _lcoeff(f.p.leading_at_zero())
+    return dominant[1], _lcoeff(f.q.terms[dominant]) - float(c.alpha) * log_a
 
 
 def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
@@ -893,12 +903,10 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
     """G_z^alpha, or G_z^{alpha,+} when plus, settled on the direct orbit logs."""
     alpha = float(c.alpha)
     d = c.d
-    tail_m = _direct_tail_m(f, c)
     axis_inv = _w_axis_invariant(f)
 
     def ratio_logs():
-        u = None
-        switched, line = False, None   # _line_recursion(), read at the switch
+        u = line = None   # line: _line_recursion(), read at the switch
         for n, lz, lw in logs:
             if lw == -math.inf:
                 if axis_inv:
@@ -911,21 +919,20 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                           else GreenEstimate(0.0 if plus else -math.inf, n,
                                              TERM_HIT_EZ, 0.0))
                 return
-            if not switched and logs._switch_step is not None and n >= logs._switch_step:
-                switched, line = True, _line_recursion(f, c, logs._dominant)
+            if line is None and logs._switch_step is not None and n >= logs._switch_step:
+                line = _line_recursion(f, c, logs._dominant)
             if line and u is not None:
                 u = line[0] * u + line[1]
             else:
                 u = lw - (alpha * lz if alpha != 0.0 else 0.0)
             if u > ESCAPE_LOG:   # the orbit ends; its tail is below 1e-12 of the last term
-                est = GreenEstimate(_over(u, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
-                yield n, _fold_residual(est, _switch_fold(logs, d, n))
+                yield n, GreenEstimate(_over(u, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
                 return
             yield n, u
 
-    return _settle_gza(ratio_logs(), d, tol, plus, tail_m,
-                       lambda n: _switch_fold(logs, d, n),
-                       lambda: logs.steps[-1][0] if logs.reason == "range" else None)
+    return _settle(ratio_logs(), d, tol, lambda est: _switch_fold(logs, d, est.n_used), plus,
+                   _direct_tail_m(f, c) if plus else 0.0,
+                   lambda: logs.steps[-1][0] if logs.reason == "range" else None)
 
 
 def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -965,37 +972,34 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
                 tol: float) -> GreenEstimate:
     """G_z^infty settled on the direct orbit logs."""
     d, gamma = c.d, c.gamma
-    settler = _Settler(tol)
     # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
     # past the switch, valid when the extension uses the primary vertex:
     # u' = d u + log|b| - (gamma/d)(n+1) log|a|
     log_a = _lcoeff(f.p.leading_at_zero())
     log_b = _lcoeff(f.q.terms[c.primary.vertex])
     axis_inv = _w_axis_invariant(f)
-    u_prev: Optional[float] = None
-    est = None
-    for n, lz, lw in logs:
-        dn = dn * d if n else 1   # the running d**n
-        if lw == -math.inf and lz == -math.inf:
-            return GreenEstimate(math.nan, n, TERM_HIT_ZERO, math.inf)
-        if lw == -math.inf:
-            if not axis_inv:
-                continue  # transient zero, as in g_z
-            return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
-        if lz == -math.inf:
-            return GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
-        if (logs._switch_step is not None and n >= logs._switch_step and u_prev is not None
-                and logs._dominant == c.primary.vertex):
-            u = d * u_prev + log_b - (gamma / d) * n * log_a
-        else:
-            u = lw - (gamma / d) * n * lz
-        u_prev = u
-        est = settler.push(u / float(dn) if dn < _FLOAT_TOP else _over_exact(u, dn), n)
-        if est is not None:
-            break
-    if est is None:
-        est = settler.finish()
-    return _fold_residual(est, _switch_fold(logs, d, est.n_used))
+
+    def pairs():
+        u, zero, slope = None, -math.inf, gamma / d
+        for n, lz, lw in logs:
+            if lw == zero or lz == zero:
+                if lw != zero:
+                    yield n, GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
+                elif lz == zero:
+                    yield n, GreenEstimate(math.nan, n, TERM_HIT_ZERO, math.inf)
+                elif axis_inv:
+                    yield n, zero
+                else:
+                    continue  # transient zero, as in g_z
+                return
+            if (logs._switch_step is not None and n >= logs._switch_step and u is not None
+                    and logs._dominant == c.primary.vertex):
+                u = d * u + log_b - slope * n * log_a
+            else:
+                u = lw - slope * n * lz
+            yield n, u
+
+    return _settle(pairs(), d, tol, lambda est: _switch_fold(logs, d, est.n_used))
 
 
 def _w_axis_invariant(f: SkewProduct) -> bool:
@@ -1055,8 +1059,8 @@ def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
         if n_zero is not None:
             return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
     # a transient zero (j = 0 terms revive w) leaves the limit unaffected
-    est = _series_limit(((n, lw) for n, _, lw in logs if lw != -math.inf), lam, tol)
-    return _fold_residual(est, _switch_fold(logs, lam, est.n_used))
+    return _settle(((n, lw) for n, _, lw in logs if lw != -math.inf), lam, tol,
+                   lambda est: _switch_fold(logs, lam, est.n_used))
 
 
 def g_f(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -1427,8 +1431,8 @@ class _LaneSettler:
 
     Each lane keeps _Settler's state: its last partial g (NaN before the
     first) and its step n (-1 before the first), its last increment inc
-    (inf before the first) and the run of trailing increments that can
-    signal divergence.
+    (inf before the first) with its magnitude mag, and the run of trailing
+    increments that can signal divergence.
     """
 
     def __init__(self, lanes: int, tol: float):
@@ -1436,12 +1440,12 @@ class _LaneSettler:
         self.floor = max(tol, 1e-14)
         self.g = np.full(lanes, math.nan)
         self.n = np.full(lanes, -1)
-        self.inc = np.full(lanes, math.inf)
+        self.inc = self.mag = np.full(lanes, math.inf)
         self.run = np.zeros(lanes, int)
 
     def keep(self, mask: np.ndarray) -> None:
-        self.g, self.n, self.inc, self.run = (
-            x[mask] for x in (self.g, self.n, self.inc, self.run))
+        self.g, self.n, self.inc, self.mag, self.run = (
+            x[mask] for x in (self.g, self.n, self.inc, self.mag, self.run))
 
     def push(self, g: np.ndarray, n: int, take: Optional[np.ndarray] = None) -> np.ndarray:
         """Partials g_n in; out the mask of lanes _Settler.push decides on.
@@ -1458,8 +1462,8 @@ class _LaneSettler:
         prev, inc, every = self.inc, g - self.g, had.all()
         if not every:
             inc = np.where(had, inc, prev)
-        self.g, self.inc = g, inc
-        mag, prev_mag = np.abs(inc), np.abs(prev)
+        mag, prev_mag = np.abs(inc), self.mag
+        self.g, self.inc, self.mag = g, inc, mag
         conv = (mag < self.tol) & (prev_mag < self.tol)
         # a converged lane resets its run, as its increment is below floor
         grow = ((inc > 0) == (prev > 0)) & ~(mag < 0.9 * prev_mag)
@@ -1469,13 +1473,14 @@ class _LaneSettler:
 
     def finish(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tag, value, residual) per lane, as _Settler.finish."""
-        residual = np.abs(self.inc)
-        return np.where(residual < self.tol, _CONV, _BUDGET), self.g, residual
+        return np.where(self.mag < self.tol, _CONV, _BUDGET), self.g, self.mag
 
     def final(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(tag, value, residual) per lane: _Settler.push's where push decided, else finish."""
         tag, val, residual = self.finish()
-        div, up = self.run >= 5, self.inc > 0
+        if not (div := self.run >= 5).any():
+            return tag, val, residual
+        up = self.inc > 0
         return (np.where(div, np.where(up, _DIV_POS, _DIV_NEG), tag),
                 np.where(div, np.where(up, math.inf, -math.inf), val), residual)
 
@@ -1485,19 +1490,84 @@ def _fold(residual, extra: np.ndarray) -> np.ndarray:
     return np.where(extra > 0, residual + extra, residual)
 
 
+class _LaneSettle:
+    """_settle over the lanes of a fiber kernel, fed a column of x_n at a time.
+
+    It holds the results by input row (final marks those set) and, per
+    running lane, its input row, its _LaneSettler state and its fold, the
+    orbit's own error, which the kernel keeps current.  tail(value,
+    residual), if given, adds to the fold of every settler estimate.
+    """
+
+    def __init__(self, lanes: int, base: int, tol: float, plus: bool, tail_m: float,
+                 tail: Optional[Callable] = None):
+        self.base, self.tol, self.plus, self.tail_m, self.tail = base, tol, plus, tail_m, tail
+        self.val, self.res = np.full(lanes, math.nan), np.full(lanes, math.inf)
+        self.used, self.tag = np.zeros(lanes, int), np.full(lanes, _BUDGET, np.int8)
+        self.final = np.zeros(lanes, bool)
+        self.rows, self.fold = np.arange(lanes), np.zeros(lanes)
+        self.settler = _LaneSettler(lanes, tol)
+
+    def put(self, mask: np.ndarray, t, v, r, n) -> None:
+        """Final estimates of the masked running lanes: arrays over them, or one for all."""
+        if mask.any():
+            sel = self.rows[mask]
+            for arr, x in ((self.tag, t), (self.val, v), (self.res, r), (self.used, n)):
+                arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
+            self.final[sel] = True
+
+    def _put_settled(self, mask: np.ndarray, t, v, r, n) -> None:
+        """put settler estimates, with their fold and the kernel's tail."""
+        extra = self.fold if self.tail is None else self.tail(v, r) + self.fold
+        self.put(mask, t, v, _fold(r, extra), n)
+
+    def column(self, x: np.ndarray, n: int, take: Optional[np.ndarray] = None) -> np.ndarray:
+        """x_n of the running lanes that take marks (all by default) in, as _settle reads it."""
+        dn = self.base**n
+        if np.fmin.reduce(x) == -math.inf:   # an exact zero ends its lane, unpushed
+            zero = x == -math.inf if take is None else take & (x == -math.inf)
+            self.put(zero, _ZERO, 0.0 if self.plus else -math.inf, 0.0, n)
+            take = ~zero if take is None else take & ~zero
+        g = _over(np.where(0.0 > x, 0.0, x) if self.plus else x, dn)
+        decided = self.settler.push(g, n, take)
+        if self.plus:   # the settler decides past the escape radius, the certified bound below it
+            past = x > ESCAPE_LOG
+            if (bound := _over(self.tail_m, dn) if self.base >= 2 else math.inf) < self.tol:
+                self.put(~past if take is None else take & ~past, _CONV, g,
+                         _fold(bound, self.fold), n)
+            decided &= past
+        if decided.any():
+            self._put_settled(decided, *self.settler.final(), n)
+        return g
+
+    def end(self, n: int, mask=None, dove=None) -> None:
+        """Orbits of the masked running lanes (all by default) ended after step n; dove: dives."""
+        mask = ~self.final[self.rows] if mask is None else mask & ~self.final[self.rows]
+        if self.plus and self.base >= 2 and dove is not None:
+            dove, bound = mask & dove, _over(self.tail_m, self.base**n)
+            self.put(dove, _CONV if bound < self.tol else _BUDGET, 0.0, _fold(bound, self.fold), n)
+            mask &= ~dove
+        self._put_settled(mask, *self.settler.finish(), np.maximum(self.settler.n, 0))
+
+    def keep(self, mask: np.ndarray, *lanes: np.ndarray) -> list:
+        """Only the masked running lanes run on; out the kernel's arrays over lanes, kept alike."""
+        self.rows, self.fold = self.rows[mask], self.fold[mask]
+        self.settler.keep(mask)
+        return [x[mask] for x in lanes]
+
+
 def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                  ws: tuple, n_max: int, tol: float, weightless: bool = False) -> tuple:
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
     The z side (log z_n, the p-tail correction, the z-factors of the
     recursion) is computed once per step for the whole fiber.  Lanes are
-    settled online as _settle_gza settles the scalar orbit and retire
-    once their estimate is final; weightless as in _gza_from_ratio.
+    settled online (_LaneSettle) as _gza_from_ratio settles the scalar
+    orbit and retire once their estimate is final; weightless as there.
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     terms = _ratio_terms(f, c.alpha)
-    tail_m = _ratio_tail_m(d, terms) if plus else 0.0
     t_it = np.array([float(it) for it, _, _, _ in terms])
     t_j = np.array([float(j) for _, j, _, _ in terms])
     t_lb = np.array([lb for _, _, _, lb in terms])
@@ -1506,91 +1576,50 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     tail = _p_tail(f)
     lz = cmath.log(z)
 
-    lanes = len(ws)
     wv = np.array(ws, dtype=complex)
     cr, ci = wv.real.copy(), wv.imag.copy()
     if al:
         e = cmath.exp(-al * lz)
         cr, ci = _cmul(cr, ci, e.real, e.imag)
     lc = _log_abs(cr, ci)
-    live = np.arange(lanes)           # input index of each running lane
-    ext = np.zeros(lanes, bool)       # past the switch to the log recursion
-    fold = np.zeros(lanes)            # running fold_bound(d, n)
-    settler = _LaneSettler(lanes, tol)
-    # results by input index, and which lanes hold their final estimate
-    val, res, used = np.zeros(lanes), np.zeros(lanes), np.zeros(lanes, int)
-    tag, final = np.zeros(lanes, np.int8), np.zeros(lanes, bool)
+    ext = np.zeros(len(ws), bool)   # past the switch to the log recursion
 
-    def put(mask, t, v, r):
-        if not mask.any():
-            return
-        sel = live[mask]
-        for arr, x in ((tag, t), (val, v), (res, r)):
-            arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
-        used[sel] = n
-        final[sel] = True
-
-    def settle(mask, t, v, r):
-        """put a settler estimate read at element n, with _settle_gza's escape tail."""
-        tail = np.where(np.isfinite(v) & (lc > ESCAPE_LOG), r / (d - 1), 0.0) if d >= 2 else 0.0
-        put(mask, t, v, _fold(r, tail + fold))
-
-    def end(mask, dove=None):
-        """The orbits of the masked lanes end after element n; dove marks dives below the range."""
-        if plus and dove is not None and d >= 2:
-            bound = _over(tail_m, dn)
-            put(mask & dove, _CONV if bound < tol else _BUDGET, 0.0, bound + fold)
-            mask = mask & ~dove
-        settle(mask, *settler.finish())
-
+    # the fold is the running fold_bound(d, n), the tail _gza_from_ratio's, read at lc
+    escape_tail = (lambda v, r: np.where(np.isfinite(v) & (lc > ESCAPE_LOG), r / (d - 1), 0.0)
+                   ) if d >= 2 else None
+    lanes = _LaneSettle(len(ws), d, tol, plus, _ratio_tail_m(d, terms) if plus else 0.0,
+                        escape_tail)
     n = 0
     with np.errstate(all="ignore"):
         while True:
             # -- settle element n of every running lane
-            dn = d**n
-            zero = lc == -math.inf
-            put(zero, _ZERO, 0.0 if plus else -math.inf, 0.0)
-            g = _over(np.where(0.0 > lc, 0.0, lc) if plus else lc, dn)
-            decided = settler.push(g, n)
-            if stop_escaped:
-                esc = lc > ESCAPE_LOG
-                put(esc, _ESC, g, math.inf)
-                decided &= ~esc
-            if plus:
-                # the settler decides past the escape radius, the certified bound below it
-                past = lc > ESCAPE_LOG
-                bound = _over(tail_m, dn) if d >= 2 else math.inf
-                if bound < tol:
-                    put(~zero & ~past, _CONV, g, bound + fold)
-            fin = (past if plus else ~zero) & decided
-            if fin.any():
-                settle(fin, *settler.final())
-            done = final[live]
+            g = lanes.column(lc, n)
+            if stop_escaped:   # the c^d term leads past the escape radius, its tail unknown
+                lanes.put(lc > ESCAPE_LOG, _ESC, g, math.inf, n)
+            done = lanes.final[lanes.rows]
 
             # -- the orbits end at the budget, or before step n + 1 where z escapes
             if n == n_max or lz.real > ESCAPE_LOG:
-                end(~done)
+                lanes.end(n)
                 break
             if done.any():
-                keep = ~done
-                live, cr, ci, lc, ext, fold = (x[keep] for x in (live, cr, ci, lc, ext, fold))
-                settler.keep(keep)
-            if not live.size:
+                cr, ci, lc, ext = lanes.keep(~done, cr, ci, lc, ext)
+            if not lanes.rows.size:
                 break
 
             # -- step n -> n + 1
             lzr = lz.real
             corr = _p_tail_log(tail, lz)
-            tl = np.empty((len(terms), live.size))
+            tl = np.empty((len(terms), lc.size))
             for k, (it, j, _, lb) in enumerate(terms):
                 tl[k] = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
             top = tl.max(axis=0)
             # the factors of the lanes past their switch need no check
             logm = ext | ~_lanes_terms_safe(tl, top, exps, np.where(ext, 0.0, lc), lzr,
                                             al * corr.real)
-            new_lc = np.empty(live.size)
-            eta = np.zeros(live.size)
-            failed = np.zeros(live.size, bool)
+            new_lc = np.empty(lc.size)
+            eta = np.zeros(lc.size)
+            failed = np.zeros(lc.size, bool)
             if logm.any():
                 sub, sub_top = tl[:, logm], top[logm]
                 dom = sub.argmax(axis=0)
@@ -1615,29 +1644,24 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                 failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
                 cr[exact], ci[exact] = nr, ni
                 new_lc[exact] = _log_abs(nr, ni)
+            ext = ext | logm
             if failed.any():   # a refused extension ends as 'range', a dive where
                 # log|c| < 0; a non-finite exact step as 'escaped'
-                end(failed & logm, dove=lc < 0)
-                end(failed & exact)
-            keep = ~failed
-            ext = ext | logm
+                lanes.end(n, failed & logm, dove=lc < 0)
+                lanes.end(n, failed & exact)
+                cr, ci, new_lc, ext, eta = lanes.keep(~failed, cr, ci, new_lc, ext, eta)
             lc = new_lc
-            if not keep.all():
-                live, cr, ci, lc, ext, fold, eta = (
-                    x[keep] for x in (live, cr, ci, lc, ext, fold, eta))
-                settler.keep(keep)
             lz = log_a + f.delta * lz + corr
             n += 1
-            fold = fold + _over(2.0 * eta, d**n)
-            if not live.size:
+            lanes.fold = lanes.fold + _over(2.0 * eta, d**n)
+            if not lanes.rows.size:
                 break
 
-    return val, used, tag, res
+    return lanes.val, lanes.used, lanes.tag, lanes.res
 
 
 # -- direct log-orbit kernel
 
-_CHUNK = 1024   # lanes per batch
 _COMPLETE, _ESCAPED, _RANGE = range(3)   # how an orbit ends, as _OrbitLogs.reason
 
 
@@ -1656,17 +1680,13 @@ def _lane_eta(f: SkewProduct, vertex: tuple[int, int], lz, lw: np.ndarray,
     tl holds q's term logs there (_lane_term_logs).  The terms add up in
     _extension_eta's order, p's first.
     """
-    p_terms, q_terms = f.p.terms, f.q.terms
-    delta, (gamma, d) = f.delta, vertex
     eta = np.zeros(lw.size)
-    base, top = delta * lz + 0 * lw, abs(p_terms[delta])
-    for k, coeff in p_terms.items():
-        if k != delta:
-            eta += abs(coeff) / top * _math_map(math.exp, np.minimum(k * lz + 0.0 - base, 700.0))
-    base, top = gamma * lz + d * lw, abs(q_terms[vertex])
-    for (key, coeff), t in zip(q_terms.items(), tl):
-        if key != vertex:
-            eta += abs(coeff) / top * _math_map(math.exp, np.minimum(t - base, 700.0))
+    for (terms, dom), logs in zip(_components(f, vertex), ([k * lz + 0.0 for k in f.p.terms], tl)):
+        base = dom[0] * lz + dom[1] * lw
+        for (key, coeff), t in zip(terms.items(), logs):
+            if key != dom:
+                eta += _abs_ratio(coeff, terms[dom]) * _math_map(math.exp,
+                                                                 np.minimum(t - base, 700.0))
     return eta
 
 
@@ -1794,129 +1814,83 @@ class _LaneOrbits:
 
 def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
                   ws: Sequence[complex], n_max: int, tol: float) -> tuple:
-    """Estimator `which` from best_orbit_logs of every lane w of ws, in order, as columns.
+    """_gza_direct ('Gza', 'Gzap'), _gzi_direct ('Gzi') or _gz_direct ('Gz') of all lanes w of ws.
 
-    The orbits run in batches of _CHUNK lanes (_LaneOrbits), each settled
-    as its columns arrive (_settle_direct).
+    The orbits of all lanes run at once (_LaneOrbits); each column goes
+    into one _LaneSettle after the direct orbit's own exits (a transient
+    zero w_n = 0 skips its push, E_z and the ratio's escape end a lane),
+    and a lane retires where the scalar routine stops reading, but a
+    settled G_z lane on an invariant w-axis runs on, since a zero later on
+    decides.  Returns (value, n_used, tag, residual).
     """
-    ws = np.array(ws, dtype=complex)
-    vertices = [term.vertex for term in c.terms]
-    parts = [_settle_direct(f, c, which, _LaneOrbits(f, vertices, z, ws[b:b + _CHUNK], n_max), tol)
-             for b in range(0, ws.size, _CHUNK)]
-    return tuple(map(np.concatenate, zip(*parts)))
-
-
-def _settle_direct(f: SkewProduct, c: Classification, which: str, orbits: _LaneOrbits,
-                   tol: float) -> tuple:
-    """_gza_direct ('Gza', 'Gzap'), _gzi_direct ('Gzi') or _gz_direct ('Gz') on orbits' lanes.
-
-    Each column goes into one _LaneSettler as it arrives, through a
-    masked push: a transient zero w_n = 0 skips its lane's push.  A lane
-    retires once its estimate is final, where the scalar routine stops
-    reading, and a lane whose orbit ends takes the settler's finish.
-    Where the w-axis is invariant, a settled G_z lane runs on, since a
-    zero later on decides.  Returns (value, n_used, tag, residual).
-    """
+    orbits = _LaneOrbits(f, [term.vertex for term in c.terms], z, np.array(ws, dtype=complex),
+                         n_max)
     d, plus, axis_inv = c.lam if which == "Gz" else c.d, which == "Gzap", _w_axis_invariant(f)
     alpha, low = float(c.alpha) if which in ("Gza", "Gzap") else 0.0, 0.0 if plus else -math.inf
-    lanes = orbits.vertex.size
-    val, res, used = np.full(lanes, math.nan), np.full(lanes, math.inf), np.zeros(lanes, int)
-    tag, final = np.full(lanes, _BUDGET, np.int8), np.zeros(lanes, bool)
-    settler = _LaneSettler(lanes, tol)
-    rows, fold, u = np.arange(lanes), np.zeros(lanes), np.zeros(lanes)   # per running lane
+    lanes = _LaneSettle(orbits.vertex.size, d, tol, plus, _direct_tail_m(f, c) if plus else 0.0)
+    u = np.zeros(orbits.vertex.size)   # per running lane
     if which == "Gzi":
         slope = c.gamma / d
         log_a, log_b = _lcoeff(f.p.leading_at_zero()), _lcoeff(f.q.terms[c.primary.vertex])
     elif which != "Gz":
-        tail_m = _direct_tail_m(f, c)
-        lines = [_line_recursion(f, c, vertex) for vertex in orbits.vertices]
-        on_line = np.array([line is not None for line in lines])
-        mult, const = np.array([line or (0, 0.0) for line in lines], float).T
-
-    def put(mask, t, v, r, n):
-        """Final estimates of the masked running lanes: arrays over them, or one for all."""
-        if not mask.any():
-            return
-        sel = rows[mask]
-        for arr, x in ((tag, t), (val, v), (res, r), (used, n)):
-            arr[sel] = x[mask] if isinstance(x, np.ndarray) else x
-        final[sel] = True
-
-    def end(mask, last):
-        """The orbits of the masked lanes ended after step last."""
-        mask = mask & ~final[rows]
-        if plus and d >= 2:   # the ratio dove below the double range at the orbit's last step
-            dove, bound = mask & (orbits.reason[rows] == _RANGE), _over(tail_m, d**last)
-            put(dove, _CONV if bound < tol else _BUDGET, 0.0, _fold(bound, fold), last)
-            mask &= ~dove
-        t, v, r = settler.finish()
-        put(mask, t, v, _fold(r, fold), np.maximum(settler.n, 0))
+        mult, const = np.array([_line_recursion(f, c, v) for v in orbits.vertices], float).T
 
     last = 0
     for n, live, lz, lw in orbits:
-        if live.size < rows.size:   # the others' orbits ended after step n - 1
-            stay = np.zeros(rows.size, bool)
-            stay[np.searchsorted(rows, live)] = True
-            end(~stay, n - 1)
-            rows, fold, u = rows[stay], fold[stay], u[stay]
-            settler.keep(stay)
-        last, dn, ext, vtx = n, d**n, orbits.ext, orbits.vtx
+        if live.size < lanes.rows.size:   # the others' orbits ended after step n - 1
+            stay = np.zeros(lanes.rows.size, bool)
+            stay[np.searchsorted(lanes.rows, live)] = True
+            # a G_z^{alpha,+} lane that ended 'range' dove below the double range
+            lanes.end(n - 1, ~stay, orbits.reason[lanes.rows] == _RANGE if plus else None)
+            u, = lanes.keep(stay, u)
+        rows, last, dn, ext, vtx = lanes.rows, n, d**n, orbits.ext, orbits.vtx
         # the switch fold, 4 eta / base^k, of the lanes that switched at step k = n
         if ext.any() and (new := ext & (orbits.switch_step[rows] == n)).any():
-            fold[new] = 4 * orbits.switch_eta[rows[new]] / float(dn)
+            lanes.fold[new] = 4 * orbits.switch_eta[rows[new]] / float(dn)
         take = lw > -math.inf   # a transient zero w_n = 0 has no partial
         if which == "Gz":
             if axis_inv:   # a zero anywhere on the orbit decides
-                put(~take, _ZERO, -math.inf, 0.0, n)
-                take &= ~final[rows]
-            g = _over(lw, dn)
-        elif which == "Gzi":
-            z_zero = lz == -math.inf
-            put(~take & z_zero, _ZERO, math.nan, math.inf, n)
-            if axis_inv:
-                put(~take & ~z_zero, _ZERO, -math.inf, 0.0, n)
-            put(take & z_zero, _EZ, math.inf, math.inf, n)
-            take &= ~z_zero
-            s = slope * n
-            x = lw - s * lz
-            # the cancellation-free extension, where the primary vertex drives it
-            if (line := take & ext & (vtx == 0) & (settler.n >= 0)).any():
-                x = np.where(line, d * u + log_b - s * log_a, x)
-            u = np.where(take, x, u)
-            g = _over(u, dn)
+                lanes.put(~take, _ZERO, -math.inf, 0.0, n)
+                take &= ~lanes.final[rows]
+            u = lw
         else:
-            if axis_inv:
-                put(~take, _ZERO, low, 0.0, n)
-            if alpha:   # E_z: the ratio blows up (alpha > 0) or tends to 0 (alpha < 0)
-                ez = take & (lz == -math.inf)
-                put(ez, _EZ, math.inf if alpha > 0 else low, math.inf if alpha > 0 else 0.0, n)
-                take &= ~ez
-            x = lw - (alpha * lz if alpha else 0.0)
-            # the weighted ratio's own recursion, where the vertex lies on the sweep line
-            if (line := take & ext & on_line[vtx] & (settler.n >= 0)).any():
-                x = np.where(line, mult[vtx] * u + const[vtx], x)
+            if which == "Gzi":
+                z_zero = lz == -math.inf
+                lanes.put(~take & z_zero, _ZERO, math.nan, math.inf, n)
+                lanes.put(take & z_zero, _EZ, math.inf, math.inf, n)
+                # w_n = 0 on an invariant w-axis: x_n = -inf, an exact zero
+                take = (take | axis_inv) & ~z_zero
+                s = slope * n
+                x = lw - s * lz
+                # the cancellation-free extension, where the primary vertex drives it
+                if (line := take & ext & (vtx == 0) & (lanes.settler.n >= 0)).any():
+                    x = np.where(line, d * u + log_b - s * log_a, x)
+            else:
+                if axis_inv:
+                    lanes.put(~take, _ZERO, low, 0.0, n)
+                if alpha:   # E_z: the ratio blows up (alpha > 0) or tends to 0 (alpha < 0)
+                    ez = take & (lz == -math.inf)
+                    lanes.put(ez, _EZ, math.inf if alpha > 0 else low,
+                              math.inf if alpha > 0 else 0.0, n)
+                    take &= ~ez
+                x = lw - (alpha * lz if alpha else 0.0)
+                # the weighted ratio's own recursion past the switch (_line_recursion)
+                if (line := take & ext & (lanes.settler.n >= 0)).any():
+                    x = np.where(line, mult[vtx] * u + const[vtx], x)
             u = np.where(take, x, u)
-            zero, esc = take & (u == -math.inf), take & (u > ESCAPE_LOG)
-            put(zero, _ZERO, low, 0.0, n)
-            put(esc, _ESC, _over(u, dn), _fold(_over(3e-12, dn), fold), n)
-            take &= ~(zero | esc)
-            g = _over(np.where(0.0 > u, 0.0, u) if plus else u, dn)
-        decided = settler.push(g, n, take)
-        if plus:   # the certified tail bound decides below the escape radius
-            if (bound := _over(tail_m, dn) if d >= 2 else math.inf) < tol:
-                put(take, _CONV, g, _fold(bound, fold), n)
-        elif decided.any():
-            t, v, r = settler.final()
-            put(decided, t, v, _fold(r, fold), n)
-        done = final[rows]
+            if which != "Gzi":   # the orbit ends; its tail is below 1e-12 of the last term
+                esc = take & (u > ESCAPE_LOG)
+                lanes.put(esc, _ESC, _over(u, dn), _fold(_over(3e-12, dn), lanes.fold), n)
+                take &= ~esc
+        lanes.column(u, n, take)
+        done = lanes.final[rows]
         if which == "Gz" and axis_inv:   # a settled lane runs on, to a zero
             done &= lw == -math.inf
         if done.any():
             orbits.retire = done
-            rows, fold, u = rows[~done], fold[~done], u[~done]
-            settler.keep(~done)
-    end(np.ones(rows.size, bool), last)
-    return val, used, tag, res
+            u, = lanes.keep(~done, u)
+    lanes.end(last, dove=orbits.reason[lanes.rows] == _RANGE if plus else None)
+    return lanes.val, lanes.used, lanes.tag, lanes.res
 
 
 def _gp_adapter(f: SkewProduct, c: Classification, z: complex, w: complex,

@@ -51,11 +51,6 @@ class NewtonPolygon:
     def s(self) -> int:
         return len(self.vertices)
 
-    def slope(self, k: int) -> Rational:
-        """Slope of L_k through vertices k and k+1 (1-based k)."""
-        (n1, m1), (n2, m2) = self.vertices[k - 1], self.vertices[k]
-        return Fraction(-(m1 - m2), n2 - n1)
-
     def edge_weight(self, k: int) -> Rational:
         """The weight (n_{k+1} - n_k)/(m_k - m_{k+1}) of edge L_k (1-based)."""
         (n1, m1), (n2, m2) = self.vertices[k - 1], self.vertices[k]

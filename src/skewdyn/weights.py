@@ -33,6 +33,7 @@ from .algebra import BiPoly, Rational, SkewProduct
 from .newton import Case, Classification, DominantTerm, newton_polygon
 
 _APPROX_BAND = 1e-12
+_MAX_HALVINGS = 64   # invariance_radii halves r_1 at most this often
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,6 @@ class DValue:
     d_min: Rational
     attaining_vertex: tuple[int, int]
     attaining_points: tuple[tuple[int, int], ...]
-    d_star: Optional[Rational] = None
 
 
 def _require_case(term: DominantTerm, *cases: Case) -> None:
@@ -264,12 +264,11 @@ def invariance_radii(
     l: Rational,
     r2: float,
     term: DominantTerm | None = None,
-    max_halvings: int = 64,
 ) -> float:
     """A witness r_1 making U^l_{r1,r2} forward invariant under f.
 
     Constructive version of the invariant-wedge theorem: starting from
-    r_1 = min(r_2, 0.25) the radius is halved (at most ``max_halvings``
+    r_1 = min(r_2, 0.25) the radius is halved (at most _MAX_HALVINGS
     times) until the sufficient inequality holds.  Requires D_l >= delta;
     Case 3 outer wedges are refused (the theory provides no invariance
     statement there).
@@ -316,7 +315,7 @@ def invariance_radii(
             )
 
     r1 = min(r2, 0.25)
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         c1 = _p_lower_constant(f, r1)
         p_sup = sum(abs(coeff) * r1**k for k, coeff in f.p.terms.items())
         if c1 > 0 and p_sup < r1:
@@ -334,4 +333,4 @@ def invariance_radii(
             if bound < r2:
                 return r1
         r1 /= 2
-    raise ValueError("no invariance witness within 64 halvings")
+    raise ValueError(f"no invariance witness within {_MAX_HALVINGS} halvings")

@@ -108,38 +108,25 @@ def _drain(orbits, n_max):
     return out
 
 
-def _concat(parts):
-    return SimpleNamespace(**{name: np.concatenate([getattr(p, name) for p in parts])
-                              for name in FIELDS})
-
-
 def _lane_replay(f, c, z, ws, n_max):
     """Every vertex's _LaneOrbits from step 0, alone; the longer wins a 'range' end."""
-    parts = []
-    for begin in range(0, len(ws), green._CHUNK):
-        lanes = np.array(ws[begin:begin + green._CHUNK], dtype=complex)
-        best = _drain(green._LaneOrbits(f, [c.primary.vertex], z, lanes, n_max), n_max)
-        retry = np.flatnonzero(best.reason == green._RANGE)
-        for t in range(1, len(c.terms)):
-            other = _drain(green._LaneOrbits(f, [c.terms[t].vertex], z, lanes[retry], n_max),
-                           n_max)
-            longer = other.length > best.length[retry]
-            rows = retry[longer]
-            for name in FIELDS[:-1]:
-                getattr(best, name)[rows] = getattr(other, name)[longer]
-            best.vertex[rows] = t
-        parts.append(best)
-    return _concat(parts)
+    lanes = np.array(ws, dtype=complex)
+    best = _drain(green._LaneOrbits(f, [c.primary.vertex], z, lanes, n_max), n_max)
+    retry = np.flatnonzero(best.reason == green._RANGE)
+    for t in range(1, len(c.terms)):
+        other = _drain(green._LaneOrbits(f, [c.terms[t].vertex], z, lanes[retry], n_max), n_max)
+        longer = other.length > best.length[retry]
+        rows = retry[longer]
+        for name in FIELDS[:-1]:
+            getattr(best, name)[rows] = getattr(other, name)[longer]
+        best.vertex[rows] = t
+    return best
 
 
 def _kernel(f, c, z, ws, n_max):
-    """The rows of every batch of _LaneOrbits with the classification's vertices."""
+    """The rows of one _LaneOrbits over all lanes with the classification's vertices."""
     vertices = [term.vertex for term in c.terms]
-    parts = []
-    for begin in range(0, len(ws), green._CHUNK):
-        lanes = np.array(ws[begin:begin + green._CHUNK], dtype=complex)
-        parts.append(_drain(green._LaneOrbits(f, vertices, z, lanes, n_max), n_max))
-    return _concat(parts)
+    return _drain(green._LaneOrbits(f, vertices, z, np.array(ws, dtype=complex), n_max), n_max)
 
 
 def _assert_same(got, want, where):
@@ -166,15 +153,12 @@ def test_cases_cover_the_resume_and_the_tail():
 
 
 @pytest.mark.parametrize("name,f,c,z,ws", CASES, ids=[case[0] for case in CASES])
-def test_fiber_logs_equal_full_replays(monkeypatch, name, f, c, z, ws):
+def test_fiber_logs_equal_full_replays(name, f, c, z, ws):
     for n_max in N_MAXES:
         lanes, scalar = _lane_replay(f, c, z, ws, n_max), _scalar_replay(f, c, z, ws, n_max)
-        for chunk in (1024, 3):
-            monkeypatch.setattr(green, "_CHUNK", chunk)
-            got = _kernel(f, c, z, ws, n_max)
-            _assert_same(got, lanes, (name, n_max, chunk, "lanes"))
-            _assert_same(got, scalar, (name, n_max, chunk, "scalar"))
-        monkeypatch.undo()
+        got = _kernel(f, c, z, ws, n_max)
+        _assert_same(got, lanes, (name, n_max, "lanes"))
+        _assert_same(got, scalar, (name, n_max, "scalar"))
 
 
 def test_tail_overflow_ends_range_before_the_step():
@@ -209,17 +193,13 @@ def columns(monkeypatch):
 
 
 @pytest.mark.parametrize("key", ["Gza", "Gzi", "Gz"])
-def test_lanes_compute_no_step_past_their_last_settled_pixel(monkeypatch, columns, key):
+def test_lanes_compute_no_step_past_their_last_settled_pixel(columns, key):
     # the lane twin of test_estimator_computes_no_step_past_its_exit: lanes
     # retire once settled, and the loop stops when none is left
     c = classify(DIRECT)
-    for chunk in (1024, 100):
-        monkeypatch.setattr(green, "_CHUNK", chunk)
-        columns.clear()
-        used = green.fiber_sample(DIRECT, c, key, FIBER_Z, FIBER_WS, 64).columns[1]
-        tops = [used[b:b + chunk].max() for b in range(0, used.size, chunk)]
-        assert columns == [top + 1 for top in tops], (key, chunk)
-        assert max(tops) < 20   # of the 65 columns at n_max 64
+    used = green.fiber_sample(DIRECT, c, key, FIBER_Z, FIBER_WS, 64).columns[1]
+    assert columns == [used.max() + 1], key
+    assert used.max() < 20   # of the 65 columns at n_max 64
 
 
 def test_lane_memory_does_not_grow_with_the_budget():

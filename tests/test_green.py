@@ -325,10 +325,9 @@ def _keys_or_refusal(evaluate):
         return f"ValueError: {exc}"
 
 
-def test_fiber_sample_traversal_order(monkeypatch):
+def test_fiber_sample_traversal_order():
     # fiber_sample (batched kernels or scalar loop) must reproduce the
     # per-point estimators exactly, refusals included
-    from skewdyn import green
     from skewdyn.green import best_orbit_logs, fiber_sample, ratio_orbit
 
     maps = [
@@ -379,7 +378,7 @@ def test_fiber_sample_traversal_order(monkeypatch):
     # on the third half the lanes switch to the log recursion with eta > 0,
     # where np.exp and math.exp differ in the last bit; on the p-tail map
     # the orbit ends as 'range' at step 4; then z = 0, an escaping p(z),
-    # budgets 0 and 1, and batches of 3 lanes
+    # budgets 0 and 1
     alpha32 = maps[6]
     ptail = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
     w_fold = 0.008730071332046972 - 0.02482660783051319j
@@ -405,17 +404,15 @@ def test_fiber_sample_traversal_order(monkeypatch):
     _, z_esc, (w_esc, *_) = cases[-1]
     c_esc = classify(ESCAPE_MAP)
     assert max(ratio_orbit(ESCAPE_MAP, c_esc.alpha, z_esc, w_esc, 64).log_mags) > ESCAPE_LOG
-    for chunk in (green._CHUNK, 3):
-        monkeypatch.setattr(green, "_CHUNK", chunk)
-        for f, z, lanes in cases:
-            c = classify(f)
-            for key, fn in ESTIMATORS.items():
-                for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
-                    got = _keys_or_refusal(
-                        lambda: fiber_sample(f, c, key, z, lanes, n_max, tol).estimates)
-                    want = _keys_or_refusal(
-                        lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
-                    assert got == want, (f.q.terms, key, z, n_max, chunk)
+    for f, z, lanes in cases:
+        c = classify(f)
+        for key, fn in ESTIMATORS.items():
+            for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
+                got = _keys_or_refusal(
+                    lambda: fiber_sample(f, c, key, z, lanes, n_max, tol).estimates)
+                want = _keys_or_refusal(
+                    lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
+                assert got == want, (f.q.terms, key, z, n_max)
 
     # tol 0 settles nothing, so the partials run as far as the orbits: on
     # alpha32 to step 1024, where 2**n has left the double range, and on the
@@ -497,12 +494,10 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
         return orbit_logs(*args)
 
     monkeypatch.setattr(green, "orbit_logs", no_scalar_orbit)
-    for chunk in (green._CHUNK, 3):
-        monkeypatch.setattr(green, "_CHUNK", chunk)
-        for f, c, key, z, lanes, n_max, tol, want in runs:
-            got = fiber_sample(f, c, key, z, lanes, n_max, tol).estimates
-            got = [_estimate_key(e) for e in got]
-            assert got == want, (f.q.terms, key, z, n_max, chunk)
+    for f, c, key, z, lanes, n_max, tol, want in runs:
+        got = fiber_sample(f, c, key, z, lanes, n_max, tol).estimates
+        got = [_estimate_key(e) for e in got]
+        assert got == want, (f.q.terms, key, z, n_max)
     assert calls == []   # no lane falls back to the scalar settle
 
 
@@ -852,3 +847,53 @@ def test_log_extension_overflow_is_not_an_exact_zero():
             assert repr(fn(f, c, z, w, n_max)) == repr(want), (key, n_max)
             got = fiber_sample(f, c, key, z, [w], n_max).estimates[0]
             assert repr(got) == repr(want), (key, n_max)
+
+
+# a coefficient past the double range on the G_z^alpha paths: |b| overflows on
+# the first map, where the orbit of w = 0 reaches the dominance test, and
+# a^alpha = (1e-300)^3 underflows to 0 on the second
+HUGE_B = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.5e308 + 1.5e308j}))
+TINY_A = SkewProduct(UniPoly({2: 1e-300}), BiPoly({(0, 2): 1.0, (3, 1): 1.0}))
+
+
+def test_out_of_range_ratio_coefficients_end_tagged(tmp_path):
+    # the weighted ratio's recursion is refused, so the direct orbit serves:
+    # every estimator returns a tagged estimate, as a point and as lanes
+    from skewdyn.cli import main
+    from skewdyn.green import _ratio_terms
+
+    lanes = [0.1, 0.2 - 0.1j, 0j]
+    for f in (HUGE_B, TINY_A):
+        c = classify(f)
+        assert _ratio_terms(f, c.alpha) is None
+        for key, fn in ESTIMATORS.items():
+            want = [fn(f, c, 0.5, w, 64, DEFAULT_TOL) for w in lanes]
+            got = fiber_sample(f, c, key, 0.5, lanes).estimates
+            assert repr(list(got)) == repr(want), (key, f.q.terms)
+    (tmp_path / "huge.skew").write_text("p 2 1.0 0.0\nq 0 2 1.5e308 1.5e308\n")
+    (tmp_path / "tiny.skew").write_text("p 2 1e-300 0.0\nq 0 2 1.0 0.0\nq 3 1 1.0 0.0\n")
+    for name in ("huge.skew", "tiny.skew"):
+        for key in ESTIMATORS:
+            assert main(["render", str(tmp_path / name), "--function", key,
+                         "--grid", "0.5,0,0,0,1,1,4", "--out-dir", str(tmp_path)]) == 0, (name, key)
+
+
+def test_two_term_p_tail_on_the_ratio_path():
+    # p = z^4 + 0.3 z^5 - 0.2i z^6: the ratio recursion's p-tail correction
+    # sums two terms; lanes equal points, and the ratio agrees with the
+    # direct orbit where that one settles
+    from skewdyn.green import _gza_direct, _p_tail, _ratio_serves, best_orbit_logs
+
+    f = SkewProduct(UniPoly({4: 1.0, 5: 0.3, 6: -0.2j}), BiPoly({(1, 3): 1.0, (2, 2): 1.0}))
+    c = classify(f)
+    z, lanes = 0.3 + 0.2j, [0.1, 0.3 - 0.2j, 0.05j, 0.6 + 0.1j]
+    assert _ratio_serves(f, c, z) and len(_p_tail(f)) == 2
+    for key in ("Gza", "Gzap", "Gz", "Gf", "Gfa"):
+        for n_max in (1, 9, 64):
+            want = [ESTIMATORS[key](f, c, z, w, n_max, DEFAULT_TOL) for w in lanes]
+            got = fiber_sample(f, c, key, z, lanes, n_max).estimates
+            assert repr(list(got)) == repr(want), (key, n_max)
+    for w in lanes[2:]:
+        ratio = g_z_alpha(f, c, z, w, 64, 1e-12)
+        direct = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 64), 1e-12, plus=False)
+        assert abs(ratio.value - direct.value) < 1e-12, w
