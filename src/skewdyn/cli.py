@@ -188,25 +188,7 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # every add_argument makes a help formatter, which without a width asks
-    # the terminal for one: this parser asks once, as HelpFormatter would
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    ap = argparse.ArgumentParser(
-        prog="skewdyn",
-        description="Newton-polygon classification, invariant wedges, Green "
-                    "functions and Böttcher coordinates for superattracting "
-                    "polynomial skew products",
-        formatter_class=fmt,
-    )
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=functools.partial(argparse.ArgumentParser,
-                                                           formatter_class=fmt))
-
-    def common(p):
-        p.add_argument("--n-max", dest="n_max", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-
+def _add_analyze(sub, common) -> None:
     pa = sub.add_parser("analyze", help="classification and weight report")
     pa.add_argument("file")
     pa.add_argument("--blowup", metavar="L", default=None,
@@ -215,6 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report D_L for a weight (repeatable)")
     pa.set_defaults(func=cmd_analyze)
 
+
+def _add_green(sub, common) -> None:
     pg = sub.add_parser("green", help="evaluate a Green-type function")
     pg.add_argument("file")
     pg.add_argument("--function", required=True,
@@ -228,6 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pg)
     pg.set_defaults(func=cmd_green)
 
+
+def _add_render(sub, common) -> None:
     pr = sub.add_parser("render", help="raster a fiber window to PGM+CSV")
     pr.add_argument("file")
     pr.add_argument("--function", required=True, choices=sorted(ESTIMATORS))
@@ -238,6 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(pr)
     pr.set_defaults(func=cmd_render)
 
+
+def _add_verify(sub, common) -> None:
     pv = sub.add_parser("verify", help="run verification suites")
     pv.add_argument("--suite", action="append",
                     help="monomial|hull|invariance|semiconjugate (repeatable)")
@@ -250,11 +238,47 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=None,
                     help="sampling seed of the --wedge check")
     pv.set_defaults(func=cmd_verify)
+
+
+SUBCOMMANDS = {"analyze": _add_analyze, "green": _add_green, "render": _add_render,
+               "verify": _add_verify}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The skewdyn parser: with only command's subparser where it names one, else all four.
+
+    A parser built for one command parses, prints help and reports errors
+    exactly as the full one does for that command: the usage still names
+    every command.
+    """
+    # every add_argument makes a help formatter, which without a width asks
+    # the terminal for one: this parser asks once, as HelpFormatter would
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    ap = argparse.ArgumentParser(
+        prog="skewdyn",
+        description="Newton-polygon classification, invariant wedges, Green "
+                    "functions and Böttcher coordinates for superattracting "
+                    "polynomial skew products",
+        formatter_class=fmt,
+    )
+    one = command in SUBCOMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{" + ",".join(SUBCOMMANDS) + "}" if one else None,
+                            parser_class=functools.partial(argparse.ArgumentParser,
+                                                           formatter_class=fmt))
+
+    def common(p):
+        p.add_argument("--n-max", dest="n_max", type=int, default=None)
+        p.add_argument("--tol", type=float, default=None)
+
+    for name in (command,) if one else SUBCOMMANDS:
+        SUBCOMMANDS[name](sub, common)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

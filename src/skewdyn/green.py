@@ -27,7 +27,14 @@ leaves the double range, either way, it continues by the dominant
 monomial, re-validated at every step, so d^-n log|c_n| settles as an
 ordinary series, or diverges where a term c^j, j > d, comes to lead an
 escape.  Past the escape radius that series is geometric at the rate
-1/d, and its residual counts the tail (_gza_from_ratio).  Since
+1/d, and its residual counts the tail (_gza_from_ratio).  Where the
+ratio dives to 0, an extended step can certify that its lead z^i~ c^j
+leads for good and that log|z_n| and log|c_n| fall for good
+(_DiveClose): then c_n -> 0, so G_z^{alpha,+} = 0 exactly, and so is
+G_z^alpha where j < d (and i~ = 0 or delta < d), as d^-n log|c_n| then
+grows no faster than (j/d)^n.  The orbit closes its series there at 0,
+converged, with the fold as the residual, where the settle alone would
+grind the geometric tail down to tol.  Since
 log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
 parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
@@ -556,6 +563,100 @@ def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
     return cmath.log(1 + sum(ca * zv ** e for ca, e in tail))
 
 
+_CLOSE_SLACK = 1e-9   # a close's inequalities hold by this share of their terms' size
+
+
+class _DiveClose:
+    """Where a weighted-ratio series ends at its exact limit 0: a certified dive.
+
+    At an extended step (one the log recursion runs) from step n, let the
+    lead be l = b z^i~ c^j with lb = log|b|, eta the neglected level
+    (< _SOFT_TAIL_TOL), L = Re log z_n and C = log|c_n|.  Let U = S/(1-S),
+    S = sum |t/a| |z_n|^(k-delta) over p's tail terms t z^k (U = 0 without
+    a tail; no close where S >= 1): U bounds |Re log(p(z)/(a z^delta))|,
+    the z-correction of the recursion, at z_n and at every smaller z, and
+    E = eta/(1-eta) bounds log|1 + x| for the neglected share |x| <= eta.
+    The orbit dives to 0 for good where
+
+      (b) every other term z^ik c^jk has jk >= j and ik >= i~,
+      (c) Re log a + (delta - 1) L + U < 0,
+      (d) j >= 1 and D = lb + i~ L + (j - 1) C + |alpha| U + E < 0.
+
+    Induction: by (c), Re log z_{n+1} <= Re log a + delta L + U < L, so L
+    falls, and with it U and the left side of (c), which thus holds at
+    every later step.  By (b) no gap (lb_k - lb) + (ik - i~) L + (jk - j) C
+    of another term below l grows while L and C fall, so eta never grows
+    and l leads for good.  log|c_{n+1}| - C <= D by (d), so C falls, and
+    then D, every part of which falls with L and C, never grows: C falls
+    by at least the first D < 0 a step, and c_n -> 0.  Hence
+    G_z^{alpha,+} = lim d^-n log+|c_n| = 0 exactly.  If also
+
+      (a) j < d, and i~ = 0 or delta < d,
+
+    then log|c_{n+1}| = j log|c_n| + i~ L_n + O(1) with L_n = O(delta^n)
+    (O(n) for delta = 1), so d^-n log|c_n| -> 0: G_z^alpha = 0 exactly.
+
+    The computed C strays from the true one by at most d^n times the fold
+    the orbit carries (drift), so (d) reads C + drift, and eta grown by
+    exp((j_top - j) drift) <= 1 + 2 (j_top - j) drift, which needs
+    (j_top - j) drift <= 1.  (c) and (d) hold with a margin of
+    _CLOSE_SLACK times the size of their terms, for the rounding of the
+    computed L and C and for the terms below e^-80 that eta leaves out.
+    (a), (b) and j >= 1 single out the one term that may lead a close
+    (_close_lead).  Past the z side's one tail sum, (c) and (d) are
+    + - * / alone, so a scalar orbit and its lanes decide alike.
+    """
+
+    __slots__ = ("d", "j_top", "alpha", "log_a", "delta", "tail")
+
+    def __init__(self, f: SkewProduct, d: int, j_top: int, al: int):
+        self.d, self.j_top, self.alpha = d, j_top, abs(al)
+        self.log_a, self.delta = _lcoeff(f.p.leading_at_zero()), f.delta
+        self.tail = [(abs(ca), e) for ca, e in _p_tail(f)]
+
+    def z_part(self, lzr: float) -> Optional[float]:
+        """|alpha| U where (c) holds at L = lzr, else None."""
+        s = 0.0
+        for m, e in self.tail:
+            s += m * math.exp(e * lzr)
+        if not s < 1.0:
+            return None
+        u = s / (1.0 - s)
+        zf = (self.delta - 1) * lzr
+        x = self.log_a + zf + u
+        if not x + _CLOSE_SLACK * (abs(self.log_a) + abs(zf) + u + 1.0) < 0.0:
+            return None
+        return self.alpha * u
+
+    def dives(self, lb, it, j, lzr: float, lc, eta, drift, au: float):
+        """(d) at L = lzr with au = |alpha| U, for one lead or per lane (arrays) alike."""
+        spread = (self.j_top - j) * drift
+        eta = eta * (1.0 + 2.0 * spread)
+        e = eta / (1.0 - eta)
+        jm, iz = j - 1, it * lzr
+        x = lb + iz + jm * (lc + drift) + au + e
+        return (spread <= 1.0) & (x + _CLOSE_SLACK * (abs(lb) + abs(iz) + abs(jm * lc) + au + e
+                                                      + 1.0) < 0.0)
+
+    def drift(self, fold, n: int):
+        """d^n fold, which bounds the error of log|c_n|; inf or NaN past the double range."""
+        dn = self.d**n
+        return fold * (float(dn) if dn < _FLOAT_TOP else math.inf)
+
+
+def _close_lead(js: list[int], its: list[int], d: int, delta: int, plus: bool) -> Optional[int]:
+    """Index of the one term that may lead a close of G_z^{alpha,+} (plus) or G_z^alpha, or None.
+
+    js and its hold j and i~ per term of the ratio recursion.  By (b) only
+    a term of least j and least i~ can lead a close; j >= 1 and, for
+    G_z^alpha, (a) rule it in or out once per orbit.
+    """
+    j, it = min(js), min(its)
+    if j < 1 or not (plus or (j < d and (it == 0 or delta < d))):
+        return None
+    return next((k for k, jk in enumerate(js) if jk == j and its[k] == it), None)
+
+
 class _RatioOrbit(_PulledSteps):
     """Weighted-ratio orbit steps (log|c_n|, eta_n), pulled from ratio_orbit.
 
@@ -563,16 +664,21 @@ class _RatioOrbit(_PulledSteps):
     bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
     G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
     order and stops at its exit.  The public fields compute the whole
-    orbit first.  terms holds the recursion's terms (_ratio_terms).
+    orbit first.  terms holds the recursion's terms (_ratio_terms).  An
+    orbit given a close (_DiveClose) ends 'closed' at the first extended
+    step from step n that certifies its dive, and closed holds that n: the
+    series of its estimator has its exact limit 0 there.
     """
 
-    __slots__ = ("_reason", "terms")
+    __slots__ = ("_reason", "_closed", "terms")
 
     def __init__(self, terms: list[tuple[int, int, complex, float]]):
         super().__init__()
-        self.terms, self._reason = terms, "complete"   # complete, escaped, zero or range
+        # complete, escaped, zero, range or closed
+        self.terms, self._reason, self._closed = terms, "complete", None
 
     reason = _final("_reason")
+    closed = _final("_closed")
 
     @property
     def log_mags(self) -> list[float]:
@@ -596,8 +702,8 @@ class _RatioOrbit(_PulledSteps):
         return total
 
 
-def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
-                n_max: int) -> Optional[_RatioOrbit]:
+def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex, n_max: int,
+                d: Optional[int] = None, plus: bool = False) -> Optional[_RatioOrbit]:
     """Orbit of c_n = w_n / z_n^alpha for integer alpha; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
@@ -605,21 +711,27 @@ def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex,
     one leaves the double range (_terms_safe), either way, and a single
     monomial provably dominates, the magnitude continues by the exact
     dominant log recursion, re-validated at every step; the orbit ends as
-    'range' where that fails.  The steps are computed as they are read
+    'range' where that fails.  Given the fiber degree d, it ends 'closed'
+    at a certified dive whose G_z^alpha (G_z^{alpha,+} for plus) is
+    exactly 0 (_DiveClose).  The steps are computed as they are read
     (_RatioOrbit).
     """
     term_list = _ratio_terms(f, alpha)
     if term_list is None or z == 0:
         return None
     ro = _RatioOrbit(term_list)
-    ro._source = _ratio_steps(ro, f, int(alpha), term_list, z, w, n_max)
+    ro._source = _ratio_steps(ro, f, int(alpha), term_list, z, w, n_max, d, plus)
     return ro
 
 
 def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  term_list: list[tuple[int, int, complex, float]], z: complex,
-                 w: complex, n_max: int) -> Iterator[tuple[float, float]]:
-    """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro."""
+                 w: complex, n_max: int, d: Optional[int], plus: bool
+                 ) -> Iterator[tuple[float, float]]:
+    """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
+
+    The close (given d) is built at the first extended step its lead leads.
+    """
     append = ro._steps.append
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f), f.delta
     lz = cmath.log(complex(z))
@@ -632,8 +744,9 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     exps = (js, its, j_top := max(js), it_top := max(its))
     # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
     lb_top = max(abs(lb) for _, _, _, lb in term_list)
+    lead, close = None if d is None else _close_lead(js, its, d, delta, plus), None
     isfinite, exp, zero = math.isfinite, math.exp, -math.inf
-    for _ in range(n_max):
+    for n in range(n_max):   # step n is the last one yielded
         lzr = lz.real
         if lzr > ESCAPE_LOG:
             ro._reason = "escaped"
@@ -660,8 +773,16 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                 for k, t in enumerate(tlogs):
                     if k != top_idx and t - top > -80.0:
                         eta += exp(t - top)
-            # the validated dominant monomial's recursion
             it, j, _, lb = term_list[top_idx]
+            if top_idx == lead and eta < _SOFT_TAIL_TOL:
+                if close is None:
+                    close = _DiveClose(f, d, j_top, al)
+                if ((au := close.z_part(lzr)) is not None
+                        and close.dives(lb, it, j, lzr, lc, eta,
+                                        close.drift(ro.fold_bound(d, n), n), au)):
+                    ro._reason, ro._closed = "closed", n
+                    return
+            # the validated dominant monomial's recursion
             extended = eta < _SOFT_TAIL_TOL and top > zero
             if not (extended and isfinite(lc := lb + it * lzr + j * lc - ac)):
                 # refused, or the recursion (or log z_n in it) left the double range
@@ -755,7 +876,8 @@ def _fold_residual(est: GreenEstimate, fold: Callable[[GreenEstimate], float]) -
 
 def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: float,
             fold: Callable[[GreenEstimate], float], plus: bool = False, tail_m: float = 0.0,
-            range_end: Optional[Callable[[], Optional[int]]] = None) -> GreenEstimate:
+            range_end: Optional[Callable[[], Optional[int]]] = None,
+            closed: Optional[Callable[[], Optional[int]]] = None) -> GreenEstimate:
     """The limit of base^-n x_n (base^-n max(x_n, 0) for plus) from pairs (n, x_n), read in order.
 
     Every Green series of a point settles here.  It ends at an estimate
@@ -763,10 +885,12 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
     x_n = -inf or the settler's decision, which for plus counts only past
     the escape radius: below it the certified bound tail_m base^-n < tol
     decides, as increments can sit on the spurious log+ = 0 plateau.  Past
-    the pairs come zero for plus where the series dove below the double
-    range at step range_end() (if not None), then the settler's finish.
-    fold(est), the orbit's own error up to est's step and any tail the
-    producer adds, goes into every estimate the settle returns.
+    the pairs come the producer's close, its series' exact limit 0 from
+    step closed() on (if not None), zero for plus where the series dove
+    below the double range at step range_end() (if not None), then the
+    settler's finish.  fold(est), the orbit's own error up to est's step
+    and any tail the producer adds, goes into every estimate the settle
+    returns.
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
     decides, zero, given = settler.decides, -math.inf, GreenEstimate
@@ -780,23 +904,25 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
                 k, bk = k + 1, bk * base
             if decides(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n):
                 return _fold_residual(settler.decision(), fold)
-        return _fold_residual(settler.finish(), fold)
-    for n, x in pairs:
-        if x.__class__ is given:
-            return _fold_residual(x, fold)
-        if x == zero:
-            return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
-        while k < n:
-            k, bk = k + 1, bk * base
-        fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
-        g = max(x, 0.0)
-        g = g / fbk if fbk else _over_exact(g, bk)
-        if decides(g, n) and x > ESCAPE_LOG:
-            return _fold_residual(settler.decision(), fold)
-        if (not x > ESCAPE_LOG and base >= 2
-                and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
-            return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
-    if base >= 2 and (end := range_end()) is not None:
+    else:
+        for n, x in pairs:
+            if x.__class__ is given:
+                return _fold_residual(x, fold)
+            if x == zero:
+                return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
+            while k < n:
+                k, bk = k + 1, bk * base
+            fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
+            g = max(x, 0.0)
+            g = g / fbk if fbk else _over_exact(g, bk)
+            if decides(g, n) and x > ESCAPE_LOG:
+                return _fold_residual(settler.decision(), fold)
+            if (not x > ESCAPE_LOG and base >= 2
+                    and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
+                return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
+    if closed is not None and (end := closed()) is not None:
+        return _fold_residual(GreenEstimate(0.0, end, TERM_CONVERGED, 0.0), fold)
+    if plus and base >= 2 and (end := range_end()) is not None:
         # the series dove below the double range: every later bounce is
         # bounded by shrinking z-powers, so the escape rate is zero; it is
         # converged only when the certified tail bound is below tol
@@ -854,6 +980,8 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
     of weight 0 does: with no term c^j, j > d, the c^d term leads past the
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
+    An orbit that ended 'closed' (ratio_orbit given d and plus) closes the
+    series at its exact limit 0, converged, with the fold as its residual.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
@@ -870,7 +998,8 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
 
     return _settle(pairs, d, tol, fold, plus, _ratio_tail_m(d, ro.terms) if plus else 0.0,
                    lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
-                            if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
+                            if ro.reason == "range" and ro.log_mags[-1] < 0 else None),
+                   lambda: ro._closed)
 
 
 def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
@@ -940,7 +1069,7 @@ def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
     _require_d(c)
     if c.alpha is None:
         raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
-    ro = ratio_orbit(f, c.alpha, z, w, n_max)
+    ro = ratio_orbit(f, c.alpha, z, w, n_max, c.d, plus)
     if ro is not None:
         return _gza_from_ratio(c, ro, tol, plus)
     return _gza_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol, plus)
@@ -1015,7 +1144,7 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
 def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
         tol: float, base: Optional[GreenEstimate]) -> GreenEstimate:
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
-    ro = ratio_orbit(f, c.alpha, z, w, n_max) if c.alpha is not None and c.d >= 1 else None
+    ro = ratio_orbit(f, c.alpha, z, w, n_max, c.d) if c.alpha is not None and c.d >= 1 else None
     if ro is not None:
         est = _gz_composed(c, _gza_from_ratio(c, ro, tol, False, c.d < c.lam),
                            base if base is not None else g_p(f.p, z, n_max, tol))
@@ -1561,15 +1690,20 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
     The z side (log z_n, the p-tail correction, the z-factors of the
-    recursion) is computed once per step for the whole fiber.  Lanes are
-    settled online (_LaneSettle) as _gza_from_ratio settles the scalar
-    orbit and retire once their estimate is final; weightless as there.
+    recursion, the z part of the close) is computed once per step for the
+    whole fiber.  Lanes are settled online (_LaneSettle) as
+    _gza_from_ratio settles the scalar orbit and retire once their
+    estimate is final; weightless as there.  A lane whose extended step
+    certifies its dive (_DiveClose, as ratio_orbit given d and plus
+    checks it) closes at the exact limit 0 with its fold as the residual.
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     terms = _ratio_terms(f, c.alpha)
-    t_it = np.array([float(it) for it, _, _, _ in terms])
-    t_j = np.array([float(j) for _, j, _, _ in terms])
+    js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
+    t_it, t_j = np.array(its, float), np.array(js, float)
+    lead = _close_lead(js, its, d, f.delta, plus)
+    close = None if lead is None else _DiveClose(f, d, max(js), al)
     t_lb = np.array([lb for _, _, _, lb in terms])
     exps = (t_j, t_it, t_j.max(), t_it.max())
     log_a = cmath.log(f.p.leading_at_zero())
@@ -1636,6 +1770,16 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                                 - al * corr.real)
                 failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf)
                                  & np.isfinite(new_lc[logm]))
+                if (close is not None and (cand := (dom == lead) & (sub_eta < _SOFT_TAIL_TOL)).any()
+                        and (au := close.z_part(lzr)) is not None):
+                    at, (it, j, _, lb) = np.flatnonzero(logm)[cand], terms[lead]
+                    shut = close.dives(lb, it, j, lzr, lc[at], sub_eta[cand],
+                                       close.drift(lanes.fold[at], n), au)
+                    if shut.any():   # the close takes the lane before any refusal
+                        closed = np.zeros(lc.size, bool)
+                        closed[at[shut]] = True
+                        lanes.put(closed, _CONV, 0.0, lanes.fold, n)
+                        failed |= closed
             exact = ~logm
             if exact.any():
                 zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)

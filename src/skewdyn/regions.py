@@ -369,11 +369,11 @@ class BasinLabel:
 
 
 def _fiber_degenerate(f: SkewProduct, z: complex) -> bool:
-    return all(
-        abs(f.q.fiber_coefficient(j, z)) < EPS_DEG
-        for j in f.q.w_degrees()
-        if j >= 1
-    )
+    """Every c_j(z), j >= 1, below EPS_DEG in modulus; one whose modulus overflows is not."""
+    try:
+        return all(abs(f.q.fiber_coefficient(j, z)) < EPS_DEG for j in f.q.w_degrees() if j >= 1)
+    except OverflowError:   # that c_j(z) lies far from 0
+        return False
 
 
 def classify_point(f: SkewProduct, c: Classification, spec: WedgeSpec,

@@ -227,3 +227,46 @@ def test_render_level_sets_concentric(tmp_path, map_file):
                 for t in (0.0, 1.0, 2.5, 4.0)]
         assert max(vals) - min(vals) < 1e-10
         assert abs(vals[0] - math.log(0.5 * wa)) < 1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["analyze", "--help"], ["green", "--help"], ["render", "--help"],
+    ["verify", "--help"], ["rend"], ["render"], [],
+    ["render", "m.skew", "--function", "Gz", "--grid", "0.5,0,0,0,1,1,4", "extra"],
+    ["green", "m.skew", "--function", "Gq"],
+])
+def test_a_parser_built_for_one_command_reads_as_the_full_one(capsys, argv):
+    # main builds only the subparser argv[0] names (all four where it names
+    # none): help, usage and errors must be the full parser's, byte for byte
+    from skewdyn.cli import SUBCOMMANDS, build_parser
+
+    def run(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        return exc.value.code, capsys.readouterr()
+
+    got = run(lambda: main(argv))
+    want = run(lambda: build_parser().parse_args(argv))
+    assert got == want
+    assert got[1].out or got[1].err
+    parser = build_parser(argv[0] if argv else None)
+    built = parser._subparsers._group_actions[0].choices
+    assert list(built) == ([argv[0]] if argv and argv[0] in SUBCOMMANDS else list(SUBCOMMANDS))
+
+
+def test_main_builds_the_parser_argv_names(monkeypatch, capsys):
+    # main(None) reads sys.argv[1:], and each call builds its own parser
+    import sys
+
+    import skewdyn.cli as cli
+
+    seen, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda command=None: seen.append(command) or real(command))
+    for argv in (["skewdyn", "render", "--help"], ["skewdyn", "--help"],
+                 ["skewdyn", "verify", "-h"]):
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit):
+            cli.main()
+    assert seen == ["render", "--help", "verify"]
+    assert capsys.readouterr().out.startswith("usage: skewdyn render")

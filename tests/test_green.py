@@ -881,8 +881,9 @@ def test_out_of_range_ratio_coefficients_end_tagged(tmp_path):
 def test_two_term_p_tail_on_the_ratio_path():
     # p = z^4 + 0.3 z^5 - 0.2i z^6: the ratio recursion's p-tail correction
     # sums two terms; lanes equal points, and the ratio agrees with the
-    # direct orbit where that one settles
+    # direct orbit where that one settles, else with the deep limit
     from skewdyn.green import _gza_direct, _p_tail, _ratio_serves, best_orbit_logs
+    from test_deep_limits import _deep_ratio
 
     f = SkewProduct(UniPoly({4: 1.0, 5: 0.3, 6: -0.2j}), BiPoly({(1, 3): 1.0, (2, 2): 1.0}))
     c = classify(f)
@@ -896,4 +897,27 @@ def test_two_term_p_tail_on_the_ratio_path():
     for w in lanes[2:]:
         ratio = g_z_alpha(f, c, z, w, 64, 1e-12)
         direct = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 64), 1e-12, plus=False)
-        assert abs(ratio.value - direct.value) < 1e-12, w
+        if direct.termination == "converged":
+            assert abs(ratio.value - direct.value) < 1e-12, w
+        else:   # the ratio's dive closes at its limit 0, where the direct orbit runs out
+            assert abs(ratio.value - _deep_ratio(f, c, z, w)) <= ratio.residual + 1e-15, w
+
+
+def test_ratio_lanes_equal_points_on_the_fiber_ratio_grid():
+    # the 24 x 24 window of the fiber_ratio benchmark: most lanes dive into
+    # the basin of 0 of h(c) = c^3 + c^2 and close there, at a step that
+    # depends on the budget; every lane equals its point, closed or not
+    from skewdyn.green import ratio_orbit
+
+    f = example_degenerate(1, 4)
+    c = classify(f)
+    z, side = 0.5 + 0.004j, 24
+    ws = [complex(0.01 + (ix + 0.5) / side - 0.5, -0.01 + (iy + 0.5) / side - 0.5)
+          for iy in range(side) for ix in range(side)]
+    for key in ("Gza", "Gzap", "Gz", "Gf", "Gfa"):
+        for n_max in (1, 9, 64):
+            want = [ESTIMATORS[key](f, c, z, w, n_max, DEFAULT_TOL) for w in ws]
+            got = fiber_sample(f, c, key, z, ws, n_max).estimates
+            assert repr(list(got)) == repr(want), (key, n_max)
+    closed = [w for w in ws if ratio_orbit(f, c.alpha, z, w, 64, c.d).reason == "closed"]
+    assert len(closed) > side * side / 2

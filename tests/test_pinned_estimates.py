@@ -52,7 +52,7 @@ PINNED = {
         'Gp': (-0.9433421021492245, 7, 'converged', 0.0),
         'Gza': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gzi': None,
-        'Gzap': (0.0, 26, 'converged', 6.221764478117302e-10),
+        'Gzap': (0.0, 4, 'converged', 0.0),
         'Gz': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gf': (0.0, 7, 'converged', 0.0),
         'Gfa': (0.0, 7, 'converged', 0.0),
@@ -62,7 +62,7 @@ PINNED = {
         'Gp': (-0.5222768644973952, 7, 'converged', 0.0),
         'Gza': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
         'Gzi': None,
-        'Gzap': (0.0, 26, 'converged', 4.891666405231785e-11),
+        'Gzap': (0.0, 6, 'converged', 0.0),
         'Gz': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
         'Gf': (0.0, 7, 'converged', 0.0),
         'Gfa': (0.0, 7, 'converged', 0.0),
@@ -72,7 +72,7 @@ PINNED = {
         'Gp': (-2.908885600633673, 5, 'converged', 0.0),
         'Gza': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
         'Gzi': None,
-        'Gzap': (0.0, 26, 'converged', 4.891666335648024e-11),
+        'Gzap': (0.0, 4, 'converged', 0.0),
         'Gz': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
         'Gf': (0.0, 5, 'converged', 0.0),
         'Gfa': (0.0, 5, 'converged', 0.0),
@@ -82,7 +82,7 @@ PINNED = {
         'Gp': (-1.151292546497023, 2, 'converged', 0.0),
         'Gza': (-0.3188569292814862, 5, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 41, 'converged', 5.2169211376645036e-11),
+        'Gzap': (0.0, 11, 'converged', 0.0),
         'Gz': (-1.151292546497023, 5, 'converged', 0.0),
         'Gf': (-1.151292546497023, 5, 'converged', 0.0),
         'Gfa': (-1.151292546497023, 5, 'converged', 0.0),
@@ -110,12 +110,12 @@ PINNED = {
     },
     ('case3', 0): {
         'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
-        'Gza': (-1.1169055932193024e-10, 51, 'converged', 5.584527966096512e-11),
+        'Gza': (0.0, 12, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
-        'Gz': (-0.6931471805599453, 51, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 51, 'converged', 0.0),
-        'Gfa': (-0.6931471805599453, 51, 'converged', 0.0),
+        'Gzap': (0.0, 12, 'converged', 0.0),
+        'Gz': (-0.6931471805599453, 12, 'converged', 0.0),
+        'Gf': (-0.6931471805599453, 12, 'converged', 0.0),
+        'Gfa': (-0.6931471805599453, 12, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case3', 1): {
@@ -130,12 +130,12 @@ PINNED = {
     },
     ('case3', 2): {
         'Gp': (-1.956011502714073, 2, 'converged', 0.0),
-        'Gza': (-1.1431696562254808e-10, 58, 'converged', 5.715848281127405e-11),
+        'Gza': (0.0, 8, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 26, 'converged', 4.891666335646764e-11),
-        'Gz': (-1.956011502714073, 58, 'converged', 0.0),
-        'Gf': (-1.956011502714073, 58, 'converged', 0.0),
-        'Gfa': (-1.956011502714073, 58, 'converged', 0.0),
+        'Gzap': (0.0, 8, 'converged', 0.0),
+        'Gz': (-1.956011502714073, 8, 'converged', 0.0),
+        'Gf': (-1.956011502714073, 8, 'converged', 0.0),
+        'Gfa': (-1.956011502714073, 8, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 0): {

@@ -35,12 +35,12 @@ DEEP = 1100   # 2^1100 and 4^550 are past the double range
 
 PINS = {
     "Gp": "ff81682a2610487ffd60065eac65d598a26434e138692136aebcea444f5c6b8e",
-    "Gza": "2b8176e2004ea171f171ea213a38464b1e58f5143491a0254822050988031452",
+    "Gza": "65a32b90d21c96fe7959689e53e7847320910020e500ee84bc6cb71b0f87746d",
     "Gzi": "8008b26b7a35c8e046ce30490811e9ed048d8f7d15730b10c66284d1c3acf7cd",
-    "Gzap": "260df1ca16d9fb261b54285d0f8eaa7c297820fe092aa9dd7afc54c5c23d32b2",
-    "Gz": "01e4aeba9ba91c5d1b44c6afcdd3e3bab661e89dc6a1706fea2da72946802f38",
-    "Gf": "9f48d4850c12bd4c395e2805afc9b1861dd8887718782fa24dc3a1362b3bc262",
-    "Gfa": "754524e5afaad0b94f3eafb5b4fcd84471fa81587d9033a062c7b14f910393ab",
+    "Gzap": "a8285d0968cefc2ad72a9081034e4b886e6590fbdf5a29dcda1739a9e5280a58",
+    "Gz": "abb75b2bff1a30cacd18514c743111ba9d0e5ba0ff84f5d7579faaba6cd814ab",
+    "Gf": "f56bf454ba04dcdb67a65023d8a2953e17c7de6c8336cf802da3e7c63b754b30",
+    "Gfa": "d548ee6a8d17fe59872125e821f376350570be38a6228db9f83cc411056997ff",
     "classify_point": "50fdb357d2e51ad3276e42d6fc74470438fddc762ef133922d96ee6b6d5ec59d",
     "bottcher": "e405d0585aeddcfcadbdb1f2f97638a3559f94b3a97373c148b762459e615fca",
 }

@@ -446,3 +446,14 @@ def test_verify_invariance_seeds_one_stream_per_call(monkeypatch):
     assert report.ok and len(seeded) == 1
     verify_invariance(f, wedge_u_l(1, 0.05), 10, seed=5)
     assert len(seeded) == 2
+
+
+def test_classify_point_on_a_fiber_coefficient_past_the_double_range():
+    # q = B w^2 with |B| = 2.1e308: abs(B) overflows, and such a fiber is
+    # far from degenerate; |w| = 1/|B| = 4.7e-309 is the repelling circle,
+    # so w = 0 stays and w = 0.1 or 1e-200 (w_1 = 2.1e-92, w_2 = 9e124) escapes
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.5e308 + 1.5e308j}))
+    c = classify(f)
+    spec = wedge_u_l(c.l1, 0.05)
+    labels = [classify_point(f, c, spec, 0.5, w).label for w in (0.1, 0, 1e-200)]
+    assert labels == ["escapes_or_outside", "in_A0_and_Afl", "escapes_or_outside"]

@@ -26,17 +26,17 @@ GRID = "0.5,0.0,0.01,-0.01,1.0,1.0,12"
 
 GOLDEN = {
     ("fiber_ratio", "Gzap"): {
-        "csv": "b1df1aef6e941645f83b959800787d32f966904a473331f1c6c1d52344fbe716",
+        "csv": "dc5b6f2f444362ea98a566b45285441a7561fe3d83a5080a657500e4dba5b4af",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
         "meta": "4113fdab52a266ebe3e87a002df8f42e0372e6f93a4482417d5227875eb0a2b0",
     },
     ("fiber_ratio", "Gza"): {
-        "csv": "3e8541ebb0422e35217b981bacddd61849454144e1ed7b92bd1122dbf70479e8",
+        "csv": "dc5b6f2f444362ea98a566b45285441a7561fe3d83a5080a657500e4dba5b4af",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
-        "meta": "22ecd7923e78c9eab99ae6fe8259ec77702856617ffb42c30206502d7e2fecfa",
+        "meta": "734175b02d17f3aa1b1c3c9f8f95dd33b25ea2695eff0b964dd3e9a3b080c6af",
     },
     ("fiber_ratio", "Gz"): {
-        "csv": "ed4fcc65e43f1e89d26bcabb115a97ccf4b5514f7d54c5d752e552e56f7bdcbb",
+        "csv": "ee5e3d52dd8cbbca3a7620230b8d65bc106efe738312c7fa3f4a83aafd18cfa3",
         "pgm": "f4b898b3b63470f0a21c218921c1734aa96bfc03f1740421dec24b1e478d5c6f",
         "meta": "def8de8e174073028fe4a2553e8191fd03e06c857d9a65570741678dfebfbfcc",
     },
