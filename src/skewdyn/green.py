@@ -654,7 +654,10 @@ def _close_lead(js: list[int], its: list[int], d: int, delta: int, plus: bool) -
     j, it = min(js), min(its)
     if j < 1 or not (plus or (j < d and (it == 0 or delta < d))):
         return None
-    return next((k for k, jk in enumerate(js) if jk == j and its[k] == it), None)
+    for k, jk in enumerate(js):
+        if jk == j and its[k] == it:
+            return k
+    return None
 
 
 class _RatioOrbit(_PulledSteps):

@@ -326,6 +326,9 @@ CLOSE_CASES = {
     # (b) fails: the lead c^2 of c' = c^3 + c^2 + z^2 c has z^2 c, j = 1, below it
     "b": (SkewProduct(UniPoly({4: 1.0}), BiPoly({(1, 3): 1.0, (2, 2): 1.0, (5, 1): 1.0})),
           0.5, 0.1 + 0.1j, (False, False), ("Gzap",)),
+    # (b) fails on i~: the lead z c^2 of c' = c^3 + c^4 + z c^2 has c^3, i~ = 0, below it
+    "b_it": (SkewProduct(UniPoly({5: 1.0}), BiPoly({(2, 3): 1.0, (1, 4): 1.0, (4, 2): 1.0})),
+             0.9, 0.9e-30, (False, False), ("Gzap",)),
     # (c) fails: z_n tends to the fixed point _ZF, so log|z_n| never falls
     "c": (SkewProduct(UniPoly({4: 1.0, 5: -0.8 / _ZF}), BiPoly({(1, 3): 1.0, (2, 2): 1.0})),
           1.01 * _ZF, 0.01 * _ZF, (False, False), ("Gzap",)),
