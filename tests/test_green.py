@@ -897,9 +897,10 @@ def test_two_term_p_tail_on_the_ratio_path():
     for w in lanes[2:]:
         ratio = g_z_alpha(f, c, z, w, 64, 1e-12)
         direct = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 64), 1e-12, plus=False)
-        if direct.termination == "converged":
+        if direct.termination != "budget":
             assert abs(ratio.value - direct.value) < 1e-12, w
         else:   # the ratio's dive closes at its limit 0, where the direct orbit runs out
+            assert ratio.termination == "converged", w
             assert abs(ratio.value - _deep_ratio(f, c, z, w)) <= ratio.residual + 1e-15, w
 
 
