@@ -89,6 +89,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -667,10 +668,10 @@ class _RatioOrbit(_PulledSteps):
     bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
     G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
     order and stops at its exit.  The public fields compute the whole
-    orbit first.  terms holds the recursion's terms (_ratio_terms).  An
-    orbit given a close (_DiveClose) ends 'closed' at the first extended
-    step from step n that certifies its dive, and closed holds that n: the
-    series of its estimator has its exact limit 0 there.
+    orbit first.  terms holds the recursion's terms (_ratio_terms).  The
+    orbit ends 'closed' at the first extended step from step n that
+    certifies its dive (_DiveClose), and closed holds that n: the series
+    of its estimator has its exact limit 0 there.
     """
 
     __slots__ = ("_reason", "_closed", "terms")
@@ -705,35 +706,40 @@ class _RatioOrbit(_PulledSteps):
         return total
 
 
-def ratio_orbit(f: SkewProduct, alpha: Fraction, z: complex, w: complex, n_max: int,
-                d: Optional[int] = None, plus: bool = False) -> Optional[_RatioOrbit]:
-    """Orbit of c_n = w_n / z_n^alpha for integer alpha; None if unsupported.
+def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
+                plus: bool = False) -> Optional[_RatioOrbit]:
+    """Orbit of c_n = w_n / z_n^alpha for the integer alpha of c; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
     after z_n itself leaves the double range.  Once a term or a factor of
     one leaves the double range (_terms_safe), either way, and a single
     monomial provably dominates, the magnitude continues by the exact
     dominant log recursion, re-validated at every step; the orbit ends as
-    'range' where that fails.  Given the fiber degree d, it ends 'closed'
-    at a certified dive whose G_z^alpha (G_z^{alpha,+} for plus) is
-    exactly 0 (_DiveClose).  The steps are computed as they are read
-    (_RatioOrbit).
+    'range' where that fails.  It ends 'closed' at a certified dive whose
+    G_z^alpha (G_z^{alpha,+} for plus) is exactly 0 (_DiveClose, with the
+    fiber degree c.d).  Unsupported: alpha undefined, d < 1, z = 0 or no
+    usable recursion (_ratio_terms).  The steps are computed as they are
+    read (_RatioOrbit).
     """
-    term_list = _ratio_terms(f, alpha)
-    if term_list is None or z == 0:
+    if c.alpha is None or c.d < 1 or z == 0:
+        return None
+    term_list = _ratio_terms(f, c.alpha)
+    if term_list is None:
         return None
     ro = _RatioOrbit(term_list)
-    ro._source = _ratio_steps(ro, f, int(alpha), term_list, z, w, n_max, d, plus)
+    ro._source = _ratio_steps(ro, f, int(c.alpha), term_list, z, w, n_max, c.d, plus)
     return ro
 
 
 def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  term_list: list[tuple[int, int, complex, float]], z: complex,
-                 w: complex, n_max: int, d: Optional[int], plus: bool
+                 w: complex, n_max: int, d: int, plus: bool
                  ) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
-    The close (given d) is built at the first extended step its lead leads.
+    The close is built at the first extended step its lead leads; fold is
+    the running fold_bound(d, n) where a lead exists, kept as _fiber_ratio
+    keeps its lanes'.
     """
     append = ro._steps.append
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f), f.delta
@@ -747,7 +753,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     exps = (js, its, j_top := max(js), it_top := max(its))
     # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
     lb_top = max(abs(lb) for _, _, _, lb in term_list)
-    lead, close = None if d is None else _close_lead(js, its, d, delta, plus), None
+    lead, close, fold = _close_lead(js, its, d, delta, plus), None, 0.0
     isfinite, exp, zero = math.isfinite, math.exp, -math.inf
     for n in range(n_max):   # step n is the last one yielded
         lzr = lz.real
@@ -782,7 +788,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                     close = _DiveClose(f, d, j_top, al)
                 if ((au := close.z_part(lzr)) is not None
                         and close.dives(lb, it, j, lzr, lc, eta,
-                                        close.drift(ro.fold_bound(d, n), n), au)):
+                                        close.drift(fold, n), au)):
                     ro._reason, ro._closed = "closed", n
                     return
             # the validated dominant monomial's recursion
@@ -792,6 +798,8 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                 ro._reason = "range"
                 return
             step = (lc, eta)
+            if eta and lead is not None:   # the step's share of fold_bound, in its order
+                fold += _over(2.0 * eta, d ** (n + 1))
         else:
             nxt = 0j
             acorr, nacorr = al * corr, -al * corr
@@ -879,8 +887,7 @@ def _fold_residual(est: GreenEstimate, fold: Callable[[GreenEstimate], float]) -
 
 def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: float,
             fold: Callable[[GreenEstimate], float], plus: bool = False, tail_m: float = 0.0,
-            range_end: Optional[Callable[[], Optional[int]]] = None,
-            closed: Optional[Callable[[], Optional[int]]] = None) -> GreenEstimate:
+            range_end: Optional[Callable[[], Optional[int]]] = None) -> GreenEstimate:
     """The limit of base^-n x_n (base^-n max(x_n, 0) for plus) from pairs (n, x_n), read in order.
 
     Every Green series of a point settles here.  It ends at an estimate
@@ -888,12 +895,10 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
     x_n = -inf or the settler's decision, which for plus counts only past
     the escape radius: below it the certified bound tail_m base^-n < tol
     decides, as increments can sit on the spurious log+ = 0 plateau.  Past
-    the pairs come the producer's close, its series' exact limit 0 from
-    step closed() on (if not None), zero for plus where the series dove
-    below the double range at step range_end() (if not None), then the
-    settler's finish.  fold(est), the orbit's own error up to est's step
-    and any tail the producer adds, goes into every estimate the settle
-    returns.
+    the pairs come zero for plus where the series dove below the double
+    range at step range_end() (if not None), then the settler's finish.
+    fold(est), the orbit's own error up to est's step and any tail the
+    producer adds, goes into every estimate the settle returns.
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
     decides, zero, given = settler.decides, -math.inf, GreenEstimate
@@ -907,25 +912,23 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
                 k, bk = k + 1, bk * base
             if decides(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n):
                 return _fold_residual(settler.decision(), fold)
-    else:
-        for n, x in pairs:
-            if x.__class__ is given:
-                return _fold_residual(x, fold)
-            if x == zero:
-                return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
-            while k < n:
-                k, bk = k + 1, bk * base
-            fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
-            g = max(x, 0.0)
-            g = g / fbk if fbk else _over_exact(g, bk)
-            if decides(g, n) and x > ESCAPE_LOG:
-                return _fold_residual(settler.decision(), fold)
-            if (not x > ESCAPE_LOG and base >= 2
-                    and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
-                return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
-    if closed is not None and (end := closed()) is not None:
-        return _fold_residual(GreenEstimate(0.0, end, TERM_CONVERGED, 0.0), fold)
-    if plus and base >= 2 and (end := range_end()) is not None:
+        return _fold_residual(settler.finish(), fold)
+    for n, x in pairs:
+        if x.__class__ is given:
+            return _fold_residual(x, fold)
+        if x == zero:
+            return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
+        while k < n:
+            k, bk = k + 1, bk * base
+        fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
+        g = max(x, 0.0)
+        g = g / fbk if fbk else _over_exact(g, bk)
+        if decides(g, n) and x > ESCAPE_LOG:
+            return _fold_residual(settler.decision(), fold)
+        if (not x > ESCAPE_LOG and base >= 2
+                and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
+            return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
+    if base >= 2 and (end := range_end()) is not None:
         # the series dove below the double range: every later bounce is
         # bounded by shrinking z-powers, so the escape rate is zero; it is
         # converged only when the certified tail bound is below tol
@@ -983,14 +986,19 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
     of weight 0 does: with no term c^j, j > d, the c^d term leads past the
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
-    An orbit that ended 'closed' (ratio_orbit given d and plus) closes the
-    series at its exact limit 0, converged, with the fold as its residual.
+    An orbit that ended 'closed' (ratio_orbit with the same plus) closes
+    the series at its exact limit 0 as a producer exit past its last step:
+    converged, with the fold as its residual.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
     if weightless and all(j <= d for _, j, _, _ in ro.terms):
         pairs = ((n, GreenEstimate(_over(lc, d**n), n, TERM_ESCAPED, math.inf)
                   if lc > ESCAPE_LOG else lc) for n, lc in pairs)
+
+    def close():   # read once the orbit has ended
+        if ro._reason == "closed":
+            yield ro._closed, GreenEstimate(0.0, ro._closed, TERM_CONVERGED, 0.0)
 
     def fold(est: GreenEstimate) -> float:
         # past the escape radius the increments shrink at the rate 1/d, so the
@@ -999,10 +1007,10 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
         past = d >= 2 and steps[est.n_used][0] > ESCAPE_LOG and est.finite
         return (est.residual / (d - 1) if past else 0.0) + ro.fold_bound(d, est.n_used)
 
-    return _settle(pairs, d, tol, fold, plus, _ratio_tail_m(d, ro.terms) if plus else 0.0,
+    return _settle(chain(pairs, close()), d, tol, fold, plus,
+                   _ratio_tail_m(d, ro.terms) if plus else 0.0,
                    lambda: (len(ro.log_mags) - 1   # a refusal below log|c| = 0 ends a dive
-                            if ro.reason == "range" and ro.log_mags[-1] < 0 else None),
-                   lambda: ro._closed)
+                            if ro.reason == "range" and ro.log_mags[-1] < 0 else None))
 
 
 def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
@@ -1072,7 +1080,7 @@ def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
     _require_d(c)
     if c.alpha is None:
         raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
-    ro = ratio_orbit(f, c.alpha, z, w, n_max, c.d, plus)
+    ro = ratio_orbit(f, c, z, w, n_max, plus)
     if ro is not None:
         return _gza_from_ratio(c, ro, tol, plus)
     return _gza_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol, plus)
@@ -1147,7 +1155,7 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
 def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
         tol: float, base: Optional[GreenEstimate]) -> GreenEstimate:
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
-    ro = ratio_orbit(f, c.alpha, z, w, n_max, c.d) if c.alpha is not None and c.d >= 1 else None
+    ro = ratio_orbit(f, c, z, w, n_max)
     if ro is not None:
         est = _gz_composed(c, _gza_from_ratio(c, ro, tol, False, c.d < c.lam),
                            base if base is not None else g_p(f.p, z, n_max, tol))
@@ -1697,7 +1705,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     whole fiber.  Lanes are settled online (_LaneSettle) as
     _gza_from_ratio settles the scalar orbit and retire once their
     estimate is final; weightless as there.  A lane whose extended step
-    certifies its dive (_DiveClose, as ratio_orbit given d and plus
+    certifies its dive (_DiveClose, as ratio_orbit with the same plus
     checks it) closes at the exact limit 0 with its fold as the residual.
     """
     d, al = c.d, int(c.alpha)

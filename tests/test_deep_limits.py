@@ -285,7 +285,7 @@ def test_escape_residual_keeps_a_margin():
     for f, z, w in CASES["pinned_and_seeded"] + [(J_GT_D_MAP, *J_GT_D_POINT)]:
         c = classify(f)
         est = g_z_alpha(f, c, z, w)
-        ro = ratio_orbit(f, c.alpha, z, w, 64)
+        ro = ratio_orbit(f, c, z, w, 64)
         if not (est.finite and est.termination == "converged" and ro is not None
                 and ro.log_mags[est.n_used] > ESCAPE_LOG):
             continue
@@ -301,7 +301,7 @@ def test_degenerate_dives_close_at_their_limit():
     for f, z, w in DEGENERATE_BOUNDED:
         c = classify(f)
         limit = _deep_ratio(f, c, z, w)
-        assert ratio_orbit(f, c.alpha, z, w, 64, c.d).reason == "closed"
+        assert ratio_orbit(f, c, z, w, 64).reason == "closed"
         est = g_z_alpha(f, c, z, w)
         lane = fiber_sample(f, c, "Gza", z, [0.2, w]).estimates[1]
         for got in (est, lane):
@@ -344,7 +344,7 @@ def test_a_close_needs_each_of_its_conditions(name):
     c = classify(f)
     for plus, key, fn, want in ((False, "Gza", g_z_alpha, closes[0]),
                                 (True, "Gzap", g_z_alpha_plus, closes[1])):
-        ro = ratio_orbit(f, c.alpha, z, w, 64, c.d, plus)
+        ro = ratio_orbit(f, c, z, w, 64, plus)
         assert (ro.reason == "closed") == want, (key, ro.reason)
         limit = _deep_ratio(f, c, z, w, plus)
         # tol 0 never settles by increments, so the orbit runs to its close or its end

@@ -121,11 +121,13 @@ def test_an_orbit_read_again_after_its_first_reader_stopped(computed, orbit, sec
 
 @pytest.mark.parametrize("second", ["log_mags", "iterate"])
 def test_a_ratio_orbit_read_again_after_its_first_reader_stopped(computed, second):
-    f = example_degenerate(1, 4)
-    alpha = classify(f).alpha
-    want = green.ratio_orbit(f, alpha, 0.5, 0.1 + 0.1j, 64)._drain()
+    # c' = (1 + 0.5 z) c^2 dives led by c^2 = c^d, which no close of
+    # G_z^alpha ends, so the orbit runs its whole budget
+    f = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5}))
+    c = classify(f)
+    want = green.ratio_orbit(f, c, 0.5, 0.3 + 0.1j, 64)._drain()
     computed[0] = 0
-    ro = green.ratio_orbit(f, alpha, 0.5, 0.1 + 0.1j, 64)
+    ro = green.ratio_orbit(f, c, 0.5, 0.3 + 0.1j, 64)
     reader = iter(ro)
     head = [next(reader) for _ in range(3)]
     assert computed[0] == 3

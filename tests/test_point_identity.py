@@ -23,6 +23,7 @@ from conftest import random_maps
 from skewdyn import BiPoly, SkewProduct, UniPoly, bottcher, classify, classify_point, wedge_u_l
 from skewdyn.green import ESTIMATORS
 from skewdyn.oracles import example_degenerate
+from test_deep_limits import _deep_partial
 from test_lazy_orbits import ALT_MAP, ALT_POINT, ZERO_POINT
 
 # d = 1 (the vertex (1, 1) leads), alpha = 1, with a p tail
@@ -101,3 +102,15 @@ def _hashes():
 @pytest.mark.parametrize("key", list(PINS))
 def test_point_query_results_are_pinned(key):
     assert _hashes()[key] == PINS[key], key
+
+
+def test_deep_gz_entries_composed_past_a_close_lie_at_their_limit():
+    # at these two deep points the weight-0 part of G_z closes at its limit
+    # 0, so G_z composes alpha G_p there, where the direct orbit's partial
+    # stopped at step 4 (-0.766 and -0.700); the pinned value is the limit
+    c = classify(DEGENERATE)
+    for z, w in (DEGENERATE_POINTS[0], DEGENERATE_POINTS[2]):
+        est = ESTIMATORS["Gz"](DEGENERATE, c, z, w, DEEP, 0.0)
+        limit = _deep_partial(DEGENERATE, c, z, w)
+        assert abs(est.value - limit) <= est.residual + 1e-15 * max(1.0, abs(limit)), (
+            z, w, est, limit)
