@@ -27,14 +27,13 @@ leaves the double range, either way, it continues by the dominant
 monomial, re-validated at every step, so d^-n log|c_n| settles as an
 ordinary series, or diverges where a term c^j, j > d, comes to lead an
 escape.  Past the escape radius that series is geometric at the rate
-1/d, and its residual counts the tail (_gza_from_ratio).  Where the
-ratio dives to 0, an extended step can certify that its lead z^i~ c^j
-leads for good and that log|z_n| and log|c_n| fall for good
-(_DiveClose): then c_n -> 0, so G_z^{alpha,+} = 0 exactly, and so is
-G_z^alpha where j < d (and i~ = 0 or delta < d), as d^-n log|c_n| then
-grows no faster than (j/d)^n.  The orbit closes its series there at 0,
-converged, with the fold as the residual, where the settle alone would
-grind the geometric tail down to tol.  Since
+1/d, and its residual counts the tail (_gza_from_ratio).  Past the
+step where z falls for good, each limit is that of an affine log
+recursion, so every series closes at the first step, exact or extended,
+whose state certifies it (_DiveClose), where the settle alone would grind
+a geometric tail down to tol: G_p at its closed form; G_z^{alpha,+} at 0
+once a polydisc about (z_n, c_n) maps into itself; G_z^alpha at 0 or at
+its closed form once a lead z^i~ c^j, j <= d, provably leads a dive.  Since
 log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
 parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
@@ -451,27 +450,30 @@ def _alternate_steps(logs: _OrbitLogs, f: SkewProduct, alternates: Iterable[tupl
             return
 
 
-def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int) -> Iterator[tuple[int, float]]:
+def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
+             ) -> Iterator[tuple[int, float | GreenEstimate]]:
     """(n, log|z_n|) on the orbit of p alone, as _log_steps runs the z side, for g_p alone.
 
-    The switch and the end go on logs; g_p reads each step once, so none is kept.
+    The switch and the end go on logs; g_p reads each step once, so none
+    is kept.  The first step whose closed form (_DiveClose) is within tol,
+    or exact but for rounding (U = 0), gives that estimate in its place.
     """
     delta, log_a, k_top = p.order, _lcoeff(p.leading_at_zero()), max(p.terms)
     comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
+    close = _DiveClose(log_a, delta, _p_tail(p)) if delta >= 2 else None
     switched, lz = False, _lmag(z := complex(z))
-    yield 0, lz
-    for n in range(1, n_max + 1):
-        if lz > ESCAPE_LOG:
+    for n in range(n_max + 1):
+        if n and lz > ESCAPE_LOG:
             logs._reason = "escaped"
             return
-        if switched or (not k_top * abs(lz) <= _WINDOW
-                        and (eta := _extension_eta(comps, lz, 0.0)) is not None):
+        if n and (switched or (not k_top * abs(lz) <= _WINDOW
+                               and (eta := _extension_eta(comps, lz, 0.0)) is not None)):
             if not switched and eta < _TAIL_TOL and lz > -math.inf:
                 logs._switch_step, logs._switch_eta, switched = n, eta, True
             if not (switched and math.isfinite(lz := log_a + delta * lz)):
                 logs._reason = "range"   # a refused switch, or the recursion overflowed
                 return
-        else:
+        elif n:
             try:
                 az = abs(z := p(z))
             except OverflowError:
@@ -480,6 +482,12 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int) -> Iterator[t
                 logs._reason = "escaped"
                 return
             lz = math.log(az) if az > 0 else -math.inf
+        if (close is not None and lz > -math.inf and (u := close.z_part(lz)) is not None
+                and (u == 0.0 or _over(u, delta**n) < (delta - 1) * tol)):
+            value, residual = _closed_form(lz, log_a, delta, n, u)
+            if u == 0.0 or _switch_fold(logs, delta, n) + residual < tol:
+                yield n, GreenEstimate(value, n, TERM_CONVERGED, residual)
+                return
         yield n, lz
 
 
@@ -548,10 +556,10 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
     return terms if all(cmath.isfinite(x) and math.isfinite(lb) for _, _, x, lb in terms) else None
 
 
-def _p_tail(f: SkewProduct) -> list[tuple[complex, int]]:
+def _p_tail(p: UniPoly) -> list[tuple[complex, int]]:
     """(coeff / a, k - delta) for each term of p past its leading a z^delta."""
-    a = f.p.leading_at_zero()
-    return [(coeff / a, k - f.delta) for k, coeff in f.p.terms.items() if k != f.delta]
+    a, delta = p.leading_at_zero(), p.order
+    return [(coeff / a, k - delta) for k, coeff in p.terms.items() if k != delta]
 
 
 def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
@@ -565,100 +573,138 @@ def _p_tail_log(tail: list[tuple[complex, int]], lz: complex) -> complex:
 
 
 _CLOSE_SLACK = 1e-9   # a close's inequalities hold by this share of their terms' size
+_ROUNDING = 8 * 2.0**-52   # rounding of a closed form, relative to its parts' size plus 1
+
+
+def _closed_form(x, lb: float, base: int, n: int, trunc):
+    """(value, residual) of lim base^-m x_m, x_{m+1} = base x_m + lb + r_m from x_n = x.
+
+    Every |r_m| <= trunc; the residual adds the rounding of the orbit and
+    of the value.  For floats or lanes alike.
+    """
+    bn, shift = base**n, lb / (base - 1)
+    rounding = _ROUNDING * (1.0 + _over(abs(x) + abs(shift), bn))
+    return _over(x + shift, bn), _over(trunc, bn) / (base - 1) + rounding
 
 
 class _DiveClose:
-    """Where a weighted-ratio series ends at its exact limit 0: a certified dive.
+    """The closes: where the state at step n certifies a series' limit.
 
-    At an extended step (one the log recursion runs) from step n, let the
-    lead be l = b z^i~ c^j with lb = log|b|, eta the neglected level
-    (< _SOFT_TAIL_TOL), L = Re log z_n and C = log|c_n|.  Let U = S/(1-S),
-    S = sum |t/a| |z_n|^(k-delta) over p's tail terms t z^k (U = 0 without
-    a tail; no close where S >= 1): U bounds |Re log(p(z)/(a z^delta))|,
-    the z-correction of the recursion, at z_n and at every smaller z, and
-    E = eta/(1-eta) bounds log|1 + x| for the neglected share |x| <= eta.
-    The orbit dives to 0 for good where
+    With L = Re log z_n and U = S/(1-S), S = sum |t/a| |z_n|^(k-delta) over
+    p's tail terms t z^k (U = 0 without a tail; none where S >= 1), U
+    bounds |Re log(p(z)/(a z^delta))| at every |z| <= |z_n|.  All need
+    (c) Re log a + (delta - 1) L + U < 0: then L_{n+1} < L, so L, U and the
+    left side of (c) fall for good, and L_{m+1} = delta L_m + log|a| + r_m,
+    |r_m| <= U: G_p = delta^-n (L + log|a|/(delta-1)) within
+    delta^-n U/(delta-1) (_closed_form; g_p).
 
-      (b) every other term z^ik c^jk has jk >= j and ik >= i~,
-      (c) Re log a + (delta - 1) L + U < 0,
-      (d) j >= 1 and D = lb + i~ L + (j - 1) C + |alpha| U + E < 0.
+    On the ratio, C = log|c_n| strays from the true one by at most
+    drift = d^n times the orbit's fold.  Its terms b z^i c^j have i, j >= 0;
+    at (L, C) the largest log is top, on a term of power j, and eta sums
+    e^(t - top) over the others; at C + drift a gap grows by at most
+    spread = (j_top - j) drift, so eta' = eta (1 + 2 spread) bounds them (spread <= 1).
 
-    Induction: by (c), Re log z_{n+1} <= Re log a + delta L + U < L, so L
-    falls, and with it U and the left side of (c), which thus holds at
-    every later step.  By (b) no gap (lb_k - lb) + (ik - i~) L + (jk - j) C
-    of another term below l grows while L and C fall, so eta never grows
-    and l leads for good.  log|c_{n+1}| - C <= D by (d), so C falls, and
-    then D, every part of which falls with L and C, never grows: C falls
-    by at least the first D < 0 a step, and c_n -> 0.  Hence
-    G_z^{alpha,+} = lim d^-n log+|c_n| = 0 exactly.  If also
+    Both closes need D = top - C + (j - 1) drift + |alpha| U + E < 0, with
+    E = eta'(1 + 2 eta') >= log(1 + eta'), and >= -log(1 - eta') for eta' <= 1/2.
 
-      (a) j < d, and i~ = 0 or delta < d,
+    Trap, G_z^{alpha,+}: the polydisc |z| <= |z_n|, |c| <= R = e^(C + drift),
+    which holds the true (z_n, c_n), maps into itself: z by (c), and
+    |c'| <= sum |b| |z|^i |c|^j e^(|alpha| U) <= e^(top + j drift + E +
+    |alpha| U) < R, as i, j >= 0.  So |c_m| <= R for good:
+    G_z^{alpha,+} = 0 where d >= 2 or R < 1.
 
-    then log|c_{n+1}| = j log|c_n| + i~ L_n + O(1) with L_n = O(delta^n)
-    (O(n) for delta = 1), so d^-n log|c_n| -> 0: G_z^alpha = 0 exactly.
+    Dive, G_z^alpha, led by l = b z^i~ c^j of least j and least i~
+    (_close_lead), on top with eta < _SOFT_TAIL_TOL: no other term's gap
+    to l grows while L and C fall, so eta never grows and l leads for
+    good; C_{n+1} - C <= D, so C and D fall, and c_n -> 0.  Then where j < d,
+    and i~ = 0 or delta < d, C_{m+1} = j C_m + i~ L_m + O(1) with
+    L_m = O(delta^m) (O(m) for delta = 1): G_z^alpha = 0.  Where j = d >= 2
+    and i~ = 0, C_{m+1} = d C_m + lb + r_m, |r_m| <= E + |alpha| U:
+    G_z^alpha = d^-n (C + lb/(d-1)) within d^-n (E + |alpha| U)/(d-1) and
+    the fold, taken once below tol, or at once where E + |alpha| U = 0.
 
-    The computed C strays from the true one by at most d^n times the fold
-    the orbit carries (drift), so (d) reads C + drift, and eta grown by
-    exp((j_top - j) drift) <= 1 + 2 (j_top - j) drift, which needs
-    (j_top - j) drift <= 1.  (c) and (d) hold with a margin of
-    _CLOSE_SLACK times the size of their terms, for the rounding of the
-    computed L and C and for the terms below e^-80 that eta leaves out.
-    (a), (b) and j >= 1 single out the one term that may lead a close
-    (_close_lead).  Past the z side's one tail sum, (c) and (d) are
-    + - * / alone, so a scalar orbit and its lanes decide alike.
+    Each inequality holds by _CLOSE_SLACK times its terms' size (rounding,
+    and the terms below e^-80 that eta leaves out).  Past the z side's one
+    tail sum all are + - * /, so a scalar orbit and its lanes decide alike.
     """
 
-    __slots__ = ("d", "j_top", "alpha", "log_a", "delta", "tail")
+    __slots__ = ("d", "j_top", "alpha", "log_a", "delta", "tail", "lead")
 
-    def __init__(self, f: SkewProduct, d: int, j_top: int, al: int):
-        self.d, self.j_top, self.alpha = d, j_top, abs(al)
-        self.log_a, self.delta = _lcoeff(f.p.leading_at_zero()), f.delta
-        self.tail = [(abs(ca), e) for ca, e in _p_tail(f)]
+    def __init__(self, log_a: float, delta: int, tail: list[tuple[complex, int]], d: int = 0,
+                 j_top: int = 0, al: int = 0, lead: Optional[tuple[int, float]] = None):
+        # p's log|a|, delta and _p_tail; lead: the lead's (j, lb), None for the trap
+        self.d, self.j_top, self.alpha, self.lead = d, j_top, abs(al), lead
+        self.log_a, self.delta, self.tail = log_a, delta, [(abs(ca), e) for ca, e in tail]
 
     def z_part(self, lzr: float) -> Optional[float]:
-        """|alpha| U where (c) holds at L = lzr, else None."""
+        """U where (c) holds at L = lzr, else None."""
         s = 0.0
         for m, e in self.tail:
+            if e * lzr > 700.0:
+                return None   # S may be past 1
             s += m * math.exp(e * lzr)
         if not s < 1.0:
             return None
         u = s / (1.0 - s)
         zf = (self.delta - 1) * lzr
         x = self.log_a + zf + u
-        if not x + _CLOSE_SLACK * (abs(self.log_a) + abs(zf) + u + 1.0) < 0.0:
-            return None
-        return self.alpha * u
+        return u if x + _CLOSE_SLACK * (abs(self.log_a) + abs(zf) + u + 1.0) < 0.0 else None
 
-    def dives(self, lb, it, j, lzr: float, lc, eta, drift, au: float):
-        """(d) at L = lzr with au = |alpha| U, for one lead or per lane (arrays) alike."""
-        spread = (self.j_top - j) * drift
-        eta = eta * (1.0 + 2.0 * spread)
-        e = eta / (1.0 - eta)
-        jm, iz = j - 1, it * lzr
-        x = lb + iz + jm * (lc + drift) + au + e
-        return (spread <= 1.0) & (x + _CLOSE_SLACK * (abs(lb) + abs(iz) + abs(jm * lc) + au + e
-                                                      + 1.0) < 0.0)
+    def closes(self, top, j, lc, eta, fold, n: int, u: float, tol: float):
+        """(closes, value, residual) of the trap, or of the lead's dive (on top, eta < soft).
 
-    def drift(self, fold, n: int):
-        """d^n fold, which bounds the error of log|c_n|; inf or NaN past the double range."""
+        top is the largest term log, of power j; for a point or per lane alike.
+        """
         dn = self.d**n
-        return fold * (float(dn) if dn < _FLOAT_TOP else math.inf)
+        drift = fold * (float(dn) if dn < _FLOAT_TOP else math.inf)   # inf or NaN past range
+        spread = (self.j_top - j) * drift
+        grown = eta * (1.0 + 2.0 * spread)
+        e, au, jd = grown * (1.0 + 2.0 * grown), self.alpha * u, (j - 1) * drift
+        x = top + jd + e + au - lc
+        ok = (spread <= 1.0) & (x + _CLOSE_SLACK * (abs(top) + abs(jd) + e + au + abs(lc) + 1.0)
+                                < 0.0)
+        if self.lead is None:
+            return ok & ((self.d >= 2) | (lc + drift < 0.0)), 0.0, 0.0
+        if self.lead[0] < self.d:
+            return ok, 0.0, 0.0
+        value, residual = _closed_form(lc, self.lead[1], self.d, n, e + au)
+        return ok & ((e + au == 0.0) | (fold + residual < tol)), value, residual
 
 
-def _close_lead(js: list[int], its: list[int], d: int, delta: int, plus: bool) -> Optional[int]:
-    """Index of the one term that may lead a close of G_z^{alpha,+} (plus) or G_z^alpha, or None.
+def _close_lead(js: list[int], its: list[int], d: int, delta: int) -> Optional[int]:
+    """Index of the one term that may lead a dive's close of G_z^alpha, or None.
 
-    js and its hold j and i~ per term of the ratio recursion.  By (b) only
-    a term of least j and least i~ can lead a close; j >= 1 and, for
-    G_z^alpha, (a) rule it in or out once per orbit.
+    js and its hold j and i~ per term of the ratio recursion.  Only a term of least j and
+    least i~ can lead for good; it needs j >= 1, and j < d with i~ = 0 or delta < d (limit
+    0), or j = d >= 2 with i~ = 0 (a closed form).
     """
     j, it = min(js), min(its)
-    if j < 1 or not (plus or (j < d and (it == 0 or delta < d))):
+    if j < 1 or not ((j < d and (it == 0 or delta < d)) or (j == d >= 2 and it == 0)):
         return None
     for k, jk in enumerate(js):
         if jk == j and its[k] == it:
             return k
     return None
+
+
+def _term_logs(terms: list, lzr: float, lc: float) -> tuple[list[float], float, int]:
+    """(the ratio terms' logs at L = lzr, C = lc, their max, its first index, as max() picks)."""
+    tlogs = []
+    for it, j, _, lb in terms:
+        t = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
+        if not tlogs or t > top:
+            top, top_idx = t, len(tlogs)
+        tlogs.append(t)
+    return tlogs, top, top_idx
+
+
+def _top_eta(tlogs: list[float], top: float, top_idx: int) -> float:
+    """eta: e^(t - top) summed left to right over the other terms within 80 e-folds."""
+    eta = 0.0
+    for k, t in enumerate(tlogs):
+        if k != top_idx and t - top > -80.0:
+            eta += math.exp(t - top)
+    return eta
 
 
 class _RatioOrbit(_PulledSteps):
@@ -669,17 +715,17 @@ class _RatioOrbit(_PulledSteps):
     G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
     order and stops at its exit.  The public fields compute the whole
     orbit first.  terms holds the recursion's terms (_ratio_terms).  The
-    orbit ends 'closed' at the first extended step from step n that
-    certifies its dive (_DiveClose), and closed holds that n: the series
-    of its estimator has its exact limit 0 there.
+    orbit ends 'closed' at the first step n that certifies its
+    estimator's limit (_DiveClose); closed holds that n and limit the
+    (value, residual) of the close, the fold aside.
     """
 
-    __slots__ = ("_reason", "_closed", "terms")
+    __slots__ = ("_reason", "_closed", "_limit", "terms")
 
     def __init__(self, terms: list[tuple[int, int, complex, float]]):
         super().__init__()
         # complete, escaped, zero, range or closed
-        self.terms, self._reason, self._closed = terms, "complete", None
+        self.terms, self._reason, self._closed, self._limit = terms, "complete", None, None
 
     reason = _final("_reason")
     closed = _final("_closed")
@@ -707,7 +753,7 @@ class _RatioOrbit(_PulledSteps):
 
 
 def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
-                plus: bool = False) -> Optional[_RatioOrbit]:
+                plus: bool = False, tol: float = DEFAULT_TOL) -> Optional[_RatioOrbit]:
     """Orbit of c_n = w_n / z_n^alpha for the integer alpha of c; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
@@ -715,11 +761,11 @@ def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max
     one leaves the double range (_terms_safe), either way, and a single
     monomial provably dominates, the magnitude continues by the exact
     dominant log recursion, re-validated at every step; the orbit ends as
-    'range' where that fails.  It ends 'closed' at a certified dive whose
-    G_z^alpha (G_z^{alpha,+} for plus) is exactly 0 (_DiveClose, with the
-    fiber degree c.d).  Unsupported: alpha undefined, d < 1, z = 0 or no
-    usable recursion (_ratio_terms).  The steps are computed as they are
-    read (_RatioOrbit).
+    'range' where that fails.  It ends 'closed' at the first step that
+    certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
+    (_DiveClose, with the fiber degree c.d).  Unsupported: alpha
+    undefined, d < 1, z = 0 or no usable recursion (_ratio_terms).  The
+    steps are computed as they are read (_RatioOrbit).
     """
     if c.alpha is None or c.d < 1 or z == 0:
         return None
@@ -727,22 +773,22 @@ def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max
     if term_list is None:
         return None
     ro = _RatioOrbit(term_list)
-    ro._source = _ratio_steps(ro, f, int(c.alpha), term_list, z, w, n_max, c.d, plus)
+    ro._source = _ratio_steps(ro, f, int(c.alpha), term_list, z, w, n_max, c.d, plus, tol)
     return ro
 
 
 def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  term_list: list[tuple[int, int, complex, float]], z: complex,
-                 w: complex, n_max: int, d: int, plus: bool
+                 w: complex, n_max: int, d: int, plus: bool, tol: float
                  ) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
-    The close is built at the first extended step its lead leads; fold is
-    the running fold_bound(d, n) where a lead exists, kept as _fiber_ratio
-    keeps its lanes'.
+    Step n is offered to the close where log|c| falls (by the dominant
+    term, on an extended step) and top <= C (plus) or the lead is on top.
+    fold is the running fold_bound(d, n) where a close exists, as _fiber_ratio keeps it.
     """
     append = ro._steps.append
-    log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f), f.delta
+    log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f.p), f.delta
     lz = cmath.log(complex(z))
     c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
     lc = _lmag(c)
@@ -753,8 +799,10 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     exps = (js, its, j_top := max(js), it_top := max(its))
     # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
     lb_top = max(abs(lb) for _, _, _, lb in term_list)
-    lead, close, fold = _close_lead(js, its, d, delta, plus), None, 0.0
-    isfinite, exp, zero = math.isfinite, math.exp, -math.inf
+    lead, fold = None if plus else _close_lead(js, its, d, delta), 0.0
+    close = (_DiveClose(log_a.real, delta, tail, d, j_top, al, None if plus else
+                        term_list[lead][1::2]) if plus or lead is not None else None)
+    isfinite, zero = math.isfinite, -math.inf
     for n in range(n_max):   # step n is the last one yielded
         lzr = lz.real
         if lzr > ESCAPE_LOG:
@@ -769,48 +817,48 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             # _terms_safe holds without a look at the terms where these bounds do
             jc, iz = j_top * abs(lc), it_top * abs(lzr)
             safe = jc <= _SAFE and iz + abs(ac) <= _SAFE and jc + iz + lb_top <= _WINDOW
+        tlogs = None
         if extended or not safe:
-            tlogs = []
-            for it, j, _, lb in term_list:
-                t = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
-                if not tlogs or t > top:   # top = max(tlogs) at its first index, as max() picks
-                    top, top_idx = t, len(tlogs)
-                tlogs.append(t)
-        if extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac)):
-            eta = 0.0  # summed left to right, as in fold_bound
-            if len(tlogs) > 1:   # a lone term has no other to sum
-                for k, t in enumerate(tlogs):
-                    if k != top_idx and t - top > -80.0:
-                        eta += exp(t - top)
+            tlogs, top, top_idx = _term_logs(term_list, lzr, lc)
+        if logm := extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac)):
+            eta = _top_eta(tlogs, top, top_idx)
             it, j, _, lb = term_list[top_idx]
-            if top_idx == lead and eta < _SOFT_TAIL_TOL:
-                if close is None:
-                    close = _DiveClose(f, d, j_top, al)
-                if ((au := close.z_part(lzr)) is not None
-                        and close.dives(lb, it, j, lzr, lc, eta,
-                                        close.drift(fold, n), au)):
-                    ro._reason, ro._closed = "closed", n
-                    return
-            # the validated dominant monomial's recursion
+            # the validated dominant monomial's recursion, where it stays finite
+            new = lb + it * lzr + j * lc - ac
             extended = eta < _SOFT_TAIL_TOL and top > zero
-            if not (extended and isfinite(lc := lb + it * lzr + j * lc - ac)):
-                # refused, or the recursion (or log z_n in it) left the double range
-                ro._reason = "range"
-                return
-            step = (lc, eta)
-            if eta and lead is not None:   # the step's share of fold_bound, in its order
-                fold += _over(2.0 * eta, d ** (n + 1))
+            stepped = extended and isfinite(new)
         else:
             nxt = 0j
             acorr, nacorr = al * corr, -al * corr
             for it, j, coeff, _ in term_list:
                 zfac = cmath.exp(it * lz - acorr) if it else cmath.exp(nacorr)
                 nxt += coeff * (c**j) * zfac
-            if not (isfinite(nxt.real) and isfinite(nxt.imag)):
-                ro._reason = "escaped"
-                return
+            stepped, eta = isfinite(nxt.real) and isfinite(nxt.imag), None
+            new = _lmag(nxt) if stepped else math.nan
+        if close is not None and new < lc:
+            if tlogs is None:
+                tlogs, top, top_idx = _term_logs(term_list, lzr, lc)
+            if (top <= lc if plus else top_idx == lead):
+                if eta is None:
+                    eta = _top_eta(tlogs, top, top_idx)
+                if (plus or eta < _SOFT_TAIL_TOL) and (u := close.z_part(lzr)) is not None:
+                    shut, value, res = close.closes(top, js[top_idx], lc, eta, fold, n, u, tol)
+                    if shut:
+                        ro._reason, ro._closed, ro._limit = "closed", n, (value, res)
+                        return
+        if not stepped:
+            # refused, or the recursion (or log z_n in it) left the double range;
+            # or an exact step overflowed
+            ro._reason = "range" if logm else "escaped"
+            return
+        if logm:
+            step = (new, eta)
+            if eta and close is not None:   # the step's share of fold_bound, in its order
+                fold += _over(2.0 * eta, d ** (n + 1))
+        else:
             c = nxt
-            step = (lc := _lmag(c), 0.0)
+            step = (new, 0.0)
+        lc = new
         lz = log_a + delta * lz + corr
         append(step)
         yield step
@@ -944,10 +992,15 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
 
 def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
         tol: float = DEFAULT_TOL) -> GreenEstimate:
-    """G_p(z) = lim delta^-n log|p^n(z)| with delta the order of p at 0."""
+    """G_p(z) = lim delta^-n log|p^n(z)|, delta the order of p at 0, closed where certified.
+
+    Where (c) of _DiveClose holds at step k, G_p = delta^-k (L_k +
+    log|a|/(delta-1)) within delta^-k U_k/(delta-1), the switch fold and
+    rounding: _p_steps gives that in place of step k once it is below tol.
+    """
     delta = p.order
     logs = _OrbitLogs(None)   # the switch and end of _p_steps
-    est = _settle(_p_steps(logs, p, z, n_max), delta, tol,
+    est = _settle(_p_steps(logs, p, z, n_max, tol), delta, tol,
                   lambda est: _switch_fold(logs, delta, est.n_used))
     if est.termination == TERM_BUDGET and logs._reason == "escaped":
         est = GreenEstimate(est.value, est.n_used, TERM_ESCAPED, est.residual)
@@ -986,9 +1039,9 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
     of weight 0 does: with no term c^j, j > d, the c^d term leads past the
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
-    An orbit that ended 'closed' (ratio_orbit with the same plus) closes
-    the series at its exact limit 0 as a producer exit past its last step:
-    converged, with the fold as its residual.
+    An orbit that ended 'closed' (ratio_orbit with the same plus and tol)
+    closes the series at its limit as a producer exit past its last step:
+    converged, with the close's residual and the fold.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
@@ -998,7 +1051,7 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
 
     def close():   # read once the orbit has ended
         if ro._reason == "closed":
-            yield ro._closed, GreenEstimate(0.0, ro._closed, TERM_CONVERGED, 0.0)
+            yield ro._closed, GreenEstimate(ro._limit[0], ro._closed, TERM_CONVERGED, ro._limit[1])
 
     def fold(est: GreenEstimate) -> float:
         # past the escape radius the increments shrink at the rate 1/d, so the
@@ -1080,7 +1133,7 @@ def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
     _require_d(c)
     if c.alpha is None:
         raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
-    ro = ratio_orbit(f, c, z, w, n_max, plus)
+    ro = ratio_orbit(f, c, z, w, n_max, plus, tol)
     if ro is not None:
         return _gza_from_ratio(c, ro, tol, plus)
     return _gza_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol, plus)
@@ -1155,7 +1208,7 @@ def g_z(f: SkewProduct, c: Classification, z: complex, w: complex,
 def _gz(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
         tol: float, base: Optional[GreenEstimate]) -> GreenEstimate:
     """g_z, reusing base, the G_p estimate at z, where the caller already has it."""
-    ro = ratio_orbit(f, c, z, w, n_max)
+    ro = ratio_orbit(f, c, z, w, n_max, False, tol)
     if ro is not None:
         est = _gz_composed(c, _gza_from_ratio(c, ro, tol, False, c.d < c.lam),
                            base if base is not None else g_p(f.p, z, n_max, tol))
@@ -1566,6 +1619,18 @@ def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
     return nr, ni
 
 
+def _lanes_eta(tl: np.ndarray, top: np.ndarray, dom: np.ndarray) -> np.ndarray:
+    """_top_eta per lane: one row per term in tl, top its max and dom the index of that."""
+    eta = np.zeros(dom.size)
+    for k in range(tl.shape[0]):
+        gap = tl[k] - top
+        if (near := (dom != k) & (gap > -80.0)).any():
+            term = np.zeros(dom.size)
+            term[near] = _math_map(math.exp, gap[near])
+            eta += term
+    return eta
+
+
 class _LaneSettler:
     """_Settler over lanes that receive their partials a column at a time.
 
@@ -1704,21 +1769,20 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     recursion, the z part of the close) is computed once per step for the
     whole fiber.  Lanes are settled online (_LaneSettle) as
     _gza_from_ratio settles the scalar orbit and retire once their
-    estimate is final; weightless as there.  A lane whose extended step
-    certifies its dive (_DiveClose, as ratio_orbit with the same plus
-    checks it) closes at the exact limit 0 with its fold as the residual.
+    estimate is final; weightless as there.  A lane whose step certifies
+    its limit (_DiveClose, offered as _ratio_steps offers it) ends there.
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     terms = _ratio_terms(f, c.alpha)
     js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
     t_it, t_j = np.array(its, float), np.array(js, float)
-    lead = _close_lead(js, its, d, f.delta, plus)
-    close = None if lead is None else _DiveClose(f, d, max(js), al)
+    lead = None if plus else _close_lead(js, its, d, f.delta)
     t_lb = np.array([lb for _, _, _, lb in terms])
     exps = (t_j, t_it, t_j.max(), t_it.max())
-    log_a = cmath.log(f.p.leading_at_zero())
-    tail = _p_tail(f)
+    log_a, tail = cmath.log(f.p.leading_at_zero()), _p_tail(f.p)
+    close = (_DiveClose(log_a.real, f.delta, tail, d, max(js), al,
+                        None if plus else terms[lead][1::2]) if plus or lead is not None else None)
     lz = cmath.log(z)
 
     wv = np.array(ws, dtype=complex)
@@ -1762,35 +1826,15 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             # the factors of the lanes past their switch need no check
             logm = ext | ~_lanes_terms_safe(tl, top, exps, np.where(ext, 0.0, lc), lzr,
                                             al * corr.real)
-            new_lc = np.empty(lc.size)
-            eta = np.zeros(lc.size)
-            failed = np.zeros(lc.size, bool)
+            new_lc, eta, failed = np.empty(lc.size), np.zeros(lc.size), np.zeros(lc.size, bool)
+            dom = tl.argmax(axis=0)
             if logm.any():
-                sub, sub_top = tl[:, logm], top[logm]
-                dom = sub.argmax(axis=0)
-                sub_eta = np.zeros(dom.size)
-                for k in range(len(terms)):
-                    gap = sub[k] - sub_top
-                    near = (dom != k) & (gap > -80.0)
-                    if near.any():
-                        term = np.zeros(dom.size)
-                        term[near] = _math_map(math.exp, gap[near])
-                        sub_eta += term
-                eta[logm] = sub_eta
-                new_lc[logm] = (t_lb[dom] + t_it[dom] * lzr + t_j[dom] * lc[logm]
+                sub_top, sub_dom = top[logm], dom[logm]
+                eta[logm] = sub_eta = _lanes_eta(tl[:, logm], sub_top, sub_dom)
+                new_lc[logm] = (t_lb[sub_dom] + t_it[sub_dom] * lzr + t_j[sub_dom] * lc[logm]
                                 - al * corr.real)
                 failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf)
                                  & np.isfinite(new_lc[logm]))
-                if (close is not None and (cand := (dom == lead) & (sub_eta < _SOFT_TAIL_TOL)).any()
-                        and (au := close.z_part(lzr)) is not None):
-                    at, (it, j, _, lb) = np.flatnonzero(logm)[cand], terms[lead]
-                    shut = close.dives(lb, it, j, lzr, lc[at], sub_eta[cand],
-                                       close.drift(lanes.fold[at], n), au)
-                    if shut.any():   # the close takes the lane before any refusal
-                        closed = np.zeros(lc.size, bool)
-                        closed[at[shut]] = True
-                        lanes.put(closed, _CONV, 0.0, lanes.fold, n)
-                        failed |= closed
             exact = ~logm
             if exact.any():
                 zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
@@ -1799,6 +1843,21 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                 failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
                 cr[exact], ci[exact] = nr, ni
                 new_lc[exact] = _log_abs(nr, ni)
+            # the closes, as _ratio_steps offers them, take their lanes before any refusal
+            at = (np.flatnonzero((new_lc < lc) & ((top <= lc) if plus else (dom == lead)))
+                  if close is not None else ())
+            if len(at):
+                e_at = _lanes_eta(tl[:, at], top[at], dom[at])
+                if not plus:
+                    at, e_at = at[e_at < _SOFT_TAIL_TOL], e_at[e_at < _SOFT_TAIL_TOL]
+            if len(at) and (u := close.z_part(lzr)) is not None:
+                shut, value, residual = close.closes(top[at], t_j[dom[at]], lc[at], e_at,
+                                                     lanes.fold[at], n, u, tol)
+                if shut.any():
+                    closed, (vals, ress) = np.zeros(lc.size, bool), np.zeros((2, lc.size))
+                    closed[at[shut]], vals[at], ress[at] = True, value, residual
+                    lanes._put_settled(closed, _CONV, vals, ress, n)
+                    failed |= closed
             ext = ext | logm
             if failed.any():   # a refused extension ends as 'range', a dive where
                 # log|c| < 0; a non-finite exact step as 'escaped'

@@ -29,9 +29,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from skewdyn import (BiPoly, SkewProduct, UniPoly, classify, g_f, g_f_alpha, g_z, g_z_alpha,
+from skewdyn import (BiPoly, SkewProduct, UniPoly, classify, g_f, g_f_alpha, g_p, g_z, g_z_alpha,
                      g_z_alpha_plus)
-from skewdyn.green import ESCAPE_LOG, _ratio_terms, best_orbit_logs, fiber_sample, ratio_orbit
+from skewdyn.green import (ESCAPE_LOG, _close_lead, _ratio_terms, best_orbit_logs, fiber_sample,
+                           ratio_orbit)
 from skewdyn.oracles import example_degenerate
 from test_green import ESCAPE_MAP
 from test_pinned_estimates import MAPS, POINTS
@@ -211,14 +212,11 @@ def _assert_within_residual(group, estimate, reference):
     assert settled >= MINIMUM[group]
 
 
-COMPOSED = pytest.param("bounded_ratio_composed", marks=BOUNDED_XFAIL)
-
-
 @pytest.mark.parametrize("group", [
     "pinned_and_seeded",
     pytest.param("seeded_d1", marks=D1_XFAIL),
     "bounded_ratio",
-    COMPOSED,
+    "bounded_ratio_composed",
 ])
 def test_gz_within_its_residual_of_the_deep_limit(group):
     # where d = lambda, G_z composes G_z^alpha and inherits its residual
@@ -246,7 +244,7 @@ def test_gf_within_its_residual_of_the_deep_limit(key, group):
     "pinned_and_seeded",
     "seeded_d1",
     pytest.param("bounded_ratio", marks=BOUNDED_XFAIL),
-    COMPOSED,
+    "bounded_ratio_composed",
 ])
 def test_gza_within_its_residual_of_the_deep_limit(group):
     _assert_within_residual(group, g_z_alpha, _deep_ratio)
@@ -313,28 +311,34 @@ def test_degenerate_dives_close_at_their_limit():
 # an attracting fixed point of p = z^4 - (0.8 / _ZF) z^5, of modulus 5^(1/3) > 1
 _ZF = cmath.exp(cmath.log(5) / 3)
 # map, z, w, whether G_z^alpha and G_z^{alpha,+} close, the keys whose
-# estimates must lie within their residual of the deep limit: where (a)
-# fails the orbit dives led by c^d, otherwise each map breaks one of
-# (b)-(d), and there a j < d dive that does not close keeps the miss of
-# BOUNDED_XFAIL, so G_z^alpha is not checked
+# estimates must lie within their residual of the deep limit: each map
+# but the first breaks one condition of the dive's close; G_z^{alpha,+}
+# closes by the trap wherever its polydisc maps into itself, which needs
+# no lead; a j < d dive that does not close keeps the miss of
+# BOUNDED_XFAIL, so G_z^alpha is not checked there
 CLOSE_CASES = {
     # (a)-(d) hold on the dive of c' = c^3 + c^2
     "all_hold": (example_degenerate(1, 4), 0.5, 0.1 + 0.1j, (True, True), ("Gza", "Gzap")),
-    # (a) fails: c' = b c^3 + b' z c^4 dives led by c^3 = c^d, G_z^alpha is not 0
+    # (a) fails: c' = b c^3 + b' z c^4 dives led by c^3 = c^d, so G_z^alpha is
+    # not 0 but closes at its closed form d^-n (C_n + lb/(d-1))
     "a": (SkewProduct(UniPoly({4: 1.0}), BiPoly({(0, 3): 0.7 + 0.2j, (1, 4): 0.5})),
-          0.5, 0.3, (False, True), ("Gza", "Gzap")),
+          0.5, 0.3, (True, True), ("Gza", "Gzap")),
     # (b) fails: the lead c^2 of c' = c^3 + c^2 + z^2 c has z^2 c, j = 1, below it
     "b": (SkewProduct(UniPoly({4: 1.0}), BiPoly({(1, 3): 1.0, (2, 2): 1.0, (5, 1): 1.0})),
-          0.5, 0.1 + 0.1j, (False, False), ("Gzap",)),
+          0.5, 0.1 + 0.1j, (False, True), ("Gzap",)),
     # (b) fails on i~: the lead z c^2 of c' = c^3 + c^4 + z c^2 has c^3, i~ = 0, below it
     "b_it": (SkewProduct(UniPoly({5: 1.0}), BiPoly({(2, 3): 1.0, (1, 4): 1.0, (4, 2): 1.0})),
-             0.9, 0.9e-30, (False, False), ("Gzap",)),
+             0.9, 0.9e-30, (False, True), ("Gzap",)),
     # (c) fails: z_n tends to the fixed point _ZF, so log|z_n| never falls
     "c": (SkewProduct(UniPoly({4: 1.0, 5: -0.8 / _ZF}), BiPoly({(1, 3): 1.0, (2, 2): 1.0})),
           1.01 * _ZF, 0.01 * _ZF, (False, False), ("Gzap",)),
     # (d) fails: c' = c^2 escapes, led by the c^2 it dives by from |c| < 1
     "d": (SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0})), 0.5, 2.0, (False, False),
           ("Gza", "Gzap")),
+    # d = 1: c' = 0.5 c + 2 maps |c| <= 100 into itself, but d^-n log+|c_n| -> log 4,
+    # so the trap needs d >= 2 or R < 1
+    "d1": (SkewProduct(UniPoly({2: 1.0}), BiPoly({(1, 1): 0.5, (2, 0): 2.0})), 0.5, 50.0,
+           (False, False), ("Gzap",)),
 }
 
 
@@ -344,26 +348,25 @@ def test_a_close_needs_each_of_its_conditions(name):
     c = classify(f)
     for plus, key, fn, want in ((False, "Gza", g_z_alpha, closes[0]),
                                 (True, "Gzap", g_z_alpha_plus, closes[1])):
-        ro = ratio_orbit(f, c, z, w, 64, plus)
-        assert (ro.reason == "closed") == want, (key, ro.reason)
         limit = _deep_ratio(f, c, z, w, plus)
         # tol 0 never settles by increments, so the orbit runs to its close or its end
         for tol in (1e-10, 0.0):
+            ro = ratio_orbit(f, c, z, w, 64, plus, tol)
+            assert (ro.reason == "closed") == want, (key, tol, ro.reason)
             est = fn(f, c, z, w, 64, tol)
             assert repr(fiber_sample(f, c, key, z, [w, 0.2], 64, tol).estimates[0]) == repr(est)
             if want and not tol:   # nothing settles before the close
-                assert (est.value, est.n_used, est.termination) == (0.0, ro.closed, "converged")
+                assert (est.n_used, est.termination) == (ro.closed, "converged")
             if key in checked and est.termination in SETTLED:
                 assert abs(est.value - limit) <= est.residual + 1e-15 * max(1.0, abs(limit)), (
                     key, tol, est, limit)
 
 
-@pytest.mark.xfail(reason="five growing increments of a j < d dive read as divergence; "
-                          "ROADMAP item 2")
 def test_j_lt_d_dive_settles_to_its_limit():
     # c' = b c^4 + b' c^3 + b'' z^4 c^4 (delta = d = 4, alpha = 1): the ratio
     # dives toward 0 led by c^3, so d^-n log|c_n| tends to 0 at the rate 3/4,
-    # but its first five increments grow before that decay shows
+    # but its first five increments grow before that decay shows; an exact
+    # step offers the close, which ends the series at 0 first
     f = SkewProduct(UniPoly({4: 1.2028 - 0.3925j}),
                     BiPoly({(0, 4): -1.1579 + 0.1414j, (1, 3): -0.1078 - 0.0164j,
                             (4, 4): -1.2745 - 1.2781j}))
@@ -371,9 +374,11 @@ def test_j_lt_d_dive_settles_to_its_limit():
     c = classify(f)
     assert (c.delta, c.d, c.alpha) == (4, 4, 1)
     limit = _deep_ratio(f, c, z, w)
-    assert abs(limit) < 1e-15
+    assert abs(limit) < 1e-15   # the partial at DEPTH, (3/4)^150 away from the limit 0
     est = g_z_alpha(f, c, z, w, 200)
-    assert est.termination in SETTLED and abs(est.value - limit) <= est.residual, est
+    assert (est.value, est.n_used, est.termination) == (0.0, 3, "converged"), est
+    assert abs(est.value - limit) <= est.residual + 1e-15 * max(1.0, abs(limit)), est
+    assert repr(fiber_sample(f, c, "Gza", z, [w], 200).estimates[0]) == repr(est)
 
 
 @pytest.mark.xfail(reason="the direct orbit of a p-tail map with alpha = -3 ends 'range' at "
@@ -403,3 +408,89 @@ def test_unbounded_points_do_not_settle_before_the_ratio_escapes(n_max):
         for est in (g_z(f, c, z, w, n_max),
                     fiber_sample(f, c, "Gz", z, [w], n_max).estimates[0]):
             assert not (est.finite and est.termination in SETTLED), (n_max, est)
+
+
+def _deep_gp(p, z):
+    """G_p(z) from the 80-digit orbit of p at N = DEPTH: delta^-N (log|z_N| + log|a|/(delta-1)).
+
+    That is the limit up to delta^-N U_N/(delta-1), U_N ~ |z_N| (_DiveClose).
+    """
+    delta = p.order
+    with mp.workdps(80):
+        terms = [(k, mp.mpc(a)) for k, a in p.terms.items()]
+        zn = mp.mpc(z)
+        for _ in range(DEPTH):
+            zn = mp.fsum(a * zn**k for k, a in terms)
+        shift = mp.log(abs(terms[0][1])) / (delta - 1)
+        return float((mp.log(abs(zn)) + shift) / mp.mpf(delta) ** DEPTH)
+
+
+# G_p on the seeded maps, with and without a p tail, delta = 2..4, at
+# |z| from 0.1 to 0.5 and pushed out to 1.2, near the edge of the basin of 0
+GP_POINTS = ([(f.p, z * s) for f, z, _ in _seeded_points(7, 20) for s in (1.0, 2.4)]
+             + [(MAPS[name].p, z) for name in MAPS for z, _ in POINTS[name]])
+
+
+def test_gp_within_its_residual_of_the_deep_limit():
+    assert {len(p.terms) > 1 for p, _ in GP_POINTS} == {False, True}
+    assert {p.order for p, _ in GP_POINTS} == {2, 3, 4}
+    settled = closed = 0
+    for p, z in GP_POINTS:
+        limit = _deep_gp(p, z)
+        if limit >= 0:   # outside the basin of 0, where a tail leads an unbounded escape
+            continue
+        for tol in (1e-10, 0.0):
+            est = g_p(p, z, 64, tol)
+            if est.termination in SETTLED:
+                assert abs(est.value - limit) <= est.residual, (p.terms, z, tol, est, limit)
+                # a closed form is taken within tol, or exact but for rounding at tol 0
+                assert est.residual < max(tol, 1e-14), (p.terms, z, tol, est)
+                settled += 1
+                closed += est.n_used < 6
+    assert settled >= 60 and closed >= 30
+
+
+# d >= 2 with ratios below 1: most dive or stay bounded
+CLOSING = _seeded_points(3, 80, d_min=2)
+
+
+def test_closes_lie_within_their_residual_of_the_deep_limit():
+    # every trap (G_z^{alpha,+} = 0) and every close of a dive led by c^d
+    # (G_z^alpha at its closed form) lies within its residual of the limit,
+    # as a point and as a lane
+    traps = closed_forms = 0
+    for f, z, w in CLOSING:
+        c = classify(f)
+        terms = _ratio_terms(f, c.alpha)
+        lead = _close_lead([j for _, j, _, _ in terms], [it for it, _, _, _ in terms],
+                           c.d, c.delta)
+        for plus, key, fn in ((False, "Gza", g_z_alpha), (True, "Gzap", g_z_alpha_plus)):
+            if not (plus or (lead is not None and terms[lead][1] == c.d)):
+                continue
+            limit = _deep_ratio(f, c, z, w, plus)
+            for tol in (1e-10, 0.0):
+                if ratio_orbit(f, c, z, w, 64, plus, tol).reason != "closed":
+                    continue
+                est = fn(f, c, z, w, 64, tol)
+                assert est.termination == "converged", (key, est)
+                assert abs(est.value - limit) <= est.residual, (f.q.terms, z, w, key, est, limit)
+                assert est.residual < max(tol, 1e-14), (f.q.terms, z, w, key, est)
+                assert repr(fiber_sample(f, c, key, z, [w], 64, tol).estimates[0]) == repr(est)
+                if plus:
+                    traps += 1
+                else:
+                    closed_forms += 1
+    assert traps >= 20 and closed_forms >= 20, (traps, closed_forms)
+
+
+def test_weight_zero_gz_composes_a_closed_gp_at_tol_zero():
+    # G_z = alpha G_p on example_degenerate(1, 4) (d < lambda): its weight-0
+    # part closes at 0, and G_p of the monomial p = z^4 closes at once, exact
+    # but for rounding, so at tol 0 G_z converges at log 0.5
+    f, z, w = example_degenerate(1, 4), 0.5, 0.3 + 0.1j
+    c = classify(f)
+    est = g_z(f, c, z, w, 1100, 0.0)
+    assert est.termination == "converged", est
+    assert abs(est.value - math.log(0.5)) <= est.residual, est
+    assert abs(est.value - _deep_partial(f, c, z, w)) <= est.residual, est
+    assert repr(fiber_sample(f, c, "Gz", z, [w, 0.2], 1100, 0.0).estimates[0]) == repr(est)

@@ -416,17 +416,22 @@ def test_fiber_sample_traversal_order():
 
     # tol 0 settles nothing, so the partials run as far as the orbits: on
     # alpha32 to step 1024, where 2**n has left the double range; on the
-    # first map the dive of c' = c^3 + c^2 closes at step 12; on the alpha-0
-    # map the dive is led by c^2 = c^d, which (a) refuses, so G_z^alpha's
-    # ratio orbit runs on until its log|c_n| ~ -2^n overflows and ends as
-    # 'range' at step 647, while G_z^{alpha,+} closes
+    # first map the dive of c' = c^3 + c^2 closes at step 6; on the alpha-0
+    # map the dive led by c^2 = c^d closes at its closed form once the term
+    # z c^2 falls 80 e-folds behind; on the same map with z^2 c added, the
+    # terms of least j and of least i~ differ, so G_z^alpha's ratio orbit
+    # runs on until its log|c_n| ~ -2^n overflows and ends as 'range' at
+    # step 647, while the trap closes G_z^{alpha,+} at once
     f3, c3 = maps[3], classify(maps[3])
-    assert ratio_orbit(f0, c0, 0.5, 0.3 + 0.1j, 1100).closed == 12
-    deep = ratio_orbit(f3, c3, 0.5, 0.3 + 0.1j, 1100)
+    no_lead = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5, (2, 1): 0.3}))
+    c_nl = classify(no_lead)
+    assert ratio_orbit(f0, c0, 0.5, 0.3 + 0.1j, 1100, False, 0.0).closed == 6
+    assert ratio_orbit(f3, c3, 0.5, 0.3 + 0.1j, 1100, False, 0.0).closed == 5
+    deep = ratio_orbit(no_lead, c_nl, 0.5, 0.3 + 0.1j, 1100, False, 0.0)
     assert (deep.reason, len(deep.log_mags)) == ("range", 648)
-    assert ratio_orbit(f3, c3, 0.5, 0.3 + 0.1j, 1100, plus=True).reason == "closed"
+    assert ratio_orbit(no_lead, c_nl, 0.5, 0.3 + 0.1j, 1100, True, 0.0).closed == 0
     for f, z, w in ((alpha32, 0.4 + 0.1j, 0.3 - 0.2j), (f0, 0.5, 0.3 + 0.1j),
-                    (f3, 0.5, 0.3 + 0.1j)):
+                    (f3, 0.5, 0.3 + 0.1j), (no_lead, 0.5, 0.3 + 0.1j)):
         c = classify(f)
         for key, fn in ESTIMATORS.items():
             want = _keys_or_refusal(lambda: [fn(f, c, z, w, 1100, 0.0)])
@@ -802,8 +807,10 @@ def test_no_cancellation_in_extended_weighted_ratio():
     w = 0.12887679402368873 - 0.26749442862304296j
     from skewdyn.green import _gza_direct, best_orbit_logs
 
+    # the ratio's dive closes at its j = d closed form, 1.4e-16 from the limit,
+    # where the direct orbit settled at tol 1e-11 stops 1.07e-12 short of it
     a = g_z_alpha(f, c, z, w, 40, 1e-11)
-    b = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 40), 1e-11, plus=False)
+    b = _gza_direct(f, c, best_orbit_logs(f, c, z, w, 40), 1e-13, plus=False)
     assert a.termination == b.termination == "converged"
     assert abs(a.value - b.value) < 1e-12
 
@@ -895,7 +902,7 @@ def test_two_term_p_tail_on_the_ratio_path():
     f = SkewProduct(UniPoly({4: 1.0, 5: 0.3, 6: -0.2j}), BiPoly({(1, 3): 1.0, (2, 2): 1.0}))
     c = classify(f)
     z, lanes = 0.3 + 0.2j, [0.1, 0.3 - 0.2j, 0.05j, 0.6 + 0.1j]
-    assert _ratio_serves(f, c, z) and len(_p_tail(f)) == 2
+    assert _ratio_serves(f, c, z) and len(_p_tail(f.p)) == 2
     for key in ("Gza", "Gzap", "Gz", "Gf", "Gfa"):
         for n_max in (1, 9, 64):
             want = [ESTIMATORS[key](f, c, z, w, n_max, DEFAULT_TOL) for w in lanes]

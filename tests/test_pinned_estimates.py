@@ -49,47 +49,47 @@ POINTS = {
 # classify_point in the wedge U_l with l = l1 and r = 0.05
 PINNED = {
     ('case1', 0): {
-        'Gp': (-0.9433421021492245, 7, 'converged', 0.0),
+        'Gp': (-0.9433421021492243, 5, 'converged', 4.664886385943177e-15),
         'Gza': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gzi': None,
-        'Gzap': (0.0, 4, 'converged', 0.0),
+        'Gzap': (0.0, 0, 'converged', 0.0),
         'Gz': (-3.1810843235784407, 7, 'converged', 5.732597844552626e-10),
         'Gf': (0.0, 7, 'converged', 0.0),
         'Gfa': (0.0, 7, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case1', 1): {
-        'Gp': (-0.5222768644973952, 7, 'converged', 0.0),
-        'Gza': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
+        'Gp': (-0.5222768644973952, 6, 'converged', 2.727885426156683e-15),
+        'Gza': (-0.619094321949131, 5, 'converged', 8.514064714105348e-11),
         'Gzi': None,
-        'Gzap': (0.0, 6, 'converged', 0.0),
-        'Gz': (-0.6190943219224646, 7, 'converged', 1.1171815267401175e-16),
-        'Gf': (0.0, 7, 'converged', 0.0),
-        'Gfa': (0.0, 7, 'converged', 0.0),
+        'Gzap': (0.0, 0, 'converged', 0.0),
+        'Gz': (-0.619094321949131, 6, 'converged', 8.514064714105348e-11),
+        'Gf': (0.0, 6, 'converged', 0.0),
+        'Gfa': (0.0, 6, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case1', 2): {
-        'Gp': (-2.908885600633673, 5, 'converged', 0.0),
-        'Gza': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
+        'Gp': (-2.908885600631232, 3, 'converged', 4.8977029792168926e-12),
+        'Gza': (-4.412725354961372, 3, 'converged', 1.0964503547142589e-12),
         'Gzi': None,
-        'Gzap': (0.0, 4, 'converged', 0.0),
-        'Gz': (-4.412725354961869, 5, 'converged', 8.881784322997118e-16),
-        'Gf': (0.0, 5, 'converged', 0.0),
-        'Gfa': (0.0, 5, 'converged', 0.0),
+        'Gzap': (0.0, 0, 'converged', 0.0),
+        'Gz': (-4.412725354961372, 3, 'converged', 1.0964503547142589e-12),
+        'Gf': (0.0, 3, 'converged', 0.0),
+        'Gfa': (0.0, 3, 'converged', 0.0),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case2', 0): {
-        'Gp': (-1.151292546497023, 2, 'converged', 0.0),
-        'Gza': (-0.3188569292814862, 5, 'converged', 0.0),
+        'Gp': (-1.1512925464970227, 0, 'converged', 3.821463228520767e-15),
+        'Gza': (-0.3188569292814862, 3, 'converged', 2.3668188375125653e-15),
         'Gzi': None,
-        'Gzap': (0.0, 11, 'converged', 0.0),
-        'Gz': (-1.151292546497023, 5, 'converged', 0.0),
-        'Gf': (-1.151292546497023, 5, 'converged', 0.0),
-        'Gfa': (-1.151292546497023, 5, 'converged', 0.0),
+        'Gzap': (0.0, 0, 'converged', 0.0),
+        'Gz': (-1.1512925464970227, 3, 'converged', 3.821463228520767e-15),
+        'Gf': (-1.1512925464970227, 3, 'converged', 3.821463228520767e-15),
+        'Gfa': (-1.1512925464970227, 3, 'converged', 3.821463228520767e-15),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case2', 1): {
-        'Gp': (-0.4581453659370776, 2, 'converged', 0.0),
+        'Gp': (-0.4581453659370775, 0, 'converged', 2.5901864936221087e-15),
         'Gza': (INF, 5, 'divergent_to_plus_inf', 4.692524842730964),
         'Gzi': None,
         'Gzap': (INF, 5, 'divergent_to_plus_inf', 4.692524842730964),
@@ -99,57 +99,57 @@ PINNED = {
         'label': ('escapes_or_outside', None, False),
     },
     ('case2', 2): {
-        'Gp': (-3.322695507257323, 2, 'converged', 0.0),
+        'Gp': (-3.322695507257323, 0, 'converged', 7.678649728961282e-15),
         'Gza': (0.354648137922395, 4, 'converged', 0.0),
         'Gzi': None,
         'Gzap': (0.354648137922395, 7, 'converged', 0.0),
-        'Gz': (-3.322695507257323, 4, 'converged', 0.0),
-        'Gf': (-3.322695507257323, 4, 'converged', 0.0),
-        'Gfa': (-3.322695507257323, 4, 'converged', 0.0),
+        'Gz': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
+        'Gf': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
+        'Gfa': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case3', 0): {
-        'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
-        'Gza': (0.0, 12, 'converged', 0.0),
+        'Gp': (-0.6931471805599453, 0, 'converged', 3.0076335742989098e-15),
+        'Gza': (0.0, 7, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 12, 'converged', 0.0),
-        'Gz': (-0.6931471805599453, 12, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 12, 'converged', 0.0),
-        'Gfa': (-0.6931471805599453, 12, 'converged', 0.0),
+        'Gzap': (0.0, 3, 'converged', 0.0),
+        'Gz': (-0.6931471805599453, 7, 'converged', 3.0076335742989098e-15),
+        'Gf': (-0.6931471805599453, 7, 'converged', 3.0076335742989098e-15),
+        'Gfa': (-0.6931471805599453, 7, 'converged', 3.0076335742989098e-15),
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('case3', 1): {
-        'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
+        'Gp': (-0.6931471805599453, 0, 'converged', 3.0076335742989098e-15),
         'Gza': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
         'Gzi': None,
         'Gzap': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
-        'Gz': (-0.6931471805599453, 3, 'converged', 0.0),
-        'Gf': (-0.6931471805599453, 3, 'converged', 0.0),
-        'Gfa': (-0.6931471805599453, 3, 'converged', 0.0),
+        'Gz': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
+        'Gf': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
+        'Gfa': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
         'label': ('in_A0_and_Afl', 3, False),
     },
     ('case3', 2): {
-        'Gp': (-1.956011502714073, 2, 'converged', 0.0),
-        'Gza': (0.0, 8, 'converged', 0.0),
+        'Gp': (-1.956011502714073, 0, 'converged', 5.250931250191956e-15),
+        'Gza': (0.0, 2, 'converged', 0.0),
         'Gzi': None,
-        'Gzap': (0.0, 8, 'converged', 0.0),
-        'Gz': (-1.956011502714073, 8, 'converged', 0.0),
-        'Gf': (-1.956011502714073, 8, 'converged', 0.0),
-        'Gfa': (-1.956011502714073, 8, 'converged', 0.0),
+        'Gzap': (0.0, 0, 'converged', 0.0),
+        'Gz': (-1.956011502714073, 2, 'converged', 5.250931250191956e-15),
+        'Gf': (-1.956011502714073, 2, 'converged', 5.250931250191956e-15),
+        'Gfa': (-1.956011502714073, 2, 'converged', 5.250931250191956e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 0): {
-        'Gp': (-1.4978661367769954, 2, 'converged', 0.0),
+        'Gp': (-1.4978661367769954, 0, 'converged', 4.437101595970097e-15),
         'Gza': (-0.20304210999250577, 35, 'converged', 3.1973812486540965e-11),
         'Gzi': None,
-        'Gzap': (0.0, 41, 'converged', 7.792989237442607e-11),
-        'Gz': (-1.4978661367769954, 35, 'converged', 0.0),
-        'Gf': (-1.4978661367769954, 35, 'converged', 0.0),
-        'Gfa': (-1.4978661367769954, 35, 'converged', 0.0),
+        'Gzap': (0.0, 1, 'converged', 0.0),
+        'Gz': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
+        'Gf': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
+        'Gfa': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 1): {
-        'Gp': (-0.8047189562170501, 2, 'converged', 0.0),
+        'Gp': (-0.8047189562170501, 0, 'converged', 3.2058248610714384e-15),
         'Gza': (INF, 5, 'divergent_to_plus_inf', 3.8501266819312487),
         'Gzi': None,
         'Gzap': (INF, 5, 'divergent_to_plus_inf', 3.8501266819312487),
@@ -159,17 +159,17 @@ PINNED = {
         'label': ('escapes_or_outside', None, False),
     },
     ('case4', 2): {
-        'Gp': (-1.151292546497023, 2, 'converged', 0.0),
+        'Gp': (-1.1512925464970227, 0, 'converged', 3.821463228520767e-15),
         'Gza': (-INF, 0, 'hit_zero', 0.0),
         'Gzi': None,
         'Gzap': (0.0, 0, 'hit_zero', 0.0),
         'Gz': (-INF, 0, 'hit_zero', 0.0),
-        'Gf': (-1.151292546497023, 2, 'converged', 0.0),
-        'Gfa': (-1.151292546497023, 2, 'converged', 0.0),
+        'Gf': (-1.1512925464970227, 0, 'converged', 3.821463228520767e-15),
+        'Gfa': (-1.1512925464970227, 0, 'converged', 3.821463228520767e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('alpha32', 0): {
-        'Gp': (-0.8859784209659376, 2, 'converged', 1.1102230246251565e-16),
+        'Gp': (-0.8859784209659376, 0, 'converged', 3.350170667044128e-15),
         'Gza': (0.44434702274537075, 6, 'escaped_with_tail', 4.6875e-14),
         'Gzi': (-0.8846206087035358, 7, 'converged', 0.0),
         'Gzap': (0.44434702274537075, 6, 'escaped_with_tail', 4.6875e-14),
@@ -179,7 +179,7 @@ PINNED = {
         'label': ('in_A0_and_Afl', 2, False),
     },
     ('alpha32', 1): {
-        'Gp': (-0.6931471805599453, 2, 'converged', 0.0),
+        'Gp': (-0.6931471805599453, 0, 'converged', 3.0076335742989098e-15),
         'Gza': (1.214441279620605, 5, 'escaped_with_tail', 9.375e-14),
         'Gzi': (0.17472050878068704, 5, 'converged', 0.0),
         'Gzap': (1.214441279620605, 5, 'escaped_with_tail', 9.375e-14),
@@ -189,13 +189,13 @@ PINNED = {
         'label': ('escapes_or_outside', None, False),
     },
     ('alpha32', 2): {
-        'Gp': (-2.180786621117447, 2, 'converged', 0.0),
+        'Gp': (-2.180786621117447, 0, 'converged', 5.65021206909479e-15),
         # both escape residuals include the switch fold 4 eta / 2^8 = 1.12e-11
         'Gza': (0.08224896059769016, 9, 'escaped_with_tail', 1.121135254375603e-11),
         'Gzi': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
         'Gzap': (0.08224896059769016, 9, 'escaped_with_tail', 1.121135254375603e-11),
         'Gz': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
-        'Gf': (-2.180786621117447, 9, 'converged', 0.0),
+        'Gf': (-2.180786621117447, 9, 'converged', 5.65021206909479e-15),
         'Gfa': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
         'label': ('in_A0_and_Afl', 1, False),
     },

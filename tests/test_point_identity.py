@@ -35,13 +35,13 @@ N_MAXES = (1, 9, 64)
 DEEP = 1100   # 2^1100 and 4^550 are past the double range
 
 PINS = {
-    "Gp": "ff81682a2610487ffd60065eac65d598a26434e138692136aebcea444f5c6b8e",
-    "Gza": "65a32b90d21c96fe7959689e53e7847320910020e500ee84bc6cb71b0f87746d",
+    "Gp": "7b23ba06b0a08f108f21ba467e843bcc43d4258dbe3b558577099001802c87cb",
+    "Gza": "2a564c3a3b305c4a1d762fd572f4b8de9563b6b3a9d5cf591a68102e0c0c158f",
     "Gzi": "8008b26b7a35c8e046ce30490811e9ed048d8f7d15730b10c66284d1c3acf7cd",
-    "Gzap": "a8285d0968cefc2ad72a9081034e4b886e6590fbdf5a29dcda1739a9e5280a58",
-    "Gz": "abb75b2bff1a30cacd18514c743111ba9d0e5ba0ff84f5d7579faaba6cd814ab",
-    "Gf": "f56bf454ba04dcdb67a65023d8a2953e17c7de6c8336cf802da3e7c63b754b30",
-    "Gfa": "d548ee6a8d17fe59872125e821f376350570be38a6228db9f83cc411056997ff",
+    "Gzap": "18061bda5a271d39fe11503e35ce1cb992e7d31b8f34c3826f9d84f4c39e518d",
+    "Gz": "62017bc86c5ecf390e11d54957919b06d6e83973760f3bb685551b52e575ee21",
+    "Gf": "56f5c1bbc83dcc4a6ab3c13b8ccc6f4f82bef2dcf426ddb1825b1f8658f96248",
+    "Gfa": "2214f9e13dd4ff6efa48be34109d3e248fbba60f0111e8cc8386143cd157d17c",
     "classify_point": "50fdb357d2e51ad3276e42d6fc74470438fddc762ef133922d96ee6b6d5ec59d",
     "bottcher": "e405d0585aeddcfcadbdb1f2f97638a3559f94b3a97373c148b762459e615fca",
 }

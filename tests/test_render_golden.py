@@ -26,17 +26,17 @@ GRID = "0.5,0.0,0.01,-0.01,1.0,1.0,12"
 
 GOLDEN = {
     ("fiber_ratio", "Gzap"): {
-        "csv": "dc5b6f2f444362ea98a566b45285441a7561fe3d83a5080a657500e4dba5b4af",
+        "csv": "578899ec678c53ccb98b0a7da3c63ca377f6d2035e18982238c1d95a516c4fcd",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
         "meta": "4113fdab52a266ebe3e87a002df8f42e0372e6f93a4482417d5227875eb0a2b0",
     },
     ("fiber_ratio", "Gza"): {
-        "csv": "dc5b6f2f444362ea98a566b45285441a7561fe3d83a5080a657500e4dba5b4af",
+        "csv": "8baf155b88c2c23f0fbb2de89d609c874344d145f3987476566814241fb67380",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
         "meta": "734175b02d17f3aa1b1c3c9f8f95dd33b25ea2695eff0b964dd3e9a3b080c6af",
     },
     ("fiber_ratio", "Gz"): {
-        "csv": "ee5e3d52dd8cbbca3a7620230b8d65bc106efe738312c7fa3f4a83aafd18cfa3",
+        "csv": "efbfeb96bc43fe7294fbc835a7dc8d15d758ad9f09d47fcef4bfd2c0f2d1c0a7",
         "pgm": "f4b898b3b63470f0a21c218921c1734aa96bfc03f1740421dec24b1e478d5c6f",
         "meta": "def8de8e174073028fe4a2553e8191fd03e06c857d9a65570741678dfebfbfcc",
     },
@@ -56,12 +56,12 @@ GOLDEN = {
         "meta": "56aef2a8e5d55d9f08d3e2810f043da382234b6254a155e9c001a0ca8b60e181",
     },
     ("fiber_direct", "Gf"): {
-        "csv": "6223ee5144829fe66fa2a522e65ded20a58d458050c33ac4db302be06b92942e",
+        "csv": "a1f37110194f684c69052b8e7f847d4337883f4bd1108b8a76eac9f523264254",
         "pgm": "b284b21fe923dc6eae23943eafb0a35f184d233dd3ac0e7760636f3b985c01e6",
         "meta": "a8427df0a4e1bcc7be54b2debbb30b70ffc0f6682f57f1e0aaedf3342cdcc912",
     },
     ("fiber_direct", "Gfa"): {
-        "csv": "df979949b6203e1d221758b7ea074da80a1fc592365dd3b6a4ca350f25a56b04",
+        "csv": "23ab092002c9ea7860608697c44366ac8b1db3940a9478558413cfd7bb79b005",
         "pgm": "4e1c23251edd28610e50c523121a1ba056ea51cdfce2863b9bee42a9029002c7",
         "meta": "753b02aa387dd50fa29abd3314e33143101e9f24770f33c89e459c665134f2df",
     },

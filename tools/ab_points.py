@@ -1,6 +1,6 @@
 """Interleaved A/B of the point_mix queries: a git revision against the working tree.
 
-    python3 tools/ab_points.py [--rev HEAD] [--seed 1] [--rounds 5]
+    python3 tools/ab_points.py [--rev HEAD] [--seed 1] [--rounds 5] [--changes]
 
 Run it from the repository root.  It extracts src/skewdyn at the
 revision (git archive) into a temporary directory and loads it as the
@@ -13,6 +13,12 @@ call's fastest time on A and on B and their ratio B/A, and the sha256
 of all the calls' reprs on each side.  It exits 1 if any call's repr
 (or its exception) differs between A and B.
 
+With --changes it times nothing: it runs each call once on A and on B
+and reports, per kind, the calls whose repr moved, the largest
+|value_B - value_A| over the estimates among them, and how many of those
+moved by more than residual_A + residual_B, the distance two honest
+estimates of one limit can lie apart.  It exits 0.
+
 It reads perfbench/ and writes nothing there: no bytecode is cached.
 """
 
@@ -22,6 +28,7 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import math
 import subprocess
 import sys
 import tarfile
@@ -106,11 +113,42 @@ def timed(thunk) -> tuple[float, str]:
     return time.perf_counter() - t0, result
 
 
+def result(thunk):
+    """The result of one call, or the repr of its exception."""
+    try:
+        return thunk()
+    except Exception as exc:   # a refusal is a result too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def change_report(pairs) -> list[str]:
+    """Lines of the --changes table over pairs (kind, result A, result B)."""
+    rows: dict[str, list] = {}
+    for kind, a, b in pairs:
+        row = rows.setdefault(kind, [0, 0, 0.0, 0])   # calls, moved, max |dv|, beyond
+        row[0] += 1
+        if repr(a) == repr(b):
+            continue
+        row[1] += 1
+        if hasattr(a, "residual") and hasattr(b, "residual"):
+            dv = 0.0 if a.value == b.value else abs(a.value - b.value)
+            dv = math.inf if math.isnan(dv) else dv
+            row[2] = max(row[2], dv)
+            row[3] += not dv <= a.residual + b.residual
+    out = [f"{'kind':<16}{'calls':>6}{'moved':>7}{'max |dv|':>11}{'beyond':>8}"]
+    for kind in sorted(rows, key=ORDER.index):
+        n, moved, dv, beyond = rows[kind]
+        out.append(f"{kind:<16}{n:>6}{moved:>7}{dv:>11.3g}{beyond:>8}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="git revision of side A")
     parser.add_argument("--seed", type=int, default=1, help="point_calls seed")
     parser.add_argument("--rounds", type=int, default=5, help="timed calls per query and side")
+    parser.add_argument("--changes", action="store_true",
+                        help="report the moved results per kind instead of timing")
     args = parser.parse_args(argv)
 
     calls = inputs.point_calls(args.seed)
@@ -118,6 +156,11 @@ def main(argv=None) -> int:
         pkg_a = load_package("skewdyn_a", extract(args.rev, Path(tmp)))
         pkg_b = load_package("skewdyn_b", ROOT / "src" / "skewdyn")
         qa, qb = queries(pkg_a, calls), queries(pkg_b, calls)
+    if args.changes:
+        print(f"A = {args.rev}, B = working tree; seed {args.seed}")
+        print("\n".join(change_report((kind, result(ta), result(tb))
+                                      for (kind, ta), (_, tb) in zip(qa, qb))))
+        return 0
     best_a, best_b = [float("inf")] * len(calls), [float("inf")] * len(calls)
     differs, outs_a, outs_b = [], [], []
     for r in range(args.rounds):
