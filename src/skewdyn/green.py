@@ -29,11 +29,12 @@ ordinary series, or diverges where a term c^j, j > d, comes to lead an
 escape.  Past the escape radius that series is geometric at the rate
 1/d, and its residual counts the tail (_gza_from_ratio).  Past the
 step where z falls for good, each limit is that of an affine log
-recursion, so every series closes at the first step, exact or extended,
-whose state certifies it (_DiveClose), where the settle alone would grind
-a geometric tail down to tol: G_p at its closed form; G_z^{alpha,+} at 0
-once a polydisc about (z_n, c_n) maps into itself; G_z^alpha at 0 or at
-its closed form once a lead z^i~ c^j, j <= d, provably leads a dive.  Since
+recursion, so the series of p and of the ratio close at the first step,
+exact or extended, whose state certifies them (_DiveClose), where the
+settle alone would grind a geometric tail down to tol: G_p at its closed
+form; G_z^{alpha,+} at 0 once a polydisc about (z_n, c_n) maps into
+itself; G_z^alpha at 0 or at its closed form once a lead z^i~ c^j,
+j <= d, provably leads a dive.  Since
 log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
 parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
 alpha G_p (_gz_composed); the direct orbit serves where a part is not
@@ -687,26 +688,6 @@ def _close_lead(js: list[int], its: list[int], d: int, delta: int) -> Optional[i
     return None
 
 
-def _term_logs(terms: list, lzr: float, lc: float) -> tuple[list[float], float, int]:
-    """(the ratio terms' logs at L = lzr, C = lc, their max, its first index, as max() picks)."""
-    tlogs = []
-    for it, j, _, lb in terms:
-        t = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
-        if not tlogs or t > top:
-            top, top_idx = t, len(tlogs)
-        tlogs.append(t)
-    return tlogs, top, top_idx
-
-
-def _top_eta(tlogs: list[float], top: float, top_idx: int) -> float:
-    """eta: e^(t - top) summed left to right over the other terms within 80 e-folds."""
-    eta = 0.0
-    for k, t in enumerate(tlogs):
-        if k != top_idx and t - top > -80.0:
-            eta += math.exp(t - top)
-    return eta
-
-
 class _RatioOrbit(_PulledSteps):
     """Weighted-ratio orbit steps (log|c_n|, eta_n), pulled from ratio_orbit.
 
@@ -783,9 +764,12 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                  ) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
-    Step n is offered to the close where log|c| falls (by the dominant
-    term, on an extended step) and top <= C (plus) or the lead is on top.
-    fold is the running fold_bound(d, n) where a close exists, as _fiber_ratio keeps it.
+    Step n is offered to the close, exact or extended, where log|c| fell
+    into it (step 0 always), and there only where top <= C (plus) or the
+    lead is on top: a dive's close that holds at step n holds at step
+    n + 1, into which log|c| falls, so this delays it by a step at most.
+    fold is the running fold_bound(d, n) where a close exists, as
+    _fiber_ratio keeps it.
     """
     append = ro._steps.append
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f.p), f.delta
@@ -802,7 +786,8 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     lead, fold = None if plus else _close_lead(js, its, d, delta), 0.0
     close = (_DiveClose(log_a.real, delta, tail, d, j_top, al, None if plus else
                         term_list[lead][1::2]) if plus or lead is not None else None)
-    isfinite, zero = math.isfinite, -math.inf
+    isfinite, exp, zero = math.isfinite, math.exp, -math.inf
+    prev = math.inf   # log|c| of the step before
     for n in range(n_max):   # step n is the last one yielded
         lzr = lz.real
         if lzr > ESCAPE_LOG:
@@ -817,48 +802,50 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             # _terms_safe holds without a look at the terms where these bounds do
             jc, iz = j_top * abs(lc), it_top * abs(lzr)
             safe = jc <= _SAFE and iz + abs(ac) <= _SAFE and jc + iz + lb_top <= _WINDOW
-        tlogs = None
-        if extended or not safe:
-            tlogs, top, top_idx = _term_logs(term_list, lzr, lc)
-        if logm := extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac)):
-            eta = _top_eta(tlogs, top, top_idx)
+        offer = close is not None and lc < prev   # a close is offered where log|c| fell
+        if extended or not safe or offer:
+            tlogs = []
+            for it, j, _, lb in term_list:
+                t = (it * lzr if it else 0.0) + (j * lc if j else 0.0) + lb
+                if not tlogs or t > top:   # top = max(tlogs) at its first index, as max() picks
+                    top, top_idx = t, len(tlogs)
+                tlogs.append(t)
+            if offer:   # and where the trap's top <= C (plus), or the lead is on top
+                offer = top <= lc if plus else top_idx == lead
+        if (logm := extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac))) or offer:
+            eta = 0.0  # summed left to right, as in fold_bound
+            if len(tlogs) > 1:   # a lone term has no other to sum
+                for k, t in enumerate(tlogs):
+                    if k != top_idx and t - top > -80.0:
+                        eta += exp(t - top)
+        if offer and (plus or eta < _SOFT_TAIL_TOL) and (u := close.z_part(lzr)) is not None:
+            shut, value, res = close.closes(top, js[top_idx], lc, eta, fold, n, u, tol)
+            if shut:
+                ro._reason, ro._closed, ro._limit = "closed", n, (value, res)
+                return
+        prev = lc
+        if logm:
             it, j, _, lb = term_list[top_idx]
-            # the validated dominant monomial's recursion, where it stays finite
-            new = lb + it * lzr + j * lc - ac
+            # the validated dominant monomial's recursion
             extended = eta < _SOFT_TAIL_TOL and top > zero
-            stepped = extended and isfinite(new)
+            if not (extended and isfinite(lc := lb + it * lzr + j * lc - ac)):
+                # refused, or the recursion (or log z_n in it) left the double range
+                ro._reason = "range"
+                return
+            step = (lc, eta)
+            if eta and close is not None:   # the step's share of fold_bound, in its order
+                fold += _over(2.0 * eta, d ** (n + 1))
         else:
             nxt = 0j
             acorr, nacorr = al * corr, -al * corr
             for it, j, coeff, _ in term_list:
                 zfac = cmath.exp(it * lz - acorr) if it else cmath.exp(nacorr)
                 nxt += coeff * (c**j) * zfac
-            stepped, eta = isfinite(nxt.real) and isfinite(nxt.imag), None
-            new = _lmag(nxt) if stepped else math.nan
-        if close is not None and new < lc:
-            if tlogs is None:
-                tlogs, top, top_idx = _term_logs(term_list, lzr, lc)
-            if (top <= lc if plus else top_idx == lead):
-                if eta is None:
-                    eta = _top_eta(tlogs, top, top_idx)
-                if (plus or eta < _SOFT_TAIL_TOL) and (u := close.z_part(lzr)) is not None:
-                    shut, value, res = close.closes(top, js[top_idx], lc, eta, fold, n, u, tol)
-                    if shut:
-                        ro._reason, ro._closed, ro._limit = "closed", n, (value, res)
-                        return
-        if not stepped:
-            # refused, or the recursion (or log z_n in it) left the double range;
-            # or an exact step overflowed
-            ro._reason = "range" if logm else "escaped"
-            return
-        if logm:
-            step = (new, eta)
-            if eta and close is not None:   # the step's share of fold_bound, in its order
-                fold += _over(2.0 * eta, d ** (n + 1))
-        else:
+            if not (isfinite(nxt.real) and isfinite(nxt.imag)):
+                ro._reason = "escaped"
+                return
             c = nxt
-            step = (new, 0.0)
-        lc = new
+            step = (lc := _lmag(c), 0.0)
         lz = log_a + delta * lz + corr
         append(step)
         yield step
@@ -1619,18 +1606,6 @@ def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
     return nr, ni
 
 
-def _lanes_eta(tl: np.ndarray, top: np.ndarray, dom: np.ndarray) -> np.ndarray:
-    """_top_eta per lane: one row per term in tl, top its max and dom the index of that."""
-    eta = np.zeros(dom.size)
-    for k in range(tl.shape[0]):
-        gap = tl[k] - top
-        if (near := (dom != k) & (gap > -80.0)).any():
-            term = np.zeros(dom.size)
-            term[near] = _math_map(math.exp, gap[near])
-            eta += term
-    return eta
-
-
 class _LaneSettler:
     """_Settler over lanes that receive their partials a column at a time.
 
@@ -1792,6 +1767,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
         cr, ci = _cmul(cr, ci, e.real, e.imag)
     lc = _log_abs(cr, ci)
     ext = np.zeros(len(ws), bool)   # past the switch to the log recursion
+    prev = np.full(len(ws), math.inf)   # log|c| of the step before
 
     # the fold is the running fold_bound(d, n), the tail _gza_from_ratio's, read at lc
     escape_tail = (lambda v, r: np.where(np.isfinite(v) & (lc > ESCAPE_LOG), r / (d - 1), 0.0)
@@ -1812,7 +1788,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                 lanes.end(n)
                 break
             if done.any():
-                cr, ci, lc, ext = lanes.keep(~done, cr, ci, lc, ext)
+                cr, ci, lc, ext, prev = lanes.keep(~done, cr, ci, lc, ext, prev)
             if not lanes.rows.size:
                 break
 
@@ -1826,45 +1802,53 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             # the factors of the lanes past their switch need no check
             logm = ext | ~_lanes_terms_safe(tl, top, exps, np.where(ext, 0.0, lc), lzr,
                                             al * corr.real)
-            new_lc, eta, failed = np.empty(lc.size), np.zeros(lc.size), np.zeros(lc.size, bool)
+            new_lc, failed = np.empty(lc.size), np.zeros(lc.size, bool)
             dom = tl.argmax(axis=0)
-            if logm.any():
-                sub_top, sub_dom = top[logm], dom[logm]
-                eta[logm] = sub_eta = _lanes_eta(tl[:, logm], sub_top, sub_dom)
-                new_lc[logm] = (t_lb[sub_dom] + t_it[sub_dom] * lzr + t_j[sub_dom] * lc[logm]
-                                - al * corr.real)
-                failed[logm] = ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf)
-                                 & np.isfinite(new_lc[logm]))
-            exact = ~logm
-            if exact.any():
-                zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
-                         for it, _, _, _ in terms]
-                nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
-                failed[exact] = ~(np.isfinite(nr) & np.isfinite(ni))
-                cr[exact], ci[exact] = nr, ni
-                new_lc[exact] = _log_abs(nr, ni)
-            # the closes, as _ratio_steps offers them, take their lanes before any refusal
-            at = (np.flatnonzero((new_lc < lc) & ((top <= lc) if plus else (dom == lead)))
-                  if close is not None else ())
-            if len(at):
-                e_at = _lanes_eta(tl[:, at], top[at], dom[at])
-                if not plus:
-                    at, e_at = at[e_at < _SOFT_TAIL_TOL], e_at[e_at < _SOFT_TAIL_TOL]
-            if len(at) and (u := close.z_part(lzr)) is not None:
-                shut, value, residual = close.closes(top[at], t_j[dom[at]], lc[at], e_at,
+            # the closes, offered as _ratio_steps offers them, before any refusal
+            offer = ((lc < prev) & ((top <= lc) if plus else (dom == lead)) if close is not None
+                     else np.zeros(lc.size, bool))
+            eta = np.zeros(lc.size)
+            if (need := logm | offer).any():   # _ratio_steps' eta
+                sub, sub_top, sub_dom = tl[:, need], top[need], dom[need]
+                sub_eta = np.zeros(sub_dom.size)
+                for k in range(len(terms)):
+                    gap = sub[k] - sub_top
+                    if (near := (sub_dom != k) & (gap > -80.0)).any():
+                        term = np.zeros(sub_dom.size)
+                        term[near] = _math_map(math.exp, gap[near])
+                        sub_eta += term
+                eta[need] = sub_eta
+            at = np.flatnonzero(offer & (plus | (eta < _SOFT_TAIL_TOL)))
+            if at.size and (u := close.z_part(lzr)) is not None:
+                shut, value, residual = close.closes(top[at], t_j[dom[at]], lc[at], eta[at],
                                                      lanes.fold[at], n, u, tol)
                 if shut.any():
                     closed, (vals, ress) = np.zeros(lc.size, bool), np.zeros((2, lc.size))
                     closed[at[shut]], vals[at], ress[at] = True, value, residual
                     lanes._put_settled(closed, _CONV, vals, ress, n)
                     failed |= closed
+            eta[~logm] = 0.0   # an exact step neglects nothing
+            if logm.any():
+                sub_top, sub_dom, sub_eta = top[logm], dom[logm], eta[logm]
+                new_lc[logm] = (t_lb[sub_dom] + t_it[sub_dom] * lzr + t_j[sub_dom] * lc[logm]
+                                - al * corr.real)
+                failed[logm] |= ~((sub_eta < _SOFT_TAIL_TOL) & (sub_top > -math.inf)
+                                  & np.isfinite(new_lc[logm]))
+            exact = ~logm
+            if exact.any():
+                zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                         for it, _, _, _ in terms]
+                nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
+                failed[exact] |= ~(np.isfinite(nr) & np.isfinite(ni))
+                cr[exact], ci[exact] = nr, ni
+                new_lc[exact] = _log_abs(nr, ni)
             ext = ext | logm
             if failed.any():   # a refused extension ends as 'range', a dive where
                 # log|c| < 0; a non-finite exact step as 'escaped'
                 lanes.end(n, failed & logm, dove=lc < 0)
                 lanes.end(n, failed & exact)
-                cr, ci, new_lc, ext, eta = lanes.keep(~failed, cr, ci, new_lc, ext, eta)
-            lc = new_lc
+                cr, ci, new_lc, ext, eta, lc = lanes.keep(~failed, cr, ci, new_lc, ext, eta, lc)
+            prev, lc = lc, new_lc
             lz = log_a + f.delta * lz + corr
             n += 1
             lanes.fold = lanes.fold + _over(2.0 * eta, d**n)
