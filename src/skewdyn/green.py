@@ -483,6 +483,7 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
                 logs._reason = "escaped"
                 return
             lz = math.log(az) if az > 0 else -math.inf
+        # u/delta^n < (delta - 1) tol first: a cheap test that the residual can be below tol
         if (close is not None and lz > -math.inf and (u := close.z_part(lz)) is not None
                 and (u == 0.0 or _over(u, delta**n) < (delta - 1) * tol)):
             value, residual = _closed_form(lz, log_a, delta, n, u)
