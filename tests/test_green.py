@@ -414,9 +414,10 @@ def test_fiber_sample_traversal_order():
                     lambda: [fn(f, c, z, w, n_max, tol) for w in lanes])
                 assert got == want, (f.q.terms, key, z, n_max)
 
-    # tol 0 settles nothing, so the partials run as far as the orbits: on
-    # alpha32 to step 1024, where 2**n has left the double range; on the
-    # first map the dive of c' = c^3 + c^2 closes at step 6; on the alpha-0
+    # tol 0 settles nothing by increments, so the partials run as far as
+    # the orbits or their closes: on alpha32 to step 1024, where 2**n has
+    # left the double range; on the first map the dive of c' = c^3 + c^2
+    # closes at step 6; on the alpha-0
     # map the dive led by c^2 = c^d closes at its closed form once the term
     # z c^2 falls 80 e-folds behind; on the same map with z^2 c added, the
     # terms of least j and of least i~ differ, so G_z^alpha's ratio orbit
