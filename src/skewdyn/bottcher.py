@@ -94,7 +94,11 @@ def bottcher(f: SkewProduct, c: Classification, z: complex, w: complex,
     n_used = 0
     for n in range(1, n_max + 1):
         zn, wn = eval_skew(f, *orbit[-1])
-        if not (math.isfinite(abs(zn)) and math.isfinite(abs(wn))):
+        try:
+            finite = math.isfinite(abs(zn)) and math.isfinite(abs(wn))
+        except OverflowError:   # a modulus past the double range, of finite parts
+            finite = False
+        if not finite:
             raise ValueError(f"orbit left the float range at step {n}")
         if wedge is not None and not contains(wedge, zn, wn):
             raise ValueError(f"orbit exits the wedge at step {n}")

@@ -51,14 +51,13 @@ its error fold, and the one settle of the series base^-n x_n, _settle.
 The per-point drivers (orbit_logs, best_orbit_logs, ratio_orbit) are
 pulled: each returns an orbit whose steps are computed only as they are
 read.  A driver is a generator that records each step on the orbit
-before it yields it and runs its successor (the log recursion, an
-alternate vertex) by yield from; the first reader iterates it directly,
-a later one catches up from the recorded steps.  An orbit has one
-reader at a time, never two interleaved (_PulledSteps).  The settle and
-regions.classify_point read in order and stop at their exit, so they
-compute no step past it.  Where the w-axis is invariant, _gz_direct
-drains the orbit before it settles, because a zero anywhere on it
-decides how it settles.
+before it yields it and runs its successor (the log recursion) by
+yield from; the first reader iterates it directly, a later one catches
+up from the recorded steps.  An orbit has one reader at a time, never
+two interleaved (_PulledSteps).  The settle and regions.classify_point
+read in order and stop at their exit, so they compute no step past it.
+Where the w-axis is invariant, _gz_direct drains the orbit before it
+settles, because a zero anywhere on it decides how it settles.
 fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
 scalar drivers bit for bit on all lanes at once, computing the z side
 once per step: _fiber_ratio for the weighted ratio, and _fiber_direct
@@ -69,10 +68,10 @@ step past the last settled lane is computed and none is kept.  The
 kernels hand their estimates over as columns (value, n_used, tag,
 residual), and G_z's composition and G_f's max run on the columns.
 
-Both direct drivers keep one rule for the alternate vertex of a
-two-dominant-term map: only an orbit that ended 'range' at a refused
-switch tries it, and it resumes from that orbit's last step, switching
-at the very next step or not at all (_alternate_steps).  Past the switch
+Both direct drivers keep one rule for the switch of a two-dominant-term
+map: at the first step that fails the dominance check, the first of the
+primary vertex and the alternates whose eta passes switches there, and
+where none does the orbit ends 'range' (_switch_vertex).  Past the switch
 an orbit follows the exact log recursion alone (_extension_steps); the
 lane kernel steps its switched lanes by that recursion in the same
 column loop as its exact ones.  A step the recursion overflows ends the
@@ -184,13 +183,13 @@ class _PulledSteps:
 
     The driver is a generator (source) that appends each step to the list
     before it yields it and keeps its running diagnostics on this object;
-    it runs a successor (the log recursion, an alternate vertex) by yield
-    from.  The first reader iterates the source itself.  A later reader
-    catches up from the list and then resumes the source, so no step is
-    computed twice.  An orbit has one reader at a time: a reader may stop
-    early and another take over, but no two read it interleaved, and no
-    caller reads one orbit from two places at once.  A finished orbit
-    (source None) iterates as its plain list.
+    it runs a successor (the log recursion) by yield from.  The first
+    reader iterates the source itself.  A later reader catches up from
+    the list and then resumes the source, so no step is computed twice.
+    An orbit has one reader at a time: a reader may stop early and
+    another take over, but no two read it interleaved, and no caller
+    reads one orbit from two places at once.  A finished orbit (source
+    None) iterates as its plain list.
     """
 
     __slots__ = ("_steps", "_source")
@@ -330,7 +329,7 @@ def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex
     monomial, (delta, 0) for p and `dominant` for q, whose exact log
     recursion continues the orbit once it leaves the double range.
     Where `dominant` refuses the switch, the alternates of q are tried in
-    order (_alternate_steps).  The steps are computed as they are read
+    order (_switch_vertex).  The steps are computed as they are read
     (_OrbitLogs).  g_p runs the orbit of p alone (_p_steps).
     """
     logs = _OrbitLogs(dominant)
@@ -343,8 +342,8 @@ def _log_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int], z: c
                ) -> Iterator[tuple[int, float, float]]:
     """orbit_logs' steps one by one, each put on logs before it is yielded.
 
-    The switch and the end go on logs too.  At the switch, and past a
-    refused one, the log recursion runs on by yield from.
+    The switch, its vertex and the end go on logs too.  At the switch
+    the log recursion runs on by yield from.
     """
     p, q = f.p, f.q
     comps = _components(f, dominant)
@@ -360,12 +359,11 @@ def _log_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int], z: c
             return
         if (not i_top * abs(lz) + j_top * abs(lw) <= _WINDOW
                 and (eta := _extension_eta(comps, lz, lw)) is not None):
-            if eta < _TAIL_TOL and lz > -math.inf and lw > -math.inf:
-                logs._switch_step, logs._switch_eta = n, eta
-                yield from _extension_steps(logs, f, dominant, n, lz, lw, n_max)
-            else:
+            if (switch := _switch_vertex(f, [dominant, *alternates], eta, lz, lw)) is None:
                 logs._reason = "range"
-                yield from _alternate_steps(logs, f, alternates, n, lz, lw, n_max)
+                return
+            (logs._dominant, logs._switch_eta), logs._switch_step = switch, n
+            yield from _extension_steps(logs, f, logs._dominant, n, lz, lw, n_max)
             return
         try:   # p(z), q(z, w) or a modulus past the double range ends the orbit escaped
             z, w = p(z), q(z, w)
@@ -426,29 +424,19 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
     return orbit_logs(f, c.primary.vertex, z, w, n_max, [term.vertex for term in c.terms[1:]])
 
 
-def _alternate_steps(logs: _OrbitLogs, f: SkewProduct, alternates: Iterable[tuple[int, int]],
-                     n: int, lz: float, lw: float, n_max: int) -> Iterator:
-    """The steps from n on of the alternate that carries on past a refused switch, if any.
+def _switch_vertex(f: SkewProduct, vertices: list[tuple[int, int]], eta: float, lz: float,
+                   lw: float) -> Optional[tuple[tuple[int, int], float]]:
+    """(vertex, eta) of the first of vertices whose eta passes at (lz, lw), else None.
 
-    The primary vertex refused to switch at step n, the first step that
-    fails the dominance check, so its orbit ends as 'range' with step
-    L = n - 1, whose logs are (lz, lw); up to step L every vertex computes
-    the same exact steps.  An alternate carries further only by switching
-    at that very step, so it resumes from step L: it switches where its
-    eta there passes the test, and its log recursion continues the orbit
-    from step n.  At most one vertex passes the test at a point (each
-    bounds the others' terms against its own), so the first that passes
-    is the one that carries furthest.
+    (lz, lw) are the logs of the step before the first that fails the dominance check,
+    and eta is the first vertex's there.  At most one vertex passes at a point (each
+    bounds the others' terms against its own), so the first that passes carries furthest.
     """
-    if lz == -math.inf or lw == -math.inf:
-        return   # an exact zero coordinate cannot switch
-    for vertex in alternates:
-        eta = _extension_eta(_components(f, vertex), lz, lw)
-        if eta < _TAIL_TOL:
-            logs._reason, logs._dominant = "complete", vertex
-            logs._switch_step, logs._switch_eta = n, eta
-            yield from _extension_steps(logs, f, vertex, n, lz, lw, n_max)
-            return
+    if lz > -math.inf and lw > -math.inf:   # an exact zero coordinate cannot switch
+        for k, vertex in enumerate(vertices):
+            if (eta := _extension_eta(_components(f, vertex), lz, lw) if k else eta) < _TAIL_TOL:
+                return vertex, eta
+    return None
 
 
 def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
@@ -502,7 +490,12 @@ def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
     """
     if logs._switch_step is None or logs._switch_step > n_used:
         return 0.0
-    return 4 * logs._switch_eta / base**logs._switch_step
+    return _switch_share(logs._switch_eta, base, logs._switch_step)
+
+
+def _switch_share(eta, base: int, k: int):
+    """4 eta / base^k, the fold of a switch at step k, for a float eta or lanes."""
+    return _over(4 * eta, base**k)
 
 
 def _over(x, den: int):
@@ -616,7 +609,7 @@ class _DiveClose:
     G_z^{alpha,+} = 0 where d >= 2 or R < 1.
 
     Dive, G_z^alpha, led by l = b z^i~ c^j of least j and least i~
-    (_close_lead), on top with eta < _SOFT_TAIL_TOL: no other term's gap
+    (_ratio_close), on top with eta < _SOFT_TAIL_TOL: no other term's gap
     to l grows while L and C fall, so eta never grows and l leads for
     good; C_{n+1} - C <= D, so C and D fall, and c_n -> 0.  Then where j < d,
     and i~ = 0 or delta < d, C_{m+1} = j C_m + i~ L_m + O(1) with
@@ -673,20 +666,25 @@ class _DiveClose:
         return ok & ((e + au == 0.0) | (fold + residual < tol)), value, residual
 
 
-def _close_lead(js: list[int], its: list[int], d: int, delta: int) -> Optional[int]:
-    """Index of the one term that may lead a dive's close of G_z^alpha, or None.
+def _ratio_close(c: Classification, terms: list[tuple[int, int, complex, float]], plus: bool,
+                 al: int, log_a: float, tail: list) -> tuple[Optional[_DiveClose], Optional[int]]:
+    """(close, its lead's index) of the ratio orbit of terms, or (None, None); the trap for plus.
 
-    js and its hold j and i~ per term of the ratio recursion.  Only a term of least j and
-    least i~ can lead for good; it needs j >= 1, and j < d with i~ = 0 or delta < d (limit
-    0), or j = d >= 2 with i~ = 0 (a closed form).
+    al = c.alpha, log_a and tail are p's log|a| and _p_tail.  Only a term of least j and
+    least i~ can lead a dive for good; it needs j >= 1, and j < d with i~ = 0 or delta < d
+    (limit 0), or j = d >= 2 with i~ = 0 (a closed form).
     """
-    j, it = min(js), min(its)
-    if j < 1 or not ((j < d and (it == 0 or delta < d)) or (j == d >= 2 and it == 0)):
-        return None
-    for k, jk in enumerate(js):
-        if jk == j and its[k] == it:
-            return k
-    return None
+    d, delta, lead = c.d, c.delta, None
+    js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
+    if not plus:
+        j, it = min(js), min(its)
+        if j >= 1 and ((j < d and (it == 0 or delta < d)) or (j == d >= 2 and it == 0)):
+            for k, jk in enumerate(js):   # one term at most: (i~, j) tells i
+                if jk == j and its[k] == it:
+                    lead = k
+        if lead is None:
+            return None, None
+    return _DiveClose(log_a, delta, tail, d, max(js), al, None if plus else terms[lead][1::2]), lead
 
 
 class _RatioOrbit(_PulledSteps):
@@ -699,15 +697,17 @@ class _RatioOrbit(_PulledSteps):
     orbit first.  terms holds the recursion's terms (_ratio_terms).  The
     orbit ends 'closed' at the first step n that certifies its
     estimator's limit (_DiveClose); closed holds that n and limit the
-    (value, residual) of the close, the fold aside.
+    (value, residual) of the close, the fold aside.  fold bounds the value
+    error of the steps k computed so far, sum 2 eta_k d^-k left to right.
     """
 
-    __slots__ = ("_reason", "_closed", "_limit", "terms")
+    __slots__ = ("_reason", "_closed", "_limit", "terms", "fold")
 
     def __init__(self, terms: list[tuple[int, int, complex, float]]):
         super().__init__()
         # complete, escaped, zero, range or closed
         self.terms, self._reason, self._closed, self._limit = terms, "complete", None, None
+        self.fold = 0.0
 
     reason = _final("_reason")
     closed = _final("_closed")
@@ -719,19 +719,6 @@ class _RatioOrbit(_PulledSteps):
     @property
     def etas(self) -> list[float]:
         return [eta for _, eta in self._drain()]
-
-    def fold_bound(self, d: int, upto: int) -> float:
-        """Bound on the accumulated value error: sum 2 eta_k d^-k, k <= upto.
-
-        Reads the steps computed so far, which must reach step upto.
-        """
-        # a plain left-to-right sum, as the fiber kernel keeps it; sum() of
-        # floats is compensated from Python 3.12 on
-        total = 0.0
-        for k, (_, e) in enumerate(self._steps[: upto + 1]):
-            if e:
-                total += _over(2.0 * e, d**k)
-        return total
 
 
 def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max: int,
@@ -745,38 +732,39 @@ def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max
     dominant log recursion, re-validated at every step; the orbit ends as
     'range' where that fails.  It ends 'closed' at the first step that
     certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
-    (_DiveClose, with the fiber degree c.d).  Unsupported: alpha
-    undefined, d < 1, z = 0 or no usable recursion (_ratio_terms).  The
-    steps are computed as they are read (_RatioOrbit).
+    (_DiveClose, with the fiber degree c.d).  Unsupported where the
+    recursion does not serve the fiber z (_ratio_route).  The steps are
+    computed as they are read (_RatioOrbit).
     """
-    if c.alpha is None or c.d < 1 or z == 0:
-        return None
-    term_list = _ratio_terms(f, c.alpha)
+    term_list = _ratio_route(f, c, z)
     if term_list is None:
         return None
     ro = _RatioOrbit(term_list)
-    ro._source = _ratio_steps(ro, f, int(c.alpha), term_list, z, w, n_max, c.d, plus, tol)
+    ro._source = _ratio_steps(ro, f, c, z, w, n_max, plus, tol)
     return ro
 
 
-def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
-                 term_list: list[tuple[int, int, complex, float]], z: complex,
-                 w: complex, n_max: int, d: int, plus: bool, tol: float
-                 ) -> Iterator[tuple[float, float]]:
+def _ratio_route(f: SkewProduct, c: Classification, z: complex) -> Optional[list]:
+    """_ratio_terms where the ratio serves the fiber z (alpha defined, d >= 1, z != 0), or None."""
+    return None if c.alpha is None or c.d < 1 or z == 0 else _ratio_terms(f, c.alpha)
+
+
+def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex, w: complex,
+                 n_max: int, plus: bool, tol: float) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
     Step n is offered to the close, exact or extended, where log|c| fell
     into it (step 0 always), and there only where top <= C (plus) or the
     lead is on top: a dive's close that holds at step n holds at step
     n + 1, into which log|c| falls, so this delays it by a step at most.
-    fold is the running fold_bound(d, n) where a close exists, as
-    _fiber_ratio keeps it.
+    ro.fold is kept at every step.  An exact step whose z-factor leaves the
+    double range ends the orbit as 'range', as an extended step does.
     """
-    append = ro._steps.append
+    append, al, d, term_list = ro._steps.append, int(c.alpha), c.d, ro.terms
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f.p), f.delta
     lz = cmath.log(complex(z))
-    c = complex(w) * cmath.exp(-al * lz) if al else complex(w)
-    lc = _lmag(c)
+    cn = complex(w) * cmath.exp(-al * lz) if al else complex(w)
+    lc = _lmag(cn)
     append(step := (lc, 0.0))
     yield step
     extended = False   # past the switch to the dominant monomial's log recursion
@@ -784,9 +772,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
     exps = (js, its, j_top := max(js), it_top := max(its))
     # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
     lb_top = max(abs(lb) for _, _, _, lb in term_list)
-    lead, fold = None if plus else _close_lead(js, its, d, delta), 0.0
-    close = (_DiveClose(log_a.real, delta, tail, d, j_top, al, None if plus else
-                        term_list[lead][1::2]) if plus or lead is not None else None)
+    (close, lead), fold = _ratio_close(c, term_list, plus, al, log_a.real, tail), 0.0
     isfinite, exp, zero = math.isfinite, math.exp, -math.inf
     prev = math.inf   # log|c| of the step before
     for n in range(n_max):   # step n is the last one yielded
@@ -814,7 +800,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
             if offer:   # and where the trap's top <= C (plus), or the lead is on top
                 offer = top <= lc if plus else top_idx == lead
         if (logm := extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac))) or offer:
-            eta = 0.0  # summed left to right, as in fold_bound
+            eta = 0.0  # summed left to right, as the lanes sum it
             if len(tlogs) > 1:   # a lone term has no other to sum
                 for k, t in enumerate(tlogs):
                     if k != top_idx and t - top > -80.0:
@@ -834,19 +820,23 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, al: int,
                 ro._reason = "range"
                 return
             step = (lc, eta)
-            if eta and close is not None:   # the step's share of fold_bound, in its order
-                fold += _over(2.0 * eta, d ** (n + 1))
+            if eta:   # the step's share of the fold, in its order
+                ro.fold = fold = fold + _over(2.0 * eta, d ** (n + 1))
         else:
             nxt = 0j
             acorr, nacorr = al * corr, -al * corr
-            for it, j, coeff, _ in term_list:
-                zfac = cmath.exp(it * lz - acorr) if it else cmath.exp(nacorr)
-                nxt += coeff * (c**j) * zfac
+            try:
+                for it, j, coeff, _ in term_list:
+                    zfac = cmath.exp(it * lz - acorr) if it else cmath.exp(nacorr)
+                    nxt += coeff * (cn**j) * zfac
+            except ValueError:   # a z-factor past the double range, and log z_n with it
+                ro._reason = "range"
+                return
             if not (isfinite(nxt.real) and isfinite(nxt.imag)):
                 ro._reason = "escaped"
                 return
-            c = nxt
-            step = (lc := _lmag(c), 0.0)
+            cn = nxt
+            step = (lc := _lmag(cn), 0.0)
         lz = log_a + delta * lz + corr
         append(step)
         yield step
@@ -938,33 +928,21 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
     decides, zero, given = settler.decides, -math.inf, GreenEstimate
-    if not plus:   # the loop without plus, as tight as the series allows
-        for n, x in pairs:
-            if x.__class__ is given:
-                return _fold_residual(x, fold)
-            if x == zero:
-                return _fold_residual(GreenEstimate(zero, n, TERM_HIT_ZERO, 0.0), fold)
-            while k < n:   # a pair per step, but where the direct orbit skips a transient zero
-                k, bk = k + 1, bk * base
-            if decides(x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk), n):
-                return _fold_residual(settler.decision(), fold)
-        return _fold_residual(settler.finish(), fold)
     for n, x in pairs:
         if x.__class__ is given:
             return _fold_residual(x, fold)
         if x == zero:
-            return _fold_residual(GreenEstimate(0.0, n, TERM_HIT_ZERO, 0.0), fold)
-        while k < n:
+            return _fold_residual(GreenEstimate(0.0 if plus else zero, n, TERM_HIT_ZERO, 0.0), fold)
+        while k < n:   # a pair per step, but where the direct orbit skips a transient zero
             k, bk = k + 1, bk * base
-        fbk = float(bk) if bk < _FLOAT_TOP else 0.0   # 0.0: _over_exact divides
-        g = max(x, 0.0)
-        g = g / fbk if fbk else _over_exact(g, bk)
-        if decides(g, n) and x > ESCAPE_LOG:
+        if plus and x < 0.0:   # max(x, 0.0), without the call
+            x = 0.0
+        g = x / float(bk) if bk < _FLOAT_TOP else _over_exact(x, bk)
+        if decides(g, n) and (not plus or x > ESCAPE_LOG):
             return _fold_residual(settler.decision(), fold)
-        if (not x > ESCAPE_LOG and base >= 2
-                and (bound := tail_m / fbk if fbk else _over_exact(tail_m, bk)) < tol):
+        if plus and not x > ESCAPE_LOG and base >= 2 and (bound := _over(tail_m, bk)) < tol:
             return _fold_residual(GreenEstimate(g, n, TERM_CONVERGED, bound), fold)
-    if base >= 2 and (end := range_end()) is not None:
+    if plus and base >= 2 and (end := range_end()) is not None:
         # the series dove below the double range: every later bounce is
         # bounded by shrinking z-powers, so the escape rate is zero; it is
         # converged only when the certified tail bound is below tol
@@ -995,10 +973,16 @@ def g_p(p: UniPoly, z: complex, n_max: int = DEFAULT_N_MAX,
     return est
 
 
-def _require_d(c: Classification, minimum: int = 1) -> int:
-    if c.d < minimum:
-        raise ValueError(f"estimator requires fiber degree d >= {minimum}, got d = {c.d}")
-    return c.d
+def _refusal(c: Classification, which: str) -> Optional[str]:
+    """Why the estimator `which` (a key of ESTIMATORS) refuses the classification c, or None."""
+    if which in ("Gza", "Gzap", "Gzi") and (d := c.d) < 1:   # c.d is read once
+        return f"estimator requires fiber degree d >= 1, got d = {d}"
+    if which == "Gzi" and c.delta != d:
+        return f"G_z^infty requires delta == d, got {c.delta} != {d}"
+    if which in ("Gza", "Gzap", "Gfa") and c.alpha is None:
+        hint = "" if which == "Gfa" else ": use g_z_infty"
+        return f"alpha undefined (gamma > 0, delta == d){hint}"
+    return None
 
 
 def _plus_tail_constant(d: int, coeff_sum: float, j_max: int = 0) -> float:
@@ -1029,7 +1013,8 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     escape radius, and the orbit stops there as 'escaped', its tail unknown.
     An orbit that ended 'closed' (ratio_orbit with the same plus and tol)
     closes the series at its limit as a producer exit past its last step:
-    converged, with the close's residual and the fold.
+    converged, with the close's residual and the fold.  ro is fresh, as
+    every caller passes it, so ro.fold is the fold up to the settle's exit.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
@@ -1046,7 +1031,7 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
         # tail past the last one, r, is about r/(d-1): an estimate read there
         # adds that, and r more is its margin
         past = d >= 2 and steps[est.n_used][0] > ESCAPE_LOG and est.finite
-        return (est.residual / (d - 1) if past else 0.0) + ro.fold_bound(d, est.n_used)
+        return (est.residual / (d - 1) if past else 0.0) + ro.fold
 
     return _settle(chain(pairs, close()), d, tol, fold, plus,
                    _ratio_tail_m(d, ro.terms) if plus else 0.0,
@@ -1118,9 +1103,8 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
 
 def _gza(f: SkewProduct, c: Classification, z: complex, w: complex,
          n_max: int, tol: float, plus: bool) -> GreenEstimate:
-    _require_d(c)
-    if c.alpha is None:
-        raise ValueError("alpha undefined (gamma > 0, delta == d): use g_z_infty")
+    if (why := _refusal(c, "Gzap" if plus else "Gza")) is not None:
+        raise ValueError(why)
     ro = ratio_orbit(f, c, z, w, n_max, plus, tol)
     if ro is not None:
         return _gza_from_ratio(c, ro, tol, plus)
@@ -1143,9 +1127,8 @@ def g_z_alpha_plus(f: SkewProduct, c: Classification, z: complex, w: complex,
 def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
               n_max: int = DEFAULT_N_MAX, tol: float = DEFAULT_TOL) -> GreenEstimate:
     """G_z^infty for delta == d."""
-    d = _require_d(c)
-    if c.delta != d:
-        raise ValueError(f"G_z^infty requires delta == d, got {c.delta} != {d}")
+    if (why := _refusal(c, "Gzi")) is not None:
+        raise ValueError(why)
     return _gzi_direct(f, c, best_orbit_logs(f, c, z, w, n_max), tol)
 
 
@@ -1274,12 +1257,9 @@ def _f_z_part(f: SkewProduct, c: Classification, which: str, z: complex, n_max: 
     where G_p is.  s = 0 gives the constant 0 (z^0 = 1) and needs no
     G_p; s < 0 on E_z, where G_p = -inf, gives +inf (hit_Ez).
     """
-    if which == "Gf":
-        s = 1.0
-    elif c.alpha is None:
-        raise ValueError("alpha undefined (gamma > 0, delta == d)")
-    else:
-        s = float(c.alpha)
+    if (why := _refusal(c, which)) is not None:
+        raise ValueError(why)
+    s = 1.0 if which == "Gf" else float(c.alpha)
     if not s:
         return GreenEstimate(0.0, 0, TERM_CONVERGED, 0.0), None
     base = g_p(f.p, z, n_max, tol)
@@ -1438,10 +1418,11 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     G_z^{alpha,+} with an integer weighted-ratio recursion run all lanes
     at once (_fiber_ratio).  G_z takes its lanes from _fiber_gz, and G_f
     and G_f^alpha take the max of those with the fiber's one s Z, as g_f
-    and g_f_alpha do for one point.  Where an estimator reads the direct
-    orbit alone (_direct_only), the orbits of all lanes run at once and
-    settle as they run (_fiber_direct).  Every other case calls the
-    scalar estimator per point.  All give identical results.
+    and g_f_alpha do for one point.  Where the ratio does not serve
+    (_ratio_route), and for G_z^infty, the direct orbits of all lanes run
+    at once and settle as they run (_fiber_direct).  Where the estimator
+    refuses the map (_refusal), or a power of w is past the kernels'
+    reach, it runs per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
@@ -1450,21 +1431,20 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     with np.errstate(all="ignore"):   # the kernels replay inf and nan as the scalars do
         if which == "Gp":
             cols = _columns([g_p(f.p, z, n_max, tol)] * len(ws) if ws else [])
-        elif batch and which in ("Gf", "Gfa"):
+        elif not batch or _refusal(c, which) is not None:   # the scalar estimator raises it
+            cols = _columns([fn(f, c, z, w, n_max, tol) for w in ws])
+        elif which in ("Gf", "Gfa"):
             zpart, base = _f_z_part(f, c, which, z, n_max, tol)
             if zpart.termination == TERM_HIT_EZ:
                 cols = _columns([zpart] * len(ws))
             else:
                 cols = _lanes_max(zpart, _fiber_gz(f, c, z, ws, n_max, tol, base))
-        elif batch and which == "Gz":
+        elif which == "Gz":
             cols = _fiber_gz(f, c, z, ws, n_max, tol, None)
-        elif batch and which in ("Gza", "Gzap") and _ratio_serves(f, c, z):
-            _require_d(c)
+        elif which != "Gzi" and _ratio_route(f, c, z) is not None:
             cols = _fiber_ratio(f, c, which == "Gzap", complex(z), ws, n_max, tol)
-        elif batch and _direct_only(f, c, which, z):
-            cols = _fiber_direct(f, c, which, z, ws, n_max, tol)
         else:
-            cols = _columns([fn(f, c, z, w, n_max, tol) for w in ws])
+            cols = _fiber_direct(f, c, which, z, ws, n_max, tol)
     return FiberFunctionSample(z, ws, cols)
 
 
@@ -1473,11 +1453,6 @@ def _columns(ests: list[GreenEstimate]) -> tuple:
     return (np.array([e.value for e in ests], float), np.array([e.n_used for e in ests], int),
             np.array([_TAGS.index(e.termination) for e in ests], np.int8),
             np.array([e.residual for e in ests], float))
-
-
-def _ratio_serves(f: SkewProduct, c: Classification, z: complex) -> bool:
-    """Whether the integer weighted-ratio recursion runs on the fiber z."""
-    return z != 0 and c.alpha is not None and _ratio_terms(f, c.alpha) is not None
 
 
 def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, ...],
@@ -1490,7 +1465,7 @@ def _fiber_gz(f: SkewProduct, c: Classification, z: complex, ws: tuple[complex, 
     unsettled of weight 0) takes the direct orbit, as every lane does
     otherwise.
     """
-    if _direct_only(f, c, "Gz", z):
+    if _ratio_route(f, c, z) is None:
         return _fiber_direct(f, c, "Gz", z, ws, n_max, tol)
     if base is None:
         base = g_p(f.p, z, n_max, tol)
@@ -1521,20 +1496,6 @@ def _lanes_max(a: GreenEstimate, cols: tuple) -> tuple:
             np.where(budget, _BUDGET, np.where(win, bt, at)).astype(np.int8),
             np.where(apart, np.where(win, br, a.residual),
                      np.where(br > a.residual, br, a.residual)))
-
-
-def _direct_only(f: SkewProduct, c: Classification, which: str, z: complex) -> bool:
-    """True where estimator `which` goes straight to best_orbit_logs on the fiber z.
-
-    False also where the per-point estimator refuses the map; the
-    conditions mirror its branches.
-    """
-    no_ratio = not _ratio_serves(f, c, z)
-    if which in ("Gza", "Gzap"):
-        return c.d >= 1 and c.alpha is not None and no_ratio
-    if which == "Gzi":
-        return c.d >= 1 and c.delta == c.d
-    return which == "Gz" and (no_ratio or c.d < 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1751,14 +1712,10 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     terms = _ratio_terms(f, c.alpha)
-    js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
-    t_it, t_j = np.array(its, float), np.array(js, float)
-    lead = None if plus else _close_lead(js, its, d, f.delta)
-    t_lb = np.array([lb for _, _, _, lb in terms])
+    t_it, t_j, t_lb = (np.array([t[k] for t in terms], float) for k in (0, 1, 3))
     exps = (t_j, t_it, t_j.max(), t_it.max())
     log_a, tail = cmath.log(f.p.leading_at_zero()), _p_tail(f.p)
-    close = (_DiveClose(log_a.real, f.delta, tail, d, max(js), al,
-                        None if plus else terms[lead][1::2]) if plus or lead is not None else None)
+    close, lead = _ratio_close(c, terms, plus, al, log_a.real, tail)
     lz = cmath.log(z)
 
     wv = np.array(ws, dtype=complex)
@@ -1770,7 +1727,7 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
     ext = np.zeros(len(ws), bool)   # past the switch to the log recursion
     prev = np.full(len(ws), math.inf)   # log|c| of the step before
 
-    # the fold is the running fold_bound(d, n), the tail _gza_from_ratio's, read at lc
+    # the fold is kept as _ratio_steps keeps ro.fold, the tail _gza_from_ratio's, read at lc
     escape_tail = (lambda v, r: np.where(np.isfinite(v) & (lc > ESCAPE_LOG), r / (d - 1), 0.0)
                    ) if d >= 2 else None
     lanes = _LaneSettle(len(ws), d, tol, plus, _ratio_tail_m(d, terms) if plus else 0.0,
@@ -1837,12 +1794,16 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                                   & np.isfinite(new_lc[logm]))
             exact = ~logm
             if exact.any():
-                zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
-                         for it, _, _, _ in terms]
-                nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
-                failed[exact] |= ~(np.isfinite(nr) & np.isfinite(ni))
-                cr[exact], ci[exact] = nr, ni
-                new_lc[exact] = _log_abs(nr, ni)
+                try:
+                    zfacs = [cmath.exp(it * lz - al * corr) if it else cmath.exp(-al * corr)
+                             for it, _, _, _ in terms]
+                except ValueError:   # a z-factor past the double range: as a refused extension
+                    failed, logm = failed | exact, logm | exact
+                else:
+                    nr, ni = _exact_step(cr[exact], ci[exact], terms, zfacs)
+                    failed[exact] |= ~(np.isfinite(nr) & np.isfinite(ni))
+                    cr[exact], ci[exact] = nr, ni
+                    new_lc[exact] = _log_abs(nr, ni)
             ext = ext | logm
             if failed.any():   # a refused extension ends as 'range', a dive where
                 # log|c| < 0; a non-finite exact step as 'escaped'
@@ -1905,7 +1866,7 @@ class _LaneOrbits:
     Each step replays the scalar driver on every lane.  The exact lanes
     share z_n, its log and p's part of the dominance test.  A lane that
     fails the test switches to the log recursion of the first vertex whose
-    eta passes it, the primary and then the alternates (_alternate_steps),
+    eta passes it, the primary and then the alternates (_switch_vertex),
     or ends 'range'; the switched lanes step by their vertex's recursion
     (_extension_steps).
     """
@@ -2043,9 +2004,9 @@ def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
             lanes.end(n - 1, ~stay, orbits.reason[lanes.rows] == _RANGE if plus else None)
             u, = lanes.keep(stay, u)
         rows, last, dn, ext, vtx = lanes.rows, n, d**n, orbits.ext, orbits.vtx
-        # the switch fold, 4 eta / base^k, of the lanes that switched at step k = n
+        # the switch fold of the lanes that switched at step k = n
         if ext.any() and (new := ext & (orbits.switch_step[rows] == n)).any():
-            lanes.fold[new] = 4 * orbits.switch_eta[rows[new]] / float(dn)
+            lanes.fold[new] = _switch_share(orbits.switch_eta[rows[new]], d, n)
         take = lw > -math.inf   # a transient zero w_n = 0 has no partial
         if which == "Gz":
             if axis_inv:   # a zero anywhere on the orbit decides

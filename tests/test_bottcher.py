@@ -79,6 +79,19 @@ def test_bottcher_rejects_d0():
         bottcher(f, c, 0.01, 0.001)
 
 
+# f(z, w) has finite parts whose modulus overflows, where abs() raises OverflowError
+HUGE_MODULUS = [
+    (SkewProduct(UniPoly({2: 1.5e308 + 1.5e308j}), BiPoly({(0, 2): 1.0})), (1.0, 0.5)),
+    (SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.5e308 + 1.5e308j})), (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("f, point", HUGE_MODULUS)
+def test_bottcher_refuses_an_orbit_whose_modulus_overflows(f, point):
+    with pytest.raises(ValueError, match=r"^orbit left the float range at step 1$"):
+        bottcher(f, classify(f), *point)
+
+
 def test_bottcher_point_outside_wedge_errors():
     c = classify(CASE2_GT)
     wedge = wedge_u_l(c.l1, 0.01)

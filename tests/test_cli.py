@@ -130,6 +130,18 @@ def test_verify_v_l_without_admissible_z_is_reported(tmp_path, capsys, weights, 
     assert str(tuple(float(x) for x in radii.split(","))) in captured.err
 
 
+@pytest.mark.parametrize("text, point", [("p 2 1.5e308 1.5e308\nq 0 2 1.0 0.0\n", "1,0,0.5,0"),
+                                         ("p 2 1.0 0.0\nq 0 2 1.5e308 1.5e308\n", "0.5,0,1,0")])
+def test_green_bottcher_orbit_past_the_float_range_is_an_error(tmp_path, capsys, text, point):
+    # |f(z, w)| overflows on finite parts: one error line and exit 2, no traceback
+    path = tmp_path / "huge.skew"
+    path.write_text(text)
+    rc = main(["green", str(path), "--function", "bottcher", "--point", point])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == ["error: orbit left the float range at step 1"]
+
+
 def test_green_gz_past_the_float_range_of_lambda_powers(tmp_path, capsys):
     # (z^2, z^2): d = 0, so the direct orbit serves; 2**1030 leaves the
     # double range, the estimate does not

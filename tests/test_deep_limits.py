@@ -31,7 +31,7 @@ import pytest
 
 from skewdyn import (BiPoly, SkewProduct, UniPoly, classify, g_f, g_f_alpha, g_p, g_z, g_z_alpha,
                      g_z_alpha_plus)
-from skewdyn.green import (ESCAPE_LOG, _close_lead, _ratio_terms, best_orbit_logs, fiber_sample,
+from skewdyn.green import (ESCAPE_LOG, _ratio_close, _ratio_terms, best_orbit_logs, fiber_sample,
                            ratio_orbit)
 from skewdyn.oracles import example_degenerate
 from test_green import ESCAPE_MAP
@@ -463,11 +463,9 @@ def test_closes_lie_within_their_residual_of_the_deep_limit():
     traps, closed_forms = set(), set()
     for f, z, w in CLOSING:
         c = classify(f)
-        terms = _ratio_terms(f, c.alpha)
-        lead = _close_lead([j for _, j, _, _ in terms], [it for it, _, _, _ in terms],
-                           c.d, c.delta)
+        close, _ = _ratio_close(c, _ratio_terms(f, c.alpha), False, int(c.alpha), 0.0, [])
         for plus, key, fn in ((False, "Gza", g_z_alpha), (True, "Gzap", g_z_alpha_plus)):
-            if not (plus or (lead is not None and terms[lead][1] == c.d)):
+            if not (plus or (close is not None and close.lead[0] == c.d)):
                 continue
             limit = None
             for tol in (1e-10, 0.0):

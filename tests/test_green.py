@@ -447,7 +447,7 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
     # reproduce the per-point estimators exactly, and settle no lane
     # through the scalar routines
     from skewdyn import green
-    from skewdyn.green import _direct_only, best_orbit_logs, fiber_sample
+    from skewdyn.green import _ratio_route, _refusal, best_orbit_logs, fiber_sample
 
     alpha32 = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     ptail = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
@@ -485,16 +485,14 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
     for f, z, lanes in fibers:
         c = classify(f)
         for key in ("Gza", "Gzap", "Gzi", "Gz", "Gf", "Gfa"):
-            # G_f and G_f^alpha are the max of the G_z lanes and the fiber's one G_p
-            if key in ("Gf", "Gfa"):
-                direct = _direct_only(f, c, "Gz", z) and (key == "Gf" or c.alpha is not None)
-            else:
-                direct = _direct_only(f, c, key, z)
-            if direct:
+            # the direct orbit serves where the estimator runs and the weighted
+            # ratio does not serve, as always for G_z^infty; G_f and G_f^alpha
+            # are the max of the G_z lanes and the fiber's one G_p
+            if _refusal(c, key) is None and (key == "Gzi" or _ratio_route(f, c, z) is None):
                 for n_max, tol in ((64, 1e-10), (9, 1e-6), (1, 1e-10), (0, 1e-10)):
                     want = [_estimate_key(ESTIMATORS[key](f, c, z, w, n_max, tol)) for w in lanes]
                     runs.append((f, c, key, z, lanes, n_max, tol, want))
-    assert len(runs) > 60
+    assert len(runs) == 108
     assert {"Gf", "Gfa"} <= {run[2] for run in runs}
     calls = []
     for name in ("_gza_direct", "_gzi_direct", "_gz_direct"):
@@ -570,6 +568,76 @@ def test_escape_side_range_end_is_not_a_dive():
         assert abs(est.value - settled.value) <= settled.residual
         assert fiber_sample(f, c, "Gzap", z, [w], 64, tol).estimates == (est,)
     assert g_z_alpha_plus(f, c, z, w, 64, 0.0).n_used == 55
+
+
+def test_a_z_factor_past_the_double_range_ends_the_ratio_orbit_as_range():
+    # the tracked log z_n outgrows the double range while c_n is still
+    # inside it, so exp(i~ log z_n - alpha corr) of a term with i~ > 0
+    # cannot be formed: the exact step ends the orbit 'range' there, as an
+    # extended step does, and raises nothing
+    from skewdyn.green import ratio_orbit
+
+    d1 = SkewProduct(UniPoly({3: 0.21895677042907735 + 0.9428266541823689j,
+                              4: -0.03383163227722519 + 0.5829812354959778j}),
+                     BiPoly({(2, 1): 0.6934747045002427 + 0.08027014719271186j,
+                             (3, 4): 0.3291915987223746 - 1.6706914574323837j}))
+    z, w = -0.19585283145649335 + 0.4342380460918501j, 0.9574172219125245 - 0.34337426955501793j
+    ro = ratio_orbit(d1, classify(d1), z, w, 1100, False, 0.0)
+    assert (ro.reason, len(ro.log_mags)) == ("range", 645) and ro.log_mags[-1] > -210.0
+    # c' = c^2 + 0.2 + z^2 c: c_n tends to the fixed point 0.276... of
+    # c^2 + 0.2, so at tol 0 nothing settles before the z-factor of z^2 c
+    # fails at step 1024, and every lane runs into that step
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (2, 0): 0.2, (3, 1): 0.3}))
+    c = classify(f)
+    z, ws = cmath.rect(0.9, 1.0), [0.3, 0.1 + 0.2j, -0.2j, 0.5]
+    for plus in (False, True):
+        ro = ratio_orbit(f, c, z, ws[0], 1100, plus, 0.0)
+        assert (ro.reason, len(ro.log_mags)) == ("range", 1024)
+    for key in ("Gza", "Gzap", "Gz", "Gf", "Gfa"):
+        want = [ESTIMATORS[key](f, c, z, w, 1100, 0.0) for w in ws]
+        assert {est.n_used for est in want} == {1023}, key
+        assert repr(list(fiber_sample(f, c, key, z, ws, 1100, 0.0).estimates)) == repr(want), key
+
+
+def test_the_ratio_fold_is_every_step_share_up_to_the_settle():
+    # after the settle, ro.fold is sum 2 eta_k d^-k over k <= n_used, added
+    # left to right: on orbits that close, escape (weightless), end 'range'
+    # and run to the budget, with a close to offer or none
+    from skewdyn.green import _gza_from_ratio, _over, _ratio_close, ratio_orbit
+
+    closing = SkewProduct(UniPoly({4: 1.0}), BiPoly({(1, 3): 1.0, (2, 2): 1.0, (3, 2): 2e-4j}))
+    no_close = SkewProduct(UniPoly({4: -1.1486240884180297 - 0.6291202891448895j}),
+                           BiPoly({(0, 5): 1.9125937506656134 + 0.5545863785338567j,
+                                   (2, 3): 1.6511607266056645 + 0.743626772136198j,
+                                   (5, 2): 0.5315954145227044 + 1.5845583970907056j}))
+    escaping = SkewProduct(UniPoly({4: -1.0211873629258852 + 0.8914409742936136j,
+                                    5: 0.2349050409322333 - 0.7466015348994606j}),
+                           BiPoly({(2, 3): 1.094374812110697 + 1.8405084008699983j}))
+    z_nc = 0.05986877994921088 + 0.18307984847023656j
+    w_nc = 0.39510717742363827 - 0.18511347145231105j
+    runs = [  # (map, z, w, weightless, n_max, tol, (reason, termination))
+        (closing, -0.3162260119119541 + 0.9486838827503399j,
+         0.17331644948373137 - 1.1244305821169907j, False, 64, 1e-10, ("closed", "converged")),
+        (escaping, -0.5527292043005462 - 0.7679608229083971j,
+         -2.0829335593777953 + 1.2330534407669167j, True, 64, 1e-10,
+         ("complete", "escaped_with_tail")),
+        (no_close, z_nc, w_nc, False, 1100, 0.0, ("range", "budget")),
+        (no_close, z_nc, w_nc, False, 64, 0.0, ("complete", "budget")),
+    ]
+    for f, z, w, weightless, n_max, tol, end in runs:
+        c = classify(f)
+        ro = ratio_orbit(f, c, z, w, n_max, False, tol)
+        est = _gza_from_ratio(c, ro, tol, False, weightless)
+        assert (ro._reason, est.termination) == end, (f.q.terms, est)
+        total = 0.0
+        for k, (_, eta) in enumerate(ro._steps[:est.n_used + 1]):
+            if eta:
+                total += _over(2.0 * eta, c.d**k)
+        assert ro.fold == total, (f.q.terms, end)
+        # the orbits without a close keep their fold too
+        assert total > 0.0 or weightless
+        assert (_ratio_close(c, ro.terms, False, int(c.alpha), 0.0, [])[0] is None) == (f is no_close)
+    assert est.n_used == 64
 
 
 def test_gf_is_the_max_of_its_z_part_and_gz():
@@ -897,13 +965,13 @@ def test_two_term_p_tail_on_the_ratio_path():
     # p = z^4 + 0.3 z^5 - 0.2i z^6: the ratio recursion's p-tail correction
     # sums two terms; lanes equal points, and the ratio agrees with the
     # direct orbit where that one settles, else with the deep limit
-    from skewdyn.green import _gza_direct, _p_tail, _ratio_serves, best_orbit_logs
+    from skewdyn.green import _gza_direct, _p_tail, _ratio_route, best_orbit_logs
     from test_deep_limits import _deep_ratio
 
     f = SkewProduct(UniPoly({4: 1.0, 5: 0.3, 6: -0.2j}), BiPoly({(1, 3): 1.0, (2, 2): 1.0}))
     c = classify(f)
     z, lanes = 0.3 + 0.2j, [0.1, 0.3 - 0.2j, 0.05j, 0.6 + 0.1j]
-    assert _ratio_serves(f, c, z) and len(_p_tail(f.p)) == 2
+    assert _ratio_route(f, c, z) is not None and len(_p_tail(f.p)) == 2
     for key in ("Gza", "Gzap", "Gz", "Gf", "Gfa"):
         for n_max in (1, 9, 64):
             want = [ESTIMATORS[key](f, c, z, w, n_max, DEFAULT_TOL) for w in lanes]
