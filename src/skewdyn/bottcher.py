@@ -92,45 +92,49 @@ def bottcher(f: SkewProduct, c: Classification, z: complex, w: complex,
     phi_prev: Optional[tuple[complex, complex]] = None
     result: Optional[tuple[complex, complex]] = None
     n_used = 0
-    for n in range(1, n_max + 1):
-        zn, wn = eval_skew(f, *orbit[-1])
-        try:
-            finite = math.isfinite(abs(zn)) and math.isfinite(abs(wn))
-        except OverflowError:   # a modulus past the double range, of finite parts
-            finite = False
-        if not finite:
-            raise ValueError(f"orbit left the float range at step {n}")
-        if wedge is not None and not contains(wedge, zn, wn):
-            raise ValueError(f"orbit exits the wedge at step {n}")
-        if zn == 0 or wn == 0:
-            raise ValueError(f"orbit hit a coordinate axis at step {n}")
-        orbit.append((zn, wn))
-        phi_n = monomial_inverse(delta, gamma, d, a, b, n, zn, wn, orbit)
-        if phi_prev is not None:
-            delta_step = max(abs(phi_n[0] - phi_prev[0]), abs(phi_n[1] - phi_prev[1]))
-            if delta_step < tol:
-                result = phi_n
-                n_used = n
-                break
-        phi_prev = phi_n
-    if result is None:
-        result = phi_prev if phi_prev is not None else orbit[0]
-        n_used = len(orbit) - 1
-    phi1, phi2 = result
+    n = 0
+    try:   # a root, a power or a quotient past the double range
+        for n in range(1, n_max + 1):
+            zn, wn = eval_skew(f, *orbit[-1])
+            try:
+                finite = math.isfinite(abs(zn)) and math.isfinite(abs(wn))
+            except OverflowError:   # a modulus past the double range, of finite parts
+                finite = False
+            if not finite:
+                raise ValueError(f"orbit left the float range at step {n}")
+            if wedge is not None and not contains(wedge, zn, wn):
+                raise ValueError(f"orbit exits the wedge at step {n}")
+            if zn == 0 or wn == 0:
+                raise ValueError(f"orbit hit a coordinate axis at step {n}")
+            orbit.append((zn, wn))
+            phi_n = monomial_inverse(delta, gamma, d, a, b, n, zn, wn, orbit)
+            if phi_prev is not None:
+                delta_step = max(abs(phi_n[0] - phi_prev[0]), abs(phi_n[1] - phi_prev[1]))
+                if delta_step < tol:
+                    result = phi_n
+                    n_used = n
+                    break
+            phi_prev = phi_n
+        if result is None:
+            result = phi_prev if phi_prev is not None else orbit[0]
+            n_used = len(orbit) - 1
+        phi1, phi2 = result
 
-    # conjugacy residual: phi(f(z,w)) vs f0(phi(z,w)), same branch state
-    fz, fw = eval_skew(f, z, w)
-    shifted = orbit[1:]
-    m = len(shifted) - 1
-    if m >= 1:
-        img = monomial_inverse(delta, gamma, d, a, b, m,
-                               shifted[-1][0], shifted[-1][1], shifted)
-    else:
-        img = (fz, fw)
-    f0_phi = (a * phi1**delta, b * phi1**gamma * phi2**d)
-    conj = max(abs(img[0] - f0_phi[0]), abs(img[1] - f0_phi[1]))
-    scale = max(abs(z), abs(w))
-    dev = max(abs(phi1 - z), abs(phi2 - w)) / scale if scale > 0 else 0.0
+        # conjugacy residual: phi(f(z,w)) vs f0(phi(z,w)), same branch state
+        fz, fw = eval_skew(f, z, w)
+        shifted = orbit[1:]
+        m = len(shifted) - 1
+        if m >= 1:
+            img = monomial_inverse(delta, gamma, d, a, b, m,
+                                   shifted[-1][0], shifted[-1][1], shifted)
+        else:
+            img = (fz, fw)
+        f0_phi = (a * phi1**delta, b * phi1**gamma * phi2**d)
+        conj = max(abs(img[0] - f0_phi[0]), abs(img[1] - f0_phi[1]))
+        scale = max(abs(z), abs(w))
+        dev = max(abs(phi1 - z), abs(phi2 - w)) / scale if scale > 0 else 0.0
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"orbit left the float range at step {n}") from None
     return BottcherEstimate(phi1=phi1, phi2=phi2, n_used=n_used,
                             conj_residual=conj, id_deviation=dev,
                             no_theorem_warning=warn)

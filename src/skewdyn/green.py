@@ -11,72 +11,51 @@ Estimated limits, with (z_n, w_n) = f^n(z, w) and lambda = max{delta, d}:
     G_f^alpha  = lim lambda^-n log max(|z_n^alpha|, |w_n|)
 
 Only magnitudes enter any of these, so orbits are tracked as log
-magnitudes by one driver per kind of orbit: _p_steps over p alone for
-G_p, orbit_logs over p and q for the others.  Each component is a term
-table with a dominant monomial.  The complex orbit is iterated exactly
-while every non-negligible monomial stays inside the float window;
-past that the driver switches to the exact dominant-monomial recursion in
-log space, but only after verifying that the dominant terms actually
-dominate (the neglected level eta, folded as 4 eta / base^k for a switch
-at step k, is added to the reported residual).  For integer weights alpha
-the weighted ratio c_n = w_n / z_n^alpha satisfies its own polynomial
-recursion with non-negative z-exponents, which reaches far deeper than
-the raw orbit; G_z^alpha and G_z^alpha+ use it when it applies.  Its
-driver, ratio_orbit, has no escape exit: where a term or a factor of it
-leaves the double range, either way, it continues by the dominant
-monomial, re-validated at every step, so d^-n log|c_n| settles as an
-ordinary series, or diverges where a term c^j, j > d, comes to lead an
-escape.  Past the escape radius that series is geometric at the rate
-1/d, and its residual counts the tail (_gza_from_ratio).  Past the
-step where z falls for good, each limit is that of an affine log
-recursion, so the series of p and of the ratio close at the first step,
-exact or extended, whose state certifies them (_DiveClose), where the
-settle alone would grind a geometric tail down to tol: G_p at its closed
-form; G_z^{alpha,+} at 0 once a polydisc about (z_n, c_n) maps into
-itself; G_z^alpha at 0 or at its closed form once a lead z^i~ c^j,
-j <= d, provably leads a dive.  Since
-log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
-parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
-alpha G_p (_gz_composed); the direct orbit serves where a part is not
-finite and where a G_z^alpha of weight 0, whose limit G_z needs finite,
-did not settle.  Such a part stops at the escape radius where no term
-c^j, j > d, can take the lead.  The max in G_f and G_f^alpha splits the
-same way: with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
-max(s Z, G_z) for s = 1 and s = alpha (_f_z_part, _max_of_parts), from
-the one G_p that G_z's composition shares.
+magnitudes: _p_steps over p alone for G_p, orbit_logs over p and q for
+the others.  The complex orbit is iterated exactly while every
+non-negligible monomial stays inside the float window; past that the
+driver switches to the dominant monomial's log recursion, once the
+dominant terms provably dominate (the neglected level eta, folded as
+4 eta / base^k for a switch at step k, goes into the residual).  For
+integer weights alpha the weighted ratio c_n = w_n / z_n^alpha follows
+its own recursion with non-negative z-exponents, which reaches far
+deeper; G_z^alpha and G_z^alpha+ use it where it applies (ratio_orbit,
+which continues by its validated dominant monomial where a term leaves
+the double range).  Past a certified step each limit is that of an
+affine log recursion, so every series closes at the first step whose
+state certifies it, where a settle would grind a geometric tail down to
+tol: G_p at its closed form; the ratio (_DiveClose) by its trap, or by a
+lead whose rate holds it on top for good, at 0 or at its closed form;
+the direct orbit at its switch (_direct_close).  Since log|w_n| =
+alpha log|z_n| + log|c_n| exactly, G_z is composed from parts that
+settle on their own, [d = lambda] G_z^alpha + [delta = lambda] alpha G_p
+(_gz_composed); the direct orbit serves where a part is not finite and
+where a G_z^alpha of weight 0 did not settle.  G_f and G_f^alpha are
+max(s Z, G_z), Z = [delta = lambda] G_p, for s = 1 and s = alpha
+(_f_z_part, _max_of_parts), from the one G_p that G_z's composition shares.
 
 Every estimator reads an orbit in two parts: a producer of pairs
-(n, x_n), which keeps only its own exits (handed over as estimates) and
-its error fold, and the one settle of the series base^-n x_n, _settle.
-The per-point drivers (orbit_logs, best_orbit_logs, ratio_orbit) are
-pulled: each returns an orbit whose steps are computed only as they are
-read.  A driver is a generator that records each step on the orbit
-before it yields it and runs its successor (the log recursion) by
-yield from; the first reader iterates it directly, a later one catches
-up from the recorded steps.  An orbit has one reader at a time, never
-two interleaved (_PulledSteps).  The settle and regions.classify_point
-read in order and stop at their exit, so they compute no step past it.
-Where the w-axis is invariant, _gz_direct drains the orbit before it
-settles, because a zero anywhere on it decides how it settles.
-fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
-scalar drivers bit for bit on all lanes at once, computing the z side
-once per step: _fiber_ratio for the weighted ratio, and _fiber_direct
-(_LaneOrbits) for the direct orbit.  Both settle online through one
-_LaneSettle, the lanes' twin of _settle: each column of steps goes in as
-it is computed, and a lane retires once its estimate is final, so no
-step past the last settled lane is computed and none is kept.  The
-kernels hand their estimates over as columns (value, n_used, tag,
-residual), and G_z's composition and G_f's max run on the columns.
+(n, x_n), which keeps only its own exits and closes (handed over as
+estimates) and its error fold, and the one settle of the series
+base^-n x_n, _settle.  The per-point drivers are pulled: each returns an
+orbit whose steps are computed only as they are read, one reader at a
+time (_PulledSteps); the settle and regions.classify_point stop at their
+exit, so they compute no step past it.  fiber_sample evaluates a whole
+fiber {z} x ws; its kernels replay the scalar drivers bit for bit on all
+lanes at once, computing the z side once per step: _fiber_ratio for the
+weighted ratio, and _fiber_direct (_LaneOrbits) for the direct orbit.
+Both settle online through _LaneSettle, the lanes' twin of _settle, and
+a lane retires once its estimate is final.  The kernels hand their
+estimates over as columns (value, n_used, tag, residual).
 
 Both direct drivers keep one rule for the switch of a two-dominant-term
 map: at the first step that fails the dominance check, the first of the
 primary vertex and the alternates whose eta passes switches there, and
 where none does the orbit ends 'range' (_switch_vertex).  Past the switch
-an orbit follows the exact log recursion alone (_extension_steps); the
-lane kernel steps its switched lanes by that recursion in the same
-column loop as its exact ones.  A step the recursion overflows ends the
-orbit as 'range' before it, so -inf in an orbit always means an exact
-zero.
+an orbit follows the exact log recursion alone (_extension_steps), which
+classify_point reads; the estimators close at the switch step.  A step
+the recursion overflows ends the orbit as 'range' before it, so -inf in
+an orbit always means an exact zero.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -182,14 +161,11 @@ class _PulledSteps:
     """Steps of a per-point orbit driver, computed only as a reader pulls them.
 
     The driver is a generator (source) that appends each step to the list
-    before it yields it and keeps its running diagnostics on this object;
-    it runs a successor (the log recursion) by yield from.  The first
-    reader iterates the source itself.  A later reader catches up from
-    the list and then resumes the source, so no step is computed twice.
-    An orbit has one reader at a time: a reader may stop early and
-    another take over, but no two read it interleaved, and no caller
-    reads one orbit from two places at once.  A finished orbit (source
-    None) iterates as its plain list.
+    before it yields it and keeps its running diagnostics on this object.
+    The first reader iterates the source itself; a later one catches up
+    from the list and then resumes the source, so no step is computed
+    twice.  A reader may stop early and another take over, but no two read
+    one orbit interleaved.  A finished orbit (source None) is its list.
     """
 
     __slots__ = ("_steps", "_source")
@@ -227,15 +203,11 @@ def _final(attr: str) -> property:
 class _OrbitLogs(_PulledSteps):
     """Log-magnitude orbit steps (n, log|z_n|, log|w_n|), pulled from orbit_logs.
 
-    Lazy consumers iterate the orbit and stop at their exit, so no step
-    past it is computed: _gza_direct, _gzi_direct, _gz_direct and
-    regions.classify_point.  While the orbit runs, _switch_step,
-    _switch_eta and _dominant hold the values of the steps computed so
-    far; the switch and the vertex that drives it are set before the
-    switch step is yielded, so a consumer reads them at or after that
-    step.  Draining consumers read the public fields, which compute the
-    whole orbit first: _gz_direct scans the whole orbit for zeros before
-    it settles where the w-axis is invariant.
+    Consumers iterate the orbit and stop at their exit or close, so no
+    step past it is computed.  While it runs, _switch_step, _switch_eta
+    and _dominant hold the values of the steps computed so far, set before
+    the switch step is yielded; the public fields compute the whole orbit
+    first.
     """
 
     __slots__ = ("_reason", "_switch_step", "_switch_eta", "_dominant")
@@ -258,13 +230,12 @@ def _terms_safe(term_logs: list[float], exps: Optional[tuple] = None, lc: float 
                 lz: float = 0.0, ac: float = 0.0) -> bool:
     """True when a polynomial value computes faithfully in doubles.
 
-    The result magnitude tracks the top term, so the top must sit inside
-    the window, and every other term must be representable or negligible
-    relative to the top.  -inf terms are exact zeros and never block.
+    The top term must sit inside the window, and every other one be
+    representable or negligible next to it (-inf terms are exact zeros).
     exps = (j per term, i~ per term, top j, top i~) marks the terms z^i~ c^j
     of the ratio recursion at log|c| = lc, log|z| = lz, ac = alpha Re(corr):
     no factor c^j or exp(i~ log z - alpha corr) may overflow, and one may
-    underflow only in a negligible term (checked where one can at all).
+    underflow only in a negligible term.
     """
     top = max(term_logs)
     if top == -math.inf:
@@ -325,12 +296,10 @@ def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex
                n_max: int, alternates: Iterable[tuple[int, int]] = ()) -> _OrbitLogs:
     """Log-magnitude orbit with validated extension past the float window.
 
-    The components are p and q, each a term table with a dominant
-    monomial, (delta, 0) for p and `dominant` for q, whose exact log
-    recursion continues the orbit once it leaves the double range.
-    Where `dominant` refuses the switch, the alternates of q are tried in
-    order (_switch_vertex).  The steps are computed as they are read
-    (_OrbitLogs).  g_p runs the orbit of p alone (_p_steps).
+    p and q are term tables with dominant monomials (delta, 0) and
+    `dominant`, whose log recursion continues the orbit past the double
+    range; where `dominant` refuses the switch the alternates are tried in
+    order (_switch_vertex).  The steps are computed as they are read.
     """
     logs = _OrbitLogs(dominant)
     logs._source = _log_steps(logs, f, dominant, z, w, n_max, alternates)
@@ -390,10 +359,8 @@ def _extension_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int]
                      lz: float, lw: float, n_max: int) -> Iterator[tuple[int, float, float]]:
     """Steps n..n_max by the dominant-monomial log recursion from step n - 1's logs.
 
-    A step past ESCAPE_LOG ends the orbit as 'escaped' after it, as in
-    _log_steps; a non-finite step (the recursion overflowed the double
-    range) ends it as 'range' before it, so -inf on an orbit is always an
-    exact zero.
+    A step past ESCAPE_LOG ends the orbit as 'escaped' after it; a
+    non-finite step ends it as 'range' before it.
     """
     append = logs._steps.append
     delta, log_a = f.p.order, _lcoeff(f.p.leading_at_zero())
@@ -417,9 +384,8 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
                     n_max: int) -> _OrbitLogs:
     """Orbit logs extended with whichever dominant term carries furthest.
 
-    A two-dominant-term map has one dominant vertex per wedge; when the
-    primary term fails the dominance check, the alternate may still
-    extend the orbit past the float window.
+    A two-dominant-term map has one dominant vertex per wedge; where the
+    primary fails the dominance check, the alternate may still extend.
     """
     return orbit_logs(f, c.primary.vertex, z, w, n_max, [term.vertex for term in c.terms[1:]])
 
@@ -443,9 +409,9 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
              ) -> Iterator[tuple[int, float | GreenEstimate]]:
     """(n, log|z_n|) on the orbit of p alone, as _log_steps runs the z side, for g_p alone.
 
-    The switch and the end go on logs; g_p reads each step once, so none
-    is kept.  The first step whose closed form (_DiveClose) is within tol,
-    or exact but for rounding (U = 0), gives that estimate in its place.
+    The switch and the end go on logs; none is kept.  The first step whose
+    closed form (_DiveClose) is within tol, or exact but for rounding (U = 0),
+    gives that estimate in its place, and an escape p's top term leads +inf.
     """
     delta, log_a, k_top = p.order, _lcoeff(p.leading_at_zero()), max(p.terms)
     comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
@@ -454,6 +420,8 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
     for n in range(n_max + 1):
         if n and lz > ESCAPE_LOG:
             logs._reason = "escaped"
+            if _p_escapes(p, lz):
+                yield n - 1, GreenEstimate(math.inf, n - 1, TERM_DIV_POS, 0.0)
             return
         if n and (switched or (not k_top * abs(lz) <= _WINDOW
                                and (eta := _extension_eta(comps, lz, 0.0)) is not None)):
@@ -479,6 +447,20 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
                 yield n, GreenEstimate(value, n, TERM_CONVERGED, residual)
                 return
         yield n, lz
+
+
+def _p_escapes(p: UniPoly, lz: float) -> bool:
+    """Whether p's top term a_K z^K, K > delta, leads the orbit up from log|z| = lz for good.
+
+    With S = sum |a_k/a_K| |z|^(k-K) over p's other terms, log|a_K| + (K-1) lz -
+    S/(1-S) > 0 makes log|z'| > log|z|, so S falls and log|z_n| grows like K^n: G_p = +inf.
+    """
+    if (k_top := max(p.terms)) == p.order or not (s := sum(
+            _abs_ratio(coeff, p.terms[k_top]) * math.exp((k - k_top) * lz)
+            for k, coeff in p.terms.items() if k != k_top)) < 0.5:
+        return False
+    la, x = _lcoeff(p.terms[k_top]), (k_top - 1) * lz - s / (1.0 - s)
+    return la + x > _CLOSE_SLACK * (abs(la) + abs(x) + 1.0)
 
 
 def _switch_fold(logs: _OrbitLogs, base: int, n_used: int) -> float:
@@ -532,10 +514,9 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
                  ) -> Optional[list[tuple[int, int, complex, float]]]:
     """(i~, j, coeff, log|coeff|) of the weight-alpha ratio recursion, or None.
 
-    The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials
-    (b_ij / a^alpha) z^(i~) c^j with i~ = i + alpha (j - delta); it is
-    usable when alpha is an integer, every i~ is >= 0 and every coefficient
-    and its log are finite (else the direct orbit serves).
+    The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials (b_ij /
+    a^alpha) z^(i~) c^j, i~ = i + alpha (j - delta); usable where alpha is an
+    integer, every i~ >= 0 and every coefficient and its log are finite.
     """
     if alpha.denominator != 1:
         return None
@@ -593,43 +574,53 @@ class _DiveClose:
     |r_m| <= U: G_p = delta^-n (L + log|a|/(delta-1)) within
     delta^-n U/(delta-1) (_closed_form; g_p).
 
-    On the ratio, C = log|c_n| strays from the true one by at most
-    drift = d^n times the orbit's fold.  Its terms b z^i c^j have i, j >= 0;
-    at (L, C) the largest log is top, on a term of power j, and eta sums
-    e^(t - top) over the others; at C + drift a gap grows by at most
-    spread = (j_top - j) drift, so eta' = eta (1 + 2 spread) bounds them (spread <= 1).
+    On the ratio, C = log|c_n| strays from the true one by at most drift =
+    d^n times the orbit's fold.  At (L, C) the largest term log is top, on
+    b z^i~ c^j, and eta sums e^(t - top) over the others; at C + drift a gap
+    grows by at most spread = max |j_t - j| drift, so eta' = eta (1 + 2
+    spread) bounds them (spread <= 1), and E = eta'(1 + 2 eta') bounds
+    |log(1 +- eta')|.  Let D = top - C + (j - 1) drift + |alpha| U + E.
 
-    Both closes need D = top - C + (j - 1) drift + |alpha| U + E < 0, with
-    E = eta'(1 + 2 eta') >= log(1 + eta'), and >= -log(1 - eta') for eta' <= 1/2.
+    Trap, G_z^{alpha,+}, D < 0: the polydisc |z| <= |z_n|, |c| <= R =
+    e^(C + drift) maps into itself, as |c'| <= e^(top + j drift + E +
+    |alpha| U) < R: G_z^{alpha,+} = 0 where d >= 2 or R < 1.
 
-    Trap, G_z^{alpha,+}: the polydisc |z| <= |z_n|, |c| <= R = e^(C + drift),
-    which holds the true (z_n, c_n), maps into itself: z by (c), and
-    |c'| <= sum |b| |z|^i |c|^j e^(|alpha| U) <= e^(top + j drift + E +
-    |alpha| U) < R, as i, j >= 0.  So |c_m| <= R for good:
-    G_z^{alpha,+} = 0 where d >= 2 or R < 1.
+    Rate, a lead b c^j, i~ = 0, 2 <= j <= d, delta >= j, on top with eta <
+    _SOFT_TAIL_TOL: while it leads, C' = j C + lb + r, |r| <= E + |alpha| U.
+    For each other term t let dj = j_t - j, K_t = i~_t (|log|a|| + U) +
+    |dj| (|lb| + E + |alpha| U), Phi_t = i~_t (delta-1) L + dj (j-1) C +
+    (delta-1) K_t/(j-1).  Its gap to the lead grows by at most Phi_t, and
+    as L < 0 and delta >= j, Phi_t' <= j Phi_t, so Phi_t < 0 (with |dj|
+    (j-1) drift in the margin) holds for good and the lead leads for good:
+    G_z^alpha = 0 where j < d, and where j = d, d^-n (C + lb/(d-1)) within
+    d^-n (E + |alpha| U)/(d-1) and the fold, taken below tol or where
+    E + |alpha| U = 0; so is G_z^{alpha,+} where C - drift > (E + |alpha| U
+    + |lb|)/(d-1), as C rises for good.
 
-    Dive, G_z^alpha, led by l = b z^i~ c^j of least j and least i~
-    (_ratio_close), on top with eta < _SOFT_TAIL_TOL: no other term's gap
-    to l grows while L and C fall, so eta never grows and l leads for
-    good; C_{n+1} - C <= D, so C and D fall, and c_n -> 0.  Then where j < d,
-    and i~ = 0 or delta < d, C_{m+1} = j C_m + i~ L_m + O(1) with
-    L_m = O(delta^m) (O(m) for delta = 1): G_z^alpha = 0.  Where j = d >= 2
-    and i~ = 0, C_{m+1} = d C_m + lb + r_m, |r_m| <= E + |alpha| U:
-    G_z^alpha = d^-n (C + lb/(d-1)) within d^-n (E + |alpha| U)/(d-1) and
-    the fold, taken once below tol, or at once where E + |alpha| U = 0.
+    Dive, G_z^alpha, D < 0, led by the term of least j and least i~ (tried
+    before the rate where C fell), on top with eta < _SOFT_TAIL_TOL: no gap to
+    it grows while L and C fall, and c_n -> 0.  G_z^alpha = 0 where j < d (i~
+    = 0 or delta < d), the closed form above where j = d >= 2, i~ = 0.
 
     Each inequality holds by _CLOSE_SLACK times its terms' size (rounding,
     and the terms below e^-80 that eta leaves out).  Past the z side's one
     tail sum all are + - * /, so a scalar orbit and its lanes decide alike.
     """
 
-    __slots__ = ("d", "j_top", "alpha", "log_a", "delta", "tail", "lead")
+    __slots__ = ("d", "j_top", "alpha", "log_a", "delta", "tail", "lead", "plus", "terms",
+                 "rate", "j_span")
 
     def __init__(self, log_a: float, delta: int, tail: list[tuple[complex, int]], d: int = 0,
-                 j_top: int = 0, al: int = 0, lead: Optional[tuple[int, float]] = None):
-        # p's log|a|, delta and _p_tail; lead: the lead's (j, lb), None for the trap
-        self.d, self.j_top, self.alpha, self.lead = d, j_top, abs(al), lead
+                 terms: Optional[list] = None, al: int = 0, plus: bool = False):
+        # p's log|a|, delta, _p_tail; the ratio's terms, per term a rate lead or not (rate)
         self.log_a, self.delta, self.tail = log_a, delta, [(abs(ca), e) for ca, e in tail]
+        if terms is not None:
+            self.d, self.alpha, self.lead, self.plus = d, abs(al), None, plus
+            self.terms = [(it, j) for it, j, _, _ in terms]
+            js = [j for _, j in self.terms]
+            self.j_top, self.j_span = max(js), max(js) - min(js)
+            self.rate = [it == 0 and 2 <= j <= d and delta >= j and (j == d or not plus)
+                         for it, j in self.terms]
 
     def z_part(self, lzr: float) -> Optional[float]:
         """U where (c) holds at L = lzr, else None."""
@@ -645,60 +636,79 @@ class _DiveClose:
         x = self.log_a + zf + u
         return u if x + _CLOSE_SLACK * (abs(self.log_a) + abs(zf) + u + 1.0) < 0.0 else None
 
-    def closes(self, top, j, lc, eta, fold, n: int, u: float, tol: float):
-        """(closes, value, residual) of the trap, or of the lead's dive (on top, eta < soft).
+    def may_close(self, j, eta, fold, n: int, u: float, tol: float):
+        """A cheap test that a rate lead's close can hold: its residual is at least at E = eta."""
+        t = eta + self.alpha * u
+        return (j < self.d) | (t == 0.0) | (fold + _over(t, self.d**n) / (self.d - 1) < tol)
 
-        top is the largest term log, of power j; for a point or per lane alike.
+    def closes(self, top, j, lb, lc, lzr: float, eta, fold, n: int, u: float, tol: float,
+               rated: bool):
+        """(closes, value, residual) of the rate lead where rated, else of the trap or the dive.
+
+        top is the largest term log, of power j and log|b| lb; for a point or per lane alike.
         """
         dn = self.d**n
         drift = fold * (float(dn) if dn < _FLOAT_TOP else math.inf)   # inf or NaN past range
-        spread = (self.j_top - j) * drift
+        spread = (self.j_span if rated else self.j_top - j) * drift
         grown = eta * (1.0 + 2.0 * spread)
-        e, au, jd = grown * (1.0 + 2.0 * grown), self.alpha * u, (j - 1) * drift
-        x = top + jd + e + au - lc
-        ok = (spread <= 1.0) & (x + _CLOSE_SLACK * (abs(top) + abs(jd) + e + au + abs(lc) + 1.0)
-                                < 0.0)
-        if self.lead is None:
-            return ok & ((self.d >= 2) | (lc + drift < 0.0)), 0.0, 0.0
-        if self.lead[0] < self.d:
+        e, au, dm = grown * (1.0 + 2.0 * grown), self.alpha * u, self.delta - 1
+        ea, ok = e + au if au else e, spread <= 1.0
+        if rated:   # j and lb are the lead's, one for all lanes
+            lbk, la = ea + abs(lb), abs(self.log_a) + u
+            for it, jt in self.terms:
+                if it or jt != j:   # each term but the lead
+                    dj = jt - j
+                    zf, cf = it * dm * lzr, dj * (j - 1) * lc
+                    kf = dm * it * la / (j - 1) + dm * abs(dj) / (j - 1) * lbk
+                    phi = zf + cf + kf + abs(dj) * (j - 1) * drift
+                    ok = ok & (phi + (abs(zf) + 1.0 + abs(cf) + kf) * _CLOSE_SLACK < 0.0)
+            if self.plus:   # an escape, for good (j = d)
+                x = lc - drift - lbk / (self.d - 1)
+                ok = ok & (x > (abs(lc) + drift + lbk + 1.0) * _CLOSE_SLACK)
+        else:
+            jd = (j - 1) * drift
+            x = top + jd + ea - lc
+            ok = ok & (x + (abs(top) + abs(jd) + ea + abs(lc) + 1.0) * _CLOSE_SLACK < 0.0)
+            if self.lead is None:
+                return ok & ((self.d >= 2) | (lc + drift < 0.0)), 0.0, 0.0
+            j, lb = self.lead   # the top of every lane offered
+        if j < self.d:
             return ok, 0.0, 0.0
-        value, residual = _closed_form(lc, self.lead[1], self.d, n, e + au)
-        return ok & ((e + au == 0.0) | (fold + residual < tol)), value, residual
+        value, residual = _closed_form(lc, lb, self.d, n, ea)
+        return ok & ((ea == 0.0) | (fold + residual < tol)), value, residual
 
 
 def _ratio_close(c: Classification, terms: list[tuple[int, int, complex, float]], plus: bool,
                  al: int, log_a: float, tail: list) -> tuple[Optional[_DiveClose], Optional[int]]:
-    """(close, its lead's index) of the ratio orbit of terms, or (None, None); the trap for plus.
+    """(close, the dive lead's index or None) of the ratio orbit of terms, or (None, None).
 
-    al = c.alpha, log_a and tail are p's log|a| and _p_tail.  Only a term of least j and
-    least i~ can lead a dive for good; it needs j >= 1, and j < d with i~ = 0 or delta < d
-    (limit 0), or j = d >= 2 with i~ = 0 (a closed form).
+    al = c.alpha, log_a and tail are p's log|a| and _p_tail.  For plus, the trap and the
+    rate leads c^d; else the rate leads, and the dive's, the term of least j and least i~
+    where it has j >= 1, and j < d with i~ = 0 or delta < d, or j = d >= 2 with i~ = 0.
     """
     d, delta, lead = c.d, c.delta, None
-    js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
+    close = _DiveClose(log_a, delta, tail, d, terms, al, plus)
     if not plus:
+        js, its = [j for _, j, _, _ in terms], [it for it, _, _, _ in terms]
         j, it = min(js), min(its)
         if j >= 1 and ((j < d and (it == 0 or delta < d)) or (j == d >= 2 and it == 0)):
             for k, jk in enumerate(js):   # one term at most: (i~, j) tells i
                 if jk == j and its[k] == it:
-                    lead = k
-        if lead is None:
+                    lead, close.lead = k, terms[k][1::2]
+        if lead is None and not any(close.rate):
             return None, None
-    return _DiveClose(log_a, delta, tail, d, max(js), al, None if plus else terms[lead][1::2]), lead
+    return close, lead
 
 
 class _RatioOrbit(_PulledSteps):
     """Weighted-ratio orbit steps (log|c_n|, eta_n), pulled from ratio_orbit.
 
     log|c_n| is -inf for an exact zero; eta_n is the step's neglected-term
-    bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
-    G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
-    order and stops at its exit.  The public fields compute the whole
-    orbit first.  terms holds the recursion's terms (_ratio_terms).  The
-    orbit ends 'closed' at the first step n that certifies its
-    estimator's limit (_DiveClose); closed holds that n and limit the
-    (value, residual) of the close, the fold aside.  fold bounds the value
-    error of the steps k computed so far, sum 2 eta_k d^-k left to right.
+    bound, 0 on exact steps.  terms holds the recursion's terms
+    (_ratio_terms).  The orbit ends 'closed' at the first step n that
+    certifies its estimator's limit (_DiveClose); closed holds that n and
+    limit the close's (value, residual), the fold aside.  fold bounds the
+    value error of the steps k computed so far, sum 2 eta_k d^-k.
     """
 
     __slots__ = ("_reason", "_closed", "_limit", "terms", "fold")
@@ -726,15 +736,12 @@ def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max
     """Orbit of c_n = w_n / z_n^alpha for the integer alpha of c; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
-    after z_n itself leaves the double range.  Once a term or a factor of
-    one leaves the double range (_terms_safe), either way, and a single
-    monomial provably dominates, the magnitude continues by the exact
-    dominant log recursion, re-validated at every step; the orbit ends as
-    'range' where that fails.  It ends 'closed' at the first step that
-    certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
-    (_DiveClose, with the fiber degree c.d).  Unsupported where the
-    recursion does not serve the fiber z (_ratio_route).  The steps are
-    computed as they are read (_RatioOrbit).
+    after z_n leaves the double range.  Once a term or a factor of one
+    leaves the double range (_terms_safe) and a single monomial provably
+    dominates, the magnitude continues by its log recursion, re-validated
+    at every step, or ends 'range'.  It ends 'closed' at the first step
+    that certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
+    (_DiveClose).  None where the ratio does not serve z (_ratio_route).
     """
     term_list = _ratio_route(f, c, z)
     if term_list is None:
@@ -753,12 +760,11 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex,
                  n_max: int, plus: bool, tol: float) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
-    Step n is offered to the close, exact or extended, where log|c| fell
-    into it (step 0 always), and there only where top <= C (plus) or the
-    lead is on top: a dive's close that holds at step n holds at step
-    n + 1, into which log|c| falls, so this delays it by a step at most.
-    ro.fold is kept at every step.  An exact step whose z-factor leaves the
-    double range ends the orbit as 'range', as an extended step does.
+    Step n is offered to the trap or the dive where log|c| fell into it
+    (step 0 always) and top <= C (plus) or the dive's lead is on top, as
+    such a close holding at n holds at n + 1; else to the rate where a rate
+    lead is on top (for plus where C > 0, as an escape needs).  An exact
+    step whose z-factor leaves the double range ends 'range'.
     """
     append, al, d, term_list = ro._steps.append, int(c.alpha), c.d, ro.terms
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f.p), f.delta
@@ -773,6 +779,7 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex,
     # each term log is at most j_top |lc| + it_top |Re lz| + lb_top in size
     lb_top = max(abs(lb) for _, _, _, lb in term_list)
     (close, lead), fold = _ratio_close(c, term_list, plus, al, log_a.real, tail), 0.0
+    rate = close.rate if close is not None and any(close.rate) else None
     isfinite, exp, zero = math.isfinite, math.exp, -math.inf
     prev = math.inf   # log|c| of the step before
     for n in range(n_max):   # step n is the last one yielded
@@ -789,7 +796,8 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex,
             # _terms_safe holds without a look at the terms where these bounds do
             jc, iz = j_top * abs(lc), it_top * abs(lzr)
             safe = jc <= _SAFE and iz + abs(ac) <= _SAFE and jc + iz + lb_top <= _WINDOW
-        offer = close is not None and lc < prev   # a close is offered where log|c| fell
+        # a close is offered where log|c| fell, or where a rate lead may be on top
+        offer = close is not None and (lc < prev or (rate is not None and (not plus or lc > 0.0)))
         if extended or not safe or offer:
             tlogs = []
             for it, j, _, lb in term_list:
@@ -797,16 +805,21 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex,
                 if not tlogs or t > top:   # top = max(tlogs) at its first index, as max() picks
                     top, top_idx = t, len(tlogs)
                 tlogs.append(t)
-            if offer:   # and where the trap's top <= C (plus), or the lead is on top
-                offer = top <= lc if plus else top_idx == lead
+            if offer:   # a rate lead on top; or the trap's top <= C (plus), or the lead on top
+                dive = lc < prev and (top <= lc if plus else top_idx == lead)
+                rated = not dive and rate is not None and rate[top_idx] and (not plus or lc > 0.0)
+                offer = rated or dive
         if (logm := extended or not (safe or _terms_safe(tlogs, exps, lc, lzr, ac))) or offer:
             eta = 0.0  # summed left to right, as the lanes sum it
             if len(tlogs) > 1:   # a lone term has no other to sum
                 for k, t in enumerate(tlogs):
                     if k != top_idx and t - top > -80.0:
                         eta += exp(t - top)
-        if offer and (plus or eta < _SOFT_TAIL_TOL) and (u := close.z_part(lzr)) is not None:
-            shut, value, res = close.closes(top, js[top_idx], lc, eta, fold, n, u, tol)
+        if (offer and (eta < _SOFT_TAIL_TOL or (plus and not rated))
+                and (u := close.z_part(lzr)) is not None
+                and (not rated or close.may_close(js[top_idx], eta, fold, n, u, tol))):
+            shut, value, res = close.closes(top, js[top_idx], term_list[top_idx][3], lc, lzr,
+                                            eta, fold, n, u, tol, rated)
             if shut:
                 ro._reason, ro._closed, ro._limit = "closed", n, (value, res)
                 return
@@ -917,14 +930,12 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
     """The limit of base^-n x_n (base^-n max(x_n, 0) for plus) from pairs (n, x_n), read in order.
 
     Every Green series of a point settles here.  It ends at an estimate
-    given in place of x_n (the producer's own exit), an exact zero
+    given in place of x_n (the producer's exit or close), an exact zero
     x_n = -inf or the settler's decision, which for plus counts only past
-    the escape radius: below it the certified bound tail_m base^-n < tol
-    decides, as increments can sit on the spurious log+ = 0 plateau.  Past
-    the pairs come zero for plus where the series dove below the double
-    range at step range_end() (if not None), then the settler's finish.
-    fold(est), the orbit's own error up to est's step and any tail the
-    producer adds, goes into every estimate the settle returns.
+    the escape radius, below which the certified bound tail_m base^-n < tol
+    decides.  Past the pairs come zero for plus where the series dove below
+    the double range at step range_end(), then the settler's finish.
+    fold(est), the orbit's error up to est's step and any tail, goes into each.
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
     decides, zero, given = settler.decides, -math.inf, GreenEstimate
@@ -1009,12 +1020,10 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     """G_z^alpha, or G_z^{alpha,+} when plus, settled on the weighted-ratio orbit.
 
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
-    of weight 0 does: with no term c^j, j > d, the c^d term leads past the
-    escape radius, and the orbit stops there as 'escaped', its tail unknown.
-    An orbit that ended 'closed' (ratio_orbit with the same plus and tol)
-    closes the series at its limit as a producer exit past its last step:
-    converged, with the close's residual and the fold.  ro is fresh, as
-    every caller passes it, so ro.fold is the fold up to the settle's exit.
+    of weight 0 does: with no term c^j, j > d, the orbit stops as 'escaped'
+    at the escape radius.  A 'closed' orbit (ratio_orbit with the same plus
+    and tol) gives its close as a producer exit past its last step, with
+    the fold; ro is fresh, so ro.fold is the fold up to the settle's exit.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
@@ -1049,31 +1058,76 @@ def _direct_tail_m(f: SkewProduct, c: Classification) -> float:
     return _plus_tail_constant(c.d, total + 1, max(j for _, j in f.q.terms))
 
 
-def _line_recursion(f: SkewProduct, c: Classification, dominant: tuple[int, int]
-                    ) -> tuple[int, float]:
-    """(d~, log|b~| - alpha log|a|) of the extension vertex dominant = (g~, d~).
+def _affine_parts(rate: int, x, forcing: list) -> list:
+    """Parts (r, e, coeff) of x_m = sum coeff m^e r^m, x_{m+1} = rate x_m + sum c rho^m, x_0 = x.
 
-    Past the switch, log|w_n| and alpha log|z_n| both grow like delta^n
-    and their difference cancels catastrophically.  But a dominant vertex
-    lies on the sweep line g~ = alpha (delta - d~), so the weighted ratio
-    obeys its own exact recursion u' = d~ u + (log|b~| - alpha log|a|): a
-    lone one has alpha = gamma/(delta - d) or gamma = 0 = delta - d, and two
-    lie on the edge i = l (delta - j) of intercept T_k = delta, weight l = alpha.
+    forcing holds (rho, c) with rho != 0; a rho equal to rate resonates (e = 1).
     """
-    log_a = _lcoeff(f.p.leading_at_zero())
-    return dominant[1], _lcoeff(f.q.terms[dominant]) - float(c.alpha) * log_a
+    parts = [(rho, 0, c / (rho - rate)) if rho != rate else (rate, 1, c / rate)
+             for rho, c in forcing]
+    return parts + [(rate, 0, x - sum(c for _, e, c in parts if not e))]
+
+
+def _direct_close(f: SkewProduct, c: Classification, which: str, vertex: tuple[int, int],
+                  k: int, lz, lw):
+    """(value, residual) of a direct limit from the state (L, W) = (lz, lw) at the switch step k.
+
+    Past the switch the orbit is the affine map (L, W) -> (delta L + log|a|,
+    g~ L + d~ W + log|b~|) of vertex = (g~, d~), so the series x_{k+m} of
+    which is a sum of parts coeff m^e r^m (_affine_parts): the fastest
+    nonzero part above base^m gives +-inf, those of rate base and e = 0 the
+    limit base^-k coeff.  G_z^alpha reads u = W - alpha L by u' = d~ u +
+    log|b~| - alpha log|a| (g~ = alpha (delta - d~)), G_z^inf u = W - (gamma/d)
+    n L by u' = d u + log|b| - (gamma/d)(n+1) log|a|.  The residual is the
+    rounding, 0 where the value is infinite.  For floats or lanes alike.
+    """
+    delta, la = f.delta, _lcoeff(f.p.leading_at_zero())
+    (g, dv), lb = vertex, _lcoeff(f.q.terms[vertex])
+    base = c.lam if which == "Gz" else c.d
+    if which in ("Gza", "Gzap"):
+        al = float(c.alpha)
+        parts = _affine_parts(dv, lw - al * lz if al else lw, [(1, lb - al * la)])
+    elif which == "Gzi":   # delta = d with gamma > 0 has one dominant vertex, the primary
+        s = c.gamma / base
+        parts = [(base, 0, lw - s * k * lz + lb / (base - 1)
+                  - s * la * (k / (base - 1) + base / (base - 1) ** 2))]
+    else:   # W by the affine map, driven by L = delta^m x + y
+        y = -la / (delta - 1)
+        parts = _affine_parts(dv, lw, [(delta, g * (lz - y)), (1, g * y + lb)])
+    acc = {}
+    for r, e, coeff in parts:
+        acc[r, e] = acc.get((r, e), 0.0) + coeff
+    value = _over(acc.get((base, 0), 0.0 * lw), base**k)
+    size = abs(lz) + abs(lw) + sum(abs(coeff) for coeff in acc.values())
+    for key in sorted(key for key in acc if key > (base, 0)):   # the fastest nonzero part decides
+        value = _pick(acc[key] != 0.0, acc[key] * math.inf, value)
+    residual = _pick(abs(value) == math.inf, 0.0, _ROUNDING * (1.0 + _over(size, base**k)))
+    return (_pick(value < 0.0, 0.0, value) if which == "Gzap" else value), residual
+
+
+def _pick(cond, a, b):
+    """a where cond, else b: for a float or lanes."""
+    return (a if cond else b) if cond.__class__ is bool else np.where(cond, a, b)
+
+
+def _switch_close(f: SkewProduct, c: Classification, which: str, logs: _OrbitLogs, n: int,
+                  lz: float, lw: float) -> GreenEstimate:
+    """_direct_close at the switch step n of logs as an estimate: converged, or divergent."""
+    value, residual = _direct_close(f, c, which, logs._dominant, n, lz, lw)
+    tag = TERM_CONVERGED if math.isfinite(value) else TERM_DIV_POS if value > 0 else TERM_DIV_NEG
+    return GreenEstimate(value, n, tag, residual)
 
 
 def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                 plus: bool) -> GreenEstimate:
-    """G_z^alpha, or G_z^{alpha,+} when plus, settled on the direct orbit logs."""
-    alpha = float(c.alpha)
-    d = c.d
-    axis_inv = _w_axis_invariant(f)
+    """G_z^alpha, or G_z^{alpha,+} when plus, on the direct orbit logs, closed at its switch."""
+    alpha, d, axis_inv = float(c.alpha), c.d, _w_axis_invariant(f)
 
     def ratio_logs():
-        u = line = None   # line: _line_recursion(), read at the switch
         for n, lz, lw in logs:
+            if n == logs._switch_step:   # the close; no step past it is read
+                yield n, _switch_close(f, c, "Gzap" if plus else "Gza", logs, n, lz, lw)
+                return
             if lw == -math.inf:
                 if axis_inv:
                     yield n, -math.inf
@@ -1085,12 +1139,7 @@ def _gza_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs, tol: float,
                           else GreenEstimate(0.0 if plus else -math.inf, n,
                                              TERM_HIT_EZ, 0.0))
                 return
-            if line is None and logs._switch_step is not None and n >= logs._switch_step:
-                line = _line_recursion(f, c, logs._dominant)
-            if line and u is not None:
-                u = line[0] * u + line[1]
-            else:
-                u = lw - (alpha * lz if alpha != 0.0 else 0.0)
+            u = lw - (alpha * lz if alpha != 0.0 else 0.0)
             if u > ESCAPE_LOG:   # the orbit ends; its tail is below 1e-12 of the last term
                 yield n, GreenEstimate(_over(u, d**n), n, TERM_ESCAPED, _over(3e-12, d**n))
                 return
@@ -1134,18 +1183,16 @@ def g_z_infty(f: SkewProduct, c: Classification, z: complex, w: complex,
 
 def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
                 tol: float) -> GreenEstimate:
-    """G_z^infty settled on the direct orbit logs."""
+    """G_z^infty settled on the direct orbit logs, closed at its switch (_direct_close)."""
     d, gamma = c.d, c.gamma
-    # cancellation-free extension of u_n = log|w_n| - (gamma n / d) log|z_n|
-    # past the switch, valid when the extension uses the primary vertex:
-    # u' = d u + log|b| - (gamma/d)(n+1) log|a|
-    log_a = _lcoeff(f.p.leading_at_zero())
-    log_b = _lcoeff(f.q.terms[c.primary.vertex])
     axis_inv = _w_axis_invariant(f)
 
     def pairs():
-        u, zero, slope = None, -math.inf, gamma / d
+        zero, slope = -math.inf, gamma / d
         for n, lz, lw in logs:
+            if n == logs._switch_step:
+                yield n, _switch_close(f, c, "Gzi", logs, n, lz, lw)
+                return
             if lw == zero or lz == zero:
                 if lw != zero:
                     yield n, GreenEstimate(math.inf, n, TERM_HIT_EZ, math.inf)
@@ -1156,12 +1203,7 @@ def _gzi_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
                 else:
                     continue  # transient zero, as in g_z
                 return
-            if (logs._switch_step is not None and n >= logs._switch_step and u is not None
-                    and logs._dominant == c.primary.vertex):
-                u = d * u + log_b - slope * n * log_a
-            else:
-                u = lw - slope * n * lz
-            yield n, u
+            yield n, lw - slope * n * lz
 
     return _settle(pairs(), d, tol, lambda est: _switch_fold(logs, d, est.n_used))
 
@@ -1193,12 +1235,9 @@ def _gz_composed(c: Classification, part: GreenEstimate,
     """G_z = a G_z^alpha + b G_p, a = [d = lambda], b = [delta = lambda] alpha, or None.
 
     Both parts settle on their own, so their limits compose.  None where
-    the direct orbit serves instead: a part that is not finite, such as a
-    G_z^alpha whose escape a term c^j, j > d, comes to lead; or a
-    G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
-    limit finite and an unsettled part cannot tell.  A part with weight
-    0 (settled 'weightless', _gza_from_ratio) adds neither residual nor
-    termination.
+    the direct orbit serves instead: a part that is not finite, or a
+    G_z^alpha of weight 0 that ended 'budget' (G_z needs its limit finite).
+    A part of weight 0 adds neither residual nor termination.
     """
     a = 1 if c.d == c.lam else 0
     if not (part.finite and base.finite) or (not a and part.termination == TERM_BUDGET):
@@ -1216,15 +1255,27 @@ def _gz_composed(c: Classification, part: GreenEstimate,
 
 def _gz_direct(f: SkewProduct, c: Classification, logs: _OrbitLogs,
                tol: float) -> GreenEstimate:
-    """G_z settled on the direct orbit logs, where the weighted ratio cannot serve."""
+    """G_z on the direct orbit logs, closed at its switch, where the weighted ratio cannot serve.
+
+    Where the w-axis is invariant a zero before the switch decides, so one is looked for first.
+    """
     lam = c.lam
-    if _w_axis_invariant(f):   # a zero anywhere on the orbit decides: it runs whole first
-        n_zero = next((n for n, _, lw in logs.steps if lw == -math.inf), None)
-        if n_zero is not None:
-            return GreenEstimate(-math.inf, n_zero, TERM_HIT_ZERO, 0.0)
-    # a transient zero (j = 0 terms revive w) leaves the limit unaffected
-    return _settle(((n, lw) for n, _, lw in logs if lw != -math.inf), lam, tol,
-                   lambda est: _switch_fold(logs, lam, est.n_used))
+    if _w_axis_invariant(f):
+        for n, _, lw in logs:
+            if lw == -math.inf:
+                return GreenEstimate(-math.inf, n, TERM_HIT_ZERO, 0.0)
+            if n == logs._switch_step:
+                break
+
+    def pairs():
+        for n, lz, lw in logs:
+            if n == logs._switch_step:
+                yield n, _switch_close(f, c, "Gz", logs, n, lz, lw)
+                return
+            if lw != -math.inf:   # a transient zero (j = 0 terms revive w) leaves the limit
+                yield n, lw
+
+    return _settle(pairs(), lam, tol, lambda est: _switch_fold(logs, lam, est.n_used))
 
 
 def g_f(f: SkewProduct, c: Classification, z: complex, w: complex,
@@ -1415,14 +1466,12 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     """Evaluate one estimator across a fiber {z} x ws, in input order.
 
     G_p depends on z alone and is estimated once.  G_z^alpha and
-    G_z^{alpha,+} with an integer weighted-ratio recursion run all lanes
-    at once (_fiber_ratio).  G_z takes its lanes from _fiber_gz, and G_f
-    and G_f^alpha take the max of those with the fiber's one s Z, as g_f
-    and g_f_alpha do for one point.  Where the ratio does not serve
-    (_ratio_route), and for G_z^infty, the direct orbits of all lanes run
-    at once and settle as they run (_fiber_direct).  Where the estimator
-    refuses the map (_refusal), or a power of w is past the kernels'
-    reach, it runs per point.  All give identical results.
+    G_z^{alpha,+} run all lanes at once on the ratio (_fiber_ratio), G_z
+    takes its lanes from _fiber_gz, and G_f and G_f^alpha the max of those
+    with the fiber's one s Z.  Where the ratio does not serve, and for
+    G_z^infty, the direct orbits run (_fiber_direct).  Where the estimator
+    refuses the map, or a power of w is past the kernels' reach, it runs
+    per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
@@ -1702,20 +1751,21 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                  ws: tuple, n_max: int, tol: float, weightless: bool = False) -> tuple:
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
-    The z side (log z_n, the p-tail correction, the z-factors of the
-    recursion, the z part of the close) is computed once per step for the
-    whole fiber.  Lanes are settled online (_LaneSettle) as
-    _gza_from_ratio settles the scalar orbit and retire once their
-    estimate is final; weightless as there.  A lane whose step certifies
-    its limit (_DiveClose, offered as _ratio_steps offers it) ends there.
+    The z side is computed once per step for the whole fiber.  Lanes settle
+    online (_LaneSettle) as _gza_from_ratio settles the scalar orbit, and a
+    lane whose step certifies its limit (offered as _ratio_steps offers it)
+    ends there.
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
     terms = _ratio_terms(f, c.alpha)
     t_it, t_j, t_lb = (np.array([t[k] for t in terms], float) for k in (0, 1, 3))
+    t_rows = np.arange(len(terms))[:, None]
     exps = (t_j, t_it, t_j.max(), t_it.max())
     log_a, tail = cmath.log(f.p.leading_at_zero()), _p_tail(f.p)
     close, lead = _ratio_close(c, terms, plus, al, log_a.real, tail)
+    rate_leads = [k for k, r in enumerate(close.rate) if r] if close is not None else []
+    rate, lead_j = np.array(close.rate) if rate_leads else None, lead is not None and terms[lead][1]
     lz = cmath.log(z)
 
     wv = np.array(ws, dtype=complex)
@@ -1763,26 +1813,34 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
             new_lc, failed = np.empty(lc.size), np.zeros(lc.size, bool)
             dom = tl.argmax(axis=0)
             # the closes, offered as _ratio_steps offers them, before any refusal
-            offer = ((lc < prev) & ((top <= lc) if plus else (dom == lead)) if close is not None
-                     else np.zeros(lc.size, bool))
+            offer = rated = np.zeros(lc.size, bool)
+            if close is not None:
+                offer = (lc < prev) & ((top <= lc) if plus else (dom == lead))
+                if rate is not None:
+                    rated = rate[dom] & ~offer
+                    offer = offer | (rated := rated & (lc > 0.0) if plus else rated)
             eta = np.zeros(lc.size)
-            if (need := logm | offer).any():   # _ratio_steps' eta
-                sub, sub_top, sub_dom = tl[:, need], top[need], dom[need]
-                sub_eta = np.zeros(sub_dom.size)
-                for k in range(len(terms)):
-                    gap = sub[k] - sub_top
-                    if (near := (sub_dom != k) & (gap > -80.0)).any():
-                        term = np.zeros(sub_dom.size)
-                        term[near] = _math_map(math.exp, gap[near])
-                        sub_eta += term
-                eta[need] = sub_eta
-            at = np.flatnonzero(offer & (plus | (eta < _SOFT_TAIL_TOL)))
+            if (need := logm | offer).any():   # _ratio_steps' eta, its terms added in order
+                gap = tl[:, need] - top[need]
+                near = (gap > -80.0) & (t_rows != dom[need])
+                term = np.zeros(gap.shape)
+                term[near] = _math_map(math.exp, gap[near])
+                eta[need] = sum(term[1:], term[0])
+            at = np.flatnonzero(offer & ((eta < _SOFT_TAIL_TOL) | (plus & ~rated)))
             if at.size and (u := close.z_part(lzr)) is not None:
-                shut, value, residual = close.closes(top[at], t_j[dom[at]], lc[at], eta[at],
-                                                     lanes.fold[at], n, u, tol)
-                if shut.any():
-                    closed, (vals, ress) = np.zeros(lc.size, bool), np.zeros((2, lc.size))
-                    closed[at[shut]], vals[at], ress[at] = True, value, residual
+                closed, (vals, ress) = np.zeros(lc.size, bool), np.zeros((2, lc.size))
+                by_rate, k_at = rated[at], dom[at]
+                for k in rate_leads + [None]:   # each rate lead's lanes, then the trap's or dive's
+                    sub = at[~by_rate] if k is None else at[by_rate & (k_at == k)]
+                    if sub.size:   # j (but the trap's) and an all-0 fold, one for all lanes
+                        j, lb = terms[k][1::2] if k is not None else (
+                            t_j[dom[sub]] if plus else lead_j, None)
+                        fold = lanes.fold[sub]
+                        shut, vals[sub], ress[sub] = close.closes(
+                            top[sub], j, lb, lc[sub], lzr, eta[sub], fold if fold.any() else 0.0,
+                            n, u, tol, k is not None)
+                        closed[sub[shut]] = True
+                if closed.any():
                     lanes._put_settled(closed, _CONV, vals, ress, n)
                     failed |= closed
             eta[~logm] = 0.0   # an exact step neglects nothing
@@ -1854,21 +1912,15 @@ class _LaneOrbits:
     """orbit_logs(f, vertices[0], z, w, n_max, vertices[1:]) of a batch of lanes w, by columns.
 
     Iterating yields (n, live, lz, lw) for n = 0, 1, ...: step n of the
-    lanes still running, whose batch indices live holds in increasing
-    order; ext marks the ones past their switch and vtx holds their
-    vertex, an index into vertices.  A reader that sets retire, a mask
-    over the lanes of the column it read, stops those lanes: they compute
-    no further step.  Any other lane missing from a column ended after its
-    step in the one before, as reason records (_COMPLETE, _ESCAPED or
+    lanes still running, batch indices live in increasing order; ext marks
+    the ones past their switch and vtx holds their vertex, an index into
+    vertices.  A reader that sets retire, a mask over the column it read,
+    stops those lanes.  Any other lane missing from a column ended after
+    its step in the one before, as reason records (_COMPLETE, _ESCAPED or
     _RANGE); switch_step (-1 where none), switch_eta and vertex hold each
-    lane's switch as _OrbitLogs does.  No step is kept.
-
-    Each step replays the scalar driver on every lane.  The exact lanes
-    share z_n, its log and p's part of the dominance test.  A lane that
-    fails the test switches to the log recursion of the first vertex whose
-    eta passes it, the primary and then the alternates (_switch_vertex),
-    or ends 'range'; the switched lanes step by their vertex's recursion
-    (_extension_steps).
+    lane's switch as _OrbitLogs does.  No step is kept.  Each step replays
+    the scalar driver on every lane, the exact lanes sharing z_n, and the
+    switched lanes step by their vertex's recursion (_extension_steps).
     """
 
     def __init__(self, f: SkewProduct, vertices: list[tuple[int, int]], z: complex,
@@ -1977,78 +2029,66 @@ def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
     """_gza_direct ('Gza', 'Gzap'), _gzi_direct ('Gzi') or _gz_direct ('Gz') of all lanes w of ws.
 
     The orbits of all lanes run at once (_LaneOrbits); each column goes
-    into one _LaneSettle after the direct orbit's own exits (a transient
-    zero w_n = 0 skips its push, E_z and the ratio's escape end a lane),
-    and a lane retires where the scalar routine stops reading, but a
-    settled G_z lane on an invariant w-axis runs on, since a zero later on
-    decides.  Returns (value, n_used, tag, residual).
+    into one _LaneSettle after the direct orbit's own exits and closes, and
+    a lane retires where the scalar routine stops reading, at its switch
+    (_direct_close) at the latest; a settled G_z lane on an invariant
+    w-axis runs on to it, as a zero before it decides.
     """
     orbits = _LaneOrbits(f, [term.vertex for term in c.terms], z, np.array(ws, dtype=complex),
                          n_max)
     d, plus, axis_inv = c.lam if which == "Gz" else c.d, which == "Gzap", _w_axis_invariant(f)
     alpha, low = float(c.alpha) if which in ("Gza", "Gzap") else 0.0, 0.0 if plus else -math.inf
     lanes = _LaneSettle(orbits.vertex.size, d, tol, plus, _direct_tail_m(f, c) if plus else 0.0)
-    u = np.zeros(orbits.vertex.size)   # per running lane
-    if which == "Gzi":
-        slope = c.gamma / d
-        log_a, log_b = _lcoeff(f.p.leading_at_zero()), _lcoeff(f.q.terms[c.primary.vertex])
-    elif which != "Gz":
-        mult, const = np.array([_line_recursion(f, c, v) for v in orbits.vertices], float).T
-
-    last = 0
+    last, slope = 0, c.gamma / d
     for n, live, lz, lw in orbits:
         if live.size < lanes.rows.size:   # the others' orbits ended after step n - 1
             stay = np.zeros(lanes.rows.size, bool)
             stay[np.searchsorted(lanes.rows, live)] = True
             # a G_z^{alpha,+} lane that ended 'range' dove below the double range
             lanes.end(n - 1, ~stay, orbits.reason[lanes.rows] == _RANGE if plus else None)
-            u, = lanes.keep(stay, u)
-        rows, last, dn, ext, vtx = lanes.rows, n, d**n, orbits.ext, orbits.vtx
-        # the switch fold of the lanes that switched at step k = n
-        if ext.any() and (new := ext & (orbits.switch_step[rows] == n)).any():
-            lanes.fold[new] = _switch_share(orbits.switch_eta[rows[new]], d, n)
-        take = lw > -math.inf   # a transient zero w_n = 0 has no partial
+            lanes.keep(stay)
+        rows, last, dn, ext = lanes.rows, n, d**n, orbits.ext
+        if ext.any():   # the lanes that switched at step n close there, with their fold
+            lanes.fold[ext] = _switch_share(orbits.switch_eta[rows[ext]], d, n)
+            for t, vertex in enumerate(orbits.vertices):
+                if (at := ext & (orbits.vtx == t) & ~lanes.final[rows]).any():
+                    v, r = (np.broadcast_to(x, lz.shape)
+                            for x in _direct_close(f, c, which, vertex, n, lz, lw))
+                    tag = np.where(np.isfinite(v), _CONV, np.where(v > 0, _DIV_POS, _DIV_NEG))
+                    lanes._put_settled(at, tag, v, r, n)
+        take = (lw > -math.inf) & ~ext   # a transient zero w_n = 0 has no partial
         if which == "Gz":
-            if axis_inv:   # a zero anywhere on the orbit decides
-                lanes.put(~take, _ZERO, -math.inf, 0.0, n)
+            if axis_inv:   # a zero before the switch decides
+                lanes.put(~take & ~ext, _ZERO, -math.inf, 0.0, n)
                 take &= ~lanes.final[rows]
-            u = lw
+            x = lw
+        elif which == "Gzi":
+            z_zero = lz == -math.inf
+            lanes.put(~take & z_zero, _ZERO, math.nan, math.inf, n)
+            lanes.put(take & z_zero, _EZ, math.inf, math.inf, n)
+            # w_n = 0 on an invariant w-axis: x_n = -inf, an exact zero
+            take = (take | (axis_inv & ~ext)) & ~z_zero
+            x = lw - slope * n * lz
         else:
-            if which == "Gzi":
-                z_zero = lz == -math.inf
-                lanes.put(~take & z_zero, _ZERO, math.nan, math.inf, n)
-                lanes.put(take & z_zero, _EZ, math.inf, math.inf, n)
-                # w_n = 0 on an invariant w-axis: x_n = -inf, an exact zero
-                take = (take | axis_inv) & ~z_zero
-                s = slope * n
-                x = lw - s * lz
-                # the cancellation-free extension, where the primary vertex drives it
-                if (line := take & ext & (vtx == 0) & (lanes.settler.n >= 0)).any():
-                    x = np.where(line, d * u + log_b - s * log_a, x)
-            else:
-                if axis_inv:
-                    lanes.put(~take, _ZERO, low, 0.0, n)
-                if alpha:   # E_z: the ratio blows up (alpha > 0) or tends to 0 (alpha < 0)
-                    ez = take & (lz == -math.inf)
-                    lanes.put(ez, _EZ, math.inf if alpha > 0 else low,
-                              math.inf if alpha > 0 else 0.0, n)
-                    take &= ~ez
-                x = lw - (alpha * lz if alpha else 0.0)
-                # the weighted ratio's own recursion past the switch (_line_recursion)
-                if (line := take & ext & (lanes.settler.n >= 0)).any():
-                    x = np.where(line, mult[vtx] * u + const[vtx], x)
-            u = np.where(take, x, u)
-            if which != "Gzi":   # the orbit ends; its tail is below 1e-12 of the last term
-                esc = take & (u > ESCAPE_LOG)
-                lanes.put(esc, _ESC, _over(u, dn), _fold(_over(3e-12, dn), lanes.fold), n)
-                take &= ~esc
-        lanes.column(u, n, take)
-        done = lanes.final[rows]
-        if which == "Gz" and axis_inv:   # a settled lane runs on, to a zero
-            done &= lw == -math.inf
+            if axis_inv:
+                lanes.put(~take & ~ext, _ZERO, low, 0.0, n)
+            if alpha:   # E_z: the ratio blows up (alpha > 0) or tends to 0 (alpha < 0)
+                ez = take & (lz == -math.inf)
+                lanes.put(ez, _EZ, math.inf if alpha > 0 else low, math.inf if alpha > 0 else 0.0,
+                          n)
+                take &= ~ez
+            x = lw - (alpha * lz if alpha else 0.0)
+            # the orbit ends; its tail is below 1e-12 of the last term
+            esc = take & (x > ESCAPE_LOG)
+            lanes.put(esc, _ESC, _over(x, dn), _fold(_over(3e-12, dn), lanes.fold), n)
+            take &= ~esc
+        lanes.column(x, n, take)
+        done = lanes.final[rows] | ext
+        if which == "Gz" and axis_inv:   # a settled lane runs on, to a zero or its switch
+            done &= (lw == -math.inf) | ext
         if done.any():
             orbits.retire = done
-            u, = lanes.keep(~done, u)
+            lanes.keep(~done)
     lanes.end(last, dove=orbits.reason[lanes.rows] == _RANGE if plus else None)
     return lanes.val, lanes.used, lanes.tag, lanes.res
 

@@ -23,7 +23,7 @@ listed first and used as the default downstream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -190,7 +190,11 @@ class DominantTerm:
 
 @dataclass(frozen=True)
 class Classification:
-    """Case data for a skew product; mirrors the first dominant term."""
+    """Case data for a skew product; mirrors the first dominant term.
+
+    gamma, d and alpha, the primary term's, are read on every query, so
+    they are stored once; they stay out of repr and equality.
+    """
 
     delta: int
     npoly: NewtonPolygon
@@ -198,6 +202,13 @@ class Classification:
     lam: int  # asymptotic normalizer max{delta, d}
     c_infinity: int
     flags: dict
+    gamma: int = field(init=False, repr=False, compare=False)
+    d: int = field(init=False, repr=False, compare=False)
+    alpha: Optional[Rational] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("gamma", "d", "alpha"):
+            object.__setattr__(self, name, getattr(self.terms[0], name))
 
     @property
     def primary(self) -> DominantTerm:
@@ -208,24 +219,12 @@ class Classification:
         return self.primary.case
 
     @property
-    def gamma(self) -> int:
-        return self.primary.gamma
-
-    @property
-    def d(self) -> int:
-        return self.primary.d
-
-    @property
     def l1(self) -> Rational:
         return self.primary.l1
 
     @property
     def l2(self) -> Optional[Rational]:
         return self.primary.l2
-
-    @property
-    def alpha(self) -> Optional[Rational]:
-        return self.primary.alpha
 
     @property
     def two_dominant_terms(self) -> bool:

@@ -92,6 +92,44 @@ def test_bottcher_refuses_an_orbit_whose_modulus_overflows(f, point):
         bottcher(f, classify(f), *point)
 
 
+def _extreme_maps(seed, count):
+    """Seeded maps with coefficients of modulus 1e-300..1e300 and exponents up to 8."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        def coeff():
+            return cmath.rect(10.0 ** rng.uniform(-300, 300), rng.uniform(0, 2 * math.pi))
+        delta = rng.randint(2, 8)
+        p = {delta: coeff()}
+        if rng.random() < 0.5:
+            p[rng.randint(delta + 1, 9)] = coeff()
+        q = {(rng.randint(0, 8), rng.randint(0, 8)): coeff() for _ in range(rng.randint(1, 4))}
+        try:
+            f = SkewProduct(UniPoly(p), BiPoly(q))
+            out.append((f, classify(f)))
+        except ValueError:
+            continue
+    return out
+
+
+EXTREME_POINTS = [(0.3 + 0.1j, 0.2 - 0.1j), (0j, 0.5), (0.5, 0j), (1e-200, 1e200),
+                  (1e150j, 1e-150), (1.5e308 + 1.5e308j, 0.5), (0.7, 1e308 + 1e308j)]
+
+
+def test_bottcher_ends_extreme_coefficients_in_a_value_error():
+    # a root, power or quotient of the inverse branch past the double range
+    # (OverflowError, ZeroDivisionError) ends as the orbit's float-range refusal
+    left = 0
+    for f, c in _extreme_maps(3, 400):
+        for z, w in EXTREME_POINTS:
+            for n_max in (0, 1, 64):
+                try:
+                    bottcher(f, c, z, w, n_max=n_max)
+                except ValueError as exc:
+                    left += str(exc).startswith("orbit left the float range")
+    assert left >= 500
+
+
 def test_bottcher_point_outside_wedge_errors():
     c = classify(CASE2_GT)
     wedge = wedge_u_l(c.l1, 0.01)

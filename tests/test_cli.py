@@ -18,7 +18,7 @@ SEMI_TEXT = "builtin semiconjugate degenerate 1 4 ; h: 3 1 0 2 1 0\n"
 
 # sha256 of the whole `skewdyn verify` stdout: 13 PASS lines and the total,
 # so a speed-up that moves any figure of any suite fails here
-VERIFY_STDOUT = "b20292e2a6a8ffec1bd70528cfbde3f4e9df091a15798ba027428f87d3a0dc45"
+VERIFY_STDOUT = "ff75762b806683582103f9335c77c78f12fc00f4c69303799e39c3986e7faa68"
 
 
 @pytest.fixture()

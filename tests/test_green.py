@@ -355,7 +355,9 @@ def test_fiber_sample_traversal_order():
     # e-folds, so the log-space extension runs with eta > 0
     f0, c0 = maps[0], classify(maps[0])
     assert ratio_orbit(f0, c0, 0.5, ws[1], 64).log_mags[1] == -math.inf
-    assert max(ratio_orbit(f0, c0, 0.5, ws[8], 64).log_mags) > ESCAPE_LOG
+    # (the escaping lane closes by its rate at tol 1e-10; at tol 0 it runs past the radius)
+    assert max(ratio_orbit(f0, c0, 0.5, ws[8], 64, tol=0.0).log_mags) > ESCAPE_LOG
+    assert ratio_orbit(f0, c0, 0.5, ws[8], 64).reason == "closed"
     assert any(ratio_orbit(maps[4], classify(maps[4]), -1.0, ws[2], 64).etas)
     # the last fiber suits the d = 1 map; on its extra lane np.log and
     # math.log differ in the last bit
@@ -403,7 +405,8 @@ def test_fiber_sample_traversal_order():
     assert (tail_logs.reason, tail_logs.steps[-1][0]) == ("range", 4)
     _, z_esc, (w_esc, *_) = cases[-1]
     c_esc = classify(ESCAPE_MAP)
-    assert max(ratio_orbit(ESCAPE_MAP, c_esc, z_esc, w_esc, 64).log_mags) > ESCAPE_LOG
+    # (it closes by its rate first at tol 1e-10; at tol 0 it runs past the radius)
+    assert max(ratio_orbit(ESCAPE_MAP, c_esc, z_esc, w_esc, 64, tol=0.0).log_mags) > ESCAPE_LOG
     for f, z, lanes in cases:
         c = classify(f)
         for key, fn in ESTIMATORS.items():
@@ -419,18 +422,18 @@ def test_fiber_sample_traversal_order():
     # left the double range; on the first map the dive of c' = c^3 + c^2
     # closes at step 6; on the alpha-0
     # map the dive led by c^2 = c^d closes at its closed form once the term
-    # z c^2 falls 80 e-folds behind; on the same map with z^2 c added, the
-    # terms of least j and of least i~ differ, so G_z^alpha's ratio orbit
-    # runs on until its log|c_n| ~ -2^n overflows and ends as 'range' at
-    # step 647, while the trap closes G_z^{alpha,+} at once
+    # z c^2 falls 80 e-folds behind; on c' = 0.5 c + z c^3 (d = 1) no close
+    # of G_z^alpha serves, so its ratio orbit runs on until its log|c_n|
+    # ~ -n log 2 leaves the double range at step 1025 and ends as 'range',
+    # while the trap closes G_z^{alpha,+} at step 1
     f3, c3 = maps[3], classify(maps[3])
-    no_lead = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5, (2, 1): 0.3}))
+    no_lead = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 3): 1.0, (1, 1): 0.5}))
     c_nl = classify(no_lead)
     assert ratio_orbit(f0, c0, 0.5, 0.3 + 0.1j, 1100, False, 0.0).closed == 6
     assert ratio_orbit(f3, c3, 0.5, 0.3 + 0.1j, 1100, False, 0.0).closed == 5
     deep = ratio_orbit(no_lead, c_nl, 0.5, 0.3 + 0.1j, 1100, False, 0.0)
-    assert (deep.reason, len(deep.log_mags)) == ("range", 648)
-    assert ratio_orbit(no_lead, c_nl, 0.5, 0.3 + 0.1j, 1100, True, 0.0).closed == 0
+    assert (deep.reason, len(deep.log_mags)) == ("range", 1026)
+    assert ratio_orbit(no_lead, c_nl, 0.5, 0.3 + 0.1j, 1100, True, 0.0).closed == 1
     for f, z, w in ((alpha32, 0.4 + 0.1j, 0.3 - 0.2j), (f0, 0.5, 0.3 + 0.1j),
                     (f3, 0.5, 0.3 + 0.1j), (no_lead, 0.5, 0.3 + 0.1j)):
         c = classify(f)
@@ -440,6 +443,36 @@ def test_fiber_sample_traversal_order():
             assert got == want and "nan" not in repr(want), (key, z, want)
     sample = fiber_sample(f0, c0, "Gza", 0.5, ws)
     assert sample.ws == tuple(ws)
+
+
+@pytest.mark.parametrize("name", ["fiber_ratio", "fiber_direct"])
+def test_lanes_equal_points_at_every_close(name):
+    # the golden renders' fibers, z = 0.5 over a 12 x 12 window: every lane
+    # equals its point by repr, and the closes are taken there, on the
+    # ratio grid a c^d escape closed by its rate, on the direct grid the
+    # orbit closed at its switch
+    from skewdyn.green import best_orbit_logs, ratio_orbit
+
+    if name == "fiber_ratio":
+        f = example_degenerate(1, 4)
+        keys = ("Gza", "Gzap", "Gz", "Gf", "Gfa")
+    else:
+        f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
+        keys = ("Gza", "Gzap", "Gzi", "Gz", "Gf", "Gfa")
+    c, z = classify(f), 0.5
+    ws = [complex(0.01 - 0.5 + (i + 0.5) / 12, -0.01 - 0.5 + (k + 0.5) / 12)
+          for k in range(12) for i in range(12)]
+    for key in keys:
+        for tol in (1e-10, 0.0):
+            want = [repr(ESTIMATORS[key](f, c, z, w, 64, tol)) for w in ws]
+            assert [repr(e) for e in fiber_sample(f, c, key, z, ws, 64, tol).estimates] == want
+    if name == "fiber_ratio":
+        escapes = [w for w in ws if (ro := ratio_orbit(f, c, z, w, 64, True)).closed is not None
+                   and ro.log_mags[ro.closed] > 0.0]
+    else:
+        escapes = [w for w in ws if g_z(f, c, z, w).n_used == best_orbit_logs(f, c, z, w, 64)
+                   .switch_step]
+    assert len(escapes) >= 10, len(escapes)
 
 
 def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
@@ -522,7 +555,9 @@ def test_ratio_orbit_runs_past_the_escape_radius():
     # past the escape radius c' = b c^3 (1 + o(1)) with |b| != 1, so
     # d^-n log|c_n| settles as a geometric series in log|b|; the reference
     # iterates the ratio recursion c' = q(z, z c) / p(z) itself in mpmath,
-    # 45 steps deep
+    # 45 steps deep.  At tol 1e-10 the lead c^3 certifies its escape by its
+    # rate first and closes at its closed form; at tol 0, where its close
+    # needs eta = 0, the orbit runs past the escape radius
     import mpmath as mp
 
     from skewdyn.green import fiber_sample, ratio_orbit
@@ -537,11 +572,12 @@ def test_ratio_orbit_runs_past_the_escape_radius():
             cn = sum(mp.mpc(b) * zn**i * (zn * cn)**j for (i, j), b in f.q.terms.items()) / pz
             zn = pz
         limit = float(mp.log(abs(cn)) / mp.mpf(3) ** 45)
-    ro = ratio_orbit(f, c, z, w, 64)
-    escape = next(n for n, lc in enumerate(ro.log_mags) if lc > ESCAPE_LOG)
-    for fn, key in ((g_z_alpha, "Gza"), (g_z_alpha_plus, "Gzap")):
+    escape = next(n for n, lc in enumerate(ratio_orbit(f, c, z, w, 64, tol=0.0).log_mags)
+                  if lc > ESCAPE_LOG)
+    for fn, key, plus in ((g_z_alpha, "Gza", False), (g_z_alpha_plus, "Gzap", True)):
         est = fn(f, c, z, w)
-        assert est.termination == "converged" and est.n_used > escape
+        assert ratio_orbit(f, c, z, w, 64, plus).closed == est.n_used < escape
+        assert est.termination == "converged"
         assert abs(est.value - limit) <= est.residual
         assert fiber_sample(f, c, key, z, [w]).estimates == (est,)
 
@@ -601,28 +637,29 @@ def test_a_z_factor_past_the_double_range_ends_the_ratio_orbit_as_range():
 
 def test_the_ratio_fold_is_every_step_share_up_to_the_settle():
     # after the settle, ro.fold is sum 2 eta_k d^-k over k <= n_used, added
-    # left to right: on orbits that close, escape (weightless), end 'range'
-    # and run to the budget, with a close to offer or none
+    # left to right: on orbits that close (a dive, and an escape certified
+    # by its rate), escape (weightless), end 'range' and run to the budget,
+    # the last two at |z| = 1, where z never falls, so no close is offered
     from skewdyn.green import _gza_from_ratio, _over, _ratio_close, ratio_orbit
 
     closing = SkewProduct(UniPoly({4: 1.0}), BiPoly({(1, 3): 1.0, (2, 2): 1.0, (3, 2): 2e-4j}))
-    no_close = SkewProduct(UniPoly({4: -1.1486240884180297 - 0.6291202891448895j}),
-                           BiPoly({(0, 5): 1.9125937506656134 + 0.5545863785338567j,
-                                   (2, 3): 1.6511607266056645 + 0.743626772136198j,
-                                   (5, 2): 0.5315954145227044 + 1.5845583970907056j}))
+    rate_close = SkewProduct(UniPoly({4: -1.1486240884180297 - 0.6291202891448895j}),
+                             BiPoly({(0, 5): 1.9125937506656134 + 0.5545863785338567j,
+                                     (2, 3): 1.6511607266056645 + 0.743626772136198j,
+                                     (5, 2): 0.5315954145227044 + 1.5845583970907056j}))
     escaping = SkewProduct(UniPoly({4: -1.0211873629258852 + 0.8914409742936136j,
                                     5: 0.2349050409322333 - 0.7466015348994606j}),
                            BiPoly({(2, 3): 1.094374812110697 + 1.8405084008699983j}))
-    z_nc = 0.05986877994921088 + 0.18307984847023656j
-    w_nc = 0.39510717742363827 - 0.18511347145231105j
     runs = [  # (map, z, w, weightless, n_max, tol, (reason, termination))
         (closing, -0.3162260119119541 + 0.9486838827503399j,
          0.17331644948373137 - 1.1244305821169907j, False, 64, 1e-10, ("closed", "converged")),
+        (rate_close, 0.05986877994921088 + 0.18307984847023656j,
+         0.39510717742363827 - 0.18511347145231105j, False, 1100, 0.0, ("closed", "converged")),
         (escaping, -0.5527292043005462 - 0.7679608229083971j,
          -2.0829335593777953 + 1.2330534407669167j, True, 64, 1e-10,
          ("complete", "escaped_with_tail")),
-        (no_close, z_nc, w_nc, False, 1100, 0.0, ("range", "budget")),
-        (no_close, z_nc, w_nc, False, 64, 0.0, ("complete", "budget")),
+        (closing, 1.0, 0.5, False, 1100, 0.0, ("range", "budget")),
+        (closing, 1.0, 0.5, False, 40, 0.0, ("complete", "budget")),
     ]
     for f, z, w, weightless, n_max, tol, end in runs:
         c = classify(f)
@@ -636,8 +673,9 @@ def test_the_ratio_fold_is_every_step_share_up_to_the_settle():
         assert ro.fold == total, (f.q.terms, end)
         # the orbits without a close keep their fold too
         assert total > 0.0 or weightless
-        assert (_ratio_close(c, ro.terms, False, int(c.alpha), 0.0, [])[0] is None) == (f is no_close)
-    assert est.n_used == 64
+        if z == 1.0:   # L = 0: (c) fails, so no close is offered
+            assert _ratio_close(c, ro.terms, False, int(c.alpha), 0.0, [])[0].z_part(0.0) is None
+    assert est.n_used == 40
 
 
 def test_gf_is_the_max_of_its_z_part_and_gz():
@@ -822,8 +860,8 @@ def test_n_used_is_the_step_index_past_a_transient_zero():
 
 def test_switch_fold_on_direct_early_exits():
     # alpha = 3/2 runs the direct orbit, which switches to the log-space
-    # extension at step 8; the escape exit at step 9 must carry the switch
-    # fold 4 eta / d^8 like every other exit
+    # extension at step 8; the close there must carry the switch fold
+    # 4 eta / d^8 like every other exit
     f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     c = classify(f)
     z = -0.09897173011784269 + 0.054432495748585684j
@@ -835,7 +873,7 @@ def test_switch_fold_on_direct_early_exits():
     fold = 4 * logs.switch_eta / 2**8
     for fn in (g_z_alpha, g_z_alpha_plus):
         est = fn(f, c, z, w, 64, 1e-10)
-        assert est.termination == "escaped_with_tail"
+        assert (est.n_used, est.termination) == (8, "converged")
         assert est.residual >= fold
 
 

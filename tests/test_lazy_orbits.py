@@ -121,9 +121,9 @@ def test_an_orbit_read_again_after_its_first_reader_stopped(computed, orbit, sec
 
 @pytest.mark.parametrize("second", ["log_mags", "iterate"])
 def test_a_ratio_orbit_read_again_after_its_first_reader_stopped(computed, second):
-    # c' = (1 + 0.5 z) c^2 + 0.3 z^2 c dives, but its terms of least j and of
-    # least i~ differ, so no close of G_z^alpha ends it: it runs its whole budget
-    f = SkewProduct(UniPoly({3: 1.0}), BiPoly({(0, 2): 1.0, (1, 2): 0.5, (2, 1): 0.3}))
+    # c' = 0.5 c + z c^3 (d = 1) dives, but no close of G_z^alpha serves
+    # d = 1, so it runs its whole budget
+    f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 3): 1.0, (1, 1): 0.5}))
     c = classify(f)
     want = green.ratio_orbit(f, c, 0.5, 0.3 + 0.1j, 64)._drain()
     computed[0] = 0

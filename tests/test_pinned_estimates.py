@@ -100,12 +100,12 @@ PINNED = {
     },
     ('case2', 2): {
         'Gp': (-3.322695507257323, 0, 'converged', 7.678649728961282e-15),
-        'Gza': (0.354648137922395, 4, 'converged', 0.0),
+        'Gza': (0.3546481379222543, 2, 'converged', 4.4180520127771583e-13),
         'Gzi': None,
-        'Gzap': (0.354648137922395, 7, 'converged', 0.0),
-        'Gz': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
-        'Gf': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
-        'Gfa': (-3.322695507257323, 4, 'converged', 7.678649728961282e-15),
+        'Gzap': (0.3546481379222543, 2, 'converged', 4.4180520127771583e-13),
+        'Gz': (-3.322695507257323, 2, 'converged', 7.678649728961282e-15),
+        'Gf': (-3.322695507257323, 2, 'converged', 7.678649728961282e-15),
+        'Gfa': (-3.322695507257323, 2, 'converged', 7.678649728961282e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case3', 0): {
@@ -120,9 +120,9 @@ PINNED = {
     },
     ('case3', 1): {
         'Gp': (-0.6931471805599453, 0, 'converged', 3.0076335742989098e-15),
-        'Gza': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
+        'Gza': (1.2414357056407812, 3, 'converged', 6.0494186073707225e-15),
         'Gzi': None,
-        'Gzap': (1.2414357056407812, 5, 'converged', 3.3306690738754696e-16),
+        'Gzap': (1.2414357056407812, 3, 'converged', 6.0494186073707225e-15),
         'Gz': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
         'Gf': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
         'Gfa': (-0.6931471805599453, 3, 'converged', 3.0076335742989098e-15),
@@ -140,12 +140,12 @@ PINNED = {
     },
     ('case4', 0): {
         'Gp': (-1.4978661367769954, 0, 'converged', 4.437101595970097e-15),
-        'Gza': (-0.20304210999250577, 35, 'converged', 3.1973812486540965e-11),
+        'Gza': (-0.20304210996053193, 3, 'converged', 2.6266455354983138e-15),
         'Gzi': None,
         'Gzap': (0.0, 1, 'converged', 0.0),
-        'Gz': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
-        'Gf': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
-        'Gfa': (-1.4978661367769954, 35, 'converged', 4.437101595970097e-15),
+        'Gz': (-1.4978661367769954, 3, 'converged', 4.437101595970097e-15),
+        'Gf': (-1.4978661367769954, 3, 'converged', 4.437101595970097e-15),
+        'Gfa': (-1.4978661367769954, 3, 'converged', 4.437101595970097e-15),
         'label': ('in_A0_and_Afl', 1, False),
     },
     ('case4', 1): {
@@ -189,14 +189,14 @@ PINNED = {
         'label': ('escapes_or_outside', None, False),
     },
     ('alpha32', 2): {
+        # the direct closes at the switch (step 8) include the switch fold 4 eta / 2^8
         'Gp': (-2.180786621117447, 0, 'converged', 5.65021206909479e-15),
-        # both escape residuals include the switch fold 4 eta / 2^8 = 1.12e-11
-        'Gza': (0.08224896059769016, 9, 'escaped_with_tail', 1.121135254375603e-11),
-        'Gzi': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
-        'Gzap': (0.08224896059769016, 9, 'escaped_with_tail', 1.121135254375603e-11),
-        'Gz': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
-        'Gf': (-2.180786621117447, 9, 'converged', 5.65021206909479e-15),
-        'Gfa': (-3.188930971078481, 9, 'converged', 1.120549316875603e-11),
+        'Gza': (0.08224896059769016, 8, 'converged', 1.1216954163669666e-11),
+        'Gzi': (-3.188930971078481, 8, 'converged', 1.1222472739506827e-11),
+        'Gzap': (0.08224896059769016, 8, 'converged', 1.1216954163669666e-11),
+        'Gz': (-3.188930971078481, 8, 'converged', 1.1222472739506827e-11),
+        'Gf': (-2.180786621117447, 8, 'converged', 5.65021206909479e-15),
+        'Gfa': (-3.188930971078481, 8, 'converged', 1.1222472739506827e-11),
         'label': ('in_A0_and_Afl', 1, False),
     },
 }

@@ -36,12 +36,12 @@ DEEP = 1100   # 2^1100 and 4^550 are past the double range
 
 PINS = {
     "Gp": "7b23ba06b0a08f108f21ba467e843bcc43d4258dbe3b558577099001802c87cb",
-    "Gza": "2a564c3a3b305c4a1d762fd572f4b8de9563b6b3a9d5cf591a68102e0c0c158f",
-    "Gzi": "8008b26b7a35c8e046ce30490811e9ed048d8f7d15730b10c66284d1c3acf7cd",
-    "Gzap": "18061bda5a271d39fe11503e35ce1cb992e7d31b8f34c3826f9d84f4c39e518d",
-    "Gz": "62017bc86c5ecf390e11d54957919b06d6e83973760f3bb685551b52e575ee21",
-    "Gf": "56f5c1bbc83dcc4a6ab3c13b8ccc6f4f82bef2dcf426ddb1825b1f8658f96248",
-    "Gfa": "2214f9e13dd4ff6efa48be34109d3e248fbba60f0111e8cc8386143cd157d17c",
+    "Gza": "cd7f802e26dcc638eca7a4a824bdbdb6bd16299dc4d05f6a22b3feee6f776d4e",
+    "Gzi": "6e5ca90a1bc837f0666212fc3078d7850755ac904d5a9e51b45344591871e982",
+    "Gzap": "38f59169aba827f1ead6ac4c8f2138e9a76f8df135dca8245223dc4b7b181831",
+    "Gz": "3674f3e11b88d552b57531a251444155adf227c83f9c691bf829e592387f1212",
+    "Gf": "9e0ed5dff3b006063e60020c8c84e1d87a0dc1bf02e6acbdb875479346882a50",
+    "Gfa": "46001f47761c68d10c2c3aae788ab5ec0f62c3a79a0b7b674242cfabdd32c80a",
     "classify_point": "50fdb357d2e51ad3276e42d6fc74470438fddc762ef133922d96ee6b6d5ec59d",
     "bottcher": "e405d0585aeddcfcadbdb1f2f97638a3559f94b3a97373c148b762459e615fca",
 }

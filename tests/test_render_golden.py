@@ -26,42 +26,42 @@ GRID = "0.5,0.0,0.01,-0.01,1.0,1.0,12"
 
 GOLDEN = {
     ("fiber_ratio", "Gzap"): {
-        "csv": "578899ec678c53ccb98b0a7da3c63ca377f6d2035e18982238c1d95a516c4fcd",
+        "csv": "e09fc0dd54bfaa0187ca1daa217c6d180f33e48cf3f41e02c8dc86dc01d488eb",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
-        "meta": "4113fdab52a266ebe3e87a002df8f42e0372e6f93a4482417d5227875eb0a2b0",
+        "meta": "3cfe7df11ad625bab02172186aa299314fa550835280c9fa0a122927d05a03b4",
     },
     ("fiber_ratio", "Gza"): {
-        "csv": "8baf155b88c2c23f0fbb2de89d609c874344d145f3987476566814241fb67380",
+        "csv": "af648df5e0e95c5eb844a4108eadb478e6b9f1370993b18e13c485cd0c7d3fc2",
         "pgm": "f1a3fcd43441908f4c44765014553ca6acfd9de813d132ee8c268f49c2909520",
-        "meta": "734175b02d17f3aa1b1c3c9f8f95dd33b25ea2695eff0b964dd3e9a3b080c6af",
+        "meta": "8b051f4401be17e3ff1c75a4c3a7ce296f550b93fb127ff19477effb013f1c15",
     },
     ("fiber_ratio", "Gz"): {
-        "csv": "efbfeb96bc43fe7294fbc835a7dc8d15d758ad9f09d47fcef4bfd2c0f2d1c0a7",
+        "csv": "6ecf1c4945b88449ae98ead0582a15631dbee5d87c6d2582076c2cb682979948",
         "pgm": "f4b898b3b63470f0a21c218921c1734aa96bfc03f1740421dec24b1e478d5c6f",
         "meta": "def8de8e174073028fe4a2553e8191fd03e06c857d9a65570741678dfebfbfcc",
     },
     ("fiber_direct", "Gza"): {
-        "csv": "d3c14e129ccb3681da5b2ba3c796b8c712c0f68abaea8e235d228695119c5705",
+        "csv": "ba8097d097192f87bac1b06b7f6a8de173101db41651229ac76f29aaf69d98cd",
         "pgm": "5ee05f42b444f49d847a21bd267e1523626a15190dcd7f4cce387f802b96e988",
         "meta": "86146fe837463ceaee9ee99733510e516d320fe0d701530fddbe675e92df9ade",
     },
     ("fiber_direct", "Gzi"): {
-        "csv": "235af5c20fcacb169ea2c675b6281dd671009799a209e997f1d042cbbd8c1931",
+        "csv": "74810e0bf51cad0a223ddd0d01206089bc28c42ae48e153243848639d381ab14",
         "pgm": "5ee05f42b444f49d847a21bd267e1523626a15190dcd7f4cce387f802b96e988",
         "meta": "4592e276935513d25c8fd0414539953baf6dded971afea60faa156d5c11807a9",
     },
     ("fiber_direct", "Gz"): {
-        "csv": "235af5c20fcacb169ea2c675b6281dd671009799a209e997f1d042cbbd8c1931",
+        "csv": "74810e0bf51cad0a223ddd0d01206089bc28c42ae48e153243848639d381ab14",
         "pgm": "5ee05f42b444f49d847a21bd267e1523626a15190dcd7f4cce387f802b96e988",
         "meta": "56aef2a8e5d55d9f08d3e2810f043da382234b6254a155e9c001a0ca8b60e181",
     },
     ("fiber_direct", "Gf"): {
-        "csv": "a1f37110194f684c69052b8e7f847d4337883f4bd1108b8a76eac9f523264254",
+        "csv": "30d3feb6970a65ff7adc851f4f0a2754a8f7574826dcb09893b0d929ed076820",
         "pgm": "b284b21fe923dc6eae23943eafb0a35f184d233dd3ac0e7760636f3b985c01e6",
         "meta": "a8427df0a4e1bcc7be54b2debbb30b70ffc0f6682f57f1e0aaedf3342cdcc912",
     },
     ("fiber_direct", "Gfa"): {
-        "csv": "23ab092002c9ea7860608697c44366ac8b1db3940a9478558413cfd7bb79b005",
+        "csv": "2aacf2450a0113e9628518a3be776052f25f4eda048130e3c6778e7af13020a6",
         "pgm": "4e1c23251edd28610e50c523121a1ba056ea51cdfce2863b9bee42a9029002c7",
         "meta": "753b02aa387dd50fa29abd3314e33143101e9f24770f33c89e459c665134f2df",
     },

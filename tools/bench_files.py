@@ -9,17 +9,22 @@ once per workload and seed:
     python3 perfbench/run.py --workload fiber_ratio --seed 1 --seconds 25 --trace 0
 
 Their records (perfbench/_work/<workload>-seed<n>-trace0.json) are read
-as they are.  Per workload and side, the file lists every record's seed,
-end-to-end metrics (setup_s, wall_s, wall_median_s, peak_rss_mb), check
-counts, provenance (machine, Python and numpy versions, git revision,
-source hash) and config (grid or call count, n_max, tol, run length),
-and the median and quartiles of each metric over the side's records.
-Where both sides ran a seed, it counts the seeds on which the change's
-wall_s is lower.  BENCH_render.json holds fiber_ratio and fiber_direct;
-BENCH_suite.json holds verify, point_mix and the wall time of the
-tier-1 suite, which this tool runs in each checkout --tier1-runs times,
-alternating which side goes first.  Both files go to the root of this
-tool's own repository.
+as they are.  Each file keeps two things.  "rows" is the trajectory:
+one row per side per rebuild, appended to the rows already in the file
+(a parent row only where the last row is not that revision), each with
+the side's git revision and source hash and, per workload, the median
+and interquartile range of each end-to-end metric (setup_s, wall_s,
+wall_median_s, peak_rss_mb) over its records.  "pair" is the latest
+rebuild in full: per workload and side, every record's seed, metrics,
+check counts, provenance (machine, Python and numpy versions, git
+revision, source hash) and config, the median and quartiles of each
+metric, and where both sides ran a seed, the seeds on which the
+change's wall_s is lower.  BENCH_render.json holds fiber_ratio and
+fiber_direct; BENCH_suite.json holds verify, point_mix and the wall time
+of the tier-1 suite, which this tool runs in each checkout --tier1-runs
+times, alternating which side goes first.  Both files go to the root of
+this tool's own repository.  A file of the earlier layout (the pair
+alone) is read as its pair's two rows.
 """
 
 from __future__ import annotations
@@ -96,6 +101,31 @@ def tier1(parent: Path, change: Path, runs: int) -> dict:
                for name, rs in out.items()}}
 
 
+def row(entries: dict, name: str) -> dict:
+    """The trajectory row of one side (name) of the workload entries (and tier1, if there)."""
+    first = next(e[name]["runs"][0]["provenance"] for w, e in entries.items() if w != "tier1")
+    out = {"git_revision": first["git_revision"], "source_sha256": first["source_sha256"],
+           "workloads": {}}
+    for w, e in entries.items():
+        summary = e[name]["summary"]
+        if w == "tier1":
+            summary = {"seconds": summary}
+        out["workloads"][w] = {m: {"median": q["median"], "n": q["n"],
+                                   "iqr": q["q3"] - q["q1"] if "q1" in q else None}
+                               for m, q in summary.items()}
+    return out
+
+
+def rows(path: Path, entries: dict) -> list[dict]:
+    """The file's rows, with this rebuild's parent (where new) and change rows appended."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    kept = old.get("rows") or ([row(old, "parent"), row(old, "change")] if old else [])
+    parent = row(entries, "parent")
+    if not kept or kept[-1]["source_sha256"] != parent["source_sha256"]:
+        kept.append(parent)
+    return kept + [row(entries, "change")]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -106,7 +136,8 @@ def main(argv=None) -> int:
         body = {w: workload_entry(args.parent, args.change, w) for w in workloads}
         if name == "BENCH_suite.json":
             body["tier1"] = tier1(args.parent, args.change, args.tier1_runs)
-        (ROOT / name).write_text(json.dumps(body, indent=1) + "\n")
+        out = {"rows": rows(ROOT / name, body), "pair": body}
+        (ROOT / name).write_text(json.dumps(out, indent=1) + "\n")
         print(f"wrote {ROOT / name}")
     return 0
 
