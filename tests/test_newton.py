@@ -180,3 +180,16 @@ def test_case_partition():
 def test_monomial_cases():
     assert classify(monomial_skew(2, 1, 3)).case is Case.CASE1
     assert classify(monomial_skew(3, 0, 2)).case is Case.CASE1
+
+
+def test_classification_stores_its_primary_terms_gamma_d_alpha():
+    # read on every query, they are fields set once, outside repr and equality
+    import dataclasses
+
+    c = classify(_skew(3, [(0, 4), (1, 2)]))
+    assert (c.gamma, c.d, c.alpha) == (c.primary.gamma, c.primary.d, c.primary.alpha) == (1, 2, 1)
+    shown = [f.name for f in dataclasses.fields(c) if f.repr or f.compare]
+    assert shown == ["delta", "npoly", "terms", "lam", "c_infinity", "flags"]
+    two = classify(_skew(4, [(1, 3), (2, 2)]))
+    swapped = dataclasses.replace(two, terms=two.terms[::-1])
+    assert (two.d, swapped.d) == (3, 2) and dataclasses.replace(two) == two
