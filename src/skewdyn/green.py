@@ -11,51 +11,76 @@ Estimated limits, with (z_n, w_n) = f^n(z, w) and lambda = max{delta, d}:
     G_f^alpha  = lim lambda^-n log max(|z_n^alpha|, |w_n|)
 
 Only magnitudes enter any of these, so orbits are tracked as log
-magnitudes: _p_steps over p alone for G_p, orbit_logs over p and q for
-the others.  The complex orbit is iterated exactly while every
-non-negligible monomial stays inside the float window; past that the
-driver switches to the dominant monomial's log recursion, once the
-dominant terms provably dominate (the neglected level eta, folded as
-4 eta / base^k for a switch at step k, goes into the residual).  For
-integer weights alpha the weighted ratio c_n = w_n / z_n^alpha follows
-its own recursion with non-negative z-exponents, which reaches far
-deeper; G_z^alpha and G_z^alpha+ use it where it applies (ratio_orbit,
-which continues by its validated dominant monomial where a term leaves
-the double range).  Past a certified step each limit is that of an
-affine log recursion, so every series closes at the first step whose
-state certifies it, where a settle would grind a geometric tail down to
-tol: G_p at its closed form; the ratio (_DiveClose) by its trap, or by a
-lead whose rate holds it on top for good, at 0 or at its closed form;
-the direct orbit at its switch (_direct_close).  Since log|w_n| =
-alpha log|z_n| + log|c_n| exactly, G_z is composed from parts that
-settle on their own, [d = lambda] G_z^alpha + [delta = lambda] alpha G_p
-(_gz_composed); the direct orbit serves where a part is not finite and
-where a G_z^alpha of weight 0 did not settle.  G_f and G_f^alpha are
-max(s Z, G_z), Z = [delta = lambda] G_p, for s = 1 and s = alpha
-(_f_z_part, _max_of_parts), from the one G_p that G_z's composition shares.
+magnitudes by one driver per kind of orbit: _p_steps over p alone for
+G_p, orbit_logs over p and q for the others.  Each component is a term
+table with a dominant monomial.  The complex orbit is iterated exactly
+while every non-negligible monomial stays inside the float window;
+past that the driver switches to the exact dominant-monomial recursion in
+log space, but only after verifying that the dominant terms actually
+dominate (the neglected level eta, folded as 4 eta / base^k for a switch
+at step k, is added to the reported residual).  For integer weights alpha
+the weighted ratio c_n = w_n / z_n^alpha satisfies its own polynomial
+recursion with non-negative z-exponents, which reaches far deeper than
+the raw orbit; G_z^alpha and G_z^alpha+ use it when it applies.  Its
+driver, ratio_orbit, has no escape exit: where a term or a factor of it
+leaves the double range, either way, it continues by the dominant
+monomial, re-validated at every step, so d^-n log|c_n| settles as an
+ordinary series, or diverges where a term c^j, j > d, comes to lead an
+escape.  Past the escape radius that series is geometric at the rate
+1/d, and its residual counts the tail (_gza_from_ratio).  Past a
+certified step each limit is that of an affine log recursion, so every
+series closes at the first step, exact or extended, whose state
+certifies it, where the settle alone would grind a geometric tail down
+to tol: G_p at its closed form; the ratio (_DiveClose) by its trap,
+G_z^{alpha,+} = 0 once a polydisc about (z_n, c_n) maps into itself, or
+by a lead z^i~ c^j, j <= d, that provably leads a dive or, by its rate,
+holds the top for good, at 0 or at its closed form; the direct orbit at
+its switch, past which it is the affine log map of the switched vertex
+(_direct_close).  Since
+log|w_n| = alpha log|z_n| + log|c_n| exactly, G_z there is composed from
+parts that settle on their own, [d = lambda] G_z^alpha + [delta = lambda]
+alpha G_p (_gz_composed); the direct orbit serves where a part is not
+finite and where a G_z^alpha of weight 0, whose limit G_z needs finite,
+did not settle.  Such a part stops at the escape radius where no term
+c^j, j > d, can take the lead.  The max in G_f and G_f^alpha splits the
+same way: with Z = lim lambda^-n log|z_n| = [delta = lambda] G_p, they are
+max(s Z, G_z) for s = 1 and s = alpha (_f_z_part, _max_of_parts), from
+the one G_p that G_z's composition shares.
 
 Every estimator reads an orbit in two parts: a producer of pairs
 (n, x_n), which keeps only its own exits and closes (handed over as
 estimates) and its error fold, and the one settle of the series
-base^-n x_n, _settle.  The per-point drivers are pulled: each returns an
-orbit whose steps are computed only as they are read, one reader at a
-time (_PulledSteps); the settle and regions.classify_point stop at their
-exit, so they compute no step past it.  fiber_sample evaluates a whole
-fiber {z} x ws; its kernels replay the scalar drivers bit for bit on all
-lanes at once, computing the z side once per step: _fiber_ratio for the
-weighted ratio, and _fiber_direct (_LaneOrbits) for the direct orbit.
-Both settle online through _LaneSettle, the lanes' twin of _settle, and
-a lane retires once its estimate is final.  The kernels hand their
-estimates over as columns (value, n_used, tag, residual).
+base^-n x_n, _settle.
+The per-point drivers (orbit_logs, best_orbit_logs, ratio_orbit) are
+pulled: each returns an orbit whose steps are computed only as they are
+read.  A driver is a generator that records each step on the orbit
+before it yields it and runs its successor (the log recursion) by
+yield from; the first reader iterates it directly, a later one catches
+up from the recorded steps.  An orbit has one reader at a time, never
+two interleaved (_PulledSteps).  The settle and regions.classify_point
+read in order and stop at their exit, so they compute no step past it.
+Where the w-axis is invariant, _gz_direct reads the orbit up to its
+switch before it settles, because a zero before it decides how it
+settles (past the switch no coordinate becomes 0).
+fiber_sample evaluates a whole fiber {z} x ws; its kernels replay the
+scalar drivers bit for bit on all lanes at once, computing the z side
+once per step: _fiber_ratio for the weighted ratio, and _fiber_direct
+(_LaneOrbits) for the direct orbit.  Both settle online through one
+_LaneSettle, the lanes' twin of _settle: each column of steps goes in as
+it is computed, and a lane retires once its estimate is final, so no
+step past the last settled lane is computed and none is kept.  The
+kernels hand their estimates over as columns (value, n_used, tag,
+residual), and G_z's composition and G_f's max run on the columns.
 
 Both direct drivers keep one rule for the switch of a two-dominant-term
 map: at the first step that fails the dominance check, the first of the
 primary vertex and the alternates whose eta passes switches there, and
 where none does the orbit ends 'range' (_switch_vertex).  Past the switch
 an orbit follows the exact log recursion alone (_extension_steps), which
-classify_point reads; the estimators close at the switch step.  A step
-the recursion overflows ends the orbit as 'range' before it, so -inf in
-an orbit always means an exact zero.
+regions.classify_point reads; the estimators close at the switch step,
+which the lane kernel steps by that recursion in the same column loop
+as its exact ones.  A step the recursion overflows ends the orbit as
+'range' before it, so -inf in an orbit always means an exact zero.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
@@ -161,11 +186,14 @@ class _PulledSteps:
     """Steps of a per-point orbit driver, computed only as a reader pulls them.
 
     The driver is a generator (source) that appends each step to the list
-    before it yields it and keeps its running diagnostics on this object.
-    The first reader iterates the source itself; a later one catches up
-    from the list and then resumes the source, so no step is computed
-    twice.  A reader may stop early and another take over, but no two read
-    one orbit interleaved.  A finished orbit (source None) is its list.
+    before it yields it and keeps its running diagnostics on this object;
+    it runs a successor (the log recursion) by yield from.  The first
+    reader iterates the source itself.  A later reader catches up from
+    the list and then resumes the source, so no step is computed twice.
+    An orbit has one reader at a time: a reader may stop early and
+    another take over, but no two read it interleaved, and no caller
+    reads one orbit from two places at once.  A finished orbit (source
+    None) iterates as its plain list.
     """
 
     __slots__ = ("_steps", "_source")
@@ -203,11 +231,14 @@ def _final(attr: str) -> property:
 class _OrbitLogs(_PulledSteps):
     """Log-magnitude orbit steps (n, log|z_n|, log|w_n|), pulled from orbit_logs.
 
-    Consumers iterate the orbit and stop at their exit or close, so no
-    step past it is computed.  While it runs, _switch_step, _switch_eta
-    and _dominant hold the values of the steps computed so far, set before
-    the switch step is yielded; the public fields compute the whole orbit
-    first.
+    Lazy consumers iterate the orbit and stop at their exit or close, so
+    no step past it is computed: _gza_direct, _gzi_direct, _gz_direct and
+    regions.classify_point.  While the orbit runs, _switch_step,
+    _switch_eta and _dominant hold the values of the steps computed so
+    far; the switch and the vertex that drives it are set before the
+    switch step is yielded, so a consumer reads them at or after that
+    step.  Draining consumers read the public fields, which compute the
+    whole orbit first.
     """
 
     __slots__ = ("_reason", "_switch_step", "_switch_eta", "_dominant")
@@ -230,12 +261,13 @@ def _terms_safe(term_logs: list[float], exps: Optional[tuple] = None, lc: float 
                 lz: float = 0.0, ac: float = 0.0) -> bool:
     """True when a polynomial value computes faithfully in doubles.
 
-    The top term must sit inside the window, and every other one be
-    representable or negligible next to it (-inf terms are exact zeros).
+    The result magnitude tracks the top term, so the top must sit inside
+    the window, and every other term must be representable or negligible
+    relative to the top.  -inf terms are exact zeros and never block.
     exps = (j per term, i~ per term, top j, top i~) marks the terms z^i~ c^j
     of the ratio recursion at log|c| = lc, log|z| = lz, ac = alpha Re(corr):
     no factor c^j or exp(i~ log z - alpha corr) may overflow, and one may
-    underflow only in a negligible term.
+    underflow only in a negligible term (checked where one can at all).
     """
     top = max(term_logs)
     if top == -math.inf:
@@ -296,10 +328,12 @@ def orbit_logs(f: SkewProduct, dominant: tuple[int, int], z: complex, w: complex
                n_max: int, alternates: Iterable[tuple[int, int]] = ()) -> _OrbitLogs:
     """Log-magnitude orbit with validated extension past the float window.
 
-    p and q are term tables with dominant monomials (delta, 0) and
-    `dominant`, whose log recursion continues the orbit past the double
-    range; where `dominant` refuses the switch the alternates are tried in
-    order (_switch_vertex).  The steps are computed as they are read.
+    The components are p and q, each a term table with a dominant
+    monomial, (delta, 0) for p and `dominant` for q, whose exact log
+    recursion continues the orbit once it leaves the double range.
+    Where `dominant` refuses the switch, the alternates of q are tried in
+    order (_switch_vertex).  The steps are computed as they are read
+    (_OrbitLogs).  g_p runs the orbit of p alone (_p_steps).
     """
     logs = _OrbitLogs(dominant)
     logs._source = _log_steps(logs, f, dominant, z, w, n_max, alternates)
@@ -359,8 +393,10 @@ def _extension_steps(logs: _OrbitLogs, f: SkewProduct, dominant: tuple[int, int]
                      lz: float, lw: float, n_max: int) -> Iterator[tuple[int, float, float]]:
     """Steps n..n_max by the dominant-monomial log recursion from step n - 1's logs.
 
-    A step past ESCAPE_LOG ends the orbit as 'escaped' after it; a
-    non-finite step ends it as 'range' before it.
+    A step past ESCAPE_LOG ends the orbit as 'escaped' after it, as in
+    _log_steps; a non-finite step (the recursion overflowed the double
+    range) ends it as 'range' before it, so -inf on an orbit is always an
+    exact zero.
     """
     append = logs._steps.append
     delta, log_a = f.p.order, _lcoeff(f.p.leading_at_zero())
@@ -384,8 +420,9 @@ def best_orbit_logs(f: SkewProduct, c: Classification, z: complex, w: complex,
                     n_max: int) -> _OrbitLogs:
     """Orbit logs extended with whichever dominant term carries furthest.
 
-    A two-dominant-term map has one dominant vertex per wedge; where the
-    primary fails the dominance check, the alternate may still extend.
+    A two-dominant-term map has one dominant vertex per wedge; when the
+    primary term fails the dominance check, the alternate may still
+    extend the orbit past the float window.
     """
     return orbit_logs(f, c.primary.vertex, z, w, n_max, [term.vertex for term in c.terms[1:]])
 
@@ -409,9 +446,10 @@ def _p_steps(logs: _OrbitLogs, p: UniPoly, z: complex, n_max: int, tol: float
              ) -> Iterator[tuple[int, float | GreenEstimate]]:
     """(n, log|z_n|) on the orbit of p alone, as _log_steps runs the z side, for g_p alone.
 
-    The switch and the end go on logs; none is kept.  The first step whose
-    closed form (_DiveClose) is within tol, or exact but for rounding (U = 0),
-    gives that estimate in its place, and an escape p's top term leads +inf.
+    The switch and the end go on logs; g_p reads each step once, so none
+    is kept.  The first step whose closed form (_DiveClose) is within tol,
+    or exact but for rounding (U = 0), gives that estimate in its place,
+    and an escape that p's top term provably leads gives +inf (_p_escapes).
     """
     delta, log_a, k_top = p.order, _lcoeff(p.leading_at_zero()), max(p.terms)
     comps = [({(k, 0): coeff for k, coeff in p.terms.items()}, (delta, 0))]
@@ -514,9 +552,10 @@ def _ratio_terms(f: SkewProduct, alpha: Fraction
                  ) -> Optional[list[tuple[int, int, complex, float]]]:
     """(i~, j, coeff, log|coeff|) of the weight-alpha ratio recursion, or None.
 
-    The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials (b_ij /
-    a^alpha) z^(i~) c^j, i~ = i + alpha (j - delta); usable where alpha is an
-    integer, every i~ >= 0 and every coefficient and its log are finite.
+    The recursion c' = q(z, z^alpha c)/p(z)^alpha has monomials
+    (b_ij / a^alpha) z^(i~) c^j with i~ = i + alpha (j - delta); it is
+    usable when alpha is an integer, every i~ is >= 0 and every coefficient
+    and its log are finite (else the direct orbit serves).
     """
     if alpha.denominator != 1:
         return None
@@ -574,16 +613,21 @@ class _DiveClose:
     |r_m| <= U: G_p = delta^-n (L + log|a|/(delta-1)) within
     delta^-n U/(delta-1) (_closed_form; g_p).
 
-    On the ratio, C = log|c_n| strays from the true one by at most drift =
-    d^n times the orbit's fold.  At (L, C) the largest term log is top, on
-    b z^i~ c^j, and eta sums e^(t - top) over the others; at C + drift a gap
-    grows by at most spread = max |j_t - j| drift, so eta' = eta (1 + 2
-    spread) bounds them (spread <= 1), and E = eta'(1 + 2 eta') bounds
-    |log(1 +- eta')|.  Let D = top - C + (j - 1) drift + |alpha| U + E.
+    On the ratio, C = log|c_n| strays from the true one by at most
+    drift = d^n times the orbit's fold.  Its terms b z^i c^j have i, j >= 0;
+    at (L, C) the largest log is top, on a term of power j, and eta sums
+    e^(t - top) over the others; at C + drift a gap grows by at most
+    spread = (j_top - j) drift (max |j_t - j| drift for a rate lead), so
+    eta' = eta (1 + 2 spread) bounds them (spread <= 1), and
+    E = eta'(1 + 2 eta') >= log(1 + eta'), and >= -log(1 - eta') for eta' <= 1/2.
 
-    Trap, G_z^{alpha,+}, D < 0: the polydisc |z| <= |z_n|, |c| <= R =
-    e^(C + drift) maps into itself, as |c'| <= e^(top + j drift + E +
-    |alpha| U) < R: G_z^{alpha,+} = 0 where d >= 2 or R < 1.
+    Trap and dive need D = top - C + (j - 1) drift + |alpha| U + E < 0.
+
+    Trap, G_z^{alpha,+}: the polydisc |z| <= |z_n|, |c| <= R = e^(C + drift),
+    which holds the true (z_n, c_n), maps into itself: z by (c), and
+    |c'| <= sum |b| |z|^i |c|^j e^(|alpha| U) <= e^(top + j drift + E +
+    |alpha| U) < R, as i, j >= 0.  So |c_m| <= R for good:
+    G_z^{alpha,+} = 0 where d >= 2 or R < 1.
 
     Rate, a lead b c^j, i~ = 0, 2 <= j <= d, delta >= j, on top with eta <
     _SOFT_TAIL_TOL: while it leads, C' = j C + lb + r, |r| <= E + |alpha| U.
@@ -597,10 +641,14 @@ class _DiveClose:
     E + |alpha| U = 0; so is G_z^{alpha,+} where C - drift > (E + |alpha| U
     + |lb|)/(d-1), as C rises for good.
 
-    Dive, G_z^alpha, D < 0, led by the term of least j and least i~ (tried
-    before the rate where C fell), on top with eta < _SOFT_TAIL_TOL: no gap to
-    it grows while L and C fall, and c_n -> 0.  G_z^alpha = 0 where j < d (i~
-    = 0 or delta < d), the closed form above where j = d >= 2, i~ = 0.
+    Dive, G_z^alpha, led by l = b z^i~ c^j of least j and least i~
+    (_ratio_close; tried before the rate where C fell), on top with
+    eta < _SOFT_TAIL_TOL: no other term's gap to l grows while L and C
+    fall, so eta never grows and l leads for good; C_{n+1} - C <= D, so C
+    and D fall, and c_n -> 0.  Then where j < d, and i~ = 0 or delta < d,
+    C_{m+1} = j C_m + i~ L_m + O(1) with L_m = O(delta^m) (O(m) for
+    delta = 1): G_z^alpha = 0.  Where j = d >= 2 and i~ = 0, the closed
+    form above, taken once below tol, or at once where E + |alpha| U = 0.
 
     Each inequality holds by _CLOSE_SLACK times its terms' size (rounding,
     and the terms below e^-80 that eta leaves out).  Past the z side's one
@@ -654,17 +702,18 @@ class _DiveClose:
         e, au, dm = grown * (1.0 + 2.0 * grown), self.alpha * u, self.delta - 1
         ea, ok = e + au if au else e, spread <= 1.0
         if rated:   # j and lb are the lead's, one for all lanes
-            lbk, la = ea + abs(lb), abs(self.log_a) + u
+            # each test, linear in C and lbk, with the slack s times its terms' sizes in it
+            s, lbk, la, j1 = _CLOSE_SLACK, ea + abs(lb), abs(self.log_a) + u, j - 1
+            cs = s * abs(lc)
             for it, jt in self.terms:
-                if it or jt != j:   # each term but the lead
-                    dj = jt - j
-                    zf, cf = it * dm * lzr, dj * (j - 1) * lc
-                    kf = dm * it * la / (j - 1) + dm * abs(dj) / (j - 1) * lbk
-                    phi = zf + cf + kf + abs(dj) * (j - 1) * drift
-                    ok = ok & (phi + (abs(zf) + 1.0 + abs(cf) + kf) * _CLOSE_SLACK < 0.0)
-            if self.plus:   # an escape, for good (j = d)
-                x = lc - drift - lbk / (self.d - 1)
-                ok = ok & (x > (abs(lc) + drift + lbk + 1.0) * _CLOSE_SLACK)
+                if it or jt != j:   # each term but the lead: Phi_t, dj (j-1) C + kf + zf + drift
+                    dj, zf = jt - j, it * dm * lzr
+                    rest = zf + s * (abs(zf) + 1.0) + (1 + s) * dm * it * la / j1
+                    ok = ok & (dj * j1 * (lc + cs if dj > 0 else lc - cs)
+                               + (1 + s) * dm * abs(dj) / j1 * lbk
+                               + (rest + abs(dj) * j1 * drift) < 0.0)
+            if self.plus:   # an escape, for good (j = d): C - drift > lbk/(d-1)
+                ok = ok & (lc - cs - (1.0 / (self.d - 1) + s) * lbk - ((1 + s) * drift + s) > 0.0)
         else:
             jd = (j - 1) * drift
             x = top + jd + ea - lc
@@ -683,8 +732,9 @@ def _ratio_close(c: Classification, terms: list[tuple[int, int, complex, float]]
     """(close, the dive lead's index or None) of the ratio orbit of terms, or (None, None).
 
     al = c.alpha, log_a and tail are p's log|a| and _p_tail.  For plus, the trap and the
-    rate leads c^d; else the rate leads, and the dive's, the term of least j and least i~
-    where it has j >= 1, and j < d with i~ = 0 or delta < d, or j = d >= 2 with i~ = 0.
+    rate leads c^d; else the rate leads and the dive's.  Only a term of least j and least
+    i~ can lead a dive for good; it needs j >= 1, and j < d with i~ = 0 or delta < d
+    (limit 0), or j = d >= 2 with i~ = 0 (a closed form).
     """
     d, delta, lead = c.d, c.delta, None
     close = _DiveClose(log_a, delta, tail, d, terms, al, plus)
@@ -704,11 +754,14 @@ class _RatioOrbit(_PulledSteps):
     """Weighted-ratio orbit steps (log|c_n|, eta_n), pulled from ratio_orbit.
 
     log|c_n| is -inf for an exact zero; eta_n is the step's neglected-term
-    bound, 0 on exact steps.  terms holds the recursion's terms
-    (_ratio_terms).  The orbit ends 'closed' at the first step n that
-    certifies its estimator's limit (_DiveClose); closed holds that n and
-    limit the close's (value, residual), the fold aside.  fold bounds the
-    value error of the steps k computed so far, sum 2 eta_k d^-k.
+    bound, 0 on exact steps.  _gza_from_ratio, and through it G_z^alpha,
+    G_z^{alpha,+} and the composed G_z and G_f^alpha, reads the steps in
+    order and stops at its exit.  The public fields compute the whole
+    orbit first.  terms holds the recursion's terms (_ratio_terms).  The
+    orbit ends 'closed' at the first step n that certifies its
+    estimator's limit (_DiveClose); closed holds that n and limit the
+    (value, residual) of the close, the fold aside.  fold bounds the value
+    error of the steps k computed so far, sum 2 eta_k d^-k left to right.
     """
 
     __slots__ = ("_reason", "_closed", "_limit", "terms", "fold")
@@ -736,12 +789,15 @@ def ratio_orbit(f: SkewProduct, c: Classification, z: complex, w: complex, n_max
     """Orbit of c_n = w_n / z_n^alpha for the integer alpha of c; None if unsupported.
 
     Tracks the complex log of z_n, so the recursion stays exact long
-    after z_n leaves the double range.  Once a term or a factor of one
-    leaves the double range (_terms_safe) and a single monomial provably
-    dominates, the magnitude continues by its log recursion, re-validated
-    at every step, or ends 'range'.  It ends 'closed' at the first step
-    that certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
-    (_DiveClose).  None where the ratio does not serve z (_ratio_route).
+    after z_n itself leaves the double range.  Once a term or a factor of
+    one leaves the double range (_terms_safe), either way, and a single
+    monomial provably dominates, the magnitude continues by the exact
+    dominant log recursion, re-validated at every step; the orbit ends as
+    'range' where that fails.  It ends 'closed' at the first step that
+    certifies the limit of G_z^alpha (G_z^{alpha,+} for plus) to tol
+    (_DiveClose, with the fiber degree c.d).  Unsupported where the
+    recursion does not serve the fiber z (_ratio_route).  The steps are
+    computed as they are read (_RatioOrbit).
     """
     term_list = _ratio_route(f, c, z)
     if term_list is None:
@@ -760,11 +816,14 @@ def _ratio_steps(ro: _RatioOrbit, f: SkewProduct, c: Classification, z: complex,
                  n_max: int, plus: bool, tol: float) -> Iterator[tuple[float, float]]:
     """ratio_orbit's steps one by one, each put on ro before it is yielded; the end goes on ro.
 
-    Step n is offered to the trap or the dive where log|c| fell into it
-    (step 0 always) and top <= C (plus) or the dive's lead is on top, as
-    such a close holding at n holds at n + 1; else to the rate where a rate
-    lead is on top (for plus where C > 0, as an escape needs).  An exact
-    step whose z-factor leaves the double range ends 'range'.
+    Step n is offered to the trap or the dive, exact or extended, where
+    log|c| fell into it (step 0 always), and there only where top <= C
+    (plus) or the dive's lead is on top: such a close that holds at step n
+    holds at step n + 1, into which log|c| falls, so this delays it by a
+    step at most.  Else it is offered to the rate where a rate lead is on
+    top (for plus where C > 0, as an escape needs).  ro.fold is kept at
+    every step.  An exact step whose z-factor leaves the double range ends
+    the orbit as 'range', as an extended step does.
     """
     append, al, d, term_list = ro._steps.append, int(c.alpha), c.d, ro.terms
     log_a, tail, delta = cmath.log(f.p.leading_at_zero()), _p_tail(f.p), f.delta
@@ -930,12 +989,14 @@ def _settle(pairs: Iterable[tuple[int, float | GreenEstimate]], base: int, tol: 
     """The limit of base^-n x_n (base^-n max(x_n, 0) for plus) from pairs (n, x_n), read in order.
 
     Every Green series of a point settles here.  It ends at an estimate
-    given in place of x_n (the producer's exit or close), an exact zero
+    given in place of x_n (the producer's own exit or close), an exact zero
     x_n = -inf or the settler's decision, which for plus counts only past
-    the escape radius, below which the certified bound tail_m base^-n < tol
-    decides.  Past the pairs come zero for plus where the series dove below
-    the double range at step range_end(), then the settler's finish.
-    fold(est), the orbit's error up to est's step and any tail, goes into each.
+    the escape radius: below it the certified bound tail_m base^-n < tol
+    decides, as increments can sit on the spurious log+ = 0 plateau.  Past
+    the pairs come zero for plus where the series dove below the double
+    range at step range_end() (if not None), then the settler's finish.
+    fold(est), the orbit's own error up to est's step and any tail the
+    producer adds, goes into every estimate the settle returns.
     """
     settler, k, bk = _Settler(tol), 0, 1   # bk is the running base**k
     decides, zero, given = settler.decides, -math.inf, GreenEstimate
@@ -1020,10 +1081,12 @@ def _gza_from_ratio(c: Classification, ro: _RatioOrbit, tol: float, plus: bool,
     """G_z^alpha, or G_z^{alpha,+} when plus, settled on the weighted-ratio orbit.
 
     weightless asks only whether the limit is finite, as G_z of a G_z^alpha
-    of weight 0 does: with no term c^j, j > d, the orbit stops as 'escaped'
-    at the escape radius.  A 'closed' orbit (ratio_orbit with the same plus
-    and tol) gives its close as a producer exit past its last step, with
-    the fold; ro is fresh, so ro.fold is the fold up to the settle's exit.
+    of weight 0 does: with no term c^j, j > d, the c^d term leads past the
+    escape radius, and the orbit stops there as 'escaped', its tail unknown.
+    An orbit that ended 'closed' (ratio_orbit with the same plus and tol)
+    closes the series at its limit as a producer exit past its last step:
+    converged, with the close's residual and the fold.  ro is fresh, as
+    every caller passes it, so ro.fold is the fold up to the settle's exit.
     """
     d, steps = c.d, ro._steps
     pairs = enumerate(map(itemgetter(0), ro))
@@ -1077,9 +1140,10 @@ def _direct_close(f: SkewProduct, c: Classification, which: str, vertex: tuple[i
     which is a sum of parts coeff m^e r^m (_affine_parts): the fastest
     nonzero part above base^m gives +-inf, those of rate base and e = 0 the
     limit base^-k coeff.  G_z^alpha reads u = W - alpha L by u' = d~ u +
-    log|b~| - alpha log|a| (g~ = alpha (delta - d~)), G_z^inf u = W - (gamma/d)
-    n L by u' = d u + log|b| - (gamma/d)(n+1) log|a|.  The residual is the
-    rounding, 0 where the value is infinite.  For floats or lanes alike.
+    log|b~| - alpha log|a| (g~ = alpha (delta - d~)), G_z^inf with gamma > 0
+    u = W - (gamma/d) n L by u' = d u + log|b| - (gamma/d)(n+1) log|a|; with
+    gamma = 0 it is G_z, on either vertex, as base = lambda = d.  The residual
+    is the rounding, 0 where the value is infinite.  For floats or lanes alike.
     """
     delta, la = f.delta, _lcoeff(f.p.leading_at_zero())
     (g, dv), lb = vertex, _lcoeff(f.q.terms[vertex])
@@ -1087,7 +1151,7 @@ def _direct_close(f: SkewProduct, c: Classification, which: str, vertex: tuple[i
     if which in ("Gza", "Gzap"):
         al = float(c.alpha)
         parts = _affine_parts(dv, lw - al * lz if al else lw, [(1, lb - al * la)])
-    elif which == "Gzi":   # delta = d with gamma > 0 has one dominant vertex, the primary
+    elif which == "Gzi" and c.gamma:   # delta = d, gamma > 0: one dominant vertex, the primary
         s = c.gamma / base
         parts = [(base, 0, lw - s * k * lz + lb / (base - 1)
                   - s * la * (k / (base - 1) + base / (base - 1) ** 2))]
@@ -1235,9 +1299,12 @@ def _gz_composed(c: Classification, part: GreenEstimate,
     """G_z = a G_z^alpha + b G_p, a = [d = lambda], b = [delta = lambda] alpha, or None.
 
     Both parts settle on their own, so their limits compose.  None where
-    the direct orbit serves instead: a part that is not finite, or a
-    G_z^alpha of weight 0 that ended 'budget' (G_z needs its limit finite).
-    A part of weight 0 adds neither residual nor termination.
+    the direct orbit serves instead: a part that is not finite, such as a
+    G_z^alpha whose escape a term c^j, j > d, comes to lead; or a
+    G_z^alpha part of weight 0 that ended 'budget', since G_z needs its
+    limit finite and an unsettled part cannot tell.  A part with weight
+    0 (settled 'weightless', _gza_from_ratio) adds neither residual nor
+    termination.
     """
     a = 1 if c.d == c.lam else 0
     if not (part.finite and base.finite) or (not a and part.termination == TERM_BUDGET):
@@ -1466,12 +1533,14 @@ def fiber_sample(f: SkewProduct, c: Classification, which: str, z: complex,
     """Evaluate one estimator across a fiber {z} x ws, in input order.
 
     G_p depends on z alone and is estimated once.  G_z^alpha and
-    G_z^{alpha,+} run all lanes at once on the ratio (_fiber_ratio), G_z
-    takes its lanes from _fiber_gz, and G_f and G_f^alpha the max of those
-    with the fiber's one s Z.  Where the ratio does not serve, and for
-    G_z^infty, the direct orbits run (_fiber_direct).  Where the estimator
-    refuses the map, or a power of w is past the kernels' reach, it runs
-    per point.  All give identical results.
+    G_z^{alpha,+} with an integer weighted-ratio recursion run all lanes
+    at once (_fiber_ratio).  G_z takes its lanes from _fiber_gz, and G_f
+    and G_f^alpha take the max of those with the fiber's one s Z, as g_f
+    and g_f_alpha do for one point.  Where the ratio does not serve
+    (_ratio_route), and for G_z^infty, the direct orbits of all lanes run
+    at once and settle as they run (_fiber_direct).  Where the estimator
+    refuses the map (_refusal), or a power of w is past the kernels'
+    reach, it runs per point.  All give identical results.
     """
     fn = ESTIMATORS[which]
     ws = tuple(ws)
@@ -1555,7 +1624,10 @@ def _lanes_max(a: GreenEstimate, cols: tuple) -> tuple:
 # orbit_logs) bit for bit.  numpy's complex multiply, abs, log and exp
 # differ from CPython's in the last bit, so complex products run on split
 # real parts in CPython's operation order, magnitudes use np.hypot, and
-# logs and exps go through math per lane.
+# logs and exps go through math per lane.  A product by exactly 1 (a unit
+# coefficient or z-factor, c_powu's first 1 * c) is skipped: it moves
+# only the sign of a zero, which no modulus reads, or makes NaN of a part
+# beside an infinite one, whose lane fails as non-finite either way.
 
 
 def _cmul(ar, ai, br, bi):
@@ -1564,16 +1636,15 @@ def _cmul(ar, ai, br, bi):
 
 
 def _cpow(squares: list, j: int):
-    """c**j as CPython's c_powu forms it; squares[k] holds c^(2^k)."""
-    rr, ri = 1.0, 0.0
-    k = 0
+    """c**j as CPython's c_powu forms it, but for its first product 1 * c; squares[k]: c^(2^k)."""
+    r, k = None, 0
     while j >> k:
         if k == len(squares):
             squares.append(_cmul(*squares[-1], *squares[-1]))
         if (j >> k) & 1:
-            rr, ri = _cmul(rr, ri, *squares[k])
+            r = squares[k] if r is None else _cmul(*r, *squares[k])
         k += 1
-    return rr, ri
+    return (1.0, 0.0) if r is None else r
 
 
 def _log_abs(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -1610,8 +1681,11 @@ def _exact_step(cr: np.ndarray, ci: np.ndarray, terms: list, zfacs: list):
     squares = [(cr, ci)]
     nr, ni = np.zeros(cr.size), np.zeros(cr.size)
     for (_, j, coeff, _), zf in zip(terms, zfacs):
-        tr, ti = _cmul(coeff.real, coeff.imag, *_cpow(squares, j))
-        tr, ti = _cmul(tr, ti, zf.real, zf.imag)
+        tr, ti = _cpow(squares, j)
+        if coeff != 1:
+            tr, ti = _cmul(coeff.real, coeff.imag, tr, ti)
+        if zf != 1:
+            tr, ti = _cmul(tr, ti, zf.real, zf.imag)
         nr += tr
         ni += ti
     return nr, ni
@@ -1751,10 +1825,12 @@ def _fiber_ratio(f: SkewProduct, c: Classification, plus: bool, z: complex,
                  ws: tuple, n_max: int, tol: float, weightless: bool = False) -> tuple:
     """G_z^alpha, or G_z^{alpha,+} when plus, over a fiber from all weighted-ratio lanes at once.
 
-    The z side is computed once per step for the whole fiber.  Lanes settle
-    online (_LaneSettle) as _gza_from_ratio settles the scalar orbit, and a
-    lane whose step certifies its limit (offered as _ratio_steps offers it)
-    ends there.
+    The z side (log z_n, the p-tail correction, the z-factors of the
+    recursion, the z part of the close) is computed once per step for the
+    whole fiber.  Lanes are settled online (_LaneSettle) as
+    _gza_from_ratio settles the scalar orbit and retire once their
+    estimate is final; weightless as there.  A lane whose step certifies
+    its limit (_DiveClose, offered as _ratio_steps offers it) ends there.
     """
     d, al = c.d, int(c.alpha)
     stop_escaped = weightless and all(j <= d for _, j in f.q.terms)
@@ -1912,15 +1988,21 @@ class _LaneOrbits:
     """orbit_logs(f, vertices[0], z, w, n_max, vertices[1:]) of a batch of lanes w, by columns.
 
     Iterating yields (n, live, lz, lw) for n = 0, 1, ...: step n of the
-    lanes still running, batch indices live in increasing order; ext marks
-    the ones past their switch and vtx holds their vertex, an index into
-    vertices.  A reader that sets retire, a mask over the column it read,
-    stops those lanes.  Any other lane missing from a column ended after
-    its step in the one before, as reason records (_COMPLETE, _ESCAPED or
+    lanes still running, whose batch indices live holds in increasing
+    order; ext marks the ones past their switch and vtx holds their
+    vertex, an index into vertices.  A reader that sets retire, a mask
+    over the lanes of the column it read, stops those lanes: they compute
+    no further step.  Any other lane missing from a column ended after its
+    step in the one before, as reason records (_COMPLETE, _ESCAPED or
     _RANGE); switch_step (-1 where none), switch_eta and vertex hold each
-    lane's switch as _OrbitLogs does.  No step is kept.  Each step replays
-    the scalar driver on every lane, the exact lanes sharing z_n, and the
-    switched lanes step by their vertex's recursion (_extension_steps).
+    lane's switch as _OrbitLogs does.  No step is kept.
+
+    Each step replays the scalar driver on every lane.  The exact lanes
+    share z_n, its log and p's part of the dominance test.  A lane that
+    fails the test switches to the log recursion of the first vertex whose
+    eta passes it, the primary and then the alternates (_switch_vertex),
+    or ends 'range'; the switched lanes step by their vertex's recursion
+    (_extension_steps).
     """
 
     def __init__(self, f: SkewProduct, vertices: list[tuple[int, int]], z: complex,
@@ -2029,10 +2111,12 @@ def _fiber_direct(f: SkewProduct, c: Classification, which: str, z: complex,
     """_gza_direct ('Gza', 'Gzap'), _gzi_direct ('Gzi') or _gz_direct ('Gz') of all lanes w of ws.
 
     The orbits of all lanes run at once (_LaneOrbits); each column goes
-    into one _LaneSettle after the direct orbit's own exits and closes, and
-    a lane retires where the scalar routine stops reading, at its switch
-    (_direct_close) at the latest; a settled G_z lane on an invariant
-    w-axis runs on to it, as a zero before it decides.
+    into one _LaneSettle after the direct orbit's own exits (a transient
+    zero w_n = 0 skips its push, E_z and the ratio's escape end a lane)
+    and closes, and a lane retires where the scalar routine stops reading,
+    at its switch (_direct_close) at the latest; a settled G_z lane on an
+    invariant w-axis runs on to it, since a zero before it decides.
+    Returns (value, n_used, tag, residual).
     """
     orbits = _LaneOrbits(f, [term.vertex for term in c.terms], z, np.array(ws, dtype=complex),
                          n_max)

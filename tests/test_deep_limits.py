@@ -297,6 +297,28 @@ def _infty_points(seed, count):
     return out
 
 
+def _infty_alternate_points(seed, count):
+    """(map, z, w) on maps p = a z^2 (+ z^3), q = b w^2 + b' z^3: delta = d = 2, gamma = 0.
+
+    q has two dominant vertices, the primary (0, 2) and the alternate
+    (3, 0); with |a| >= 3 and |b|, |b'| <= 1e-3 the alternate keeps its
+    lead past the switch (its terms' gap 3 log|a| - log|b b'| > 17), which
+    most of these orbits reach with z^3 on top.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p_terms = {2: cmath.rect(rng.uniform(3, 6), rng.uniform(0, 2 * math.pi))}
+        if rng.random() < 0.5:
+            p_terms[3] = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        f = SkewProduct(UniPoly(p_terms), BiPoly({
+            ij: cmath.rect(10 ** rng.uniform(-5, -3), rng.uniform(0, 2 * math.pi))
+            for ij in ((0, 2), (3, 0))}))
+        out.append((f, cmath.rect(rng.uniform(0.01, 0.1), rng.uniform(0, 2 * math.pi)),
+                    cmath.rect(10 ** rng.uniform(-3, 2), rng.uniform(0, 2 * math.pi))))
+    return out
+
+
 def _deep_infty(f, c, z, w, depth=80):
     """d^-N (log|w_N| - (gamma N/d) log|z_N|) at N = depth on the 150-digit orbit.
 
@@ -314,15 +336,20 @@ def _deep_infty(f, c, z, w, depth=80):
         return float((mp.log(abs(wn)) - slope * mp.log(abs(zn))) / mp.mpf(c.d) ** depth)
 
 
-def test_gzi_within_its_residual_of_the_deep_limit():
+@pytest.mark.parametrize("group", ["gamma_pos", "gamma_zero_alternate"])
+def test_gzi_within_its_residual_of_the_deep_limit(group):
     # G_z^inf closes at the direct orbit's switch, as a point and as a lane,
     # where a settle of its geometric tail missed (117 of 184 points at the
-    # rate 1/d on one seeded draw)
-    settled = 0
-    for f, z, w in _infty_points(7, 40):
+    # rate 1/d on one seeded draw); with gamma = 0 the orbit may switch to
+    # the alternate vertex (3, 0), whose own affine map the close must follow
+    points = _infty_points(7, 40) if group == "gamma_pos" else _infty_alternate_points(3, 40)
+    settled = alternate = 0
+    for f, z, w in points:
         c = classify(f)
-        assert c.delta == c.d and c.gamma > 0
+        assert c.delta == c.d and (c.gamma > 0) == (group == "gamma_pos")
         limit = _deep_infty(f, c, z, w)
+        logs = best_orbit_logs(f, c, z, w, 64)
+        list(logs)
         for tol in (1e-10, 0.0):
             est = g_z_infty(f, c, z, w, 64, tol)
             assert repr(fiber_sample(f, c, "Gzi", z, [w, 0.1], 64, tol).estimates[0]) == repr(est)
@@ -330,7 +357,9 @@ def test_gzi_within_its_residual_of_the_deep_limit():
                 assert abs(est.value - limit) <= est.residual + 1e-15 * max(1.0, abs(limit)), (
                     f.q.terms, z, w, tol, est, limit)
                 settled += 1
+                alternate += logs._dominant != c.primary.vertex
     assert settled >= 30
+    assert alternate >= (30 if group == "gamma_zero_alternate" else 0)
 
 
 def test_j_gt_d_escape_settles_to_its_limit():

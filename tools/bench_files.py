@@ -11,7 +11,7 @@ once per workload and seed:
 Their records (perfbench/_work/<workload>-seed<n>-trace0.json) are read
 as they are.  Each file keeps two things.  "rows" is the trajectory:
 one row per side per rebuild, appended to the rows already in the file
-(a parent row only where the last row is not that revision), each with
+(a parent row only where no row has its source hash yet), each with
 the side's git revision and source hash and, per workload, the median
 and interquartile range of each end-to-end metric (setup_s, wall_s,
 wall_median_s, peak_rss_mb) over its records.  "pair" is the latest
@@ -23,8 +23,7 @@ change's wall_s is lower.  BENCH_render.json holds fiber_ratio and
 fiber_direct; BENCH_suite.json holds verify, point_mix and the wall time
 of the tier-1 suite, which this tool runs in each checkout --tier1-runs
 times, alternating which side goes first.  Both files go to the root of
-this tool's own repository.  A file of the earlier layout (the pair
-alone) is read as its pair's two rows.
+this tool's own repository.
 """
 
 from __future__ import annotations
@@ -118,10 +117,9 @@ def row(entries: dict, name: str) -> dict:
 
 def rows(path: Path, entries: dict) -> list[dict]:
     """The file's rows, with this rebuild's parent (where new) and change rows appended."""
-    old = json.loads(path.read_text()) if path.exists() else {}
-    kept = old.get("rows") or ([row(old, "parent"), row(old, "change")] if old else [])
+    kept = json.loads(path.read_text())["rows"] if path.exists() else []
     parent = row(entries, "parent")
-    if not kept or kept[-1]["source_sha256"] != parent["source_sha256"]:
+    if all(r["source_sha256"] != parent["source_sha256"] for r in kept):
         kept.append(parent)
     return kept + [row(entries, "change")]
 
