@@ -301,9 +301,9 @@ def _infty_alternate_points(seed, count):
     """(map, z, w) on maps p = a z^2 (+ z^3), q = b w^2 + b' z^3: delta = d = 2, gamma = 0.
 
     q has two dominant vertices, the primary (0, 2) and the alternate
-    (3, 0); with |a| >= 3 and |b|, |b'| <= 1e-3 the alternate keeps its
-    lead past the switch (its terms' gap 3 log|a| - log|b b'| > 17), which
-    most of these orbits reach with z^3 on top.
+    (3, 0).  Once z^3 leads, the gap of q's terms stays 3 log|a| - log|b b'|,
+    above 17 here (|a| >= 3, |b|, |b'| <= 1e-3); where e^-gap passes the
+    dominance test, the orbit switches to the alternate, as most of these do.
     """
     rng = random.Random(seed)
     out = []
