@@ -4,7 +4,9 @@ Point queries (every scalar estimator, bottcher, classify_point) run in
 pure Python; numpy serves only the lane kernels behind fiber_sample,
 renders and verify.  So `np` is bound to a module whose import runs at
 the first `np.` lookup, and a process that makes point queries alone
-never pays for it.
+never pays for it.  Nor does it compile the lane kernels: they live in
+skewdyn.fiber, which `import skewdyn` does not import (README, "Point
+queries", gives the peak memory saved).
 """
 
 from __future__ import annotations

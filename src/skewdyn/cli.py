@@ -23,7 +23,6 @@ from .green import ESTIMATORS
 from .newton import classification_report, classify
 from .raster import RenderJob, RunConfig, render
 from .regions import verify_invariance, WedgeSpec
-from .suites import run_suites
 from .weights import d_value, weight_interval
 
 
@@ -177,6 +176,8 @@ def cmd_verify(args) -> int:
         for v in report.violations[:4]:
             print(f"  witness: {v.point} -> {v.image}")
         return 0 if report.ok else 1
+    from .suites import run_suites   # here, not at the top: suites imports the lane kernels
+
     results = run_suites(args.suite or None)
     failed = 0
     for res in results:

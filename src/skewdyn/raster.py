@@ -1,7 +1,7 @@
 """Deterministic raster output: binary PGM (P5) plus CSV and a sidecar meta.
 
 The whole grid is one fiber {z} x window, evaluated by a single
-green.fiber_sample call in row-major pixel order.  Pixel values map
+fiber.fiber_sample call in row-major pixel order.  Pixel values map
 through an affine clamp of the function value onto 0..255, with
 -inf -> 0, +inf -> 255 and undecided/NaN -> 128.  The grid, the pixel
 bytes and the CSV rows are built from the sample's columns, with the
@@ -20,7 +20,7 @@ from pathlib import Path
 from ._lazy import np
 from .algebra import SkewProduct
 from .fileio import dump_skew_product
-from .green import _TAGS, DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS, fiber_sample
+from .green import DEFAULT_N_MAX, DEFAULT_TOL, ESTIMATORS
 from .newton import classify
 
 MAX_PIXELS = 8192
@@ -65,6 +65,9 @@ class RenderJob:
 def render(f: SkewProduct, job: RenderJob, cfg: RunConfig = RunConfig(),
            out_dir: str | Path = ".") -> dict[str, Path]:
     """Evaluate the grid and write <prefix>.pgm, <prefix>.csv, <prefix>.meta."""
+    # the lane kernels compile here, at the first render, and before numpy loads
+    from .fiber import _TAGS, fiber_sample
+
     c = classify(f)
     px, py = job.pixels_x, job.pixels_y
     # w_at per pixel: w.real depends on ix alone and w.imag on iy alone

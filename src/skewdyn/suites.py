@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import SkewProduct, UniPoly, BiPoly, monomial_skew
 from .newton import classify, newton_polygon, newton_polygon_bruteforce
-from .green import fiber_sample
+from .fiber import fiber_sample
 from .oracles import (
     example_cubic_h,
     example_degenerate,

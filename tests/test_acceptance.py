@@ -27,7 +27,8 @@ from skewdyn import (
     submean_check,
     verify_invariance,
 )
-from skewdyn.green import ESTIMATORS, fiber_sample
+from skewdyn.fiber import fiber_sample
+from skewdyn.green import ESTIMATORS
 from skewdyn.newton import Case, newton_polygon, newton_polygon_bruteforce
 from skewdyn.oracles import (
     example_cubic_h,

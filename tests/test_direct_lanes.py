@@ -1,6 +1,6 @@
 """The direct-orbit lane kernel against full replays of every vertex.
 
-green._LaneOrbits runs a batch of lanes one column of steps at a time:
+fiber._LaneOrbits runs a batch of lanes one column of steps at a time:
 it resumes an alternate vertex at the step where the primary orbit
 ended 'range', and steps every switched lane by its log recursion in the
 same loop.  Its column stream, drained with no settle attached and
@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify
-from skewdyn import green
+from skewdyn import fiber, green
 from skewdyn.newton import newton_polygon
 
 FIELDS = ("log_z", "log_w", "length", "reason", "switch_step", "switch_eta", "vertex")
-REASONS = {"complete": green._COMPLETE, "escaped": green._ESCAPED, "range": green._RANGE}
+REASONS = {"complete": fiber._COMPLETE, "escaped": fiber._ESCAPED, "range": fiber._RANGE}
 
 # (z^2, w^2 - z^3): the fiber_direct map; the vertex (3, 0) takes lanes the
 # primary (0, 2) leaves at 'range'
@@ -111,10 +111,10 @@ def _drain(orbits, n_max):
 def _lane_replay(f, c, z, ws, n_max):
     """Every vertex's _LaneOrbits from step 0, alone; the longer wins a 'range' end."""
     lanes = np.array(ws, dtype=complex)
-    best = _drain(green._LaneOrbits(f, [c.primary.vertex], z, lanes, n_max), n_max)
-    retry = np.flatnonzero(best.reason == green._RANGE)
+    best = _drain(fiber._LaneOrbits(f, [c.primary.vertex], z, lanes, n_max), n_max)
+    retry = np.flatnonzero(best.reason == fiber._RANGE)
     for t in range(1, len(c.terms)):
-        other = _drain(green._LaneOrbits(f, [c.terms[t].vertex], z, lanes[retry], n_max), n_max)
+        other = _drain(fiber._LaneOrbits(f, [c.terms[t].vertex], z, lanes[retry], n_max), n_max)
         longer = other.length > best.length[retry]
         rows = retry[longer]
         for name in FIELDS[:-1]:
@@ -126,7 +126,7 @@ def _lane_replay(f, c, z, ws, n_max):
 def _kernel(f, c, z, ws, n_max):
     """The rows of one _LaneOrbits over all lanes with the classification's vertices."""
     vertices = [term.vertex for term in c.terms]
-    return _drain(green._LaneOrbits(f, vertices, z, np.array(ws, dtype=complex), n_max), n_max)
+    return _drain(fiber._LaneOrbits(f, vertices, z, np.array(ws, dtype=complex), n_max), n_max)
 
 
 def _assert_same(got, want, where):
@@ -139,13 +139,13 @@ def _assert_same(got, want, where):
 def test_cases_cover_the_resume_and_the_tail():
     logs = {name: _kernel(f, c, z, ws, 64) for name, f, c, z, ws in CASES}
     alt = logs["direct"].vertex > 0
-    assert alt.any() and (logs["direct"].reason == green._RANGE).any()
+    assert alt.any() and (logs["direct"].reason == fiber._RANGE).any()
     three = logs["three"]
     assert set(three.vertex.tolist()) == {0, 1, 2}
     # alternates resume after 'range' ends at different steps
     assert len(set(three.switch_step[three.vertex > 0].tolist())) >= 2
     esc = logs["escape"]
-    escaped_in_tail = (esc.reason == green._ESCAPED) & (esc.switch_step >= 0)
+    escaped_in_tail = (esc.reason == fiber._ESCAPED) & (esc.switch_step >= 0)
     assert len(set(esc.length[escaped_in_tail].tolist())) >= 3
     # z = 0 and w = 0 lanes
     assert (logs["direct_z0"].log_z[:, 0] == -math.inf).all()
@@ -167,7 +167,7 @@ def test_tail_overflow_ends_range_before_the_step():
     f, c, ws = ESCAPE, classify(ESCAPE), [1e-300 * (1 + 0.1 * k) for k in range(-5, 12)]
     got = _kernel(f, c, 0.5, ws, 1100)
     _assert_same(got, _scalar_replay(f, c, 0.5, ws, 1100), "overflow")
-    dived = got.reason == green._RANGE
+    dived = got.reason == fiber._RANGE
     assert dived.any() and (got.switch_step[dived] == 1).all()
     assert not (got.log_w == -math.inf).any()
 
@@ -180,7 +180,7 @@ FIBER_Z, FIBER_WS = 0.5 + 0.004j, _grid(0.01 - 0.01j, 1.0, 24)
 def columns(monkeypatch):
     """The number of columns each _LaneOrbits batch yields, in batch order."""
     counts = []
-    iterate = green._LaneOrbits.__iter__
+    iterate = fiber._LaneOrbits.__iter__
 
     def counted(self):
         counts.append(0)
@@ -188,7 +188,7 @@ def columns(monkeypatch):
             counts[-1] += 1
             yield column
 
-    monkeypatch.setattr(green._LaneOrbits, "__iter__", counted)
+    monkeypatch.setattr(fiber._LaneOrbits, "__iter__", counted)
     return counts
 
 
@@ -197,7 +197,7 @@ def test_lanes_compute_no_step_past_their_last_settled_pixel(columns, key):
     # the lane twin of test_estimator_computes_no_step_past_its_exit: lanes
     # retire once settled, and the loop stops when none is left
     c = classify(DIRECT)
-    used = green.fiber_sample(DIRECT, c, key, FIBER_Z, FIBER_WS, 64).columns[1]
+    used = fiber.fiber_sample(DIRECT, c, key, FIBER_Z, FIBER_WS, 64).columns[1]
     assert columns == [used.max() + 1], key
     assert used.max() < 20   # of the 65 columns at n_max 64
 
@@ -205,12 +205,12 @@ def test_lanes_compute_no_step_past_their_last_settled_pixel(columns, key):
 def test_lane_memory_does_not_grow_with_the_budget():
     # no step history: a G_f render peaks alike at n_max 64 and 3000
     c = classify(DIRECT)
-    green.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, 64)   # loads what a first call loads
+    fiber.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, 64)   # loads what a first call loads
     peaks = []
     for n_max in (64, 3000):
         tracemalloc.start()
         try:
-            green.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, n_max)
+            fiber.fiber_sample(DIRECT, c, "Gf", FIBER_Z, FIBER_WS, n_max)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

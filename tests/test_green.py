@@ -23,7 +23,8 @@ from skewdyn import (
     monomial_skew,
     submean_check,
 )
-from skewdyn.green import DEFAULT_TOL, ESCAPE_LOG, ESTIMATORS, fiber_sample
+from skewdyn.fiber import fiber_sample
+from skewdyn.green import DEFAULT_TOL, ESCAPE_LOG, ESTIMATORS
 from skewdyn.oracles import (
     example_degenerate,
     julia_membership,
@@ -328,7 +329,7 @@ def _keys_or_refusal(evaluate):
 def test_fiber_sample_traversal_order():
     # fiber_sample (batched kernels or scalar loop) must reproduce the
     # per-point estimators exactly, refusals included
-    from skewdyn.green import best_orbit_logs, fiber_sample, ratio_orbit
+    from skewdyn.green import best_orbit_logs, ratio_orbit
 
     maps = [
         example_degenerate(1, 4),                               # c' = c^3 + c^2
@@ -480,7 +481,7 @@ def test_fiber_direct_lanes_match_point_estimators(monkeypatch):
     # reproduce the per-point estimators exactly, and settle no lane
     # through the scalar routines
     from skewdyn import green
-    from skewdyn.green import _ratio_route, _refusal, best_orbit_logs, fiber_sample
+    from skewdyn.green import _ratio_route, _refusal, best_orbit_logs
 
     alpha32 = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     ptail = SkewProduct(UniPoly({2: 1.0, 3: 0.5}), BiPoly({(1, 3): 1.0, (2, 3): 0.25j}))
@@ -560,7 +561,7 @@ def test_ratio_orbit_runs_past_the_escape_radius():
     # needs eta = 0, the orbit runs past the escape radius
     import mpmath as mp
 
-    from skewdyn.green import fiber_sample, ratio_orbit
+    from skewdyn.green import ratio_orbit
 
     f, z, w = ESCAPE_MAP, 0.134 - 0.221j, 0.165 + 0.395j
     c = classify(f)
@@ -813,7 +814,7 @@ def test_a_modulus_past_the_double_range_ends_the_orbit_escaped(tmp_path):
 def test_gzap_range_exit_is_converged_only_below_tol():
     # when the ratio dives below the double range, G_z^{alpha,+} is 0 with
     # the certified bound tail_m / d^n; that bound decides the tag
-    from skewdyn.green import fiber_sample, ratio_orbit
+    from skewdyn.green import ratio_orbit
 
     f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     c = classify(f)
@@ -955,8 +956,6 @@ def test_gzi_functional_identity_random_maps():
 def test_log_extension_overflow_is_not_an_exact_zero():
     # log|z_n| = 2^n log 0.5 overflows to -inf near step 1025; the orbit ends
     # as 'range' before that step, which must not read as z_n = w_n = 0
-    from skewdyn.green import fiber_sample
-
     f = SkewProduct(UniPoly({2: 1.0}), BiPoly({(0, 2): 1.0, (3, 0): -1.0}))
     c = classify(f)
     z, w = 0.5, -0.375 - 0.375j

@@ -1,4 +1,4 @@
-"""green._LaneSettler against the scalar green._Settler, push for push.
+"""fiber._LaneSettler against the scalar green._Settler, push for push.
 
 The lanes of one _LaneSettler receive their partials in lockstep.  After
 every push each lane must be decided exactly where a _Settler fed the same
@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from skewdyn import green
+from skewdyn import fiber, green
 
 TOL = 2.0**-20   # increments built from it are exact, so ties at tol are real ties
 NAN, INF = math.nan, math.inf
@@ -88,7 +88,7 @@ def _est_key(est):
 
 def _lane_keys(triple):
     tags, values, residuals = triple
-    return [_key(green._TAGS[t], v, r) for t, v, r in zip(tags, values, residuals)]
+    return [_key(fiber._TAGS[t], v, r) for t, v, r in zip(tags, values, residuals)]
 
 
 def _check(seqs, tol, retire):
@@ -99,7 +99,7 @@ def _check(seqs, tol, retire):
     pushing as a lane whose decision is not read.
     """
     scalars = [green._Settler(tol) for _ in seqs]
-    lanes = green._LaneSettler(len(seqs), tol)
+    lanes = fiber._LaneSettler(len(seqs), tol)
     live = list(range(len(seqs)))
     for n in range(len(seqs[0])):
         with np.errstate(invalid="ignore"):   # inf - inf, as the batched settles allow
@@ -135,7 +135,7 @@ def test_fuzzed_sequences(seed):
 
 def test_finish_without_partials():
     want = _est_key(green._Settler(TOL).finish())
-    assert _lane_keys(green._LaneSettler(3, TOL).finish()) == [want] * 3
+    assert _lane_keys(fiber._LaneSettler(3, TOL).finish()) == [want] * 3
     assert want == ("budget", "nan", "inf")
 
 
@@ -149,7 +149,7 @@ def test_masked_pushes_skip_their_lanes(seed):
     takes = [[rng.random() < 0.7 for _ in seq] for seq in seqs]
     for tol in (TOL, 1e-20):
         scalars = [green._Settler(tol) for _ in seqs]
-        lanes = green._LaneSettler(len(seqs), tol)
+        lanes = fiber._LaneSettler(len(seqs), tol)
         for n in range(14):
             take = np.array([t[n] for t in takes])
             with np.errstate(invalid="ignore"):

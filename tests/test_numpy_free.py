@@ -1,4 +1,4 @@
-"""Point queries run without numpy: only the lane kernels import it."""
+"""Point queries run without numpy and without the lane kernels of skewdyn.fiber."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ import sys
 from skewdyn import (BiPoly, SkewProduct, UniPoly, bottcher, classify, classify_point,
                      monomial_skew, wedge_u_l)
 from skewdyn.cli import main
-from skewdyn.green import ESTIMATORS, fiber_sample
+from skewdyn.green import ESTIMATORS
 
 
 def numpy_modules():
@@ -41,10 +41,14 @@ bottcher(f0, c0, 0.05 + 0.02j, 0.03 - 0.01j)
 classify_point(f0, c0, wedge_u_l(1, 0.1), 0.05, 0.004, budget=50)
 assert main(["green", sys.argv[1], "--function", "Gz", "--point", "0.5,0,0.4,0"]) == 0
 assert not numpy_modules(), numpy_modules()[:5]
+assert "skewdyn.fiber" not in sys.modules   # no import on the point path compiles the kernels
+
+from skewdyn.fiber import fiber_sample
 
 lanes = fiber_sample(alpha32, c32, "Gz", 0j, [1j], 1100, 0.0).estimates
 assert repr(lanes) == repr((deep,)), (lanes, deep)
 assert numpy_modules()
+assert "skewdyn.fiber" in sys.modules
 '''
 
 

@@ -19,7 +19,7 @@ from skewdyn import (
     julia_membership,
     monomial_reference,
 )
-from skewdyn.green import fiber_sample
+from skewdyn.fiber import fiber_sample
 from skewdyn.oracles import (
     _h_rate_lanes,
     _trap_radius,

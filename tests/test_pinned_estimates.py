@@ -12,7 +12,8 @@ import math
 import pytest
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, classify_point, wedge_u_l
-from skewdyn.green import ESTIMATORS, fiber_sample
+from skewdyn.fiber import fiber_sample
+from skewdyn.green import ESTIMATORS
 from skewdyn.oracles import example_degenerate
 
 INF = math.inf

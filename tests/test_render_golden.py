@@ -14,7 +14,7 @@ import pytest
 
 from skewdyn import BiPoly, SkewProduct, UniPoly, classify, monomial_skew
 from skewdyn.cli import main
-from skewdyn.green import fiber_sample
+from skewdyn.fiber import fiber_sample
 from skewdyn.oracles import example_degenerate
 from skewdyn.raster import RenderJob, RunConfig, render
 
