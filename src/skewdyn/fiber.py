@@ -82,7 +82,6 @@ from .green import (
 from .newton import Classification
 
 
-
 @dataclass(frozen=True, eq=False)
 class FiberFunctionSample:
     """Grid of estimates over one fiber {z} x rectangle, row-major order.

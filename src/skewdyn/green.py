@@ -74,8 +74,9 @@ where none does the orbit ends 'range' (_switch_vertex).  Past the switch
 an orbit follows the exact log recursion alone (_extension_steps), which
 regions.classify_point reads; the estimators close at the switch step,
 which the direct lane kernel (fiber._LaneOrbits) steps by that recursion
-in the same column loop as its exact ones.  A step the recursion overflows ends the orbit as
-'range' before it, so -inf in an orbit always means an exact zero.
+in the same column loop as its exact ones.  A step the recursion
+overflows ends the orbit as 'range' before it, so -inf in an orbit
+always means an exact zero.
 
 Infinite values are sentinels (math.inf) with a termination tag, never
 silent NaNs.
