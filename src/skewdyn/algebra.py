@@ -28,18 +28,29 @@ Rational = Fraction
 DEFAULT_ESCAPE_RADIUS = 1e12
 
 
+def _exponent(e) -> int:
+    """e as an int; an exponent that is not a whole number is a ValueError."""
+    n = int(e)
+    if n != e:
+        raise ValueError(f"non-integer exponent {e!r}")
+    return n
+
+
 def _clean_terms(terms: Mapping, arity: int) -> dict:
     out = {}
     for key, coeff in terms.items():
         if arity == 1:
-            key = int(key)
+            if type(key) is not int:
+                key = _exponent(key)
             if key < 0:
                 raise ValueError(f"negative exponent {key}")
         else:
             i, j = key
-            key = (int(i), int(j))
-            if key[0] < 0 or key[1] < 0:
-                raise ValueError(f"negative exponent pair {key}")
+            if type(i) is not int or type(j) is not int:
+                i, j = _exponent(i), _exponent(j)
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent pair {(i, j)}")
+            key = (i, j)
         c = complex(coeff)
         if c != 0:
             out[key] = c

@@ -16,14 +16,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .blowup import check_blowup_tables, blowup_pi1
 from .bottcher import bottcher
 from .fileio import load_skew_product
 from .green import ESTIMATORS
 from .newton import classification_report, classify
 from .raster import RenderJob, RunConfig, render
 from .regions import verify_invariance, WedgeSpec
-from .weights import d_value, weight_interval
 
 
 def _env_config(args) -> RunConfig:
@@ -41,6 +39,10 @@ def _env_config(args) -> RunConfig:
 
 
 def cmd_analyze(args) -> int:
+    # imported here, not at the top: no point query runs weights or blowup
+    from .blowup import blowup_pi1, check_blowup_tables
+    from .weights import d_value, weight_interval
+
     f = load_skew_product(args.file)
     c = classify(f)
     print(classification_report(f, c))

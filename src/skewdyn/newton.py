@@ -14,7 +14,7 @@ term b_{gamma d} z^gamma w^d of q and one of four cases:
     Case 3:  s > 1 and delta >= T_1       (dominant (n_1, m_1))
     Case 4:  s > 2 and T_k <= delta <= T_{k-1}, 2 <= k <= s-1
 
-All geometry is exact rational arithmetic; the boundary equalities
+All geometry is exact, in integers and Fractions; the boundary equalities
 delta == T_k matter and must not suffer rounding.  When delta == T_k the
 map has two dominant terms, each with its own case; the (n_k, m_k) one is
 listed first and used as the default downstream.
@@ -25,9 +25,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .algebra import BiPoly, Rational, SkewProduct
+
+
+_ZERO = Fraction(0)
 
 
 class Case(enum.Enum):
@@ -57,18 +60,12 @@ class NewtonPolygon:
         return Fraction(n2 - n1, m1 - m2)
 
 
-def _staircase(support: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Pareto-minimal points of the support, sorted by (i, j)."""
-    pts = sorted(set(support))
-    keep = []
-    best_j = None
-    for i, j in pts:  # ascending i, then j: first j per i is the minimal one
-        if keep and keep[-1][0] == i:
-            continue
-        if best_j is not None and j >= best_j:
-            continue
-        keep.append((i, j))
-        best_j = j
+def _staircase(support: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Pareto-minimal points of a support given sorted by (i, j), without repeats."""
+    keep: list[tuple[int, int]] = []
+    for p in support:  # ascending i, then j: a point stays if it is lower than all before
+        if not keep or p[1] < keep[-1][1]:
+            keep.append(p)
     return keep
 
 
@@ -90,16 +87,13 @@ def _lower_hull(stairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 def newton_polygon(q: BiPoly) -> NewtonPolygon:
     """Compute N(q): the staircase vertices and exact intercepts T_k."""
-    support = list(q.support)
-    if not support:
+    if not q.terms:
         raise ValueError("q has empty support")
-    verts = _lower_hull(_staircase(support))
-    intercepts = []
-    for k in range(len(verts) - 1):
-        (n1, m1), (n2, m2) = verts[k], verts[k + 1]
-        # T_k = m_k + n_k (m_k - m_{k+1})/(n_{k+1} - n_k).
-        intercepts.append(Fraction(m1) + Fraction(n1) * Fraction(m1 - m2, n2 - n1))
-    return NewtonPolygon(tuple(verts), tuple(intercepts))
+    verts = tuple(_lower_hull(_staircase(q.terms)))  # BiPoly keeps its terms sorted
+    # T_k = (m_k n_{k+1} - m_{k+1} n_k)/(n_{k+1} - n_k), where L_k meets x = 0
+    intercepts = tuple(Fraction(m1 * n2 - m2 * n1, n2 - n1)
+                       for (n1, m1), (n2, m2) in zip(verts, verts[1:]))
+    return NewtonPolygon(verts, intercepts)
 
 
 def newton_polygon_bruteforce(support: list[tuple[int, int]]) -> NewtonPolygon:
@@ -130,8 +124,9 @@ def newton_polygon_bruteforce(support: list[tuple[int, int]]) -> NewtonPolygon:
         if not interior:
             verts.append(p)
     verts.sort()
+    # the textbook T_k = m_k + n_k (m_k - m_{k+1})/(n_{k+1} - n_k), over one denominator
     intercepts = tuple(
-        Fraction(m1) + Fraction(n1) * Fraction(m1 - m2, n2 - n1)
+        Fraction(m1 * (n2 - n1) + n1 * (m1 - m2), n2 - n1)
         for (n1, m1), (n2, m2) in zip(verts, verts[1:])
     )
     return NewtonPolygon(tuple(verts), intercepts)
@@ -207,8 +202,10 @@ class Classification:
     alpha: Optional[Rational] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("gamma", "d", "alpha"):
-            object.__setattr__(self, name, getattr(self.terms[0], name))
+        primary = self.terms[0]
+        object.__setattr__(self, "gamma", primary.vertex[0])
+        object.__setattr__(self, "d", primary.vertex[1])
+        object.__setattr__(self, "alpha", primary.alpha)
 
     @property
     def primary(self) -> DominantTerm:
@@ -231,56 +228,48 @@ class Classification:
         return len(self.terms) == 2
 
 
-def _term_for_vertex(npoly: NewtonPolygon, delta: int, k: int, case: Case) -> DominantTerm:
+def _term_for_vertex(npoly: NewtonPolygon, delta: int, k: int) -> DominantTerm:
+    """Vertex k dominant: Case 1 alone, else Case 3 first, Case 2 last, Case 4 between."""
     verts = npoly.vertices
     gamma, d = verts[k - 1]
-    if case is Case.CASE1:
-        l1, l2 = Fraction(0), None
-    elif case is Case.CASE2:
-        l1 = npoly.edge_weight(npoly.s - 1)
-        l2 = None
-    elif case is Case.CASE3:
-        l1 = Fraction(0)
-        l2 = npoly.edge_weight(1)
+    if len(verts) == 1:
+        case, l1, l2 = Case.CASE1, _ZERO, None
+    elif k == 1:
+        case, l1, l2 = Case.CASE3, _ZERO, npoly.edge_weight(1)
+    elif k == len(verts):
+        case, l1, l2 = Case.CASE2, npoly.edge_weight(k - 1), None
     else:
-        l1 = npoly.edge_weight(k - 1)
-        l2 = npoly.edge_weight(k) - l1
+        (n0, m0), (n2, m2) = verts[k - 2], verts[k]
+        case, l1 = Case.CASE4, npoly.edge_weight(k - 1)
+        # l2 = edge_weight(k) - l1 = (n2-gamma)/(d-m2) - (gamma-n0)/(m0-d)
+        l2 = Fraction((n2 - gamma) * (m0 - d) - (gamma - n0) * (d - m2), (d - m2) * (m0 - d))
     if delta != d:
         alpha = Fraction(gamma, delta - d)
     elif gamma == 0:
         alpha = alpha_redefined(npoly, delta)
     else:
         alpha = None  # gamma > 0, delta == d: use G_z^infty instead
-    return DominantTerm(vertex=(gamma, d), case=case, k=k, l1=l1, l2=l2, alpha=alpha)
+    return DominantTerm(verts[k - 1], case, k, l1, l2, alpha)
 
 
 def classify(f: SkewProduct) -> Classification:
     """Classify f into Cases 1-4 with dominant term(s) and derived constants."""
     npoly = newton_polygon(f.q)
     delta = f.delta
-    s = npoly.s
-    terms: list[DominantTerm]
-    if s == 1:
-        terms = [_term_for_vertex(npoly, delta, 1, Case.CASE1)]
+    verts = npoly.vertices
+    # The T_k decrease, so vertex k dominates at the first k with T_k <= delta
+    # (k = s if none).  As n_{k+1} > n_k, T_k - delta has the sign of
+    # (m_k n_{k+1} - m_{k+1} n_k) - delta (n_{k+1} - n_k).
+    k, sign = 1, 1
+    for (n1, m1), (n2, m2) in zip(verts, verts[1:]):
+        sign = m1 * n2 - m2 * n1 - delta * (n2 - n1)
+        if sign <= 0:
+            break
+        k += 1
+    if sign == 0:  # delta == T_k: vertex k and vertex k+1 both dominate
+        terms = (_term_for_vertex(npoly, delta, k), _term_for_vertex(npoly, delta, k + 1))
     else:
-        T = npoly.intercepts
-        boundary_k = next((k for k in range(1, s) if T[k - 1] == delta), None)
-        if boundary_k is not None:
-            # Two dominant terms: vertex k in Case 3/4, vertex k+1 in Case 2/4.
-            k = boundary_k
-            upper_case = Case.CASE3 if k == 1 else Case.CASE4
-            lower_case = Case.CASE2 if k + 1 == s else Case.CASE4
-            terms = [
-                _term_for_vertex(npoly, delta, k, upper_case),
-                _term_for_vertex(npoly, delta, k + 1, lower_case),
-            ]
-        elif delta < T[s - 2]:
-            terms = [_term_for_vertex(npoly, delta, s, Case.CASE2)]
-        elif delta > T[0]:
-            terms = [_term_for_vertex(npoly, delta, 1, Case.CASE3)]
-        else:
-            k = next(k for k in range(2, s) if T[k - 1] < delta < T[k - 2])
-            terms = [_term_for_vertex(npoly, delta, k, Case.CASE4)]
+        terms = (_term_for_vertex(npoly, delta, k),)
     prim = terms[0]
     gamma, d = prim.vertex
     lam = max(delta, d)
@@ -294,7 +283,7 @@ def classify(f: SkewProduct) -> Classification:
     return Classification(
         delta=delta,
         npoly=npoly,
-        terms=tuple(terms),
+        terms=terms,
         lam=lam,
         c_infinity=c_inf,
         flags=flags,

@@ -120,3 +120,24 @@ def test_polynomials_immutable_and_clean():
     assert q.support == ((1, 3),)
     with pytest.raises(AttributeError):
         p.terms = {}
+
+
+def test_unipoly_rejects_a_non_integer_exponent():
+    # int() would truncate 2.7 to 2 and drop the z^2 term into its place
+    with pytest.raises(ValueError, match="non-integer exponent 2.7"):
+        UniPoly({2: 1.0, 2.7: 3.0})
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        UniPoly({Fraction(5, 2): 1.0})
+    assert UniPoly({2.0: 1.0, Fraction(3): 2.0}).terms == {2: 1 + 0j, 3: 2 + 0j}
+    assert all(type(k) is int for k in UniPoly({2.0: 1.0}).terms)
+
+
+def test_bipoly_rejects_a_non_integer_exponent():
+    with pytest.raises(ValueError, match="non-integer exponent 1.9"):
+        BiPoly({(1, 2): 1.0, (1.9, 2): 5.0})
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        BiPoly({(1, Fraction(1, 2)): 1.0})
+    with pytest.raises(ValueError, match="negative exponent pair"):
+        BiPoly({(1.0, -2): 1.0})
+    assert BiPoly({(1.0, 2): 1.0}).support == ((1, 2),)
+    assert all(type(i) is int is type(j) for i, j in BiPoly({(1.0, 2.0): 1.0}).support)

@@ -6,6 +6,9 @@ from fractions import Fraction
 from skewdyn import (
     BiPoly,
     Case,
+    Classification,
+    DominantTerm,
+    NewtonPolygon,
     SkewProduct,
     UniPoly,
     alpha_redefined,
@@ -13,6 +16,7 @@ from skewdyn import (
     monomial_skew,
     newton_polygon,
 )
+from skewdyn import newton
 from skewdyn.newton import newton_polygon_bruteforce
 
 
@@ -193,3 +197,80 @@ def test_classification_stores_its_primary_terms_gamma_d_alpha():
     two = classify(_skew(4, [(1, 3), (2, 2)]))
     swapped = dataclasses.replace(two, terms=two.terms[::-1])
     assert (two.d, swapped.d) == (3, 2) and dataclasses.replace(two) == two
+
+
+def _reference_classification(f):
+    """classify(f) as the Fraction formulas build it: T_k = m_k + n_k (m_k - m_{k+1})/(n_{k+1}
+    - n_k), l2 = edge_weight(k) - l1, and the case picked by comparing delta with each T_k."""
+    verts = tuple(newton._lower_hull(newton._staircase(list(f.q.support))))
+    T = tuple(Fraction(m1) + Fraction(n1) * Fraction(m1 - m2, n2 - n1)
+              for (n1, m1), (n2, m2) in zip(verts, verts[1:]))
+    npoly = NewtonPolygon(verts, T)
+    delta, s = f.delta, len(verts)
+
+    def term(k, case):
+        gamma, d = verts[k - 1]
+        if case is Case.CASE1:
+            l1, l2 = Fraction(0), None
+        elif case is Case.CASE2:
+            l1, l2 = npoly.edge_weight(s - 1), None
+        elif case is Case.CASE3:
+            l1, l2 = Fraction(0), npoly.edge_weight(1)
+        else:
+            l1 = npoly.edge_weight(k - 1)
+            l2 = npoly.edge_weight(k) - l1
+        if delta != d:
+            alpha = Fraction(gamma, delta - d)
+        else:
+            alpha = alpha_redefined(npoly, delta) if gamma == 0 else None
+        return DominantTerm((gamma, d), case, k, l1, l2, alpha)
+
+    if s == 1:
+        terms = [term(1, Case.CASE1)]
+    elif any(t == delta for t in T):
+        k = T.index(delta) + 1
+        terms = [term(k, Case.CASE3 if k == 1 else Case.CASE4),
+                 term(k + 1, Case.CASE2 if k + 1 == s else Case.CASE4)]
+    elif delta < T[-1]:
+        terms = [term(s, Case.CASE2)]
+    elif delta > T[0]:
+        terms = [term(1, Case.CASE3)]
+    else:
+        terms = [term(next(k for k in range(2, s) if T[k - 1] < delta < T[k - 2]), Case.CASE4)]
+    gamma, d = terms[0].vertex
+    flags = {"two_dominant_terms": len(terms) == 2,
+             "first_vertex_is_0_delta": verts[0] == (0, delta),
+             "d_ge_2": d >= 2, "gamma_positive": gamma > 0}
+    return Classification(delta, npoly, tuple(terms), max(delta, d),
+                          delta if (gamma > 0 or delta <= d) else d, flags)
+
+
+def _fraction_types(c):
+    return [type(x) for x in c.npoly.intercepts] + [
+        (type(t.l1), type(t.l2), type(t.alpha)) for t in c.terms]
+
+
+def test_classify_matches_the_fraction_reference():
+    # 20,000 random supports and delta, and delta = T_k at every integer
+    # intercept T_k >= 2 of those polygons: the boundary with two dominant terms
+    rng = random.Random(28)
+    grid = [(i, j) for i in range(12) for j in range(12) if i + j >= 2 or (i, j) == (1, 0)]
+    seen = set()
+
+    def check(delta, support):
+        f = _skew(delta, support)
+        fast, ref = classify(f), _reference_classification(f)
+        assert repr(fast) == repr(ref) and fast == ref, (delta, support)
+        assert _fraction_types(fast) == _fraction_types(ref), (delta, support)
+        seen.add(tuple(t.case.value for t in fast.terms))
+        return fast.npoly.intercepts
+
+    boundaries = 0
+    for _ in range(20_000):
+        support = rng.sample(grid, rng.randint(1, 10))
+        for t in check(rng.randint(2, 14), support):
+            if t.denominator == 1 and t >= 2:
+                check(int(t), support)
+                boundaries += 1
+    assert boundaries > 5_000
+    assert seen == {(1,), (2,), (3,), (4,), (3, 2), (3, 4), (4, 2), (4, 4)}
